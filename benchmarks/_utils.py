@@ -4,14 +4,38 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 from pathlib import Path
+
+from repro.assertions.assertion import Assertion, Literal
 
 
 def run_once(benchmark, function, *args, **kwargs):
     """Benchmark an expensive experiment with a single measured round."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def miner_shaped_assertions(module, count, seed=7):
+    """Random window-1/2 candidates like the decision-tree miner emits."""
+    rng = random.Random(seed)
+    single_bit = [name for name in module.data_input_names + module.state_names
+                  if module.width_of(name) == 1]
+    outputs = [name for name in module.output_names if module.width_of(name) == 1]
+    registers = set(module.state_names)
+    assertions = []
+    while len(assertions) < count:
+        window = rng.choice([1, 2])
+        antecedent = tuple(
+            Literal(name, rng.randint(0, 1), rng.randrange(window))
+            for name in rng.sample(single_bit, k=min(2, len(single_bit)))
+        )
+        output = rng.choice(outputs)
+        cycle = window if output in registers else window - 1
+        assertions.append(
+            Assertion(antecedent, Literal(output, rng.randint(0, 1), cycle), window))
+    return assertions
 
 
 def write_bench_json(name: str, payload: dict,

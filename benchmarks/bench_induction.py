@@ -37,9 +37,7 @@ from __future__ import annotations
 import os
 import time
 
-from _utils import run_once, write_bench_json
-
-from bench_formal_incremental import miner_shaped_assertions
+from _utils import miner_shaped_assertions, run_once, write_bench_json
 from repro.assertions.assertion import Verdict
 from repro.designs import load
 from repro.experiments.common import format_table

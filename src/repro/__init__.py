@@ -23,8 +23,8 @@ The main entry points are:
   batched engine (``engine="batched"``), both behind
   :class:`repro.sim.SimulatorBase`.
 * :class:`repro.core.GoldMine` — a single assertion-mining pass; the
-  A-Miner itself runs row-wise or columnar/bit-parallel
-  (``GoldMineConfig(mine_engine=...)``, :mod:`repro.mining`).
+  A-Miner itself is the columnar/bit-parallel decision tree of
+  :mod:`repro.mining`.
 * :class:`repro.core.CoverageClosure` — the paper's counterexample-guided
   refinement loop producing assertions + validation stimulus
   (serializable via :meth:`repro.core.ClosureResult.to_json`).
@@ -53,7 +53,6 @@ from repro.core import (
 from repro.coverage import CoverageReport, CoverageRunner, measure_coverage
 from repro.formal import FormalVerifier, FormalWorkerPool, ProofCache
 from repro.hdl import Module, parse_module, parse_modules
-from repro.mining import MINE_ENGINES
 from repro.sim import (
     SIM_ENGINES,
     BatchedSimulator,
@@ -68,7 +67,7 @@ from repro.sim import (
 
 #: Single source of truth for the release version: ``setup.py`` parses
 #: this assignment, so bump it here and nowhere else.
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "Assertion",
@@ -84,7 +83,6 @@ __all__ = [
     "GoldMineConfig",
     "IterationRecord",
     "Literal",
-    "MINE_ENGINES",
     "Module",
     "ProofCache",
     "RandomStimulus",

@@ -9,8 +9,6 @@
   on a flat clause arena with blocker-literal watch lists (VSIDS,
   first-UIP learning, phase saving, restarts, compacting learned-clause
   database reduction, per-solve instrumentation).
-* :mod:`repro.boolean.legacy_sat` — the pre-arena object-graph solver,
-  retained as the differential-testing and benchmarking baseline.
 * :mod:`repro.boolean.certify` — reverse-unit-propagation checking of
   the solver's learned-clause derivations (UNSAT certificates).
 * :mod:`repro.boolean.incremental` — a persistent CnfBuilder/SatSolver
@@ -24,7 +22,6 @@ from repro.boolean.bdd import BDD
 from repro.boolean.certify import CertificateError, check_rup_proof, rup_implied
 from repro.boolean.cnf import CnfBuilder, Clause, canonical_clause
 from repro.boolean.incremental import IncrementalSolver, ReuseCounters
-from repro.boolean.legacy_sat import LegacySatSolver
 from repro.boolean.expr import (
     FALSE,
     TRUE,
@@ -48,7 +45,6 @@ __all__ = [
     "CnfBuilder",
     "FALSE",
     "IncrementalSolver",
-    "LegacySatSolver",
     "ReuseCounters",
     "SatResult",
     "SatSolver",

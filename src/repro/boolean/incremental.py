@@ -63,18 +63,11 @@ class ReuseCounters:
 
 
 class IncrementalSolver:
-    """A :class:`CnfBuilder`/:class:`SatSolver` pair that outlives queries.
+    """A :class:`CnfBuilder`/:class:`SatSolver` pair that outlives queries."""
 
-    ``solver_cls`` selects the backing solver implementation — any class
-    with the :class:`SatSolver` query surface (``solve(assumptions)``,
-    mid-life ``add_clause``, ``learned_count``).  The arena solver is the
-    default; :class:`repro.boolean.legacy_sat.LegacySatSolver` slots in
-    for differential testing and benchmarking.
-    """
-
-    def __init__(self, max_learned: int = 4000, solver_cls: type = SatSolver):
+    def __init__(self, max_learned: int = 4000):
         self.builder = CnfBuilder()
-        self.solver = solver_cls(max_learned=max_learned)
+        self.solver = SatSolver(max_learned=max_learned)
         self.counters = ReuseCounters()
         self._flushed = 0
 

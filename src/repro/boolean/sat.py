@@ -3,10 +3,8 @@
 This is the hot core under every formal query in the closure loop: each
 BMC violation query, each canonical-counterexample minimisation solve and
 each induction check bottoms out in :meth:`SatSolver.solve`.  The solver
-keeps the exact public surface and query protocol of the previous
-object-graph implementation (retained as
-:class:`repro.boolean.legacy_sat.LegacySatSolver` for differential
-testing) but re-architects the data layout the way hardware solvers do:
+keeps the public surface and query protocol of the earlier object-graph
+implementation but lays its data out the way hardware solvers do:
 
 * **Flat clause arena.**  All clause literals live in one contiguous
   flat buffer; a clause is an integer id indexing parallel header

@@ -15,8 +15,7 @@ Typical use::
 
     from repro.core import CoverageClosure, GoldMineConfig
 
-    config = GoldMineConfig(window=2, sim_engine="batched", sim_lanes=64,
-                            mine_engine="columnar")
+    config = GoldMineConfig(window=2, sim_engine="batched", sim_lanes=64)
     closure = CoverageClosure(module, outputs=["gnt0"], config=config)
     result = closure.run(seed_vectors)      # Stimulus, vector list, or None
     result.converged                        # every leaf assertion proven?
@@ -24,9 +23,9 @@ Typical use::
     result.test_suite                       # seed + every counterexample
 
 ``sim_engine`` selects the simulation back end for data generation and
-counterexample replay (``"scalar"`` or ``"batched"``) and
-``mine_engine`` the A-Miner back end (``"rowwise"`` or the bit-parallel
-``"columnar"``); results are engine-independent, throughput is not.
+counterexample replay (``"scalar"`` or ``"batched"``); results are
+engine-independent, throughput is not.  The A-Miner is always the
+bit-parallel columnar decision tree (:mod:`repro.mining.columnar`).
 """
 
 from repro.core.config import GoldMineConfig

@@ -20,11 +20,12 @@ class GoldMineConfig:
     * ``include_internal_state`` — whether registers/internal signals are
       visible to the miner (Section 3.1's "flat single-cycle picture").
     * ``engine`` — formal back end: ``explicit`` (exact, default), ``bmc``
-      (incremental SAT, one persistent solver context per design),
-      ``bmc-fresh`` (cold solver per query, the differential baseline),
+      (incremental SAT on each assertion's cone-of-influence slice),
       ``k-induction`` (BMC base case + simple-path inductive step, proves
       assertions *unbounded*), ``tiered`` (portfolio: BMC falsification
       tier, then induction escalation for proof) or ``bdd``.
+    * ``bound`` — search depth of the SAT engines (at least 1; raised to
+      the assertion's span when shorter).
     * ``induction_k`` — maximum induction depth for the ``k-induction``
       and ``tiered`` engines (ignored by the others).  Larger values
       prove more assertions at the cost of deeper step queries.
@@ -38,15 +39,10 @@ class GoldMineConfig:
       independent trials per step).  The batched engine splits the
       random-cycle budget across lanes (many short from-reset runs
       instead of one long one), which both speeds up data generation by
-      orders of magnitude and diversifies the mining dataset.
-    * ``mine_engine`` — A-Miner back end: ``rowwise`` (per-row feature
-      dicts, the differential baseline) or ``columnar`` (big-int bitset
-      columns with popcount split gains, :mod:`repro.mining.columnar`).
-      Both engines produce node-for-node identical decision trees and
-      identical candidate assertions; the columnar engine is just much
-      faster.  In a :meth:`~repro.core.goldmine.GoldMine.mine` pass with
-      ``sim_engine="batched"``, the random data-generator additionally
-      hands the columnar miner its lane-packed words zero-copy.
+      orders of magnitude and diversifies the mining dataset.  In a
+      :meth:`~repro.core.goldmine.GoldMine.mine` pass the batched random
+      data generator hands the columnar miner
+      (:mod:`repro.mining.columnar`) its lane-packed words zero-copy.
     * ``formal_workers`` — process parallelism of the formal stage: ``1``
       checks candidates in-process, ``N > 1`` shards every batch across
       ``N`` persistent model-checking worker processes
@@ -59,12 +55,6 @@ class GoldMineConfig:
       string additionally persists them to that JSON file (conventionally
       under ``artifacts/``) so sweeps across seeds/jobs stop re-proving
       identical candidates.  Cache hits reproduce byte-identical results.
-    * ``ir_opt`` — route both the formal engines and the batched
-      simulator through the bit-level netlist IR (:mod:`repro.ir`):
-      structural hashing, constant-register folding, and per-assertion
-      cone-of-influence slicing of the SAT encodings.  Verdicts,
-      counterexamples, and mined assertions are identical with the flag
-      on or off; only encoding size and runtime change.
     * ``formal_query_timeout`` — optional wall-clock budget in seconds
       for each individual formal query (``None`` = unbounded, the
       default).  On expiry the SAT engines abandon the query and report
@@ -89,11 +79,9 @@ class GoldMineConfig:
     max_input_combinations: int = 4_096
     sim_engine: str = "scalar"
     sim_lanes: int = 64
-    mine_engine: str = "rowwise"
     formal_workers: int = 1
     formal_proof_cache: bool | str = False
     formal_query_timeout: float | None = None
-    ir_opt: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -116,12 +104,14 @@ class GoldMineConfig:
             raise ValueError("formal_query_timeout must be positive when set")
         if self.induction_k < 0:
             raise ValueError("induction_k cannot be negative")
-        from repro.mining import MINE_ENGINES
+        from repro.formal.checker import FormalVerifier
 
-        if self.mine_engine not in MINE_ENGINES:
+        if self.engine not in FormalVerifier.ENGINES:
             raise ValueError(
-                f"mine_engine must be one of {MINE_ENGINES}, got '{self.mine_engine}'"
+                f"engine must be one of {FormalVerifier.ENGINES}, got '{self.engine}'"
             )
+        if self.bound < 1:
+            raise ValueError("bound must be at least 1")
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
@@ -135,7 +125,8 @@ class GoldMineConfig:
     @staticmethod
     def from_json(data: Mapping) -> "GoldMineConfig":
         """Rebuild a config from :meth:`to_json` output (unknown keys ignored,
-        so manifests written by newer versions still load)."""
+        so manifests written by newer versions, and the retired miner and
+        IR switches of older ones, still load)."""
         from dataclasses import fields
 
         known = {f.name for f in fields(GoldMineConfig)}

@@ -29,7 +29,7 @@ from repro.formal.proofcache import ProofCache
 from repro.formal.result import CheckResult
 from repro.hdl.module import Module
 from repro.hdl.synth import SynthesizedModule, synthesize
-from repro.mining import create_dataset, create_decision_tree
+from repro.mining.columnar import ColumnarDataset, ColumnarDecisionTree
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus, Stimulus
 from repro.sim.trace import Trace
@@ -77,7 +77,6 @@ class GoldMine:
             workers=self.config.formal_workers,
             proof_cache=ProofCache.resolve(self.config.formal_proof_cache),
             query_timeout=self.config.formal_query_timeout,
-            ir_opt=self.config.ir_opt,
         )
 
     # ------------------------------------------------------------------
@@ -109,7 +108,6 @@ class GoldMine:
         return random_batch_traces(
             self.module, per_lane, lanes=lanes,
             seed=self.config.random_seed, bias=self.config.input_bias,
-            ir_opt=self.config.ir_opt,
         )
 
     def _batch_shape(self) -> tuple[int, int]:
@@ -128,23 +126,20 @@ class GoldMine:
     def generate_mining_data(self, stimulus: Stimulus | None = None):
         """Data-generator phase in whatever form the miner consumes best.
 
-        Returns a list of traces — except when both the batched simulator
-        and the columnar miner are selected, where it returns the
-        :class:`~repro.sim.batched.LaneWordBlock` of lane-packed words so
-        trace -> dataset -> tree never widens to per-row Python objects.
-        The block holds exactly the data :meth:`generate_traces` would
-        return (same RNG stream), so the engine choice never changes what
-        gets mined.
+        Returns a list of traces — except on the batched simulator's random
+        phase, where it returns the :class:`~repro.sim.batched.LaneWordBlock`
+        of lane-packed words so trace -> dataset -> tree never widens to
+        per-row Python objects.  The block holds exactly the data
+        :meth:`generate_traces` would return (same RNG stream).
         """
-        if (stimulus is None and self.config.sim_engine == "batched"
-                and self.config.mine_engine == "columnar"):
+        if stimulus is None and self.config.sim_engine == "batched":
             from repro.sim.batched import random_batch_block
 
             per_lane, lanes = self._batch_shape()
             return random_batch_block(
                 self.module, per_lane, lanes=lanes,
                 seed=self.config.random_seed, bias=self.config.input_bias,
-                synth=self.synth, ir_opt=self.config.ir_opt,
+                synth=self.synth,
             )
         return self.generate_traces(stimulus)
 
@@ -170,12 +165,11 @@ class GoldMine:
     # ------------------------------------------------------------------
     # mining
     # ------------------------------------------------------------------
-    def build_dataset(self, output: str, bit: int | None = None):
-        """A mining dataset on the configured ``mine_engine``."""
-        return create_dataset(
+    def build_dataset(self, output: str, bit: int | None = None) -> ColumnarDataset:
+        """An empty columnar mining dataset for one output bit."""
+        return ColumnarDataset(
             self.module,
             output,
-            engine=self.config.mine_engine,
             window=self.config.window,
             output_bit=bit,
             include_internal_state=self.config.include_internal_state,
@@ -198,7 +192,7 @@ class GoldMine:
             dataset.add_lane_block(data)
         else:
             dataset.add_traces(data)
-        tree = create_decision_tree(dataset, max_depth=self.config.max_depth)
+        tree = ColumnarDecisionTree(dataset, self.config.max_depth)
         tree.build()
         candidates = tree.candidate_assertions()
         summary = MiningSummary(self.module.name, self.target_label(output, bit),
@@ -221,8 +215,8 @@ class GoldMine:
 
         When ``traces`` is omitted, the data generator produces random
         data first on the configured simulation engine (``stimulus``
-        overrides the random default); with the batched simulator and the
-        columnar miner the data stays lane-packed end to end.
+        overrides the random default); on the batched simulator the data
+        stays lane-packed end to end.
         """
         if traces is None:
             data = self.generate_mining_data(stimulus)

@@ -31,7 +31,7 @@ from repro.core.goldmine import GoldMine
 from repro.core.results import ClosureResult, IterationRecord, TestSequence
 from repro.formal.result import PROOF_BOUNDED, Counterexample
 from repro.hdl.module import Module
-from repro.mining import create_decision_tree
+from repro.mining.columnar import ColumnarIncrementalDecisionTree
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import Stimulus
 from repro.sim.trace import Trace
@@ -41,17 +41,14 @@ from repro.sim.trace import Trace
 class OutputContext:
     """Per-output mining state carried across iterations.
 
-    ``tree`` is the configured engine's incremental decision tree —
-    :class:`~repro.mining.incremental_tree.IncrementalDecisionTree`
-    (row-wise) or
-    :class:`~repro.mining.columnar.ColumnarIncrementalDecisionTree`;
-    both share the surface the loop drives.
+    ``tree`` is the output's
+    :class:`~repro.mining.columnar.ColumnarIncrementalDecisionTree`.
     """
 
     output: str
     bit: int | None
     label: str
-    tree: object
+    tree: ColumnarIncrementalDecisionTree
     proven: list[Assertion] = field(default_factory=list)
     failed: set[Assertion] = field(default_factory=set)
 
@@ -97,8 +94,7 @@ class CoverageClosure:
         self.contexts: list[OutputContext] = []
         for output, bit in self.engine.target_outputs(outputs):
             dataset = self.engine.build_dataset(output, bit)
-            tree = create_decision_tree(dataset, max_depth=self.config.max_depth,
-                                        incremental=True)
+            tree = ColumnarIncrementalDecisionTree(dataset, self.config.max_depth)
             self.contexts.append(
                 OutputContext(output, bit, self.engine.target_label(output, bit), tree)
             )
@@ -110,7 +106,6 @@ class CoverageClosure:
             self._batched_simulator = BatchedSimulator(
                 module, lanes=self.config.sim_lanes, synth=self.engine.synth,
                 trace_columns=self._simulator.trace_columns,
-                ir_opt=self.config.ir_opt,
             )
 
     # ------------------------------------------------------------------
@@ -303,5 +298,5 @@ class CoverageClosure:
         raise KeyError(f"no mining context for output '{label}'")
 
     def final_tree(self, label: str):
-        """The configured engine's incremental tree for one output."""
+        """The incremental decision tree of one output."""
         return self.context_for(label).tree

@@ -13,9 +13,9 @@ library code with no side effects; the layers above consume them:
 
 Every driver accepts ``sim_engine``/``sim_lanes`` to route the
 bit-parallel batched simulator through data generation, counterexample
-replay and coverage measurement, ``formal_engine`` to pick the formal
-back end, and ``mine_engine`` to pick the A-Miner back end (``rowwise``
-or the bit-parallel ``columnar``); results are engine-independent.
+replay and coverage measurement, and ``formal_engine`` to pick the formal
+back end; results are engine-independent.  Mining always runs on the
+bit-parallel columnar A-Miner.
 
 | Paper artifact | Driver |
 |----------------|--------|

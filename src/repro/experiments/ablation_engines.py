@@ -55,21 +55,18 @@ def _collect_assertions(design_name: str, seed_cycles: int, random_seed: int,
                         sim_engine: str = "scalar", sim_lanes: int = 64,
                         formal_engine: str = "explicit",
                         induction_k: int = 8,
-                        mine_engine: str = "rowwise",
                         formal_workers: int = 1,
                         formal_query_timeout: float | None = None,
-                        ir_opt: bool = False,
                         proof_cache: bool | str = False) -> tuple:
     """Mine a mixed set of true and (historically) failed assertions."""
     meta = design_info(design_name)
     module = meta.build()
     config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
                             sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k, mine_engine=mine_engine,
+                            engine=formal_engine, induction_k=induction_k,
                             formal_workers=formal_workers,
                             formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout,
-                            ir_opt=ir_opt)
+                            formal_query_timeout=formal_query_timeout)
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None, config=config)
     result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
     assertions: list[Assertion] = list(result.all_true_assertions)
@@ -86,10 +83,8 @@ def run(designs: Sequence[str] = ("arbiter2", "arbiter4", "b01"),
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> list[EngineComparison]:
     """Cross-check the three engines over mined assertion suites."""
     comparisons: list[EngineComparison] = []
@@ -98,9 +93,8 @@ def run(designs: Sequence[str] = ("arbiter2", "arbiter4", "b01"),
             design_name, seed_cycles, random_seed, max_iterations,
             sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
         induction_k=induction_k,
-            mine_engine=mine_engine, formal_workers=formal_workers,
+            formal_workers=formal_workers,
             formal_query_timeout=formal_query_timeout,
-            ir_opt=ir_opt,
             proof_cache=proof_cache,
         )
         assertions = assertions[:max_assertions_per_design]

@@ -52,20 +52,17 @@ def _run_variant(design_name: str, output: str, rebuild: bool, seed_cycles: int,
                  sim_engine: str = "scalar", sim_lanes: int = 64,
                  formal_engine: str = "explicit",
                  induction_k: int = 8,
-                 mine_engine: str = "rowwise",
                  formal_workers: int = 1,
                  formal_query_timeout: float | None = None,
-                 ir_opt: bool = False,
                  proof_cache: bool | str = False) -> tuple[VariantOutcome, set]:
     meta = design_info(design_name)
     module = meta.build()
     config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
                             sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k, mine_engine=mine_engine,
+                            engine=formal_engine, induction_k=induction_k,
                             formal_workers=formal_workers,
                             formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout,
-                            ir_opt=ir_opt)
+                            formal_query_timeout=formal_query_timeout)
     closure = CoverageClosure(module, outputs=[output], config=config,
                               rebuild_trees=rebuild)
     start = time.perf_counter()
@@ -90,10 +87,8 @@ def run(design_name: str = "arbiter4", output: str = "gnt0",
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> AblationResult:
     """Run both variants and collect the comparison."""
     incremental, incremental_set = _run_variant(
@@ -101,18 +96,16 @@ def run(design_name: str = "arbiter4", output: str = "gnt0",
         random_seed=random_seed, max_iterations=max_iterations,
         sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
         induction_k=induction_k,
-        mine_engine=mine_engine, formal_workers=formal_workers,
+        formal_workers=formal_workers,
         formal_query_timeout=formal_query_timeout,
-        ir_opt=ir_opt,
         proof_cache=proof_cache)
     rebuilt, rebuilt_set = _run_variant(
         design_name, output, rebuild=True, seed_cycles=seed_cycles,
         random_seed=random_seed, max_iterations=max_iterations,
         sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
         induction_k=induction_k,
-        mine_engine=mine_engine, formal_workers=formal_workers,
+        formal_workers=formal_workers,
         formal_query_timeout=formal_query_timeout,
-        ir_opt=ir_opt,
         proof_cache=proof_cache)
     result = AblationResult(design=design_name, output=output,
                             incremental=incremental, rebuilt=rebuilt)

@@ -47,10 +47,8 @@ def run(window: int = 2, max_iterations: int = 16,
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> WalkthroughResult:
     """Run the Section 6 walkthrough and collect its narrative data."""
     module = arbiter2()
@@ -60,11 +58,9 @@ def run(window: int = 2, max_iterations: int = 16,
                                                     sim_engine=sim_engine,
                                                     sim_lanes=sim_lanes,
                                                     engine=formal_engine, induction_k=induction_k,
-                                                    mine_engine=mine_engine,
                                                     formal_workers=formal_workers,
                                                     formal_proof_cache=proof_cache,
-                                                    formal_query_timeout=formal_query_timeout,
-                                                    ir_opt=ir_opt))
+                                                    formal_query_timeout=formal_query_timeout))
     closure_result = closure.run(arbiter2_directed_test())
     expression = metric_by_iteration(closure_result, arbiter2(), "expr",
                                      engine=sim_engine, lanes=sim_lanes)

@@ -65,17 +65,14 @@ def run(window: int = 2, max_iterations: int = 16,
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> Fig12Result:
     """Reproduce Figure 12 on the Section 6 arbiter.
 
     ``sim_engine``/``sim_lanes`` select the simulation back end for both the
-    closure loop's counterexample replay and the coverage measurement, and
-    ``mine_engine`` the A-Miner back end; the result is identical, the
-    batched/columnar engines are just faster.
+    closure loop's counterexample replay and the coverage measurement; the
+    result is identical, the batched engine is just faster.
     """
     module = arbiter2()
     closure = CoverageClosure(module, outputs=["gnt0"],
@@ -84,11 +81,9 @@ def run(window: int = 2, max_iterations: int = 16,
                                                     sim_engine=sim_engine,
                                                     sim_lanes=sim_lanes,
                                                     engine=formal_engine, induction_k=induction_k,
-                                                    mine_engine=mine_engine,
                                                     formal_workers=formal_workers,
                                                     formal_proof_cache=proof_cache,
-                                                    formal_query_timeout=formal_query_timeout,
-                                                    ir_opt=ir_opt))
+                                                    formal_query_timeout=formal_query_timeout))
     closure_result = closure.run(arbiter2_directed_test())
 
     measurement_module = arbiter2()

@@ -75,10 +75,8 @@ def run(design_name: str = "wbstage", random_cycles: int = 30,
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> Fig15Result:
     """Run the high-coverage-block study."""
     meta = design_info(design_name)
@@ -98,11 +96,10 @@ def run(design_name: str = "wbstage", random_cycles: int = 30,
     config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
                             random_seed=random_seed,
                             sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k, mine_engine=mine_engine,
+                            engine=formal_engine, induction_k=induction_k,
                             formal_workers=formal_workers,
                             formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout,
-                            ir_opt=ir_opt)
+                            formal_query_timeout=formal_query_timeout)
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None, config=config)
     closure_result = closure.run(seed_vectors)
 

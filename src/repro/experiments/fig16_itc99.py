@@ -83,18 +83,15 @@ def run(designs: Sequence[str] | None = None,
         sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> Fig16Result:
     """Run the ITC'99 coverage comparison.
 
     ``sim_engine``/``sim_lanes`` select the simulation back end for both
-    the mining data generator and the suite coverage replay, and
-    ``mine_engine`` the A-Miner back end (see
+    the mining data generator and the suite coverage replay (see
     :class:`repro.core.config.GoldMineConfig`); results are identical,
-    the batched/columnar engines are just faster on the refined suites.
+    the batched engine is just faster on the refined suites.
     """
     cycles = dict(DEFAULT_CYCLES if cycles is None else cycles)
     designs = list(designs) if designs is not None else list(cycles)
@@ -122,11 +119,9 @@ def run(designs: Sequence[str] | None = None,
         config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
                                 max_depth=max_depth, sim_engine=sim_engine,
                                 sim_lanes=sim_lanes, engine=formal_engine, induction_k=induction_k,
-                                mine_engine=mine_engine,
                                 formal_workers=formal_workers,
                                 formal_proof_cache=proof_cache,
-                                formal_query_timeout=formal_query_timeout,
-                                ir_opt=ir_opt)
+                                formal_query_timeout=formal_query_timeout)
         closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
                                   config=config)
         closure_result = closure.run(

@@ -93,10 +93,8 @@ def run(subjects: Sequence[tuple[str, str]] = DEFAULT_SUBJECTS,
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> Table1Result:
     """Run the zero-seed study: no initial patterns at all."""
     result = Table1Result()
@@ -107,10 +105,9 @@ def run(subjects: Sequence[tuple[str, str]] = DEFAULT_SUBJECTS,
             window=window if window is not None else meta.window,
             max_iterations=max_iterations,
             sim_engine=sim_engine, sim_lanes=sim_lanes,
-            engine=formal_engine, induction_k=induction_k, mine_engine=mine_engine,
+            engine=formal_engine, induction_k=induction_k,
             formal_workers=formal_workers, formal_proof_cache=proof_cache,
             formal_query_timeout=formal_query_timeout,
-            ir_opt=ir_opt,
         )
         closure = CoverageClosure(module, outputs=[output], config=config)
         closure_result = closure.run(None)

@@ -77,10 +77,8 @@ def mine_assertion_suite(design_name: str, seed_cycles: int, random_seed: int,
                          sim_engine: str = "scalar", sim_lanes: int = 64,
                          formal_engine: str = "explicit",
                          induction_k: int = 8,
-                         mine_engine: str = "rowwise",
                          formal_workers: int = 1,
                          formal_query_timeout: float | None = None,
-                         ir_opt: bool = False,
                          proof_cache: bool | str = False):
     """Mine the golden design's assertion suite with the refinement loop.
 
@@ -92,11 +90,10 @@ def mine_assertion_suite(design_name: str, seed_cycles: int, random_seed: int,
     module = meta.build()
     config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
                             sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k, mine_engine=mine_engine,
+                            engine=formal_engine, induction_k=induction_k,
                             formal_workers=formal_workers,
                             formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout,
-                            ir_opt=ir_opt)
+                            formal_query_timeout=formal_query_timeout)
     closure = CoverageClosure(module, outputs=None, config=config)
     result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
     return module, result
@@ -110,19 +107,16 @@ def run(design_name: str = "fetch",
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> Table2Result:
     """Run the fault-injection regression on the fetch stage."""
     module, closure_result = mine_assertion_suite(
         design_name, seed_cycles, random_seed, max_iterations,
         sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
         induction_k=induction_k,
-        mine_engine=mine_engine, formal_workers=formal_workers,
+        formal_workers=formal_workers,
         formal_query_timeout=formal_query_timeout,
-        ir_opt=ir_opt,
         proof_cache=proof_cache,
     )
     assertions = closure_result.all_true_assertions
@@ -140,8 +134,7 @@ def run(design_name: str = "fetch",
         config=GoldMineConfig(engine=formal_engine, induction_k=induction_k,
                               formal_workers=formal_workers,
                               formal_proof_cache=proof_cache,
-                              formal_query_timeout=formal_query_timeout,
-                              ir_opt=ir_opt),
+                              formal_query_timeout=formal_query_timeout),
         test_suite=closure_result.test_suite if mode == "simulation" else None,
     )
 

@@ -65,10 +65,8 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
         sim_engine: str = "scalar", sim_lanes: int = 64,
         formal_engine: str = "explicit",
         induction_k: int = 8,
-        mine_engine: str = "rowwise",
         formal_workers: int = 1,
         formal_query_timeout: float | None = None,
-        ir_opt: bool = False,
         proof_cache: bool | str = False) -> Table3Result:
     """Run the Rigel coverage comparison.
 
@@ -106,11 +104,10 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
         module = meta.build()
         config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
                                 sim_engine=sim_engine, sim_lanes=sim_lanes,
-                                engine=formal_engine, induction_k=induction_k, mine_engine=mine_engine,
+                                engine=formal_engine, induction_k=induction_k,
                                 formal_workers=formal_workers,
                                 formal_proof_cache=proof_cache,
-                                formal_query_timeout=formal_query_timeout,
-                                ir_opt=ir_opt)
+                                formal_query_timeout=formal_query_timeout)
         closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
                                   config=config)
         closure_result = closure.run(directed())

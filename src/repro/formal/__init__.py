@@ -8,11 +8,10 @@ fails:
   path checking.  Exact for the small designs the paper evaluates; this is
   the default engine of the refinement loop.
 * :mod:`repro.formal.bmc` — SAT-based bounded model checking with a simple
-  inductive proof step, built on the in-house CDCL solver.  Runs
-  incrementally by default: one persistent solver context per design,
-  activation-literal queries, learned clauses carried across the whole
-  candidate batch (``incremental=False`` restores the historical
-  cold-solver path, exposed as the ``bmc-fresh`` engine name).
+  inductive proof step, built on the in-house CDCL solver.  Every check
+  runs on the assertion's cone-of-influence slice (:mod:`repro.ir`) with
+  one persistent solver context per slice: activation-literal queries,
+  learned clauses carried across the whole candidate batch.
 * :mod:`repro.formal.bdd_engine` — BDD-based symbolic reachability with
   ring-by-ring counterexample reconstruction.
 * :mod:`repro.formal.induction` — strengthened k-induction on the same
@@ -47,7 +46,7 @@ which is the invariant both layers rest on.
 The execution layer is fault-tolerant (PR 8): the worker pool supervises
 its processes (dead/wedged workers are respawned with their shard
 deterministically requeued, within a bounded restart budget, then served
-by an in-process fallback — see :mod:`repro.formal.supervise`), every
+by an in-process fallback — see :mod:`repro.supervise`), every
 query can carry a wall-clock deadline
 (``GoldMineConfig.formal_query_timeout`` — expiry yields an uncached
 ``timed_out`` UNKNOWN, with k-induction/tiered degrading to bounded

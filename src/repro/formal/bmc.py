@@ -15,32 +15,32 @@ exists, the result is *unknown* — the caller can fall back to the exact
 explicit engine, which is what :class:`repro.formal.checker.FormalVerifier`
 does by default.
 
-Two execution modes share the same verdict semantics:
+Every check runs on the assertion's cone-of-influence slice
+(:class:`~repro.ir.netlist.OptimizedDesign`): the unrolling, the Tseitin
+encoding and the solver context only ever see the registers and inputs
+the assertion's signals transitively depend on, with registers the IR
+fold proved stuck at reset read as constants from reset.
 
-* ``incremental=True`` (default): one persistent
-  :class:`~repro.boolean.incremental.IncrementalSolver` per unrolling
-  context (from-reset for the bounded search, free-initial-state for
-  induction).  The unrolled design is extended monotonically and its
-  hash-consed bit functions are Tseitin-encoded exactly once; each
-  (assertion, window) violation is guarded by a fresh activation literal,
-  solved under ``assumptions=[act]`` and retired with the unit ``¬act``,
-  so learned clauses and variable activities carry across the whole
-  candidate batch.
-* ``incremental=False``: the historical cold path — a fresh
-  ``CnfBuilder`` and ``SatSolver`` per (assertion, window-start) query —
-  kept as the differential-testing and benchmarking baseline.
+Each (from-reset or free-initial-state, slice) pair owns one persistent
+:class:`~repro.boolean.incremental.IncrementalSolver`.  The unrolled
+design is extended monotonically and its hash-consed bit functions are
+Tseitin-encoded exactly once; each (assertion, window) violation is
+guarded by a fresh activation literal, solved under ``assumptions=[act]``
+and retired with the unit ``¬act``, so learned clauses and variable
+activities carry across the whole candidate batch.
 
-Counterexamples are **canonical** on both paths: when a violation query is
+Counterexamples are **canonical**: when a violation query is
 satisfiable, the engine does not report whatever model the CDCL search
 happened to land on (which depends on learned clauses, saved phases and
 variable activities, i.e. on solver history).  It binds the free input
 bits to the lexicographically smallest satisfying assignment —
 cycle-major, then input declaration order, preferring 0 — via
 assumption-based minimisation solves.  The reported counterexample is
-therefore a pure function of (design, assertion, bound): identical between
-the incremental and cold paths, identical whichever worker of a parallel
-pool answers the query (:mod:`repro.formal.parallel`), and stable enough
-to be served from a cross-run proof cache (:mod:`repro.formal.proofcache`).
+therefore a pure function of (design, assertion, bound): identical
+whatever queries the engine answered before, identical whichever worker
+of a parallel pool answers the query (:mod:`repro.formal.parallel`), and
+stable enough to be served from a cross-run proof cache
+(:mod:`repro.formal.proofcache`).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from repro.formal.result import (
 )
 from repro.hdl.module import Module
 from repro.hdl.synth import synthesize
+from repro.ir import OptimizedDesign
 
 
 def _evaluate(expr: BoolExpr, assignment: Mapping[str, bool]) -> bool:
@@ -137,14 +138,11 @@ class BmcModelChecker:
     name = "bmc"
 
     def __init__(self, module: Module, bound: int = 10, use_induction: bool = True,
-                 incremental: bool = True, max_learned: int = 4000,
-                 solver_cls: type = SatSolver,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 max_learned: int = 4000,
+                 query_timeout: float | None = None):
         self.module = module
         self.bound = bound
         self.use_induction = use_induction
-        self.incremental = incremental
         self._max_learned = max_learned
         #: Wall-clock budget per :meth:`check` call; ``None`` disables the
         #: deadline entirely (no interrupt callback is even installed).
@@ -152,31 +150,19 @@ class BmcModelChecker:
         #: Monotonic-clock instant the current check must finish by.
         self._deadline: float | None = None
         self._timeout_counters: dict[str, int] = {}
-        #: Backing SAT solver class for both execution modes; the arena
-        #: solver by default, LegacySatSolver for differential baselines.
-        self._solver_cls = solver_cls
         self._synth = synthesize(module)
-        #: IR optimization pipeline (:mod:`repro.ir`): per-assertion COI
-        #: slicing plus reset-constant register folding.  When enabled,
-        #: every check runs against the unrolling of the assertion's slice,
-        #: so the encoder and solver only ever see the cone.
-        self.ir_opt = ir_opt
-        if ir_opt:
-            from repro.ir import OptimizedDesign
-
-            self._opt = OptimizedDesign(self._synth, assume_reset_low=True)
-        else:
-            self._opt = None
-        #: Slice key (sorted signal tuple; ``None`` = whole design) of the
-        #: assertion currently being checked.
-        self._active_slice: tuple[str, ...] | None = None
+        #: IR pipeline (:mod:`repro.ir`): per-assertion COI slicing plus
+        #: reset-constant register folding.
+        self._opt = OptimizedDesign(self._synth)
+        #: Slice key (sorted signal tuple) of the assertion being checked.
+        self._active_slice: tuple[str, ...] = ()
         #: Slice key -> persistent unroller of that slice.
-        self._unrollers: dict[tuple[str, ...] | None, Unroller] = {}
-        #: ``(from_reset, slice key)`` -> persistent solver context
-        #: (incremental mode).  Per-slice contexts are where COI reduction
-        #: pays at the solver: each query's clause database holds only its
-        #: cone's encoding instead of the union of every cone seen so far.
-        self._contexts: dict[tuple[bool, tuple[str, ...] | None],
+        self._unrollers: dict[tuple[str, ...], Unroller] = {}
+        #: ``(from_reset, slice key)`` -> persistent solver context.
+        #: Per-slice contexts are where COI reduction pays at the solver:
+        #: each query's clause database holds only its cone's encoding
+        #: instead of the union of every cone seen so far.
+        self._contexts: dict[tuple[bool, tuple[str, ...]],
                              IncrementalSolver] = {}
         #: Expression node -> frozenset of variable names, for the canonical
         #: counterexample extraction.  Keyed by node identity (hash-consing
@@ -190,39 +176,27 @@ class BmcModelChecker:
         """The persistent unroller of the active slice (lazily built)."""
         unroller = self._unrollers.get(self._active_slice)
         if unroller is None:
-            if self._active_slice is None:
-                unroller = Unroller(self.module, self._synth,
-                                    cache=self.incremental)
-            else:
-                unroller = Unroller(
-                    self.module, self._synth, cache=self.incremental,
-                    slice_signals=self._active_slice,
-                    constant_registers=self._opt.constant_registers)
+            unroller = Unroller(
+                self.module, self._synth, slice_signals=self._active_slice,
+                constant_registers=self._opt.constant_registers)
             self._unrollers[self._active_slice] = unroller
         return unroller
 
     def _activate_slice(self, assertion: Assertion) -> None:
-        """Select the COI slice for ``assertion`` (no-op without ir_opt)."""
-        if self._opt is None:
-            self._active_slice = None
-            return
+        """Select the COI slice for ``assertion``."""
         signals = {literal.signal for literal in assertion.antecedent}
         signals.add(assertion.consequent.signal)
         self._active_slice = self._opt.slice_for(signals)
 
     def _slice_registers(self) -> list[str]:
-        """Registers of the active slice (all registers when unsliced)."""
-        if self._active_slice is None:
-            return self._synth.registers
-        next_state = self._synth.next_state
-        return [name for name in self._active_slice if name in next_state]
+        """Registers of the active slice."""
+        return self._opt.slice_registers(self._active_slice)
 
     def _context(self, from_reset: bool) -> IncrementalSolver:
         key = (from_reset, self._active_slice)
         context = self._contexts.get(key)
         if context is None:
-            context = IncrementalSolver(max_learned=self._max_learned,
-                                        solver_cls=self._solver_cls)
+            context = IncrementalSolver(max_learned=self._max_learned)
             self._arm(context.solver)
             self._contexts[key] = context
         return context
@@ -236,14 +210,10 @@ class BmcModelChecker:
         The callback reads :attr:`_deadline` on every poll, so one
         installation covers every later check; a check with no deadline
         armed (``_deadline is None``) costs a single attribute load per
-        poll.  Solvers without the hook (e.g. ``LegacySatSolver``) simply
-        run without deadlines — the budget is best-effort by design.
+        poll.
         """
-        if self.query_timeout is None:
-            return
-        set_interrupt = getattr(solver, "set_interrupt", None)
-        if set_interrupt is not None:
-            set_interrupt(self._deadline_expired)
+        if self.query_timeout is not None:
+            solver.set_interrupt(self._deadline_expired)
 
     def _deadline_expired(self) -> bool:
         deadline = self._deadline
@@ -281,17 +251,13 @@ class BmcModelChecker:
         stats["learned_dropped"] = sum(
             context.solver.learned_dropped for context in self._contexts.values())
         for context in self._contexts.values():
-            totals = getattr(context.solver, "stats_total", None)
-            if totals is None:  # e.g. LegacySatSolver baseline
-                continue
-            for key, value in totals().items():
+            for key, value in context.solver.stats_total().items():
                 key = f"sat_{key}"
                 stats[key] = stats.get(key, 0) + int(value)
         for key, value in self._timeout_counters.items():
             stats[key] = stats.get(key, 0) + value
-        if self._opt is not None:
-            stats["ir_slices"] = len(self._unrollers)
-            stats["ir_folded_registers"] = len(self._opt.constant_registers)
+        stats["ir_slices"] = len(self._unrollers)
+        stats["ir_folded_registers"] = len(self._opt.constant_registers)
         return stats
 
     # ------------------------------------------------------------------
@@ -324,11 +290,11 @@ class BmcModelChecker:
     def check_all(self, assertions: list[Assertion]) -> list[CheckResult]:
         """Check a batch of candidates against one warm solver context.
 
-        In incremental mode every check after the first re-uses the
-        already-encoded unrolling, the learned clauses and the decision
-        heuristics' state, so the amortised cost per assertion drops
-        sharply — this is the entry point the refinement loop's
-        batch verification goes through.
+        Every check after the first re-uses the already-encoded
+        unrolling, the learned clauses and the decision heuristics'
+        state, so the amortised cost per assertion drops sharply — this
+        is the entry point the refinement loop's batch verification goes
+        through.
         """
         return [self.check(assertion) for assertion in assertions]
 
@@ -358,26 +324,14 @@ class BmcModelChecker:
         shifted = _shift(assertion, window_start)
         violation = design.assertion_violation(shifted)
         needed = window_start + span
-        if self.incremental:
-            context = self._context(True)
-            result, activation = context.solve_query(violation)
-            model = None
-            if result.satisfiable:
-                model = self._canonical_model(
-                    context.builder, context.solver, design, needed,
-                    shifted, violation, result.model,
-                    assumptions=[activation])
-            context.retire(activation)
-        else:
-            builder = CnfBuilder()
-            builder.assert_expr(violation)
-            solver = self._solver_cls(builder.clauses, builder.variable_count)
-            self._arm(solver)
-            result = solver.solve()
-            model = None
-            if result.satisfiable:
-                model = self._canonical_model(builder, solver, design, needed,
-                                              shifted, violation, result.model)
+        context = self._context(True)
+        result, activation = context.solve_query(violation)
+        model = None
+        if result.satisfiable:
+            model = self._canonical_model(
+                context.builder, context.solver, design, needed,
+                shifted, violation, result.model, [activation])
+        context.retire(activation)
         if model is not None:
             vectors = design.model_to_vectors(model)
             return Counterexample(
@@ -393,7 +347,7 @@ class BmcModelChecker:
     def _canonical_model(self, builder: CnfBuilder, solver: SatSolver, design,
                          needed_cycles: int, shifted: Assertion,
                          violation: BoolExpr, witness: Mapping[int, bool],
-                         assumptions: list[int] | None = None) -> dict[str, bool]:
+                         assumptions: list[int]) -> dict[str, bool]:
         """Lexicographically minimal satisfying input assignment.
 
         The target is the smallest assignment of the violation's free
@@ -428,7 +382,7 @@ class BmcModelChecker:
                         ordered.append((name, variable))
         if not ordered:
             return {}
-        fixed = list(assumptions or ())
+        fixed = list(assumptions)
         values = [bool(witness.get(variable, False)) for _, variable in ordered]
 
         forced = self._forced_input_bits(shifted)
@@ -531,14 +485,7 @@ class BmcModelChecker:
         if (assertion.consequent.signal, assertion.consequent.cycle) not in design.bits:
             design = self._unroller.unroll(assertion.consequent.cycle, from_reset=False)
         violation = design.assertion_violation(assertion)
-        if self.incremental:
-            context = self._context(False)
-            result, activation = context.solve_query(violation)
-            context.retire(activation)
-            return not result.satisfiable
-        builder = CnfBuilder()
-        builder.assert_expr(violation)
-        solver = self._solver_cls(builder.clauses, builder.variable_count)
-        self._arm(solver)
-        result = solver.solve()
+        context = self._context(False)
+        result, activation = context.solve_query(violation)
+        context.retire(activation)
         return not result.satisfiable

@@ -43,14 +43,20 @@ from repro.formal.result import (
 )
 from repro.hdl.module import Module
 
+#: Proof-cache key suffix naming the SAT engines' encoding: every check
+#: runs on the assertion's cone-of-influence slice.  Slicing preserves
+#: bounded verdicts but can strengthen k-induction (sliced simple-path
+#: constraints prove more), so entries stored under the unsliced key
+#: form (no suffix, written by earlier versions) are never served.
+SLICED_ENCODING = ":ir"
+
 
 def build_engine(module: Module, name: str, bound: int = 10,
                  max_states: int = 50_000,
                  max_input_combinations: int = 4_096,
                  pinned_inputs: Mapping[str, int] | None = None,
                  induction_k: int = 8,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 query_timeout: float | None = None):
     """Construct one formal engine by name.
 
     Shared by :class:`FormalVerifier` and the parallel pool's workers
@@ -59,10 +65,7 @@ def build_engine(module: Module, name: str, bound: int = 10,
 
     ``query_timeout`` is the per-check wall-clock budget; it only applies
     to the SAT-based engines (the explicit and BDD engines already carry
-    their own exploration limits).  ``ir_opt`` enables the netlist IR
-    pipeline (:mod:`repro.ir`) on the SAT-based engines — per-assertion
-    COI slicing and reset-constant register folding; the explicit and BDD
-    engines ignore it (they enumerate word-level states directly).
+    their own exploration limits).
     """
     if name == "explicit":
         return ExplicitModelChecker(
@@ -72,19 +75,15 @@ def build_engine(module: Module, name: str, bound: int = 10,
             pinned_inputs=pinned_inputs,
         )
     if name == "bmc":
-        return BmcModelChecker(module, bound=bound, incremental=True,
-                               query_timeout=query_timeout, ir_opt=ir_opt)
-    if name == "bmc-fresh":
-        return BmcModelChecker(module, bound=bound, incremental=False,
-                               query_timeout=query_timeout, ir_opt=ir_opt)
+        return BmcModelChecker(module, bound=bound, query_timeout=query_timeout)
     if name == "k-induction":
         return KInductionModelChecker(module, bound=bound,
-                                      induction_k=induction_k, incremental=True,
-                                      query_timeout=query_timeout, ir_opt=ir_opt)
+                                      induction_k=induction_k,
+                                      query_timeout=query_timeout)
     if name == "tiered":
         return TieredModelChecker(module, bound=bound,
-                                  induction_k=induction_k, incremental=True,
-                                  query_timeout=query_timeout, ir_opt=ir_opt)
+                                  induction_k=induction_k,
+                                  query_timeout=query_timeout)
     if name == "bdd":
         from repro.formal.bdd_engine import BddModelChecker
 
@@ -167,15 +166,13 @@ class FormalVerifier:
     """Checks candidate assertions against a design using a chosen engine.
 
     ``bmc`` runs the incremental SAT path (one persistent solver context
-    per unrolling, activation-literal queries); ``bmc-fresh`` is the
-    historical cold-solver variant kept for differential testing and
-    benchmarking.  Both produce identical verdicts and counterexample
-    windows.  ``k-induction`` adds the simple-path inductive step on a
-    second persistent context (``induction_k`` caps the induction depth)
-    so surviving assertions become real ``unbounded`` proofs, and
-    ``tiered`` is the portfolio — full BMC falsification tier first,
-    induction escalation for proof — with verdicts and counterexamples
-    identical to both tiers run independently.
+    per sliced unrolling, activation-literal queries).  ``k-induction``
+    adds the simple-path inductive step on a second persistent context
+    (``induction_k`` caps the induction depth) so surviving assertions
+    become real ``unbounded`` proofs, and ``tiered`` is the portfolio —
+    full BMC falsification tier first, induction escalation for proof —
+    with verdicts and counterexamples identical to both tiers run
+    independently.
 
     ``workers`` selects how checks execute: ``1`` (default) runs the
     engine in-process, ``> 1`` fans batches out to that many persistent
@@ -187,7 +184,7 @@ class FormalVerifier:
     lazily after a close.
     """
 
-    ENGINES = ("explicit", "bmc", "bmc-fresh", "k-induction", "tiered", "bdd")
+    ENGINES = ("explicit", "bmc", "k-induction", "tiered", "bdd")
 
     def __init__(self, module: Module, engine: str = "explicit",
                  cross_check_engine: str | None = None,
@@ -198,8 +195,7 @@ class FormalVerifier:
                  induction_k: int = 8,
                  workers: int = 1,
                  proof_cache: ProofCache | None = None,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 query_timeout: float | None = None):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine '{engine}'; choose from {self.ENGINES}")
         if cross_check_engine is not None and cross_check_engine not in self.ENGINES:
@@ -221,7 +217,6 @@ class FormalVerifier:
             "pinned_inputs": dict(pinned_inputs) if pinned_inputs else None,
             "induction_k": induction_k,
             "query_timeout": query_timeout,
-            "ir_opt": ir_opt,
         }
         self._cache: dict[Assertion, CheckResult] = {}
         # Engines, the worker pool and the design fingerprint are all built
@@ -271,16 +266,11 @@ class FormalVerifier:
         engine.  Worker count never appears — parallelism does not change
         results, so serial and parallel runs share cache entries.
         """
-        # The IR pipeline preserves bounded verdicts but can strengthen
-        # k-induction (sliced simple-path constraints prove more), so
-        # sliced and unsliced entries must never alias in the cache.
-        ir_suffix = ":ir" if self._engine_kwargs.get("ir_opt") else ""
-        if self.engine_name in ("bmc", "bmc-fresh"):
-            return (f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
-                    f"{ir_suffix}")
+        if self.engine_name == "bmc":
+            return f"bmc:bound={self._engine_kwargs['bound']}{SLICED_ENCODING}"
         if self.engine_name in ("k-induction", "tiered"):
             return (f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
-                    f":k={self._engine_kwargs['induction_k']}{ir_suffix}")
+                    f":k={self._engine_kwargs['induction_k']}{SLICED_ENCODING}")
         if self.engine_name == "explicit":
             pinned = self._engine_kwargs["pinned_inputs"] or {}
             pinned_key = ",".join(f"{name}={value}"

@@ -56,9 +56,8 @@ from __future__ import annotations
 import time
 
 from repro.assertions.assertion import Assertion
-from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import and_, or_, xor_
-from repro.boolean.sat import SatBudgetExceeded, SatSolver
+from repro.boolean.sat import SatBudgetExceeded
 from repro.formal.bmc import BmcModelChecker, _shift
 from repro.formal.result import (
     CheckResult,
@@ -109,24 +108,19 @@ class KInductionModelChecker(BmcModelChecker):
     _bmc_first = False
 
     def __init__(self, module: Module, bound: int = 10, induction_k: int = 8,
-                 incremental: bool = True, max_learned: int = 4000,
-                 solver_cls: type = SatSolver,
-                 query_timeout: float | None = None,
-                 ir_opt: bool = False):
+                 max_learned: int = 4000,
+                 query_timeout: float | None = None):
         super().__init__(module, bound=bound, use_induction=True,
-                         incremental=incremental, max_learned=max_learned,
-                         solver_cls=solver_cls, query_timeout=query_timeout,
-                         ir_opt=ir_opt)
+                         max_learned=max_learned, query_timeout=query_timeout)
         self.induction_k = induction_k
         #: ``(slice key, i, j)`` -> guard literal in that slice's step
-        #: context.  With COI slicing the distinctness constraints range
-        #: over the slice's registers only — sound because the sliced
+        #: context.  The distinctness constraints range over the slice's
+        #: registers only — sound because the sliced
         #: transition system is an exact abstraction for cone properties
         #: (cone bits' next-states read only cone bits and inputs, and
         #: every reachable full state projects to a reachable slice state),
         #: and strictly smaller: fewer register bits per cycle pair.
-        self._distinct_guards: dict[tuple[tuple[str, ...] | None, int, int],
-                                    int] = {}
+        self._distinct_guards: dict[tuple[tuple[str, ...], int, int], int] = {}
         self._induction_counters = {
             "induction_step_queries": 0,
             "induction_proofs": 0,
@@ -218,22 +212,11 @@ class KInductionModelChecker(BmcModelChecker):
         violation = design.assertion_violation(_shift(assertion, k))
         goal = and_(*hypothesis, violation)
         self._induction_counters["induction_step_queries"] += 1
-        if self.incremental:
-            context = self._context(False)
-            guards = tuple(self._distinct_guard(design, i, j)
-                           for i in range(k + 1) for j in range(i + 1, k + 1))
-            result, activation = context.solve_query(goal, assumptions=guards)
-            context.retire(activation)
-            return not result.satisfiable
-        builder = CnfBuilder()
-        builder.assert_expr(goal)
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                builder.assert_expr(
-                    state_distinct_expr(design, self._slice_registers(), i, j))
-        solver = self._solver_cls(builder.clauses, builder.variable_count)
-        self._arm(solver)
-        result = solver.solve()
+        context = self._context(False)
+        guards = tuple(self._distinct_guard(design, i, j)
+                       for i in range(k + 1) for j in range(i + 1, k + 1))
+        result, activation = context.solve_query(goal, assumptions=guards)
+        context.retire(activation)
         return not result.satisfiable
 
     def _distinct_guard(self, design, i: int, j: int) -> int:

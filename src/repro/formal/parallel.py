@@ -9,7 +9,7 @@ of **persistent** verification worker processes:
 * Each worker builds its engine once at startup and keeps it alive for
   the pool's whole lifetime.  For the incremental SAT engine that means
   one long-lived :class:`~repro.boolean.incremental.IncrementalSolver`
-  context per (design, from_reset) *per worker* — encodings, learned
+  context per (slice, from_reset) *per worker* — encodings, learned
   clauses and heuristic state stay warm across every batch the worker
   ever sees, exactly like the serial engine's context does.
 * Candidates of one batch are sharded across workers by a deterministic
@@ -33,7 +33,7 @@ set/dict iteration orders match the parent exactly.  Under ``spawn`` the
 module is pickled to the workers instead; results are still canonical.
 
 **Supervision** (the fault-tolerance layer, built from
-:mod:`repro.formal.supervise`): a worker that dies mid-batch — crash,
+:mod:`repro.supervise`): a worker that dies mid-batch — crash,
 OOM-kill, external SIGKILL — or wedges (no answer within the shard's
 deadline; killed with terminate→kill escalation) is respawned and its
 *unanswered shard deterministically requeued* to the replacement.
@@ -67,8 +67,9 @@ import traceback
 import weakref
 from typing import Mapping, Sequence
 
+from repro import supervise
 from repro.assertions.assertion import Assertion
-from repro.formal import chaos, supervise
+from repro.formal import chaos
 from repro.formal.result import CheckResult, FormalEngineError
 from repro.formal.proofcache import assertion_shard
 from repro.hdl.module import Module
@@ -149,7 +150,7 @@ class FormalWorkerPool:
     """A supervised pool of persistent model-checking workers for one design.
 
     ``max_restarts``/``restart_backoff`` bound the per-slot restart
-    budget (see :class:`repro.formal.supervise.RestartBudget`);
+    budget (see :class:`repro.supervise.RestartBudget`);
     ``wedge_timeout`` is the no-answer deadline per shard wait after
     which a silent worker is declared wedged and killed.  ``None`` (the
     default) derives the deadline from the engine's ``query_timeout``

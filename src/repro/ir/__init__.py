@@ -24,11 +24,10 @@ consumers:
   paper's Definition 8 mining cone (:mod:`repro.analysis.cone`).
 
 :class:`~repro.ir.netlist.OptimizedDesign` bundles the three passes into
-the facade the formal engines (:mod:`repro.formal.bmc`) and the batched
-simulator's code generator (:mod:`repro.sim.batched`) consume, gated
-behind ``GoldMineConfig.ir_opt``.  All passes are semantics-preserving:
-verdicts, canonical counterexamples and simulation traces are identical
-with the pipeline on or off.
+the facade every SAT engine (:mod:`repro.formal.bmc`,
+:mod:`repro.formal.induction`) checks through.  The passes preserve
+bounded verdicts and canonical counterexamples; the sliced simple-path
+constraints can only strengthen k-induction (more unbounded proofs).
 """
 
 from repro.ir.coi import BitCone

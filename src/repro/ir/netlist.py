@@ -155,27 +155,24 @@ class NetlistIR:
 class OptimizedDesign:
     """Facade bundling the IR and its passes for the consumers.
 
-    Built once per engine (or per compiled netlist) from a synthesized
-    module; exposes
+    Built once per SAT engine from a synthesized module; exposes
 
     * :attr:`constant_registers` — registers the constant-folding pass
-      proved stuck at their reset values (mapping name -> value), in the
-      variant matching the consumer: the formal engines' variant assumes
-      the reset input is held low (the unroller constrains it), the
-      simulator's variant assumes nothing about any input;
+      proved stuck at their reset values (mapping name -> value),
+      assuming the reset input is held low (the unroller constrains it);
     * :meth:`slice_for` — the per-assertion bit-level cone-of-influence
       slice lifted to signal granularity (the unroller builds whole
       signals), with a canonical hashable key for context sharing;
     * :meth:`stats` — pass telemetry for benchmarks.
     """
 
-    def __init__(self, synth: SynthesizedModule, assume_reset_low: bool = True):
+    def __init__(self, synth: SynthesizedModule):
         from repro.ir.coi import BitCone
         from repro.ir.passes import fold_constants, structural_hash_stats
 
         self.synth = synth
         self.netlist = NetlistIR(synth)
-        self.fold = fold_constants(self.netlist, assume_reset_low=assume_reset_low)
+        self.fold = fold_constants(self.netlist)
         self.cone = BitCone(self.netlist)
         self._hash_stats = structural_hash_stats(self.netlist)
         self._slice_memo: dict[frozenset[str], tuple[str, ...]] = {}

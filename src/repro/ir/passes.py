@@ -16,22 +16,15 @@ never leave their reset values.  It computes the greatest fixpoint of
     evaluates to its reset constant whenever all candidates hold their
     reset constants (inputs free)"
 
-by iterated partial evaluation: candidate register bits (and, in the
-formal-engine variant, the reset input, which the unroller constrains
-low) are substituted as constants, combinational bits that collapse to
+by iterated partial evaluation: candidate register bits (and the reset
+input, which the from-reset unrolling pins low on every cycle) are
+substituted as constants, combinational bits that collapse to
 constants are propagated in evaluation order, and any register whose
 next-state fails to reproduce its reset value is evicted until the set
 is stable.  Registers in the fixpoint are genuinely stuck: by induction
 from the reset state they hold their reset constants in every reachable
-state, so replacing them with constants preserves all behaviours.
-
-The ``assume_reset_low`` flag selects the consumer:
-
-* ``True`` — the formal engines' variant.  The from-reset unrolling
-  context pins the reset input low on every cycle, so the pass may
-  assume it.
-* ``False`` — the simulator's variant.  Testbenches poke reset freely,
-  so only registers constant under *every* input valuation fold.
+state, so replacing them with constants preserves all behaviours of the
+reset-low transition system the formal engines unroll.
 """
 
 from __future__ import annotations
@@ -114,19 +107,18 @@ class FoldResult:
     what the cone pass and the unroller consume directly.
     """
 
-    assume_reset_low: bool
     constant_registers: dict[str, int] = field(default_factory=dict)
     constant_register_bits: dict[str, bool] = field(default_factory=dict)
     #: Fixpoint iterations taken (telemetry).
     iterations: int = 0
 
 
-def fold_constants(netlist: "NetlistIR", assume_reset_low: bool = True) -> FoldResult:
-    """Find registers provably stuck at their reset values."""
+def fold_constants(netlist: "NetlistIR") -> FoldResult:
+    """Find registers provably stuck at their reset values (reset held low)."""
     module = netlist.module
     candidates = list(netlist.synth.registers)
     reset_env: dict[str, bool] = {}
-    if assume_reset_low and module.reset is not None:
+    if module.reset is not None:
         from repro.boolean.bitblast import default_bit_name
 
         for bit in range(module.width_of(module.reset)):
@@ -161,7 +153,7 @@ def fold_constants(netlist: "NetlistIR", assume_reset_low: bool = True) -> FoldR
             break
         candidates = survivors
 
-    result = FoldResult(assume_reset_low=assume_reset_low, iterations=iterations)
+    result = FoldResult(iterations=iterations)
     for name in candidates:
         result.constant_registers[name] = module.signal(name).reset_value
         for node in netlist.bits_of(name):

@@ -1,21 +1,17 @@
 """A-Miner: decision-tree based assertion mining (GoldMine Section 2.3).
 
-Two interchangeable engines implement the miner:
+:mod:`repro.mining.columnar` is the miner the closure loop runs: it
+stores every feature column as one big-int bitset and computes split
+gains with popcounts on ``column & mask`` words; it also ingests the
+batched simulator's lane-packed words directly (zero-copy).
 
-* ``rowwise`` — :mod:`repro.mining.dataset` turns simulation traces into
-  windowed per-row feature dicts and :mod:`repro.mining.decision_tree` /
-  :mod:`repro.mining.incremental_tree` induce over them one row at a
-  time (the paper's Figure 2 and Section 3 algorithms, kept as the
-  differential baseline).
-* ``columnar`` — :mod:`repro.mining.columnar` stores every feature
-  column as one big-int bitset and computes split gains with popcounts
-  on ``column & mask`` words; it also ingests the batched simulator's
-  lane-packed words directly (zero-copy).  Tree output is node-for-node
-  identical to the row-wise engine.
-
-:func:`create_dataset` / :func:`create_decision_tree` select an engine by
-the same names :class:`repro.core.config.GoldMineConfig` uses for its
-``mine_engine`` knob.
+The row-wise classes are the test reference the columnar engine is
+held node-for-node identical to: :mod:`repro.mining.dataset` turns
+simulation traces into windowed per-row feature dicts and
+:mod:`repro.mining.decision_tree` / :mod:`repro.mining.incremental_tree`
+induce over them one row at a time (the paper's Figure 2 and Section 3
+algorithms).  The columnar engine shares their feature enumeration,
+target placement and split arithmetic.
 """
 
 from __future__ import annotations
@@ -31,47 +27,7 @@ from repro.mining.dataset import FeatureSpec, MiningDataset, TargetSpec
 from repro.mining.decision_tree import DecisionTree, TreeNode
 from repro.mining.incremental_tree import IncrementalDecisionTree
 
-#: Engine names accepted by the factories and by ``GoldMineConfig``.
-MINE_ENGINES = ("rowwise", "columnar")
-
-
-def create_dataset(module, output, *, engine: str = "rowwise", window: int = 1,
-                   output_bit=None, include_internal_state: bool = True,
-                   synth=None):
-    """Build a mining dataset on the requested engine.
-
-    Both engines share feature enumeration, target placement and
-    ``add_trace``/``add_traces``/``add_window`` ingestion, so callers can
-    hold either through the same surface.
-    """
-    if engine == "rowwise":
-        cls = MiningDataset
-    elif engine == "columnar":
-        cls = ColumnarDataset
-    else:
-        raise ValueError(
-            f"unknown mining engine '{engine}' (expected one of {MINE_ENGINES})"
-        )
-    return cls(module, output, window=window, output_bit=output_bit,
-               include_internal_state=include_internal_state, synth=synth)
-
-
-def create_decision_tree(dataset, max_depth: int | None = None, *,
-                         incremental: bool = False):
-    """Build the matching (incremental) decision tree for a dataset.
-
-    Dispatch follows the dataset's representation, so a dataset built by
-    :func:`create_dataset` always gets the engine it was created for.
-    """
-    if isinstance(dataset, ColumnarDataset):
-        cls = ColumnarIncrementalDecisionTree if incremental else ColumnarDecisionTree
-    else:
-        cls = IncrementalDecisionTree if incremental else DecisionTree
-    return cls(dataset, max_depth)
-
-
 __all__ = [
-    "MINE_ENGINES",
     "ColumnarDataset",
     "ColumnarDecisionTree",
     "ColumnarIncrementalDecisionTree",
@@ -82,7 +38,5 @@ __all__ = [
     "MiningDataset",
     "TargetSpec",
     "TreeNode",
-    "create_dataset",
-    "create_decision_tree",
     "diff_trees",
 ]

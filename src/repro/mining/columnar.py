@@ -1,6 +1,6 @@
-"""Columnar bitset mining: the bit-parallel A-Miner.
+"""Columnar bitset mining: the bit-parallel A-Miner the closure loop runs.
 
-The row-wise miner (:mod:`repro.mining.dataset` /
+The row-wise reference miner (:mod:`repro.mining.dataset` /
 :mod:`repro.mining.decision_tree`) materialises one Python dict per
 mining window and re-reads every feature bit per row during induction,
 so tree induction is a per-row interpreted loop.  This module stores the
@@ -25,9 +25,7 @@ Figure 2) with the same exact split ranking and column-order tie-break
 (:func:`repro.mining.decision_tree.child_error_fraction`), so they
 produce node-for-node identical trees and identical candidate
 assertions — ``tests/mining/test_columnar_differential.py`` holds them
-to it, and ``benchmarks/bench_columnar_mining.py`` measures the
-induction speedup (the acceptance bar is >= 5x on the fig13/fig16
-mining workloads).
+to it.
 """
 
 from __future__ import annotations

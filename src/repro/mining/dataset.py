@@ -7,6 +7,11 @@ output bit at the target offset.  Feature columns are named
 ``signal@offset`` for single-bit signals and ``signal[bit]@offset`` for
 individual bits of vector signals — the same naming used by assertion
 literals, so tree paths convert directly into assertions.
+
+:class:`MiningDataset` is the row-wise test reference: the closure loop
+mines on :class:`repro.mining.columnar.ColumnarDataset`, which shares
+this module's feature enumeration and target placement and is held
+row-for-row identical to it by the mining differential tests.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ is a 100 %-confidence candidate assertion.  When the error is non-zero the
 splitting variable with the smallest resulting child error is chosen, and
 the recursion continues until zero error, exhausted features, or the depth
 limit.
+
+:class:`DecisionTree` is the row-wise test reference for
+:class:`repro.mining.columnar.ColumnarDecisionTree`, which reuses this
+module's split arithmetic and must build node-for-node identical trees.
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ counterexample rows are added:
 This mirrors Figure 5: the regular tree's refuted leaf grows a new subtree
 while the rest of the structure (and all previously true assertions) is
 retained.
+
+:class:`IncrementalDecisionTree` is the row-wise test reference for
+:class:`repro.mining.columnar.ColumnarIncrementalDecisionTree`, the tree
+the closure loop grows.
 """
 
 from __future__ import annotations

@@ -89,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=("scalar", "batched"), default="scalar",
                      help="simulation engine threaded through the pipeline")
     run.add_argument("--formal-engine", dest="formal_engine",
-                     choices=("explicit", "bmc", "bmc-fresh", "k-induction",
-                              "tiered", "bdd"),
+                     choices=("explicit", "bmc", "k-induction", "tiered",
+                              "bdd"),
                      default="explicit",
                      help="formal back end for candidate verification "
                           "(bmc = incremental SAT with a persistent solver "
-                          "context; bmc-fresh = cold solver per query; "
+                          "context per cone-of-influence slice; "
                           "k-induction = BMC base case + simple-path "
                           "inductive step, proves assertions unbounded; "
                           "tiered = BMC falsification tier, then induction "
@@ -122,18 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "defaults to <artifacts>/proofcache.json)")
     run.add_argument("--lanes", type=int, default=64,
                      help="lanes per batched-simulation pass (default 64)")
-    run.add_argument("--mine-engine", dest="mine_engine",
-                     choices=("rowwise", "columnar"), default="rowwise",
-                     help="A-Miner back end (rowwise = per-row dicts, the "
-                          "differential baseline; columnar = big-int bitset "
-                          "columns with popcount split gains — identical "
-                          "trees, much faster induction)")
-    run.add_argument("--ir-opt", dest="ir_opt", action="store_true",
-                     help="route the formal engines and the batched "
-                          "simulator through the netlist IR's optimization "
-                          "passes (structural hashing, constant folding, "
-                          "per-assertion cone-of-influence slicing); "
-                          "results are identical, SAT encodings smaller")
     run.add_argument("--smoke", action="store_true",
                      help="smoke scale: reduced subjects/budgets, seconds not minutes")
     run.add_argument("--designs", type=_parse_csv, default=None,
@@ -186,8 +174,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         induction_k=args.induction_k,
         formal_workers=args.formal_workers,
         formal_timeout=args.formal_timeout, proof_cache=proof_cache,
-        mine_engine=args.mine_engine,
-        ir_opt=args.ir_opt,
         smoke=args.smoke,
         designs=args.designs, seeds=args.seeds, seed_cycles=args.seed_cycles,
         max_iterations=args.max_iterations,

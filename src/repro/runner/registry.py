@@ -58,7 +58,7 @@ class RunOptions:
     ``engine``/``lanes`` select the simulation back end threaded through
     every driver (see ``GoldMineConfig.sim_engine``); ``formal_engine``
     selects the formal back end the refinement loop verifies candidates
-    with (``explicit``, ``bmc`` — the incremental SAT path, ``bmc-fresh``,
+    with (``explicit``, ``bmc`` — the incremental SAT path,
     ``k-induction``, ``tiered``, ``bdd``); ``induction_k`` caps the
     induction depth of the two unbounded-proof engines (ignored by the
     rest); ``formal_workers`` fans each run's candidate batches out to
@@ -71,12 +71,6 @@ class RunOptions:
     ``GoldMineConfig.formal_query_timeout``); ``proof_cache`` enables
     cross-run verdict reuse (``True`` for in-memory sharing, a path to
     persist under ``artifacts/``, see :mod:`repro.formal.proofcache`);
-    ``mine_engine`` selects the A-Miner back end (``rowwise``
-    or the bit-parallel ``columnar``, see ``GoldMineConfig.mine_engine``);
-    ``ir_opt`` routes the formal engines and the batched simulator
-    through the netlist IR's optimization passes (structural hashing,
-    constant folding, per-assertion COI slicing — results identical,
-    encodings smaller, see ``GoldMineConfig.ir_opt``);
     ``smoke`` shrinks workloads to seconds for CI and doc
     checks; ``designs``/``seeds`` restrict or parameterize the job matrix
     where an experiment iterates over designs; ``max_iterations``
@@ -90,8 +84,6 @@ class RunOptions:
     formal_workers: int = 1
     formal_timeout: float | None = None
     proof_cache: bool | str = False
-    mine_engine: str = "rowwise"
-    ir_opt: bool = False
     smoke: bool = False
     designs: tuple[str, ...] | None = None
     seeds: tuple[int, ...] = (0,)
@@ -114,8 +106,6 @@ class RunOptions:
             "formal_workers": self.formal_workers,
             "formal_timeout": self.formal_timeout,
             "proof_cache": self.proof_cache,
-            "mine_engine": self.mine_engine,
-            "ir_opt": self.ir_opt,
             "smoke": self.smoke,
             "designs": list(self.designs) if self.designs is not None else None,
             "seeds": list(self.seeds),

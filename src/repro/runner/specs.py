@@ -32,9 +32,7 @@ def _engine_params(options: RunOptions) -> dict:
             "induction_k": options.induction_k,
             "formal_workers": options.formal_workers,
             "formal_query_timeout": options.formal_timeout,
-            "proof_cache": options.proof_cache,
-            "mine_engine": options.mine_engine,
-            "ir_opt": options.ir_opt}
+            "proof_cache": options.proof_cache}
 
 
 def _reject_designs(options: RunOptions, experiment: str, fixed: str) -> None:
@@ -403,12 +401,10 @@ def _sweep_execute(params: Mapping) -> tuple[dict, int]:
                             sim_lanes=params["sim_lanes"],
                             engine=params.get("formal_engine", "explicit"),
                             induction_k=params.get("induction_k", 8),
-                            mine_engine=params.get("mine_engine", "rowwise"),
                             formal_workers=params.get("formal_workers", 1),
                             formal_proof_cache=params.get("proof_cache", False),
                             formal_query_timeout=params.get(
-                                "formal_query_timeout"),
-                            ir_opt=params.get("ir_opt", False))
+                                "formal_query_timeout"))
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
                               config=config)
     seed_cycles = params["seed_cycles"]

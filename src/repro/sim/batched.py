@@ -25,10 +25,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.boolean.bitblast import BitBlaster, default_bit_name, signal_variables
+from repro.boolean.bitblast import BitBlaster, default_bit_name
 from repro.boolean.expr import (
-    FALSE,
-    TRUE,
     BAnd,
     BConst,
     BIte,
@@ -165,31 +163,12 @@ class CompiledNetlist:
 
     The netlist is immutable and lane-count agnostic (the lane mask is an
     argument), so one instance can back any number of simulators.
-
-    With ``ir_opt=True`` the IR constant-folding pass (in its
-    simulator variant, which assumes nothing about any input — reset is
-    pokeable here) runs first: registers proved stuck at their reset
-    values are listed in :attr:`folded_registers`, reads of their bits
-    compile to constants, and the clock edge skips their commits.  Their
-    slots still exist (``reset`` initialises them to the fold constants,
-    which they provably never leave), so ``peek``/coverage semantics are
-    lane-exact with the unoptimised compile.
     """
 
-    def __init__(self, module: Module, synth: SynthesizedModule | None = None,
-                 ir_opt: bool = False):
+    def __init__(self, module: Module, synth: SynthesizedModule | None = None):
         module.validate()
         self.module = module
         self.synth = synth if synth is not None else synthesize(module)
-        #: Registers the fold proved constant (name -> stuck value);
-        #: empty unless ``ir_opt`` is set.
-        self.folded_registers: dict[str, int] = {}
-        if ir_opt:
-            from repro.ir.netlist import NetlistIR
-            from repro.ir.passes import fold_constants
-            fold = fold_constants(NetlistIR(self.synth), assume_reset_low=False)
-            self.folded_registers = dict(fold.constant_registers)
-        self.ir_opt = ir_opt
         self.slots: dict[str, list[int]] = {}
         self._var_slot: dict[str, int] = {}
         index = 0
@@ -200,22 +179,9 @@ class CompiledNetlist:
                 self._var_slot[default_bit_name(name, bit)] = slot
             index += signal.width
         self.size = index
-        self._blaster = BitBlaster(module.width_of, self._signal_bits)
+        self._blaster = BitBlaster(module.width_of)
         self.settle = self._compile_settle()
         self.edge = self._compile_edge()
-
-    def _signal_bits(self, name: str) -> list[BoolExpr]:
-        """Blaster variable factory: folded register bits read as constants.
-
-        Matches the blaster's default factory exactly for every other
-        signal, so ``ir_opt=False`` compiles byte-identical code to the
-        pre-IR engine.
-        """
-        value = self.folded_registers.get(name)
-        if value is None:
-            return signal_variables(name, self.module.width_of(name))
-        return [TRUE if (value >> bit) & 1 else FALSE
-                for bit in range(self.module.width_of(name))]
 
     # ------------------------------------------------------------------
     def blast_condition(self, expr) -> BoolExpr:
@@ -250,10 +216,6 @@ class CompiledNetlist:
         emitter = _Emitter(self._var_slot)
         commits: list[tuple[int, str]] = []
         for name in self.synth.registers:
-            if name in self.folded_registers:
-                # Stuck at its reset constant: the slots are initialised by
-                # ``reset`` and provably never change, so no commit is needed.
-                continue
             width = self.module.width_of(name)
             bits = self._blaster.blast(self.synth.next_state[name], width)
             for slot, bit_expr in zip(self.slots[name], bits):
@@ -414,14 +376,13 @@ class BatchedSimulator(SimulatorBase):
     def __init__(self, module: Module, lanes: int = 64,
                  trace_columns: Sequence[str] | None = None,
                  synth: SynthesizedModule | None = None,
-                 netlist: CompiledNetlist | None = None,
-                 ir_opt: bool = False):
+                 netlist: CompiledNetlist | None = None):
         if lanes < 1:
             raise ValueError("lane count must be positive")
         if netlist is not None and netlist.module is not module:
             raise ValueError("netlist was compiled for a different module")
         self.netlist = (netlist if netlist is not None
-                        else CompiledNetlist(module, synth, ir_opt=ir_opt))
+                        else CompiledNetlist(module, synth))
         super().__init__(module, trace_columns)
         self._lanes = lanes
         self._mask = (1 << lanes) - 1
@@ -451,27 +412,11 @@ class BatchedSimulator(SimulatorBase):
         self.cycle_count = 0
 
     def poke(self, name: str, value) -> None:
-        """Set a signal: an int broadcasts, a sequence sets per-lane values.
-
-        Poking a register the IR fold proved constant is rejected unless
-        every poked lane value equals the fold constant: the compiled
-        netlist reads such bits as constants, so a conflicting poke would
-        silently desynchronise from the unoptimised engine.
-        """
+        """Set a signal: an int broadcasts, a sequence sets per-lane values."""
         try:
             slots = self.netlist.slots[name]
         except KeyError:
             raise SimulationError(f"unknown signal '{name}'") from None
-        folded = self.netlist.folded_registers.get(name)
-        if folded is not None:
-            limit = (1 << len(slots)) - 1
-            values = [value] if isinstance(value, int) else list(value)
-            if any(int(v) & limit != folded for v in values):
-                raise SimulationError(
-                    f"cannot poke folded register '{name}': the IR fold "
-                    f"proved it stuck at {folded}"
-                )
-            value = folded  # broadcast, so unlisted lanes stay constant too
         bits = self._bits
         if isinstance(value, int):
             for bit, slot in enumerate(slots):
@@ -483,15 +428,6 @@ class BatchedSimulator(SimulatorBase):
 
     def poke_words(self, name: str, words: Sequence[int]) -> None:
         """Set a signal's lane words directly (LSB first, already packed)."""
-        folded = self.netlist.folded_registers.get(name)
-        if folded is not None:
-            expected = [self._mask if (folded >> bit) & 1 else 0
-                        for bit in range(len(self.netlist.slots[name]))]
-            if [word & self._mask for word in words] != expected[:len(words)]:
-                raise SimulationError(
-                    f"cannot poke folded register '{name}': the IR fold "
-                    f"proved it stuck at {folded}"
-                )
         for slot, word in zip(self.netlist.slots[name], words):
             self._bits[slot] = word & self._mask
 
@@ -628,20 +564,17 @@ class BatchedSimulator(SimulatorBase):
 
 def random_batch_traces(module: Module, cycles: int, lanes: int = 64, seed: int = 0,
                         bias: Mapping[str, float] | None = None,
-                        trace_columns: Sequence[str] | None = None,
-                        ir_opt: bool = False) -> list[Trace]:
+                        trace_columns: Sequence[str] | None = None) -> list[Trace]:
     """Convenience wrapper: ``lanes`` independent random runs of ``cycles``
     cycles each, simulated bit-parallel; returns one trace per lane."""
-    simulator = BatchedSimulator(module, lanes=lanes, trace_columns=trace_columns,
-                                 ir_opt=ir_opt)
+    simulator = BatchedSimulator(module, lanes=lanes, trace_columns=trace_columns)
     return simulator.run_random(cycles, seed=seed, bias=bias)
 
 
 def random_batch_block(module: Module, cycles: int, lanes: int = 64, seed: int = 0,
                        bias: Mapping[str, float] | None = None,
                        trace_columns: Sequence[str] | None = None,
-                       synth: SynthesizedModule | None = None,
-                       ir_opt: bool = False) -> LaneWordBlock:
+                       synth: SynthesizedModule | None = None) -> LaneWordBlock:
     """Like :func:`random_batch_traces`, but keep the lane-packed words.
 
     Same RNG stream as :func:`random_batch_traces` for identical
@@ -649,5 +582,5 @@ def random_batch_block(module: Module, cycles: int, lanes: int = 64, seed: int =
     zero-copy consumers read the words directly.
     """
     simulator = BatchedSimulator(module, lanes=lanes, trace_columns=trace_columns,
-                                 synth=synth, ir_opt=ir_opt)
+                                 synth=synth)
     return simulator.run_random_block(cycles, seed=seed, bias=bias)

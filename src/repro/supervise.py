@@ -1,11 +1,10 @@
 """Process-supervision and durability primitives shared by every layer.
 
-These started life in ``repro.formal.supervise`` as the building blocks
-of the formal worker pool's fault tolerance (PR 8).  The experiment
+These started life in the formal layer as the building blocks of the
+formal worker pool's fault tolerance (PR 8).  The experiment
 runner needs the identical failure model — bounded restarts with
 backoff, terminate→kill escalation, orphan reaping — so the primitives
-now live here, deliberately free of any pool/engine/runner imports, and
-:mod:`repro.formal.supervise` re-exports them unchanged.
+now live here, deliberately free of any pool/engine/runner imports.
 
 * :class:`RestartBudget` — a bounded, exponentially backed-off restart
   allowance per supervised slot.  A supervisor consults it before

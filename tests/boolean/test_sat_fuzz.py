@@ -1,21 +1,18 @@
-"""Solver fuzz/differential battery: arena vs legacy vs a naive oracle.
+"""Solver fuzz battery: the arena solver against independent evidence.
 
-Every formula here runs through three independent deciders:
+Every formula here runs through the clause-arena CDCL solver
+(:class:`repro.boolean.sat.SatSolver`) with its structural invariant
+checks armed (``debug_checks=True``), and no answer is trusted:
 
-* the clause-arena CDCL solver (:class:`repro.boolean.sat.SatSolver`),
-  with its structural invariant checks armed (``debug_checks=True``);
-* the frozen pre-arena baseline
-  (:class:`repro.boolean.legacy_sat.LegacySatSolver`);
-* for small instances, a naive DPLL oracle written below with no shared
-  code — ~20 lines that are obviously correct.
-
-Verdicts must agree everywhere.  SAT answers are *validated*, never
-trusted: the model is replayed clause by clause.  UNSAT answers from a
-certifying solver carry a RUP proof that
-:func:`repro.boolean.certify.check_rup_proof` replays literal by
-literal.  (Models and proofs are NOT required to match across solvers —
-the blocker optimisation legitimately changes search trajectories; only
-the verdict is canonical.)
+* SAT answers are *validated*: the model is replayed clause by clause
+  and must honour every assumption;
+* UNSAT answers are *certified*: a certifying solve of the formula plus
+  the assumptions as unit clauses must end in a refutation that
+  :func:`repro.boolean.certify.check_rup_proof` replays literal by
+  literal (a checker that shares no code with the solver);
+* small instances are additionally decided by a naive DPLL oracle
+  written below with no shared code — ~20 lines that are obviously
+  correct — and the verdicts must agree.
 
 The corpus mixes seeded random CNF at the 3-SAT phase transition
 (clause/variable ratio ~4.26, where random instances are hardest) with
@@ -36,11 +33,7 @@ import random
 
 import pytest
 
-from repro.boolean import (
-    LegacySatSolver,
-    SatSolver,
-    check_rup_proof,
-)
+from repro.boolean import SatSolver, check_rup_proof
 
 FULL = os.environ.get("SAT_FUZZ_FULL", "") not in ("", "0")
 
@@ -163,26 +156,42 @@ def check_model(clauses, model):
             f"model does not satisfy {clause}")
 
 
-def run_differential(clauses, nvars, *, oracle: bool, certify: bool,
-                     assumptions=()):
-    arena = SatSolver(clauses, nvars, debug_checks=True, certify=certify)
-    result = arena.solve(assumptions)
-    legacy = LegacySatSolver(clauses, nvars).solve(assumptions)
-    assert result.satisfiable == legacy.satisfiable, (
-        f"arena={result.satisfiable} legacy={legacy.satisfiable} "
-        f"on {len(clauses)} clauses, assumptions={assumptions}")
+def certify_unsat(clauses, assumptions=()):
+    """RUP-check an UNSAT answer: the clauses plus the assumptions as
+    units must have a machine-checked refutation."""
+    problem = [tuple(clause) for clause in clauses] + [(lit,) for lit in assumptions]
+    solver = SatSolver(problem, certify=True)
+    assert not solver.solve().satisfiable, (
+        f"certifying solve found the formula satisfiable, "
+        f"assumptions={assumptions}")
+    check_rup_proof(problem, solver.proof, expect_refutation=True)
+
+
+def verify_answer(clauses, result, assumptions=()):
+    """Validate a SAT model or certify an UNSAT verdict."""
     if result.satisfiable:
         model = dict(result.model)
         for literal in assumptions:
             assert model.get(abs(literal), False) == (literal > 0), (
                 f"model contradicts assumption {literal}")
         check_model(clauses, model)
-    elif certify and not assumptions:
+    else:
+        certify_unsat(clauses, assumptions)
+
+
+def run_differential(clauses, nvars, *, oracle: bool, certify: bool,
+                     assumptions=()):
+    arena = SatSolver(clauses, nvars, debug_checks=True, certify=certify)
+    result = arena.solve(assumptions)
+    if not result.satisfiable and certify and not assumptions:
+        # The solver's own proof log refutes the formula.
         check_rup_proof(clauses, arena.proof, expect_refutation=True)
+    else:
+        verify_answer(clauses, result, assumptions)
     if oracle:
         expected = dpll([tuple(c) for c in clauses]
                         + [(lit,) for lit in assumptions], {})
-        assert result.satisfiable == expected, "solvers disagree with oracle"
+        assert result.satisfiable == expected, "solver disagrees with oracle"
     return result
 
 
@@ -244,33 +253,29 @@ def test_incremental_trickle_differential(chunk):
 
     This is the BMC usage shape: the database only grows, assumptions
     change per query, and the arena solver's root-level state persists
-    across solves.  Verdicts must track the legacy baseline at every
-    step, and every SAT model must satisfy every clause added so far.
+    across solves.  Every SAT model must satisfy every clause added so
+    far, every UNSAT verdict must be certified, and small instances must
+    match the DPLL oracle at every step.
     """
     rng = random.Random(0x7121C7E + chunk)
     for _ in range(max(2, FORMULAS_PER_CHUNK // 8)):
         nvars = rng.randint(6, 24)
         arena = SatSolver(debug_checks=True)
-        legacy = LegacySatSolver()
         so_far: list[tuple[int, ...]] = []
         for _ in range(rng.randint(3, 7)):
             for clause in random_cnf(rng, nvars, rng.randint(2, 10)):
                 arena.add_clause(clause)
-                legacy.add_clause(clause)
                 so_far.append(clause)
             assumptions = tuple(
                 v * rng.choice((1, -1))
                 for v in rng.sample(range(1, nvars + 1), rng.randint(0, 4)))
             result = arena.solve(assumptions)
-            baseline = legacy.solve(assumptions)
-            assert result.satisfiable == baseline.satisfiable, (
-                f"divergence after {len(so_far)} clauses, "
-                f"assumptions={assumptions}")
-            if result.satisfiable:
-                model = dict(result.model)
-                for literal in assumptions:
-                    assert model.get(abs(literal), False) == (literal > 0)
-                check_model(so_far, model)
+            verify_answer(so_far, result, assumptions)
+            if nvars <= 14:
+                assert result.satisfiable == dpll(
+                    so_far + [(lit,) for lit in assumptions], {}), (
+                    f"divergence after {len(so_far)} clauses, "
+                    f"assumptions={assumptions}")
 
 
 def test_full_mode_reaches_2000_formulas():
@@ -300,23 +305,18 @@ clauses_strategy = st.lists(
     min_size=1, max_size=4))
 def test_hypothesis_incremental_trickle(batches):
     """Property: any grow-only clause/assumption interleaving agrees with
-    the legacy baseline, and SAT models satisfy the whole database."""
+    the DPLL oracle, SAT models satisfy the whole database, and UNSAT
+    verdicts are certified."""
     arena = SatSolver(debug_checks=True)
-    legacy = LegacySatSolver()
     so_far: list[tuple[int, ...]] = []
     for new_clauses, assumptions in batches:
         for clause in new_clauses:
             arena.add_clause(clause)
-            legacy.add_clause(clause)
             so_far.append(clause)
         result = arena.solve(assumptions)
-        baseline = legacy.solve(assumptions)
-        assert result.satisfiable == baseline.satisfiable
-        if result.satisfiable:
-            model = dict(result.model)
-            for literal in assumptions:
-                assert model.get(abs(literal), False) == (literal > 0)
-            check_model(so_far, model)
+        verify_answer(so_far, result, assumptions)
+        assert result.satisfiable == dpll(
+            so_far + [(lit,) for lit in assumptions], {})
 
 
 @settings(max_examples=60 if FULL else 25, deadline=None)

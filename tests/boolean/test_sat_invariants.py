@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.boolean import LegacySatSolver, SatSolver
+from repro.boolean import SatSolver, check_rup_proof
 from repro.boolean.cnf import canonical_clause
 
 
@@ -112,19 +112,29 @@ def test_checker_detects_false_trail_literal():
 @pytest.mark.parametrize("max_learned", [8, 16, 64])
 def test_compaction_preserves_invariants_and_verdicts(max_learned):
     """A tiny learned-clause budget forces repeated in-place compactions;
-    headers must stay dense and verdicts must track the legacy baseline
-    through every reduction."""
+    headers must stay dense and every verdict must stay right through
+    every reduction: SAT models satisfy the database and the
+    assumptions, UNSAT verdicts carry a RUP-checked refutation."""
     rng = random.Random(max_learned)
     arena = SatSolver(max_learned=max_learned, debug_checks=True)
-    legacy = LegacySatSolver()
+    so_far: list[tuple[int, ...]] = []
     for _ in range(4):
         for clause in random_cnf(rng, 16, 25):
             arena.add_clause(clause)
-            legacy.add_clause(clause)
+            so_far.append(clause)
         assumptions = tuple(v * rng.choice((1, -1))
                             for v in rng.sample(range(1, 17), 3))
-        assert (arena.solve(assumptions).satisfiable
-                == legacy.solve(assumptions).satisfiable)
+        result = arena.solve(assumptions)
+        if result.satisfiable:
+            model = dict(result.model)
+            for clause in so_far + [(lit,) for lit in assumptions]:
+                assert any(model.get(abs(lit), False) == (lit > 0)
+                           for lit in clause)
+        else:
+            problem = so_far + [(lit,) for lit in assumptions]
+            certifier = SatSolver(problem, certify=True)
+            assert not certifier.solve().satisfiable
+            check_rup_proof(problem, certifier.proof, expect_refutation=True)
         arena.check_invariants()
 
 

@@ -17,10 +17,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"window": 0}, {"max_iterations": 0}, {"random_cycles": -1},
+        {"engine": "nope"}, {"bound": 0}, {"bound": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GoldMineConfig(**kwargs)
+
+    def test_retired_engine_rejected_listing_valid_engines(self):
+        from repro.formal.checker import FormalVerifier
+
+        with pytest.raises(ValueError) as excinfo:
+            GoldMineConfig(engine="bmc-fresh")
+        for name in FormalVerifier.ENGINES:
+            assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("engine", ["explicit", "bmc", "k-induction",
+                                        "tiered", "bdd"])
+    def test_every_formal_engine_accepted(self, engine):
+        assert GoldMineConfig(engine=engine, bound=1).engine == engine
 
 
 class TestTargets:

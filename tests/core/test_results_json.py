@@ -85,6 +85,23 @@ class TestConfigJson:
         data["from_the_future"] = True
         GoldMineConfig.from_json(data)
 
+    def test_manifest_with_retired_engine_knobs_loads(self):
+        """A 1.9-era ``to_json()`` still carries the retired miner and IR
+        switches; they are ignored, every other field is kept."""
+        data = {"window": 2, "max_depth": None, "include_internal_state": True,
+                "engine": "tiered", "bound": 6, "induction_k": 4,
+                "max_iterations": 24, "random_cycles": 0, "random_seed": 0,
+                "input_bias": {}, "max_states": 50000,
+                "max_input_combinations": 4096, "sim_engine": "batched",
+                "sim_lanes": 64, "mine_engine": "rowwise", "formal_workers": 1,
+                "formal_proof_cache": False, "formal_query_timeout": None,
+                "ir_opt": True}
+        config = GoldMineConfig.from_json(data)
+        assert config == GoldMineConfig(window=2, engine="tiered", bound=6,
+                                        induction_k=4, max_iterations=24,
+                                        sim_engine="batched")
+        assert set(config.to_json()) == set(data) - {"mine_engine", "ir_opt"}
+
 
 class TestExperimentResultJson:
     def test_round_trip_with_rows_and_series(self):

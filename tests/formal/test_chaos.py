@@ -23,10 +23,11 @@ import time
 
 import pytest
 
+from repro import supervise
 from repro.boolean.sat import SatBudgetExceeded, SatSolver
 from repro.core.config import GoldMineConfig
 from repro.designs import info as design_info
-from repro.formal import chaos, supervise
+from repro.formal import chaos
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
 from repro.formal.checker import FormalVerifier, build_engine

@@ -17,6 +17,7 @@ from repro.formal.bdd_engine import BddModelChecker
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier
 from repro.formal.explicit import ExplicitModelChecker
+from repro.formal.induction import TieredModelChecker
 from repro.formal.result import FormalEngineError
 from repro.formal.statespace import StateSpace
 from repro.sim.simulator import Simulator
@@ -85,12 +86,15 @@ class TestKnownVerdicts:
     def test_bdd_engine(self, arbiter2_module, assertion, expected):
         assert BddModelChecker(arbiter2_module).check(assertion).verdict is expected
 
-    @pytest.mark.parametrize("incremental", [True, False],
-                             ids=["incremental", "fresh"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("assertion,expected", KNOWN,
                              ids=[a.name for a, _ in KNOWN])
-    def test_bmc_engine(self, arbiter2_module, assertion, expected, incremental):
-        engine = BmcModelChecker(arbiter2_module, bound=6, incremental=incremental)
+    def test_bmc_engine(self, arbiter2_module, assertion, expected, warm):
+        """Known verdicts on a cold engine and on one whose persistent
+        contexts already answered every other known query."""
+        engine = BmcModelChecker(arbiter2_module, bound=6)
+        if warm:
+            engine.check_all([other for other, _ in KNOWN if other is not assertion])
         verdict = engine.check(assertion).verdict
         if verdict is Verdict.UNKNOWN:
             pytest.skip("induction inconclusive (allowed for the bounded engine)")
@@ -109,9 +113,9 @@ class TestCounterexamples:
     @pytest.mark.parametrize("engine_factory", [
         ExplicitModelChecker,
         lambda m: BmcModelChecker(m, bound=6),
-        lambda m: BmcModelChecker(m, bound=6, incremental=False),
+        lambda m: TieredModelChecker(m, bound=6, induction_k=4),
         BddModelChecker,
-    ], ids=["explicit", "bmc", "bmc-fresh", "bdd"])
+    ], ids=["explicit", "bmc", "tiered", "bdd"])
     def test_counterexamples_reproduce_violation(self, arbiter2_module, engine_factory):
         engine = engine_factory(arbiter2_module)
         for assertion in (A0_FALSE, A1_FALSE, A4_FALSE):

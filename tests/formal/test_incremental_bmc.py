@@ -1,11 +1,13 @@
-"""Differential suite: incremental vs fresh-solver bounded model checking.
+"""Differential suite: incremental bounded model checking vs the explicit
+oracle.
 
-The incremental BMC engine (one persistent solver context per design,
-activation-literal queries) must be observationally equivalent to the
-historical cold-solver path: identical verdicts and identical
-counterexample windows on every query, with counterexamples that replay
-to a real violation.  These tests randomise assertions over the bundled
-designs and hold the two paths to that contract, and also cover the
+The incremental BMC engine (one persistent solver context per slice,
+activation-literal queries) must agree with the exact explicit-state
+engine wherever it decides, report counterexamples that replay to a real
+violation, and keep those counterexamples canonical: a query answered
+after a history of unrelated queries reports the same witness as the
+same query on a fresh engine.  These tests randomise assertions over the
+bundled designs and hold the engine to that contract, and also cover the
 batch path through :class:`FormalVerifier` and the refinement loop.
 """
 
@@ -20,6 +22,7 @@ from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier
+from repro.formal.explicit import ExplicitModelChecker
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
 
@@ -54,26 +57,38 @@ def replay_violates(module, assertion, counterexample):
     return not assertion.holds(valuations)
 
 
-class TestIncrementalVsFresh:
+def assert_matches_oracle(module, assertion, result, oracle):
+    """A decided BMC verdict equals the explicit engine's, and a
+    counterexample replays to a violation."""
+    if result.verdict is Verdict.UNKNOWN:
+        return
+    assert result.verdict is oracle.check(assertion).verdict, \
+        assertion.describe()
+    if result.counterexample is not None:
+        assert replay_violates(module, assertion, result.counterexample)
+
+
+class TestIncrementalAgainstExplicit:
     @pytest.mark.parametrize("fixture", ["arbiter2_module", "counter_module",
                                          "handshake_module", "b01_module"])
     def test_verdicts_and_counterexamples_identical(self, fixture, request):
-        """Canonical counterexamples make the two paths agree on the full
-        witness — input vectors included — not just verdict and window."""
+        """Every decided verdict matches the explicit oracle, every witness
+        replays, and the full witness — input vectors included — of a
+        warm engine equals the one a fresh engine reports per query."""
         module = request.getfixturevalue(fixture)
         assertions = random_assertions(module, 12, seed=23)
-        fresh = BmcModelChecker(module, bound=6, incremental=False)
-        incremental = BmcModelChecker(module, bound=6, incremental=True)
+        oracle = ExplicitModelChecker(module)
+        warm = BmcModelChecker(module, bound=6)
         for assertion in assertions:
-            expected = fresh.check(assertion)
-            got = incremental.check(assertion)
+            got = warm.check(assertion)
+            assert_matches_oracle(module, assertion, got, oracle)
+            expected = BmcModelChecker(module, bound=6).check(assertion)
             assert got.verdict is expected.verdict
             if expected.counterexample is not None:
                 assert (got.counterexample.window_start
                         == expected.counterexample.window_start)
                 assert (got.counterexample.input_vectors
                         == expected.counterexample.input_vectors)
-                assert replay_violates(module, assertion, got.counterexample)
 
     def test_counterexamples_are_history_independent(self, arbiter2_module):
         """The canonical witness is a pure function of (design, assertion,
@@ -118,13 +133,15 @@ class TestIncrementalVsFresh:
 
 
 class TestVerifierBatchPath:
-    def test_bmc_fresh_engine_selectable(self, arbiter2_module):
-        verifier = FormalVerifier(arbiter2_module, engine="bmc-fresh", bound=6)
-        assertions = random_assertions(arbiter2_module, 4, seed=2)
-        reference = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
-        for assertion in assertions:
-            assert (verifier.check(assertion).verdict
-                    is reference.check(assertion).verdict)
+    def test_bmc_fresh_engine_rejected(self, arbiter2_module):
+        """The retired cold-solver engine name is no longer accepted."""
+        with pytest.raises(ValueError, match="bmc-fresh"):
+            FormalVerifier(arbiter2_module, engine="bmc-fresh", bound=6)
+        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
+        oracle = ExplicitModelChecker(arbiter2_module)
+        for assertion in random_assertions(arbiter2_module, 4, seed=2):
+            assert_matches_oracle(arbiter2_module, assertion,
+                                  verifier.check(assertion), oracle)
 
     def test_check_all_caches_like_sequential_checks(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 5, seed=4)
@@ -152,25 +169,17 @@ class TestVerifierBatchPath:
 
 class TestClosureWithIncrementalEngine:
     def test_refinement_converges_and_stays_sound(self, arbiter2_module):
-        """Both BMC paths close the loop, and everything the incremental
-        path proves is confirmed by the exact explicit engine.
-
-        The closed-loop *trajectories* may legitimately differ: a refuted
-        candidate's counterexample is whatever model the solver returns,
-        and different (equally correct) witnesses steer the miner to
-        different — but always true — final assertions.
-        """
+        """The BMC engine closes the loop, and everything it proves is
+        confirmed by the exact explicit engine."""
         explicit = FormalVerifier(arbiter2_module, engine="explicit")
-        for engine in ("bmc", "bmc-fresh"):
-            config = GoldMineConfig(window=2, engine=engine,
-                                    random_cycles=20, random_seed=3)
-            closure = CoverageClosure(arbiter2_module, config=config)
-            result = closure.run(RandomStimulus(20, seed=3), max_iterations=6)
-            assert result.converged
-            for assertion in result.all_true_assertions:
-                assert explicit.check(assertion).verdict is Verdict.TRUE
-            if engine == "bmc":
-                assert result.formal_reuse["queries"] > 0
+        config = GoldMineConfig(window=2, engine="bmc",
+                                random_cycles=20, random_seed=3)
+        closure = CoverageClosure(arbiter2_module, config=config)
+        result = closure.run(RandomStimulus(20, seed=3), max_iterations=6)
+        assert result.converged
+        for assertion in result.all_true_assertions:
+            assert explicit.check(assertion).verdict is Verdict.TRUE
+        assert result.formal_reuse["queries"] > 0
 
     def test_formal_reuse_round_trips_through_json(self, arbiter2_module):
         from repro.core.results import ClosureResult

@@ -27,6 +27,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.unroll import Unroller
 from repro.assertions.assertion import Verdict
 from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import and_, not_
@@ -41,6 +42,7 @@ from repro.formal.induction import (
 )
 from repro.formal.statespace import StateSpace
 from repro.hdl.parser import parse_module
+from repro.hdl.synth import synthesize
 
 # Sibling test module (pytest puts this directory on sys.path).
 from test_incremental_bmc import random_assertions, replay_violates
@@ -96,11 +98,11 @@ def assert_simple_path_preserves_reachability(module):
     """Core oracle: every explicitly enumerated reachable state stays
     satisfiable under the full set of simple-path pair constraints."""
     space = StateSpace(module)
-    engine = KInductionModelChecker(module, bound=4, induction_k=4)
+    unroller = Unroller(module, synthesize(module))
     register_names = space.register_names
     for state in space.explore():
         depth = len(space.path_from_reset(state))
-        design = engine._unroller.unroll(max(depth, 1), from_reset=True)
+        design = unroller.unroll(max(depth, 1), from_reset=True)
         values = space.state_dict(state)
         equalities = []
         for name in register_names:

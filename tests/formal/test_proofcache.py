@@ -8,6 +8,7 @@ import pytest
 
 from repro.assertions.assertion import Assertion, Literal, Verdict
 from repro.designs import info as design_info
+from repro.formal.checker import SLICED_ENCODING, FormalVerifier
 from repro.formal.proofcache import (
     CACHE_SCHEMA_VERSION,
     ProofCache,
@@ -319,3 +320,65 @@ class TestResolve:
         first = ProofCache.resolve(tmp_path / "a.json")
         assert first is ProofCache.resolve(str(tmp_path / "a.json"))
         assert first is not ProofCache.resolve(tmp_path / "b.json")
+
+
+class TestSlicedEncodingKeys:
+    """The SAT engines check every assertion on its cone-of-influence slice
+    and key their entries with the ``:ir`` encoding suffix — the key form
+    ``--ir-opt`` runs already wrote, so those caches keep hitting.  Entries
+    under the suffix-less key were written by the retired unsliced
+    encoding, which can prove less under k-induction: never served."""
+
+    FORMS = [("bmc", "bmc:bound=6"),
+             ("k-induction", "k-induction:bound=6:k=4"),
+             ("tiered", "tiered:bound=6:k=4")]
+
+    def _verifier(self, engine, path):
+        module = design_info("arbiter2").build()
+        return FormalVerifier(module, engine=engine, bound=6, induction_k=4,
+                              proof_cache=ProofCache(path))
+
+    def test_suffix_names_the_sliced_encoding(self):
+        assert SLICED_ENCODING == ":ir"
+
+    @pytest.mark.parametrize("engine,unsliced_key", FORMS)
+    def test_only_the_sliced_entry_is_served(self, tmp_path, engine,
+                                             unsliced_key):
+        assertion = sample_assertion()
+        fingerprint = design_fingerprint(design_info("arbiter2").build())
+        path = tmp_path / "proofs.json"
+        cache = ProofCache(path)
+        cache.store(fingerprint, unsliced_key, assertion,
+                    unknown_result(assertion, engine, bound=6, marker="unsliced"))
+        cache.store(fingerprint, f"{unsliced_key}:ir", assertion,
+                    unknown_result(assertion, engine, bound=6, marker="sliced"))
+        cache.flush()
+        assert len(json.loads(path.read_text())["entries"]) == 2
+
+        verifier = self._verifier(engine, path)
+        result = verifier.check(assertion)
+        assert result.details["marker"] == "sliced"
+        assert verifier.stats.reuse["proof_cache_hits"] == 1
+        assert verifier.stats.reuse["proof_cache_misses"] == 0
+
+    @pytest.mark.parametrize("engine,unsliced_key", FORMS)
+    def test_unsliced_entry_alone_is_a_miss(self, tmp_path, engine,
+                                            unsliced_key):
+        assertion = sample_assertion()
+        fingerprint = design_fingerprint(design_info("arbiter2").build())
+        path = tmp_path / "proofs.json"
+        cache = ProofCache(path)
+        cache.store(fingerprint, unsliced_key, assertion,
+                    unknown_result(assertion, engine, bound=6, marker="unsliced"))
+        cache.flush()
+
+        verifier = self._verifier(engine, path)
+        result = verifier.check(assertion)
+        assert "marker" not in result.details
+        assert verifier.stats.reuse["proof_cache_misses"] == 1
+        verifier.close()
+        # The engine's own verdict is stored under the sliced key, beside
+        # the unsliced entry it did not trust.
+        keys = json.loads(path.read_text())["entries"]
+        assert ProofCache.entry_key(fingerprint, f"{unsliced_key}:ir",
+                                    assertion) in keys

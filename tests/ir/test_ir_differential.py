@@ -1,18 +1,18 @@
-"""Differential contract of the IR optimization passes: results identical.
+"""Differential contract of the IR slicing every SAT engine checks through.
 
-``ir_opt`` slices, folds, and hash-cons-shares the SAT encodings and the
-compiled simulator netlist, but must never change anything observable:
+The BMC and k-induction engines check each assertion on its
+cone-of-influence slice, with reset-stuck registers folded to constants.
+That must never change anything the exact oracle can observe:
 
-* BMC and k-induction verdicts — and the full canonical counterexample,
-  input vectors included — are identical with the passes on or off;
-* an ``unbounded`` proof produced on the sliced encoding survives the
-  exact explicit-state oracle;
+* every decided BMC and k-induction verdict equals the explicit-state
+  engine's, and every counterexample replays to a violation;
+* counterexamples are canonical — the full witness, input vectors
+  included, does not depend on which queries the engine answered first;
+* every ``unbounded`` proof found on a slice survives the explicit oracle
+  (slicing can only add proofs, never wrong ones);
 * an end-to-end coverage-closure run has byte-identical
-  ``deterministic_json`` with the flag on or off, across serial,
-  process-parallel, and proof-cached formal back ends;
-* the batched simulator compiled with folding is lane-exact with the
-  unoptimised compile, and a conflicting poke of a folded register
-  raises instead of silently desynchronising.
+  ``deterministic_json`` across serial, process-parallel, and
+  proof-cached formal back ends.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from repro.formal.explicit import ExplicitModelChecker
 from repro.formal.induction import KInductionModelChecker
 from repro.formal.result import PROOF_UNBOUNDED
 from repro.hdl.parser import parse_module
-from repro.sim.batched import BatchedSimulator, CompiledNetlist
-from repro.sim.simulator import SimulationError
 from repro.sim.stimulus import RandomStimulus
 
 # Sibling formal suite (tests/ir/conftest.py puts tests/formal on sys.path).
@@ -50,43 +48,54 @@ def corpus(module):
             + random_assertions(module, 8, seed=11))
 
 
-def assert_same_result(module, assertion, expected, got, context):
-    assert got.verdict is expected.verdict, (
-        f"{context}: {assertion.describe()}: "
-        f"{expected.verdict.name} != {got.verdict.name}")
-    if expected.counterexample is not None:
-        assert got.counterexample is not None, context
-        assert (got.counterexample.window_start
-                == expected.counterexample.window_start), context
-        assert (got.counterexample.input_vectors
-                == expected.counterexample.input_vectors), context
-        assert replay_violates(module, assertion, got.counterexample)
+def assert_oracle_agrees(module, engine_cls, context, **kwargs):
+    """Decided verdicts match the explicit oracle, witnesses replay, and a
+    warm engine's witnesses equal those of one that saw the corpus in
+    the reverse order (a different solver history).  Returns the
+    forward engine."""
+    assertions = corpus(module)
+    oracle = ExplicitModelChecker(module)
+    engine = engine_cls(module, bound=BOUND, **kwargs)
+    forward = engine.check_all(assertions)
+    backward = engine_cls(module, bound=BOUND, **kwargs).check_all(assertions[::-1])
+    for assertion, got, other in zip(assertions, forward, backward[::-1]):
+        label = f"{context}: {assertion.describe()}"
+        assert got.verdict is other.verdict, label
+        if got.verdict is Verdict.UNKNOWN:
+            continue
+        assert got.verdict is oracle.check(assertion).verdict, label
+        if got.counterexample is not None:
+            assert got.counterexample.window_start \
+                == other.counterexample.window_start, label
+            assert got.counterexample.input_vectors \
+                == other.counterexample.input_vectors, label
+            assert replay_violates(module, assertion, got.counterexample), label
+    return engine
 
 
 class TestEngineIdentity:
     @pytest.mark.parametrize("design_name", DIFFERENTIAL_DESIGNS)
     def test_bmc_verdicts_and_witnesses_identical(self, design_name):
         module = DESIGNS[design_name].build()
-        base = BmcModelChecker(module, bound=BOUND)
-        sliced = BmcModelChecker(module, bound=BOUND, ir_opt=True)
-        for assertion in corpus(module):
-            assert_same_result(module, assertion, base.check(assertion),
-                               sliced.check(assertion),
-                               f"[{design_name}] bmc ir on/off")
-        stats = sliced.reuse_stats()
-        assert stats["ir_slices"] >= 1
+        engine = assert_oracle_agrees(module, BmcModelChecker,
+                                      f"[{design_name}] bmc")
+        assert engine.reuse_stats()["ir_slices"] >= 1
 
     @pytest.mark.parametrize("design_name", DIFFERENTIAL_DESIGNS)
     def test_k_induction_verdicts_and_witnesses_identical(self, design_name):
         module = DESIGNS[design_name].build()
-        base = KInductionModelChecker(module, bound=BOUND,
-                                      induction_k=INDUCTION_K)
-        sliced = KInductionModelChecker(module, bound=BOUND,
-                                        induction_k=INDUCTION_K, ir_opt=True)
-        for assertion in corpus(module):
-            assert_same_result(module, assertion, base.check(assertion),
-                               sliced.check(assertion),
-                               f"[{design_name}] k-induction ir on/off")
+        assert_oracle_agrees(module, KInductionModelChecker,
+                             f"[{design_name}] k-induction",
+                             induction_k=INDUCTION_K)
+
+    @pytest.mark.parametrize("engine_cls", [BmcModelChecker,
+                                            KInductionModelChecker])
+    def test_folded_register_design_matches_oracle(self, engine_cls):
+        """A design with a reset-stuck register exercises the fold: its
+        bits enter the from-reset unrolling as constants."""
+        module = parse_module(FOLDABLE_SOURCE)
+        assert engine_cls(module).reuse_stats()["ir_folded_registers"] == 1
+        assert_oracle_agrees(module, engine_cls, f"[foldable] {engine_cls.name}")
 
 
 class TestSlicedProofSoundness:
@@ -101,8 +110,7 @@ class TestSlicedProofSoundness:
             module = DESIGNS[design_name].build()
             oracle = ExplicitModelChecker(module)
             engine = KInductionModelChecker(module, bound=BOUND,
-                                            induction_k=INDUCTION_K,
-                                            ir_opt=True)
+                                            induction_k=INDUCTION_K)
             for assertion in corpus(module):
                 result = engine.check(assertion)
                 if result.proof_strength != PROOF_UNBOUNDED:
@@ -121,8 +129,7 @@ def closure_json(design_name, **overrides):
     module = meta.build()
     config = GoldMineConfig(window=meta.window, max_iterations=5,
                             engine="tiered", bound=BOUND, induction_k=4,
-                            sim_engine="batched", sim_lanes=16,
-                            mine_engine="columnar", **overrides)
+                            sim_engine="batched", sim_lanes=16, **overrides)
     closure = CoverageClosure(module,
                               outputs=list(meta.mining_outputs) or None,
                               config=config)
@@ -131,62 +138,13 @@ def closure_json(design_name, **overrides):
 
 
 class TestClosureByteIdentity:
-    """End-to-end closure runs: ir_opt must be observationally invisible."""
+    """End-to-end closure runs: the execution mode is unobservable."""
 
     @pytest.mark.parametrize("design_name", ("arbiter2", "counter_block", "b01"))
     def test_serial_parallel_cached_all_match_baseline(self, design_name):
-        baseline = closure_json(design_name, ir_opt=False)
-        assert closure_json(design_name, ir_opt=True) == baseline
-        assert closure_json(design_name, ir_opt=True,
-                            formal_workers=2) == baseline
+        baseline = closure_json(design_name)
+        assert closure_json(design_name, formal_workers=2) == baseline
         # Twice with a shared in-memory proof cache: the second run's
         # verdicts come from cache hits keyed with the ":ir" suffix.
-        assert closure_json(design_name, ir_opt=True,
-                            formal_proof_cache=True) == baseline
-        assert closure_json(design_name, ir_opt=True,
-                            formal_proof_cache=True) == baseline
-
-
-class TestBatchedSimFold:
-    def test_fold_detected_and_lane_exact(self):
-        module = parse_module(FOLDABLE_SOURCE)
-        plain = BatchedSimulator(module, lanes=16)
-        folded = BatchedSimulator(module, lanes=16, ir_opt=True)
-        assert folded.netlist.folded_registers == {"stuck": 0}
-        for seed in (0, 7):
-            base = plain.run_random_block(40, seed=seed)
-            opt = folded.run_random_block(40, seed=seed)
-            assert base.cycle_words == opt.cycle_words
-
-    def test_roster_compiles_identically(self):
-        """No bundled design folds, so ir_opt must be a no-op there."""
-        for design_name in ("arbiter2", "b01"):
-            module = DESIGNS[design_name].build()
-            plain = BatchedSimulator(module, lanes=8)
-            opt = BatchedSimulator(module, lanes=8, ir_opt=True)
-            assert opt.netlist.folded_registers == {}
-            base = plain.run_random_block(30, seed=2)
-            assert base.cycle_words == opt.run_random_block(30, seed=2).cycle_words
-
-    def test_conflicting_poke_rejected(self):
-        module = parse_module(FOLDABLE_SOURCE)
-        simulator = BatchedSimulator(module, lanes=4, ir_opt=True)
-        with pytest.raises(SimulationError, match="folded register 'stuck'"):
-            simulator.poke("stuck", 1)
-        with pytest.raises(SimulationError, match="folded register 'stuck'"):
-            simulator.poke("stuck", [0, 1, 0, 0])
-        with pytest.raises(SimulationError, match="folded register 'stuck'"):
-            simulator.poke_words("stuck", [0b0010])
-        # The stuck value itself is always accepted (replay paths use it).
-        simulator.poke("stuck", 0)
-        simulator.poke("stuck", [0, 0])
-        simulator.poke_words("stuck", [0])
-        simulator.load_state({"stuck": 0, "track": 3})
-
-    def test_shared_netlist_reuse(self):
-        module = parse_module(FOLDABLE_SOURCE)
-        netlist = CompiledNetlist(module, ir_opt=True)
-        first = BatchedSimulator(module, lanes=4, netlist=netlist)
-        second = BatchedSimulator(module, lanes=8, netlist=netlist)
-        assert first.netlist is second.netlist
-        assert second.netlist.folded_registers == {"stuck": 0}
+        assert closure_json(design_name, formal_proof_cache=True) == baseline
+        assert closure_json(design_name, formal_proof_cache=True) == baseline

@@ -112,10 +112,9 @@ class TestNetlistConstruction:
 
 
 class TestConstantFolding:
-    @pytest.mark.parametrize("assume_reset_low", [True, False])
-    def test_stuck_register_folds(self, assume_reset_low):
+    def test_stuck_register_folds(self):
         ir = build_ir(FOLDABLE_SOURCE)
-        fold = fold_constants(ir, assume_reset_low=assume_reset_low)
+        fold = fold_constants(ir)
         assert fold.constant_registers == {"stuck": 0}
         assert fold.constant_register_bits == {default_bit_name("stuck", 0): False}
 

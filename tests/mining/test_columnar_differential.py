@@ -1,4 +1,4 @@
-"""Differential suite: the columnar miner against the row-wise baseline.
+"""Differential suite: the columnar miner against the row-wise reference.
 
 The contract (ISSUE 4 acceptance): for randomized traces across designs,
 windows and seeds, :class:`ColumnarDecisionTree` produces node-for-node
@@ -6,7 +6,9 @@ identical trees and identical ``candidate_assertions()`` to the row-wise
 :class:`DecisionTree`, both for fresh builds and under counterexample-
 style incremental refinement, and whether the columnar dataset was built
 from per-lane traces or zero-copy from the batched simulator's
-lane-packed words.
+lane-packed words.  The row-wise classes are kept only as this reference:
+``GoldMine`` and ``CoverageClosure`` mine on the columnar engine, and the
+end-to-end cases below swap row-wise trees into them to compare.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from repro.mining import (
     MiningDataset,
     DecisionTree,
     IncrementalDecisionTree,
-    create_dataset,
-    create_decision_tree,
     diff_trees,
 )
 from repro.mining.dataset import FeatureSpec
@@ -178,7 +178,7 @@ class TestZeroCopyBlockPath:
         # multiset — all tree induction consumes — must be identical.
         assert Counter(from_block.row_tuples()) == Counter(from_traces.row_tuples())
         assert diff_trees(
-            create_decision_tree(
+            DecisionTree(
                 _rowwise_from_traces(meta.build(), output, bit, window,
                                      block.to_traces())).build(),
             ColumnarDecisionTree(from_block).build()) == []
@@ -192,23 +192,21 @@ class TestZeroCopyBlockPath:
             assert a.columns == b.columns and a.rows == b.rows
 
     def test_goldmine_mine_is_engine_invariant_end_to_end(self):
-        """batched+columnar (zero-copy generate path) == batched+rowwise."""
+        """GoldMine's zero-copy batched mining == the row-wise reference
+        mined from the same data widened to traces."""
         from repro.designs import arbiter2
 
-        reports = {}
-        for mine_engine in ("rowwise", "columnar"):
-            engine = GoldMine(arbiter2(), GoldMineConfig(
-                window=2, random_cycles=96, sim_engine="batched",
-                sim_lanes=16, mine_engine=mine_engine))
-            reports[mine_engine] = engine.mine()
-        baseline = reports["rowwise"]
-        zero_copy = reports["columnar"]
-        assert set(baseline.summaries) == set(zero_copy.summaries)
-        for label in baseline.summaries:
-            assert baseline.summaries[label].candidates == \
-                zero_copy.summaries[label].candidates
-            assert baseline.summaries[label].true_assertions == \
-                zero_copy.summaries[label].true_assertions
+        engine = GoldMine(arbiter2(), GoldMineConfig(
+            window=2, random_cycles=96, sim_engine="batched", sim_lanes=16))
+        traces = engine.generate_traces()
+        report = engine.mine()
+        assert set(report.summaries) == {"gnt0", "gnt1"}
+        for output, bit in engine.target_outputs():
+            dataset = _rowwise_from_traces(engine.module, output, bit, 2, traces)
+            reference = DecisionTree(dataset)
+            reference.build()
+            assert report.summaries[engine.target_label(output, bit)].candidates \
+                == reference.candidate_assertions()
 
 
 def _rowwise_from_traces(module, output, bit, window, traces):
@@ -217,23 +215,38 @@ def _rowwise_from_traces(module, output, bit, window, traces):
     return dataset
 
 
+def closure_pair(meta, outputs, config, **kwargs):
+    """The production (columnar) closure and one whose every output tree
+    is swapped for the row-wise reference tree before it runs."""
+    pair = {}
+    for engine in ("rowwise", "columnar"):
+        closure = CoverageClosure(meta.build(), outputs=outputs, config=config,
+                                  **kwargs)
+        if engine == "rowwise":
+            for context in closure.contexts:
+                dataset = MiningDataset(
+                    closure.module, context.output, window=config.window,
+                    output_bit=context.bit,
+                    include_internal_state=config.include_internal_state,
+                    synth=closure.engine.synth)
+                context.tree = IncrementalDecisionTree(dataset, config.max_depth)
+        pair[engine] = closure
+    return pair
+
+
 class TestClosureEngineInvariance:
     """The full refinement loop mines the same assertions on either engine."""
 
     @pytest.mark.parametrize("design", ["arbiter2", "b01", "cex_small"])
     def test_closure_results_identical(self, design):
         meta = design_info(design)
+        closures = closure_pair(meta, list(meta.mining_outputs) or None,
+                                GoldMineConfig(window=meta.window))
         results = {}
-        closures = {}
-        for mine_engine in ("rowwise", "columnar"):
-            config = GoldMineConfig(window=meta.window, mine_engine=mine_engine)
-            closure = CoverageClosure(meta.build(),
-                                      outputs=list(meta.mining_outputs) or None,
-                                      config=config)
+        for engine, closure in closures.items():
             seed = meta.seed_vectors() if meta.directed_test is not None else \
                 RandomStimulus(8, seed=4)
-            results[mine_engine] = closure.run(seed)
-            closures[mine_engine] = closure
+            results[engine] = closure.run(seed)
         rowwise, columnar = results["rowwise"], results["columnar"]
         assert rowwise.converged == columnar.converged
         assert rowwise.true_assertions == columnar.true_assertions
@@ -245,35 +258,16 @@ class TestClosureEngineInvariance:
 
     def test_rebuild_trees_variant_also_invariant(self):
         meta = design_info("arbiter2")
-        outcomes = []
-        for mine_engine in ("rowwise", "columnar"):
-            config = GoldMineConfig(window=2, mine_engine=mine_engine)
-            closure = CoverageClosure(meta.build(), outputs=["gnt0"],
-                                      config=config, rebuild_trees=True)
-            outcomes.append(closure.run(meta.seed_vectors()))
+        closures = closure_pair(meta, ["gnt0"], GoldMineConfig(window=2),
+                                rebuild_trees=True)
+        outcomes = [closure.run(meta.seed_vectors())
+                    for closure in closures.values()]
         assert outcomes[0].true_assertions == outcomes[1].true_assertions
         assert outcomes[0].test_suite == outcomes[1].test_suite
 
-
-class TestFactories:
-    def test_create_dataset_dispatch(self, arbiter2_module):
-        assert isinstance(create_dataset(arbiter2_module, "gnt0"), MiningDataset)
-        assert isinstance(
-            create_dataset(arbiter2_module, "gnt0", engine="columnar"),
-            ColumnarDataset)
-        with pytest.raises(ValueError):
-            create_dataset(arbiter2_module, "gnt0", engine="nope")
-
-    def test_create_decision_tree_dispatch(self, arbiter2_module):
-        rowwise = create_dataset(arbiter2_module, "gnt0")
-        columnar = create_dataset(arbiter2_module, "gnt0", engine="columnar")
-        assert isinstance(create_decision_tree(rowwise), DecisionTree)
-        assert isinstance(create_decision_tree(rowwise, incremental=True),
-                          IncrementalDecisionTree)
-        assert isinstance(create_decision_tree(columnar), ColumnarDecisionTree)
-        assert isinstance(create_decision_tree(columnar, incremental=True),
-                          ColumnarIncrementalDecisionTree)
-
-    def test_config_rejects_unknown_mine_engine(self):
-        with pytest.raises(ValueError):
-            GoldMineConfig(mine_engine="sideways")
+    def test_production_closure_mines_on_columnar_trees(self, arbiter2_module):
+        closure = CoverageClosure(arbiter2_module, outputs=["gnt0"],
+                                  config=GoldMineConfig(window=2))
+        tree = closure.final_tree("gnt0")
+        assert isinstance(tree, ColumnarIncrementalDecisionTree)
+        assert isinstance(tree.dataset, ColumnarDataset)

@@ -5,7 +5,7 @@ Properties held:
 * **Cross-engine lockstep** — after any sequence of counterexample-style
   refinements, the row-wise and columnar incremental trees are
   node-for-node identical and emit identical candidate assertions (the
-  load-bearing property for ``mine_engine`` invariance).
+  load-bearing property for closure-loop invariance).
 * **Single-absorb equals fresh** — absorbing the merged dataset in one
   ``absorb_new_rows`` call over a previously-empty tree yields exactly
   the tree a fresh ``DecisionTree``/``ColumnarDecisionTree`` builds on

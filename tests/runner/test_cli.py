@@ -132,25 +132,12 @@ class TestRun:
         batched = json.loads((tmp_path / "batched" / "fig12" / "result.json").read_text())
         assert scalar["series"] == batched["series"]
 
-    def test_mine_engine_columnar_matches_rowwise(self, tmp_path):
-        """--mine-engine columnar must not change any artifact data."""
-        repro_cli("run", "fig12", "--artifacts", str(tmp_path / "rowwise"),
-                  "--quiet")
-        repro_cli("run", "fig12", "--mine-engine", "columnar", "--engine",
-                  "batched", "--lanes", "16",
-                  "--artifacts", str(tmp_path / "columnar"), "--quiet")
-        rowwise = json.loads(
-            (tmp_path / "rowwise" / "fig12" / "result.json").read_text())
-        columnar = json.loads(
-            (tmp_path / "columnar" / "fig12" / "result.json").read_text())
-        assert rowwise["series"] == columnar["series"]
-        assert rowwise["notes"] == columnar["notes"]
-
-    def test_mine_engine_recorded_in_manifest(self, tmp_path):
-        repro_cli("run", "fig12", "--mine-engine", "columnar",
-                  "--artifacts", str(tmp_path), "--quiet")
-        manifest = json.loads((tmp_path / "fig12" / "run.json").read_text())
-        assert manifest["options"]["mine_engine"] == "columnar"
+    def test_retired_flags_rejected(self, tmp_path):
+        for flag in ("--mine-engine=columnar", "--ir-opt"):
+            process = repro_cli("run", "fig12", flag, "--artifacts",
+                                str(tmp_path), check=False)
+            assert process.returncode == 2
+            assert "unrecognized arguments" in process.stderr
 
 
 class TestResume:
@@ -198,6 +185,37 @@ class TestReport:
         document = json.loads(
             repro_cli("report", str(tmp_path / "fig12"), "--json").stdout)
         assert document["experiment"] == "fig12"
+
+    def test_report_renders_run_with_retired_options(self, tmp_path):
+        """A run directory written while the miner and IR switches still
+        existed keeps reporting.  Its jobs carried those switches in their
+        params, so the job signature no longer matches and a resume is
+        refused (``CheckpointError``) until ``--fresh``."""
+        from repro.runner import RunOptions, get_experiment
+        from repro.runner.checkpoint import jobs_signature
+
+        repro_cli("run", "fig12", "--smoke", "--artifacts", str(tmp_path),
+                  "--quiet")
+        run_dir = tmp_path / "fig12"
+        fresh = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        retired = {"mine_engine": "columnar", "ir_opt": True}
+        manifest = json.loads((run_dir / "run.json").read_text())
+        manifest["options"].update(retired)
+        tasks = [job.task()
+                 for job in get_experiment("fig12").expand(RunOptions(smoke=True))]
+        manifest["jobs_signature"] = jobs_signature(
+            (experiment, job_id, {**params, **retired})
+            for experiment, job_id, params in tasks)
+        (run_dir / "run.json").write_text(json.dumps(manifest))
+
+        out = repro_cli("report", str(run_dir)).stdout
+        assert "input_space_%" in out
+        old = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        assert old == fresh
+        process = repro_cli("run", "fig12", "--smoke", "--artifacts",
+                            str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert "--fresh" in process.stderr
 
     def test_report_missing_dir_exits_2(self, tmp_path):
         process = repro_cli("report", str(tmp_path / "nope"), check=False)

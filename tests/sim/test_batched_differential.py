@@ -16,7 +16,7 @@ import pytest
 
 from repro.designs import DESIGNS, load
 from repro.sim.base import SimulatorBase, create_simulator
-from repro.sim.batched import BatchedSimulator, pack_lanes, unpack_lanes
+from repro.sim.batched import BatchedSimulator, CompiledNetlist, pack_lanes, unpack_lanes
 from repro.sim.simulator import SimulationError, Simulator
 
 ALL_DESIGNS = sorted(DESIGNS)
@@ -235,3 +235,17 @@ def test_run_random_block_reproduces_run_random():
     block = BatchedSimulator(module, lanes=8).run_random_block(9, seed=11)
     for a, b in zip(block.to_traces(), direct):
         assert a.columns == b.columns and a.rows == b.rows
+
+
+def test_shared_netlist_reuse():
+    """One compiled netlist backs simulators of any lane count."""
+    module = load("b01")
+    netlist = CompiledNetlist(module)
+    first = BatchedSimulator(module, lanes=4, netlist=netlist)
+    second = BatchedSimulator(module, lanes=8, netlist=netlist)
+    assert first.netlist is second.netlist
+    assert (first.run_random_block(20, seed=3).to_traces()
+            == BatchedSimulator(module, lanes=4).run_random_block(
+                20, seed=3).to_traces())
+    with pytest.raises(ValueError, match="different module"):
+        BatchedSimulator(load("b01"), lanes=4, netlist=netlist)

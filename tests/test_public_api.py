@@ -31,14 +31,14 @@ class TestPublicApi:
         assert simulator.lanes == 4
 
     def test_mining_engine_surface_exported(self):
-        """The PR-4 mining engine API must be reachable from the top level."""
-        from repro import MINE_ENGINES
+        """The columnar A-Miner is importable from :mod:`repro.mining`."""
         from repro.designs import arbiter2
-        from repro.mining import ColumnarDecisionTree, create_dataset, create_decision_tree
+        from repro.mining import ColumnarDataset, ColumnarDecisionTree
 
-        assert set(MINE_ENGINES) == {"rowwise", "columnar"}
-        dataset = create_dataset(arbiter2(), "gnt0", engine="columnar", window=2)
-        assert isinstance(create_decision_tree(dataset), ColumnarDecisionTree)
+        dataset = ColumnarDataset(arbiter2(), "gnt0", window=2)
+        tree = ColumnarDecisionTree(dataset)
+        tree.build()
+        assert tree.candidate_assertions()
 
     def test_coverage_surface_exported(self):
         from repro import CoverageRunner, RandomStimulus, measure_coverage
