@@ -1,7 +1,7 @@
 """Chaos recovery: fault-injected closure runs vs clean runs, gated on identity.
 
 Runs the full counterexample-guided refinement loop with the formal stage
-on worker processes while a pinned :class:`repro.formal.chaos.ChaosPlan`
+on worker processes while a pinned :class:`repro.chaos.ChaosPlan`
 kills or wedges workers mid-run, and measures what supervision costs:
 
 * **identity gate (always, including CI smoke)** — every chaos schedule's
@@ -29,12 +29,12 @@ import time
 
 from _utils import run_once, write_bench_json
 
+from repro import chaos
+from repro.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
 from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
 from repro.designs import info as design_info
 from repro.experiments.common import format_table
-from repro.formal import chaos
-from repro.formal.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
 from repro.formal.proofcache import ProofCache
 from repro.sim.stimulus import RandomStimulus
 
@@ -62,9 +62,9 @@ SCHEDULES = (
      lambda: ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)})),
     ("kill-budget-exhausted",
      lambda: ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
-                       max_restarts=0)),
+                       retry_budget=0)),
     ("seeded-double-fault",
-     lambda: ChaosPlan.seeded(7, workers=WORKERS, faults=2)),
+     lambda: ChaosPlan.seeded(7, WORKERS, faults=2, max_after=2)),
 )
 
 

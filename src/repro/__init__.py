@@ -40,6 +40,10 @@ The main entry points are:
 * :mod:`repro.runner` — parallel experiment orchestration (job specs,
   worker pool, checkpoint/resume), exposed on the command line as
   ``python -m repro`` — see ``docs/EXPERIMENTS.md``.
+* :mod:`repro.workers` — the one supervised worker substrate both
+  process pools (formal checks, runner jobs) run on; :mod:`repro.chaos`
+  is its deterministic fault injector and :mod:`repro.supervise` its
+  primitives.
 """
 
 from repro.assertions import Assertion, Literal, Verdict

@@ -26,16 +26,16 @@ of **persistent** verification worker processes:
   including the ``proof_strength`` field the k-induction/tiered engines
   set — so proof strength survives sharding byte-for-byte.
 
-The pool prefers the ``fork`` start method (mirroring
-:mod:`repro.runner.pool`): workers inherit the already-elaborated module
+Workers are forked where the platform allows (see
+:mod:`repro.workers`): they inherit the already-elaborated module
 and the parent's hash seed, so no pickling of the design is needed and
 set/dict iteration orders match the parent exactly.  Under ``spawn`` the
 module is pickled to the workers instead; results are still canonical.
 
-**Supervision** (the fault-tolerance layer, built from
-:mod:`repro.supervise`): a worker that dies mid-batch — crash,
-OOM-kill, external SIGKILL — or wedges (no answer within the shard's
-deadline; killed with terminate→kill escalation) is respawned and its
+**Supervision** comes from the shared substrate
+(:class:`repro.workers.SupervisedPool`), with formal's policy on top: a
+worker that dies mid-batch — crash, OOM-kill, external SIGKILL — or
+wedges (no answer by the shard's deadline) is respawned and its
 *unanswered shard deterministically requeued* to the replacement.
 Because sharding is content-hashed and every engine is canonical, the
 recovered batch is field-for-field identical to a fault-free run — the
@@ -47,39 +47,25 @@ failures — the engine itself raising, or failing to build — still
 propagate as :class:`~repro.formal.result.FormalEngineError`: respawning
 cannot fix those, and masking them would hide real bugs.
 
-Orphan hygiene: workers are daemons, a ``weakref.finalize`` on the
-pool's live-process list sweeps them at collection or interpreter exit,
-and each worker polls its parent between requests and self-exits when
-the parent is gone — so Ctrl-C, ``os._exit`` or a SIGKILLed parent never
-strands children.
-
-The deterministic chaos harness (:mod:`repro.formal.chaos`) threads
-scheduled faults into worker startup behind a test-only hook
-(:func:`repro.formal.chaos.active_plan`); with no plan installed the
-hook is a single module lookup per pool start.
+The deterministic chaos harness (:mod:`repro.chaos`) arms scheduled
+faults per worker slot behind a test-only hook
+(:func:`repro.chaos.active_plan`); with no plan installed the hook is a
+single module lookup per pool start.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
 import traceback
-import weakref
 from typing import Mapping, Sequence
 
-from repro import supervise
+from repro import chaos, supervise
 from repro.assertions.assertion import Assertion
-from repro.formal import chaos
 from repro.formal.result import CheckResult, FormalEngineError
 from repro.formal.proofcache import assertion_shard
 from repro.hdl.module import Module
+from repro.workers import ANSWER, DEADLINE, Policy, SupervisedPool, serve
 
-#: Poll interval while waiting on a worker's response queue; each poll
-#: re-checks process liveness so a crashed worker fails fast.
-_POLL_SECONDS = 0.2
-#: How long an idle worker waits for a request before re-checking that
-#: its parent is still alive (the self-exit-on-orphan poll).
-_PARENT_POLL_SECONDS = 1.0
 #: Ceiling on a best-effort stats round trip (a wedged worker must not
 #: hang ``close()``'s final telemetry read).
 _STATS_TIMEOUT_SECONDS = 5.0
@@ -88,62 +74,35 @@ _STATS_TIMEOUT_SECONDS = 5.0
 _WEDGE_SLACK_SECONDS = 30.0
 
 
-def _multiprocessing_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - Windows
-        return multiprocessing.get_context()
-
-
 def _worker_main(module: Module, engine_name: str, engine_kwargs: dict,
-                 requests, responses, fault=None) -> None:
+                 requests, responses) -> None:
     """Body of one verification worker: build the engine, serve requests.
 
-    ``fault`` is a chaos-injected :class:`repro.formal.chaos.WorkerFault`
-    (test-only; ``None`` in production): after serving its scheduled
-    number of messages the worker dies or wedges instead of answering.
-
-    The request wait is a timed poll so an orphaned worker notices its
-    parent's death within ~1s and exits on its own — the last line of
-    defence when the parent skipped every cleanup path (SIGKILL,
-    ``os._exit``).
+    A request is ``("check", [(sequence, assertion), ...])`` or
+    ``("stats", None)``; the answers are ``("results", [(sequence,
+    result), ...])``, ``("stats", reuse_stats)`` or, for a deterministic
+    engine failure, ``("error" | "fatal", traceback)``.
     """
-    import multiprocessing
-
     from repro.formal.checker import build_engine
 
-    parent = multiprocessing.parent_process()
     try:
         engine = build_engine(module, engine_name, **engine_kwargs)
     except Exception:  # noqa: BLE001 - reported to the parent
         responses.put(("fatal", traceback.format_exc(limit=8)))
         return
-    handled = 0
-    while True:
-        try:
-            kind, payload = requests.get(timeout=_PARENT_POLL_SECONDS)
-        except queue_module.Empty:
-            if parent is not None and not parent.is_alive():
-                return  # orphaned: the parent can never send another request
-            continue
-        if kind == "stop":
-            return
-        handled += 1
-        if fault is not None and fault.fires(handled):
-            chaos.suffer(fault)  # dies or wedges; does not return
+
+    def handle(request):
+        kind, payload = request
         if kind == "stats":
             reuse_stats = getattr(engine, "reuse_stats", None)
-            responses.put(("stats", reuse_stats() if reuse_stats else {}))
-            continue
+            return "stats", reuse_stats() if reuse_stats else {}
         try:
-            results = [(sequence, engine.check(assertion))
-                       for sequence, assertion in payload]
+            return "results", [(sequence, engine.check(assertion))
+                               for sequence, assertion in payload]
         except Exception:  # noqa: BLE001 - reported to the parent
-            responses.put(("error", traceback.format_exc(limit=8)))
-            continue
-        responses.put(("results", results))
+            return "error", traceback.format_exc(limit=8)
+
+    serve(handle, requests, responses)
 
 
 class FormalWorkerPool:
@@ -170,9 +129,8 @@ class FormalWorkerPool:
         self.engine_name = engine_name
         self.engine_kwargs = dict(engine_kwargs or {})
         self.workers = workers
-        self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.wedge_timeout = wedge_timeout
+        self._policy = Policy(deadline=wedge_timeout, retry_budget=max_restarts,
+                              backoff=restart_backoff)
         self.batches = 0
         self.dispatched = 0
         # --- supervision telemetry (operational; never in deterministic
@@ -180,77 +138,27 @@ class FormalWorkerPool:
         self.restarts = 0
         self.wedge_kills = 0
         self.fallback_checks = 0
-        self._processes: list | None = None
-        self._requests: list = []
-        self._responses: list = []
-        self._ctx = None
-        self._budget: supervise.RestartBudget | None = None
-        self._chaos = None
+        self._workers: SupervisedPool | None = None
         self._fallback = None
-        #: Stable list the exit finalizer sweeps; processes are added at
-        #: spawn and removed when joined/discarded.  The finalizer holds
-        #: this list, never the pool (which would leak it).
-        self._live: list = []
-        self._finalizer = weakref.finalize(self, supervise.reap_processes,
-                                           self._live)
 
     # ------------------------------------------------------------------
     @property
     def started(self) -> bool:
-        return self._processes is not None
+        return self._workers is not None
 
     def ensure_started(self) -> None:
         """Spawn the worker processes (idempotent; restarts after close)."""
-        if self._processes is not None:
+        if self._workers is not None:
             return
-        self._chaos = chaos.active_plan()
-        if self._chaos is not None:
-            self._chaos.configure_pool(self)
-        self._ctx = _multiprocessing_context()
-        self._budget = supervise.RestartBudget(self.max_restarts,
-                                               self.restart_backoff)
-        self._processes, self._requests, self._responses = [], [], []
-        for index in range(self.workers):
-            self._spawn(index, replace=False)
-
-    def _spawn(self, index: int, replace: bool) -> None:
-        """Start worker ``index`` on fresh queues (initial spawn or respawn).
-
-        Respawns always get fresh queues: the old response queue may hold
-        a partial/garbled message from the dead worker, and fresh queues
-        guarantee the replacement's answers can never interleave with
-        stale ones.
-        """
-        fault = self._chaos.take_fault(index) if self._chaos is not None else None
-        request_queue = self._ctx.Queue()
-        response_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(self.module, self.engine_name, self.engine_kwargs,
-                  request_queue, response_queue, fault),
-            name=f"formal-worker-{index}",
-            daemon=True,
-        )
-        process.start()
-        if replace:
-            self._processes[index] = process
-            self._requests[index] = request_queue
-            self._responses[index] = response_queue
-        else:
-            self._processes.append(process)
-            self._requests.append(request_queue)
-            self._responses.append(response_queue)
-        self._live.append(process)
-
-    def _discard_worker(self, index: int) -> None:
-        """Forget a dead/killed worker's process and queues."""
-        process = self._processes[index]
-        try:
-            self._live.remove(process)
-        except ValueError:  # pragma: no cover - already swept
-            pass
-        supervise.discard_queue(self._requests[index])
-        supervise.discard_queue(self._responses[index])
+        plan = chaos.active_plan()
+        policy = self._policy if plan is None else plan.apply(self._policy)
+        # The worker target is looked up here, at spawn time, so a
+        # wrapper installed on ``_worker_main`` reaches the workers.
+        self._workers = SupervisedPool(
+            "formal-worker", _worker_main,
+            (self.module, self.engine_name, self.engine_kwargs),
+            slots=self.workers, policy=policy)
+        self._workers.start(plan)
 
     # ------------------------------------------------------------------
     def check_batch(self, indexed: Sequence[tuple[int, Assertion]]
@@ -285,99 +193,58 @@ class FormalWorkerPool:
         return results
 
     def _send(self, worker: int, shard: list) -> None:
-        try:
-            self._requests[worker].put(("check", shard))
-        except (ValueError, OSError):  # pragma: no cover - queue closed
-            pass  # _collect will find the worker dead and recover
-
-    def _shard_deadline(self, shard_size: int) -> float | None:
-        if self.wedge_timeout is not None:
-            return time.monotonic() + self.wedge_timeout
+        deadline = self._workers.policy.deadline
         query_timeout = self.engine_kwargs.get("query_timeout")
-        if query_timeout:
-            return (time.monotonic() + shard_size * query_timeout
-                    + _WEDGE_SLACK_SECONDS)
-        return None
+        if deadline is None and query_timeout:
+            deadline = len(shard) * query_timeout + _WEDGE_SLACK_SECONDS
+        self._workers.submit(worker, ("check", shard), deadline)
 
     def _collect(self, worker: int, shard: list,
                  results: dict[int, CheckResult]) -> None:
         """Wait for ``worker``'s answer to ``shard``, supervising it.
 
-        Recovery paths: a dead worker (crashed, killed) or a wedged one
-        (no answer by the shard deadline; killed with terminate→kill
-        escalation) is respawned on fresh queues and the shard resent.
-        Respawns are charged to the slot's restart budget; when it is
-        exhausted the shard runs on the in-process fallback engine.
-        Deterministic worker failures ("error"/"fatal" messages) raise —
-        supervision cannot fix a reproducible engine exception.
+        A dead or wedged (killed) worker is respawned and the shard
+        resent, charged to the slot's restart budget; once it is spent
+        the shard runs on the in-process fallback engine.  Deterministic
+        worker failures ("error"/"fatal" answers) raise — supervision
+        cannot fix a reproducible engine exception.
         """
-        deadline = self._shard_deadline(len(shard))
         while True:
-            process = self._processes[worker]
-            try:
-                message = self._responses[worker].get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                if not process.is_alive():
-                    # One last non-blocking drain: the worker may have
-                    # posted its answer just before exiting.
-                    try:
-                        message = self._responses[worker].get_nowait()
-                    except queue_module.Empty:
-                        if self._revive(worker, shard):
-                            deadline = self._shard_deadline(len(shard))
-                            continue
-                        self._fallback_shard(shard, results)
-                        return
-                elif deadline is not None and time.monotonic() >= deadline:
-                    # Wedged: alive but silent past the shard's deadline.
-                    self.wedge_kills += 1
-                    supervise.stop_process(process)
-                    if self._revive(worker, shard):
-                        deadline = self._shard_deadline(len(shard))
-                        continue
-                    self._fallback_shard(shard, results)
+            event, detail = self._workers.wait(worker)
+            if event == ANSWER:
+                kind, payload = detail
+                if kind == "results":
+                    results.update(payload)
                     return
-                else:
-                    continue
-            kind, payload = message
-            if kind == "results":
-                for sequence, result in payload:
-                    results[sequence] = result
+                # Other workers of this batch may still have responses
+                # queued; tear the pool down so a retry starts from clean
+                # queues instead of merging stale results by sequence id.
+                self.close()
+                raise FormalEngineError(
+                    f"formal worker {worker} failed:\n{payload}")
+            if event == DEADLINE:
+                self.wedge_kills += 1
+            delay = self._workers.retry_delay(
+                worker, f"checking {len(shard)} candidate(s) of "
+                        f"formal-worker-{worker} in-process")
+            if delay is None:
+                self._fallback_shard(shard, results)
                 return
-            # "error"/"fatal": deterministic failure inside the engine.
-            # Other workers of this batch may still have responses queued;
-            # tear the pool down so a retry starts from clean queues
-            # instead of merging stale results by sequence id.
-            self.close()
-            raise FormalEngineError(f"formal worker {worker} failed:\n{payload}")
-
-    def _revive(self, worker: int, shard: list) -> bool:
-        """Respawn slot ``worker`` and requeue ``shard``, if budget allows."""
-        delay = self._budget.next_delay(worker)
-        if delay is None:
-            return False
-        if delay > 0:
             time.sleep(delay)
-        self._discard_worker(worker)
-        self._spawn(worker, replace=True)
-        self.restarts += 1
-        self._send(worker, list(shard))
-        return True
+            self._workers.respawn(worker)
+            self.restarts += 1
+            self._send(worker, shard)
 
-    def _fallback_engine(self):
+    def _fallback_shard(self, shard: list,
+                        results: dict[int, CheckResult]) -> None:
+        """Check ``shard`` in-process — the post-budget degradation tier."""
         if self._fallback is None:
             from repro.formal.checker import build_engine
 
             self._fallback = build_engine(self.module, self.engine_name,
                                           **self.engine_kwargs)
-        return self._fallback
-
-    def _fallback_shard(self, shard: list,
-                        results: dict[int, CheckResult]) -> None:
-        """Check ``shard`` in-process — the post-budget degradation tier."""
-        engine = self._fallback_engine()
         for sequence, assertion in shard:
-            results[sequence] = engine.check(assertion)
+            results[sequence] = self._fallback.check(assertion)
         self.fallback_checks += len(shard)
 
     # ------------------------------------------------------------------
@@ -393,19 +260,18 @@ class FormalWorkerPool:
         """
         merged: dict[str, int] = {}
         sources: list[dict] = []
-        if self._processes is not None:
+        if self._workers is not None:
             for worker in range(self.workers):
-                if not self._processes[worker].is_alive():
+                if not self._workers.alive(worker):
                     continue
-                try:
-                    self._requests[worker].put(("stats", None))
-                except (ValueError, OSError):  # pragma: no cover
-                    continue
-                kind, payload = self._receive_stats(worker)
-                if kind != "stats":
+                self._workers.submit(worker, ("stats", None),
+                                     _STATS_TIMEOUT_SECONDS)
+                event, detail = self._workers.wait(worker)
+                if event != ANSWER or detail[0] != "stats":
                     raise FormalEngineError(
-                        f"formal worker {worker} failed:\n{payload}")
-                sources.append(payload)
+                        f"formal worker {worker} failed a stats request: "
+                        f"{event} {detail}")
+                sources.append(detail[1])
         if self._fallback is not None:
             fallback_stats = getattr(self._fallback, "reuse_stats", None)
             if fallback_stats is not None:
@@ -421,57 +287,12 @@ class FormalWorkerPool:
         merged["fallback_checks"] = self.fallback_checks
         return merged
 
-    def _receive_stats(self, worker: int):
-        """Bounded wait for a stats answer (telemetry must never hang)."""
-        process = self._processes[worker]
-        deadline = time.monotonic() + _STATS_TIMEOUT_SECONDS
-        while True:
-            try:
-                return self._responses[worker].get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                if not process.is_alive():
-                    try:
-                        return self._responses[worker].get_nowait()
-                    except queue_module.Empty:
-                        raise FormalEngineError(
-                            f"formal worker {worker} died "
-                            f"(exit code {process.exitcode})") from None
-                if time.monotonic() >= deadline:
-                    raise FormalEngineError(
-                        f"formal worker {worker} did not answer a stats "
-                        f"request within {_STATS_TIMEOUT_SECONDS}s")
-
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop every worker (idempotent); the pool may be started again.
-
-        Cooperative stop first (a "stop" message and a grace join), then
-        terminate→kill escalation for any survivor — a wedged worker
-        ignoring SIGTERM still comes down.
-        """
-        if self._processes is None:
-            return
-        processes, self._processes = self._processes, None
-        requests, self._requests = self._requests, []
-        responses, self._responses = self._responses, []
-        for worker, process in enumerate(processes):
-            if process.is_alive():
-                try:
-                    requests[worker].put(("stop", None))
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-        for process in processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                supervise.stop_process(process)
-            try:
-                self._live.remove(process)
-            except ValueError:  # pragma: no cover - already swept
-                pass
-        for closing in (*requests, *responses):
-            supervise.discard_queue(closing)
-        self._budget = None
-        self._chaos = None
+        """Stop every worker (idempotent); the pool may be started again."""
+        if self._workers is not None:
+            pool, self._workers = self._workers, None
+            pool.close()
 
     def __enter__(self) -> "FormalWorkerPool":
         self.ensure_started()

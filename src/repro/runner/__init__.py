@@ -7,13 +7,14 @@ into declarative, independently-schedulable jobs:
   :class:`JobSpec` / :class:`RunOptions`: the declarative layer.  One
   spec per paper figure/table plus the ad-hoc ``sweep``.
 * :mod:`repro.runner.specs` — the built-in specs (registered on import).
-* :mod:`repro.runner.pool` — supervised multiprocess fan-out with per-job
-  wall-clock/cycle accounting, worker respawn + deterministic requeue on
-  crash, per-job deadlines, an RSS-growth memory watchdog with degraded
-  retries, and bounded retry budgets with poison quarantine; serial,
-  parallel, and fault-recovered runs produce identical artifact JSON.
-* :mod:`repro.runner.chaos` — deterministic fault injection (seeded
-  kill/wedge/OOM schedules per job index) for tests and benchmarks.
+* :mod:`repro.runner.pool` — the runner's policy over the shared
+  supervised substrate (:mod:`repro.workers`): any-idle-slot routing,
+  per-job wall-clock/cycle accounting, deterministic requeue on worker
+  death, per-job deadlines, an RSS-growth memory watchdog with a
+  degraded retry, and bounded retry budgets with poison quarantine;
+  serial, parallel, and fault-recovered runs produce identical artifact
+  JSON.  Fault injection for tests and benchmarks is :mod:`repro.chaos`
+  (plans keyed by job index).
 * :mod:`repro.runner.checkpoint` — JSON-lines completion log under
   ``artifacts/<run-id>/``; killed runs resume without re-running
   completed jobs.

@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                      type=float, default=None, metavar="MB",
                      help="RSS-growth budget per job in MB (default: "
                           "unbounded); an over-budget worker is killed and "
-                          "the job retried once in degraded mode (reduced "
-                          "sim_lanes, in-process formal) before the retry "
-                          "budget applies; requires /proc, disabled elsewhere")
+                          "the job retried once in degraded mode (sim_lanes "
+                          "capped at 16) before the retry budget applies; "
+                          "requires /proc, disabled elsewhere")
     run.add_argument("--job-retries", dest="job_retries", type=int, default=2,
                      metavar="N",
                      help="fault retries per job before quarantine, counted "

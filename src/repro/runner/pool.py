@@ -7,31 +7,27 @@ record per completed job as it finishes.  Jobs already present in the
 checkpoint are skipped, which is what makes a killed run resumable:
 re-invoking the same command picks up exactly where the log ends.
 
-Unlike the bare ``multiprocessing.Pool`` this replaced, the supervised
-pool owns one worker process per slot on dedicated queue pairs and polls
-them for liveness, so the whole-run failure modes of ``imap_unordered``
-are gone:
+The worker processes, their liveness/deadline/RSS supervision and their
+orphan hygiene are the shared substrate's
+(:class:`repro.workers.SupervisedPool`); routing is any idle slot.  What
+this module adds is the runner's policy per job:
 
 * **Worker death** (SIGKILL, OOM kill, segfault) — the slot is respawned
   on fresh queues and the in-flight job deterministically requeued; the
   run continues.
 * **Runaway jobs** — an optional per-job wall-clock deadline
-  (``job_timeout``) ends an over-deadline worker with terminate→kill
-  escalation and requeues the job.
+  (``job_timeout``) ends an over-deadline worker and requeues the job.
 * **Memory pressure** — an optional RSS watchdog (``memory_budget_mb``)
   kills a worker whose resident set grows more than the budget past its
-  post-spawn baseline (growth, not absolute RSS: forked children inherit
-  the parent's resident pages) and retries the job once in degraded mode
-  (``sim_lanes``/``formal_workers`` reduced — payloads are invariant to
-  both, so the artifact is unchanged; the degradation is recorded).
-* **Poison jobs** — every fault is charged to the job's bounded retry
-  budget (exponential backoff between attempts); a job that exhausts it
-  is quarantined as ``status: "poisoned"`` (or ``"timed_out"`` when the
-  final fault was its deadline) with its attempt count and fault history
-  persisted, and is never retried on resume without ``retry_poisoned``.
-* **Orphans** — workers self-exit when the parent dies, and a
-  ``weakref.finalize`` reaper sweeps any still-live children if the pool
-  is dropped without ``close()``.
+  post-spawn baseline and retries the job once, free of charge, in
+  degraded mode (``sim_lanes`` reduced — payloads are invariant to it,
+  so the artifact is unchanged; the degradation is recorded).
+* **Poison jobs** — every other fault is charged to the job's bounded
+  retry budget (exponential backoff between attempts); a job that
+  exhausts it is quarantined as ``status: "poisoned"`` (or
+  ``"timed_out"`` when the final fault was its deadline) with its
+  attempt count and fault history persisted, and is never retried on
+  resume without ``retry_poisoned``.
 
 Determinism contract: a job's payload depends only on its params, never
 on scheduling or supervision, so serial, parallel, and fault-recovered
@@ -41,46 +37,39 @@ attempt accounting aside).  Failures *inside* a job are recorded
 whole run; the surviving jobs still checkpoint, and the CLI exits
 non-zero.
 
-Chaos injection: when a :class:`repro.runner.chaos.RunnerChaosPlan` is
-installed (test-only), its per-job-index faults are shipped to workers
-on each job's first in-run attempt and its supervision overrides apply —
-see :mod:`repro.runner.chaos`.
+Chaos injection: when a :class:`repro.chaos.ChaosPlan` is installed
+(test-only), it is keyed by job index — the position of a job in the
+run's pending list — and each fault travels with that job's first
+in-run attempt; the plan's supervision overrides apply to the run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 import traceback
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from queue import Empty
 from typing import Callable, Sequence
 
-from repro import supervise
-from repro.runner import chaos
+from repro import chaos, supervise
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.registry import JobSpec, get_experiment
+from repro.workers import (
+    ANSWER,
+    DEADLINE,
+    MEMORY,
+    POLL_SECONDS,
+    Policy,
+    SupervisedPool,
+    serve,
+)
 
 #: Default per-job retry budget: faults beyond these retries quarantine
 #: the job.  Chosen to match the formal layer's restart allowance.
 DEFAULT_RETRY_BUDGET = 2
-#: Degraded-mode overrides applied after a memory kill (only to params
-#: the job actually has): fewer simulation lanes, in-process formal
-#: execution.  Both are payload-invariant knobs.
+#: Degraded-mode simulation lanes after a memory kill (only for jobs
+#: that have the param); a payload-invariant knob.
 DEGRADED_SIM_LANES = 16
-DEGRADED_FORMAL_WORKERS = 1
-
-#: Supervision poll cadence (response drain, liveness, deadline, RSS).
-_POLL_SECONDS = 0.05
-#: How long an idle worker waits for a message before checking whether
-#: its parent is still alive (orphan self-exit).
-_PARENT_POLL_SECONDS = 0.5
-#: Extra drain window for the answer-then-die race: a worker that wrote
-#: its response and was killed before the parent noticed.
-_DRAIN_SECONDS = 0.2
 
 #: Counter keys ``execute_jobs`` maintains in its ``stats`` out-param.
 STAT_KEYS = ("worker_restarts", "job_timeouts", "memory_kills",
@@ -109,40 +98,11 @@ def run_one_job(task: tuple[str, str, dict]) -> dict:
     return record
 
 
-def _worker_main(requests, responses) -> None:
-    """Runner worker loop: execute job messages until told to stop.
-
-    Between messages the worker checks its parent is still alive and
-    self-exits if not — a killed supervisor can never strand workers.
-    A shipped chaos fault is suffered *instead of* answering, faithfully
-    reproducing a worker that died or wedged mid-job.
-    """
-    parent = multiprocessing.parent_process()
-    while True:
-        try:
-            message = requests.get(timeout=_PARENT_POLL_SECONDS)
-        except Empty:
-            if parent is not None and not parent.is_alive():
-                os._exit(0)
-            continue
-        except (EOFError, OSError):  # pragma: no cover - queues torn down
-            os._exit(0)
-        if message[0] == "stop":
-            return
-        _, task, fault = message
-        if fault is not None:
-            chaos.suffer(fault)  # never returns
-        responses.put(run_one_job(task))
-
-
 def _degraded_overrides(params) -> dict:
     """Reduced-resource params for a memory-kill retry (present keys only)."""
-    overrides = {}
     if "sim_lanes" in params:
-        overrides["sim_lanes"] = min(int(params["sim_lanes"]), DEGRADED_SIM_LANES)
-    if "formal_workers" in params:
-        overrides["formal_workers"] = DEGRADED_FORMAL_WORKERS
-    return overrides
+        return {"sim_lanes": min(int(params["sim_lanes"]), DEGRADED_SIM_LANES)}
+    return {}
 
 
 @dataclass
@@ -150,18 +110,18 @@ class _JobState:
     """Supervision bookkeeping for one pending job."""
 
     job: JobSpec
-    #: Position in the run's pending list — the key chaos plans use.
+    #: Position in the run's pending list — the key chaos plans and the
+    #: retry budget use.
     index: int
     #: Executions recorded by previous runs (from the checkpoint record).
     prior_attempts: int = 0
     #: Executions started in this run.
     runs: int = 0
-    #: Faults charged to the retry budget in this run.
-    retries_used: int = 0
     faults: list = field(default_factory=list)
     degraded: dict | None = None
     #: Earliest monotonic time the next attempt may dispatch (backoff).
     ready_at: float = 0.0
+    started_at: float = 0.0
 
     @property
     def attempts(self) -> int:
@@ -174,23 +134,8 @@ class _JobState:
         return task
 
 
-class _Slot:
-    """One supervised worker: process + queue pair + in-flight job."""
-
-    __slots__ = ("process", "requests", "responses", "state", "started_at",
-                 "baseline_rss")
-
-    def __init__(self, process, requests, responses, baseline_rss):
-        self.process = process
-        self.requests = requests
-        self.responses = responses
-        self.baseline_rss = baseline_rss
-        self.state: _JobState | None = None
-        self.started_at = 0.0
-
-
 class SupervisedJobPool:
-    """Per-slot supervised workers with requeue, deadlines, and governance.
+    """The runner's policy over a :class:`repro.workers.SupervisedPool`.
 
     One-shot: construct, :meth:`run` one batch of job states, done.
     ``stats`` (a mutable dict) accumulates the :data:`STAT_KEYS` counters
@@ -206,111 +151,42 @@ class SupervisedJobPool:
                  stats: dict | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-        self._job_timeout = job_timeout
-        self._memory_budget_bytes = (None if memory_budget_mb is None
-                                     else memory_budget_mb * (1 << 20))
-        self._retry_budget = retry_budget
-        self._backoff = backoff
         self._chaos_plan = chaos_plan
         self.stats = stats if stats is not None else {}
         for key in STAT_KEYS:
             self.stats.setdefault(key, 0)
-        # fork where available: workers inherit the parent's registry, so
-        # specs registered at runtime (not just the import-time built-ins)
-        # resolve in the children.
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - Windows
-            self._context = multiprocessing.get_context()
-        self._slots: list[_Slot | None] = [None] * workers
-        self._live: list = []
-        self._finalizer = weakref.finalize(self, supervise.reap_processes,
-                                           self._live)
+        policy = Policy(deadline=job_timeout, retry_budget=retry_budget,
+                        backoff=backoff, memory_budget_mb=memory_budget_mb)
+        self._workers = SupervisedPool("runner-worker", serve, (run_one_job,),
+                                       slots=workers, policy=policy)
+        #: slot → the job state it is executing.
+        self._running: dict[int, _JobState] = {}
 
-    # ------------------------------------------------------------------
-    # worker lifecycle
-    # ------------------------------------------------------------------
-    def _spawn(self, index: int) -> None:
-        old = self._slots[index]
-        if old is not None:
-            if old.process in self._live:
-                self._live.remove(old.process)
-            supervise.discard_queue(old.requests)
-            supervise.discard_queue(old.responses)
-        requests = self._context.Queue()
-        responses = self._context.Queue()
-        process = self._context.Process(target=_worker_main,
-                                        args=(requests, responses),
-                                        name=f"runner-worker-{index}",
-                                        daemon=True)
-        process.start()
-        self._live.append(process)
-        # RSS right after spawn: the watchdog meters growth over this
-        # baseline, since a forked child's absolute RSS includes every
-        # page inherited from the parent.  None → probe unsupported →
-        # memory governance disabled for this slot.
-        baseline = supervise.process_rss_bytes(process.pid)
-        self._slots[index] = _Slot(process, requests, responses, baseline)
-
-    def _respawn(self, index: int) -> None:
-        """Replace a dead/killed worker on fresh queues (fault path)."""
-        self.stats["worker_restarts"] += 1
-        self._spawn(index)
-
-    def close(self) -> None:
-        """Stop every worker: cooperative stop → join → escalation."""
-        for slot in self._slots:
-            if slot is None:
-                continue
-            try:
-                if slot.process.is_alive():
-                    slot.requests.put(("stop",))
-            except (ValueError, OSError):  # pragma: no cover - torn down
-                pass
-        for index, slot in enumerate(self._slots):
-            if slot is None:
-                continue
-            slot.process.join(2.0)
-            supervise.stop_process(slot.process)
-            if slot.process in self._live:
-                self._live.remove(slot.process)
-            supervise.discard_queue(slot.requests)
-            supervise.discard_queue(slot.responses)
-            self._slots[index] = None
-
-    # ------------------------------------------------------------------
-    # the supervision loop
-    # ------------------------------------------------------------------
     def run(self, states: Sequence[_JobState],
             absorb: Callable[[dict], None]) -> None:
         """Run every job state to a final record, surviving worker faults."""
         pending: deque[_JobState] = deque(states)
-        for index in range(len(self._slots)):
-            self._spawn(index)
+        self._workers.start()
         try:
-            while pending or any(slot is not None and slot.state is not None
-                                 for slot in self._slots):
+            while pending or self._running:
                 progressed = self._dispatch(pending)
                 progressed |= self._supervise(pending, absorb)
                 if not progressed:
-                    time.sleep(_POLL_SECONDS)
+                    time.sleep(POLL_SECONDS)
         finally:
-            self.close()
+            self._workers.close()
+            self.stats["worker_restarts"] += self._workers.restarts
+            self.stats["job_timeouts"] += self._workers.deadline_kills
+            self.stats["memory_kills"] += self._workers.memory_kills
 
     def _dispatch(self, pending: deque) -> bool:
         progressed = False
         now = time.monotonic()
-        for index, slot in enumerate(self._slots):
-            if slot.state is not None:
+        for index in range(len(self._workers.slots)):
+            if index in self._running:
                 continue
-            if not slot.process.is_alive():
-                # Idle worker died (external kill): replace it.
-                self._respawn(index)
-                slot = self._slots[index]
-            if not pending:
-                continue
+            if not self._workers.alive(index):
+                self._workers.respawn(index)  # an idle worker died
             state = self._next_ready(pending, now)
             if state is None:
                 continue
@@ -318,9 +194,10 @@ class SupervisedJobPool:
             if self._chaos_plan is not None and state.runs == 0:
                 fault = self._chaos_plan.take_fault(state.index)
             state.runs += 1
-            slot.state = state
-            slot.started_at = now
-            slot.requests.put(("job", state.current_task(), fault))
+            state.started_at = now
+            self._running[index] = state
+            self._workers.submit(index, state.current_task(),
+                                 self._workers.policy.deadline, fault)
             progressed = True
         return progressed
 
@@ -335,67 +212,22 @@ class SupervisedJobPool:
 
     def _supervise(self, pending: deque, absorb) -> bool:
         progressed = False
-        for index, slot in enumerate(self._slots):
-            if slot.state is None:
+        for index, state in list(self._running.items()):
+            event = self._workers.poll(index)
+            if event is None:
                 continue
-            record = self._poll_response(slot)
-            if record is not None:
-                self._finish(slot, record, absorb)
-                progressed = True
-                continue
-            if not slot.process.is_alive():
-                # Answer-then-die race: drain once before declaring the
-                # job unanswered.
-                record = self._poll_response(slot, timeout=_DRAIN_SECONDS)
-                if record is not None:
-                    self._finish(slot, record, absorb)
-                else:
-                    self._fault(slot, "crash",
-                                {"exitcode": slot.process.exitcode},
-                                pending, absorb)
-                self._respawn(index)
-                progressed = True
-                continue
-            now = time.monotonic()
-            if (self._job_timeout is not None
-                    and now - slot.started_at > self._job_timeout):
-                supervise.stop_process(slot.process)
-                self.stats["job_timeouts"] += 1
-                self._fault(slot, "deadline",
-                            {"timeout_seconds": self._job_timeout},
-                            pending, absorb)
-                self._respawn(index)
-                progressed = True
-                continue
-            if (self._memory_budget_bytes is not None
-                    and slot.baseline_rss is not None):
-                rss = supervise.process_rss_bytes(slot.process.pid)
-                if (rss is not None
-                        and rss - slot.baseline_rss > self._memory_budget_bytes):
-                    supervise.stop_process(slot.process)
-                    self.stats["memory_kills"] += 1
-                    self._fault(slot, "memory",
-                                {"rss_bytes": rss,
-                                 "baseline_bytes": slot.baseline_rss},
-                                pending, absorb)
-                    self._respawn(index)
-                    progressed = True
+            del self._running[index]
+            kind, detail = event
+            if kind == ANSWER:
+                self._finish(state, detail, absorb)
+            else:
+                self._fault(state, kind, detail, pending, absorb)
+                self._workers.respawn(index)
+            progressed = True
         return progressed
 
     @staticmethod
-    def _poll_response(slot: _Slot, timeout: float | None = None):
-        try:
-            if timeout is None:
-                return slot.responses.get_nowait()
-            return slot.responses.get(timeout=timeout)
-        except Empty:
-            return None
-        except (EOFError, OSError):  # pragma: no cover - queues torn down
-            return None
-
-    def _finish(self, slot: _Slot, record: dict, absorb) -> None:
-        state = slot.state
-        slot.state = None
+    def _finish(state: _JobState, record: dict, absorb) -> None:
         record["attempts"] = state.attempts
         if state.degraded:
             record["degraded"] = dict(state.degraded)
@@ -403,16 +235,14 @@ class SupervisedJobPool:
             record["faults"] = list(state.faults)
         absorb(record)
 
-    def _fault(self, slot: _Slot, kind: str, detail: dict,
+    def _fault(self, state: _JobState, kind: str, detail: dict,
                pending: deque, absorb) -> None:
-        """Charge a fault to the in-flight job: requeue, degrade, or quarantine."""
-        state = slot.state
-        slot.state = None
+        """Charge a fault to a job: requeue, degrade, or quarantine."""
         entry = {"fault": kind, "attempt": state.attempts}
         entry.update(detail)
         state.faults.append(entry)
         now = time.monotonic()
-        if kind == "memory" and state.degraded is None:
+        if kind == MEMORY and state.degraded is None:
             # One free degraded-mode retry before memory faults start
             # consuming the regular budget.
             state.degraded = _degraded_overrides(state.job.params)
@@ -420,22 +250,21 @@ class SupervisedJobPool:
             self.stats["degraded_retries"] += 1
             pending.append(state)
             return
-        if state.retries_used < self._retry_budget:
-            state.retries_used += 1
-            delay = min(supervise.BACKOFF_CAP_SECONDS,
-                        self._backoff * (2 ** (state.retries_used - 1)))
+        delay = self._workers.retry_delay(
+            state.index, f"quarantining job {state.job.job_id}")
+        if delay is not None:
             state.ready_at = now + delay
             pending.append(state)
             return
         # Budget exhausted: quarantine with the full fault history.
-        if kind == "deadline":
+        if kind == DEADLINE:
             status = "timed_out"
-            error = (f"job exceeded {self._job_timeout:g}s deadline "
+            error = (f"job exceeded {detail['timeout_seconds']:g}s deadline "
                      f"({state.attempts} attempts)")
             self.stats["timed_out_jobs"] += 1
         else:
             status = "poisoned"
-            what = ("worker exceeded memory budget" if kind == "memory"
+            what = ("worker exceeded memory budget" if kind == MEMORY
                     else f"worker died (exitcode {detail.get('exitcode')})")
             error = f"{what} ({state.attempts} attempts)"
             self.stats["poisoned_jobs"] += 1
@@ -444,7 +273,7 @@ class SupervisedJobPool:
             "experiment": state.job.experiment,
             "status": status,
             "error": error,
-            "seconds": round(now - slot.started_at, 6),
+            "seconds": round(now - state.started_at, 6),
             "attempts": state.attempts,
             "faults": list(state.faults),
         }
@@ -488,16 +317,11 @@ def execute_jobs(jobs: Sequence[JobSpec], checkpoint: RunCheckpoint,
     for key in STAT_KEYS:
         stats.setdefault(key, 0)
 
+    policy = Policy(deadline=job_timeout, retry_budget=retry_budget,
+                    backoff=backoff, memory_budget_mb=memory_budget_mb)
     plan = chaos.active_plan()
     if plan is not None:
-        if plan.job_timeout is not None:
-            job_timeout = plan.job_timeout
-        if plan.memory_budget_mb is not None:
-            memory_budget_mb = plan.memory_budget_mb
-        if plan.retry_budget is not None:
-            retry_budget = plan.retry_budget
-        if plan.backoff is not None:
-            backoff = plan.backoff
+        policy = plan.apply(policy)
 
     records = checkpoint.completed()
     # Resume triage.  A failed record does not count as done —
@@ -519,7 +343,7 @@ def execute_jobs(jobs: Sequence[JobSpec], checkpoint: RunCheckpoint,
             if status in _QUARANTINED:
                 quarantined += 1
                 continue
-            if prior >= 1 + retry_budget:
+            if prior >= 1 + policy.retry_budget:
                 quarantined += 1
                 continue
         pending.append((job, prior))
@@ -548,8 +372,8 @@ def execute_jobs(jobs: Sequence[JobSpec], checkpoint: RunCheckpoint,
     if not pending:
         return records
 
-    supervised = (workers > 1 or job_timeout is not None
-                  or memory_budget_mb is not None or plan is not None)
+    supervised = (workers > 1 or policy.deadline is not None
+                  or policy.memory_budget_mb is not None or plan is not None)
     if not supervised:
         for job, prior in pending:
             record = run_one_job(job.task())
@@ -561,10 +385,10 @@ def execute_jobs(jobs: Sequence[JobSpec], checkpoint: RunCheckpoint,
     states = [_JobState(job=job, index=index, prior_attempts=prior)
               for index, (job, prior) in enumerate(pending)]
     pool = SupervisedJobPool(workers,
-                             job_timeout=job_timeout,
-                             memory_budget_mb=memory_budget_mb,
-                             retry_budget=retry_budget,
-                             backoff=backoff,
+                             job_timeout=policy.deadline,
+                             memory_budget_mb=policy.memory_budget_mb,
+                             retry_budget=policy.retry_budget,
+                             backoff=policy.backoff,
                              chaos_plan=plan,
                              stats=stats)
     pool.run(states, absorb)

@@ -1,32 +1,22 @@
 """Process-supervision and durability primitives shared by every layer.
 
-These started life in the formal layer as the building blocks of the
-formal worker pool's fault tolerance (PR 8).  The experiment
-runner needs the identical failure model — bounded restarts with
-backoff, terminate→kill escalation, orphan reaping — so the primitives
-now live here, deliberately free of any pool/engine/runner imports.
+The supervised worker substrate (:mod:`repro.workers`) is built from
+these; they are deliberately free of any pool/engine/runner imports.
 
-* :class:`RestartBudget` — a bounded, exponentially backed-off restart
-  allowance per supervised slot.  A supervisor consults it before
-  respawning a dead or wedged worker; once a slot's budget is exhausted
-  the supervisor stops respawning and degrades gracefully (in-process
+* :class:`RestartBudget` — a bounded, exponentially backed-off retry
+  allowance per key (a worker slot for the formal pool, a job index for
+  the runner).  A supervisor consults it before retrying a dead or
+  wedged worker's request; once a key's budget is exhausted the
+  supervisor stops retrying and degrades gracefully (in-process
   fallback for the formal pool, quarantine for the job runner) instead
   of failing the whole batch.
 * :func:`stop_process` — terminate→kill escalation for one process, the
   only sanctioned way a supervisor ends a worker that will not exit on
   its own (wedged in a query, ignoring SIGTERM, ...).
-* :func:`reap_processes` — the ``weakref.finalize``/atexit target that
-  sweeps a pool's live-process list when the pool is garbage collected
-  or the interpreter exits, so an unclosed pool can never strand
-  children.  It takes the mutable list (never the pool itself — a
-  finalizer holding its referent would leak it) and tolerates every
-  per-process failure: cleanup must not raise during interpreter exit.
-* :func:`discard_queue` — drop a multiprocessing queue without joining
-  its feeder thread; used when the queues of a dead worker are replaced.
 * :func:`process_rss_bytes` — resident-set size of a live process, the
-  probe behind the runner's memory watchdog.  Returns ``None`` where the
-  probe is unsupported (no procfs), so governance degrades to disabled
-  instead of crashing.
+  probe behind the memory watchdog.  Returns ``None`` where the probe is
+  unsupported (no procfs), so governance degrades to disabled instead
+  of crashing.
 * :func:`durable_write` / :func:`fsync_directory` — crash-safe file
   replacement: tmp write + file fsync + atomic rename + directory-entry
   fsync, so a power loss can never leave a truncated *or missing*
@@ -55,7 +45,7 @@ BACKOFF_CAP_SECONDS = 2.0
 
 
 class RestartBudget:
-    """Bounded restart allowance with exponential backoff, per slot.
+    """Bounded restart allowance with exponential backoff, per slot or key.
 
     ``next_delay(slot)`` either charges one restart to the slot and
     returns the delay to sleep before respawning (``backoff * 2**used``,
@@ -112,36 +102,6 @@ def stop_process(process, grace: float = 1.0) -> int | None:
     return process.exitcode
 
 
-def reap_processes(processes: list) -> None:
-    """Best-effort sweep of every process still alive in ``processes``.
-
-    Registered via ``weakref.finalize`` on the pool's live-process list;
-    runs when the pool is collected *or* at interpreter exit (finalize's
-    atexit guarantee), whichever comes first.  Never raises.
-    """
-    for process in list(processes):
-        try:
-            if process.is_alive():
-                stop_process(process, grace=0.5)
-        except Exception:  # noqa: BLE001 - exit-path cleanup must not raise
-            pass
-    del processes[:]
-
-
-def discard_queue(queue) -> None:
-    """Close a multiprocessing queue without joining its feeder thread.
-
-    Used for the queues of a dead/replaced worker: ``cancel_join_thread``
-    keeps a queue with unflushed buffered data from blocking interpreter
-    exit, and any error here is moot — the peer is gone.
-    """
-    try:
-        queue.cancel_join_thread()
-        queue.close()
-    except Exception:  # noqa: BLE001 - best-effort cleanup
-        pass
-
-
 # ----------------------------------------------------------------------
 # memory governance
 # ----------------------------------------------------------------------
@@ -193,13 +153,20 @@ def durable_write(path: str | os.PathLike, text: str) -> None:
     tmp (so the *data* is on disk before the rename makes it visible),
     atomically rename over the target, then fsync the directory entry.
     A kill, crash or power loss at any point leaves either the complete
-    old file or the complete new file — never a truncated or empty one.
+    old file or the complete new file — never a truncated or empty one;
+    a write that raises removes its tmp file and re-raises.
     """
     target = Path(path)
     tmp = target.with_name(f"{target.name}.tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        # Never leave the tmp beside the target (a full disk, a target
+        # that is a directory, an interrupt mid-write).
+        tmp.unlink(missing_ok=True)
+        raise
     fsync_directory(target.parent)

@@ -17,24 +17,25 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import os
 import signal
 import time
 
 import pytest
 
-from repro import supervise
+from repro import chaos, supervise
 from repro.boolean.sat import SatBudgetExceeded, SatSolver
+from repro.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
 from repro.core.config import GoldMineConfig
 from repro.designs import info as design_info
-from repro.formal import chaos
 from repro.formal.bmc import BmcModelChecker
-from repro.formal.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
 from repro.formal.checker import FormalVerifier, build_engine
 from repro.formal.induction import KInductionModelChecker
 from repro.formal.parallel import FormalWorkerPool
 from repro.formal.proofcache import ProofCache, assertion_shard
 from repro.formal.result import Verdict
+from repro.runner.pool import SupervisedJobPool
 
 # Sibling test modules (pytest puts this directory on sys.path).
 from test_incremental_bmc import random_assertions
@@ -246,10 +247,10 @@ class TestQueryDeadline:
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_seeded_plans_are_reproducible(self):
-        first = ChaosPlan.seeded(7, workers=4, faults=2)
-        second = ChaosPlan.seeded(7, workers=4, faults=2)
+        first = ChaosPlan.seeded(7, 4, faults=2, max_after=2)
+        second = ChaosPlan.seeded(7, 4, faults=2, max_after=2)
         assert first.faults == second.faults
-        assert ChaosPlan.seeded(8, workers=4, faults=2).faults != first.faults \
+        assert ChaosPlan.seeded(8, 4, faults=2, max_after=2).faults != first.faults \
             or True  # different seeds may collide; reproducibility is the claim
 
     def test_faults_are_consumed_once(self):
@@ -292,18 +293,20 @@ class TestPoolSupervision:
                 assert (got.counterexample.window_start
                         == expected.counterexample.window_start)
 
-    def test_killed_worker_respawns_and_requeues(self, arbiter2_module):
+    def test_killed_worker_respawns_and_requeues(self, arbiter2_module,
+                                                 caplog):
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         assert _shards_cover_all_workers(assertions, self.WORKERS)
         baseline = self._baseline(arbiter2_module, assertions)
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
-        with chaos.injected(plan):
+        with chaos.injected(plan), \
+                caplog.at_level(logging.WARNING, logger="repro.workers"):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
                                     workers=self.WORKERS)
             try:
                 results = pool.check_batch(list(enumerate(assertions)))
             finally:
-                pids = [p.pid for p in pool._live]
+                pids = [p.pid for p in pool._workers._live]
                 pool.close()
         assert plan.exhausted  # the fault was actually delivered
         assert pool.restarts == 1
@@ -311,19 +314,26 @@ class TestPoolSupervision:
         assert pool.fallback_checks == 0
         self._assert_identical(baseline, results, len(assertions))
         assert_no_orphans(pids)
+        # The respawn is one WARNING from the shared substrate.
+        respawns = [record for record in caplog.records
+                    if record.name == "repro.workers"
+                    and "respawning" in record.getMessage()]
+        assert len(respawns) == 1
+        assert respawns[0].levelno == logging.WARNING
+        assert "formal-worker-0" in respawns[0].getMessage()
 
     def test_wedged_worker_killed_and_respawned(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         baseline = self._baseline(arbiter2_module, assertions)
         plan = ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)},
-                         wedge_timeout=1.0)
+                         deadline=1.0)
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
                                     workers=self.WORKERS)
             try:
                 results = pool.check_batch(list(enumerate(assertions)))
             finally:
-                pids = [p.pid for p in pool._live]
+                pids = [p.pid for p in pool._workers._live]
                 pool.close()
         assert pool.wedge_kills == 1
         assert pool.restarts == 1
@@ -334,14 +344,14 @@ class TestPoolSupervision:
         assertions = random_assertions(arbiter2_module, 12, seed=23)
         baseline = self._baseline(arbiter2_module, assertions)
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
-                         max_restarts=0)
+                         retry_budget=0)
         with chaos.injected(plan):
             pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
                                     workers=self.WORKERS)
             try:
                 results = pool.check_batch(list(enumerate(assertions)))
             finally:
-                pids = [p.pid for p in pool._live]
+                pids = [p.pid for p in pool._workers._live]
                 pool.close()
         assert pool.restarts == 0
         assert pool.fallback_checks > 0
@@ -403,8 +413,8 @@ class TestClosureChaosIdentity:
         ChaosPlan(faults={1: WorkerFault(FAULT_KILL, after_messages=1)}),
         ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)}),
         ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
-                  max_restarts=0),  # straight to in-process fallback
-        ChaosPlan.seeded(7, workers=2, faults=2),
+                  retry_budget=0),  # straight to in-process fallback
+        ChaosPlan.seeded(7, 2, faults=2, max_after=2),
     ]
 
     @pytest.mark.parametrize("schedule", range(len(SCHEDULES)))
@@ -435,18 +445,30 @@ class TestClosureChaosIdentity:
 
 
 # ----------------------------------------------------------------------
-class TestOrphanHygiene:
-    def test_finalizer_reaps_unclosed_pool(self, arbiter2_module):
-        pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6}, workers=2)
+def _started_pool(layer: str, module):
+    """A started two-worker formal or runner pool, never closed here."""
+    if layer == "formal":
+        pool = FormalWorkerPool(module, "bmc", {"bound": 6}, workers=2)
         pool.ensure_started()
-        pids = [p.pid for p in pool._live]
+    else:
+        pool = SupervisedJobPool(2)
+        pool._workers.start()
+    return pool
+
+
+class TestOrphanHygiene:
+    @pytest.mark.parametrize("layer", ["formal", "runner"])
+    def test_finalizer_reaps_unclosed_pool(self, arbiter2_module, layer):
+        pool = _started_pool(layer, arbiter2_module)
+        pids = [p.pid for p in pool._workers._live]
         assert pids
         del pool
         gc.collect()
         assert_no_orphans(pids)
 
+    @pytest.mark.parametrize("layer", ["formal", "runner"])
     def test_workers_self_exit_when_parent_dies(self, arbiter2_module,
-                                                tmp_path):
+                                                tmp_path, layer):
         """A parent that vanishes without any cleanup (``os._exit``, the
         SIGKILL stand-in) must not strand workers: they poll the parent
         between requests and exit on their own."""
@@ -456,10 +478,9 @@ class TestOrphanHygiene:
         pid_file = tmp_path / "worker_pids.json"
 
         def doomed_parent():
-            inner = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
-                                     workers=2)
-            inner.ensure_started()
-            pid_file.write_text(json.dumps([p.pid for p in inner._live]))
+            inner = _started_pool(layer, arbiter2_module)
+            pid_file.write_text(json.dumps(
+                [p.pid for p in inner._workers._live]))
             os._exit(0)  # skips atexit, finalizers, daemon cleanup — all of it
 
         parent = ctx.Process(target=doomed_parent)

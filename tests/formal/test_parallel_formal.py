@@ -175,7 +175,7 @@ class TestPoolLifecycle:
         pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6}, workers=2)
         try:
             pool.ensure_started()
-            os.kill(pool._processes[0].pid, signal.SIGKILL)
+            os.kill(pool._workers.slots[0].process.pid, signal.SIGKILL)
             results = pool.check_batch(list(enumerate(assertions)))
         finally:
             pool.close()

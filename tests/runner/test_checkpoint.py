@@ -117,7 +117,7 @@ class TestJobLog:
         once, and the affected jobs simply re-run."""
         import logging
 
-        from repro.formal.chaos import corrupt_jsonl_line
+        from repro.chaos import corrupt_jsonl_line
 
         checkpoint = RunCheckpoint(tmp_path)
         for job_id in ("a", "b", "c"):
@@ -194,4 +194,15 @@ class TestDurableWrites:
         durable_write(target, "first")
         durable_write(target, "second")
         assert target.read_text() == "second"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_durable_write_leaves_no_tmp_file(self, tmp_path):
+        """A write that raises (here: the target is a directory, so the
+        rename fails) re-raises and removes its tmp file."""
+        from repro.supervise import durable_write
+
+        target = tmp_path / "manifest.json"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            durable_write(target, "{}")
         assert list(tmp_path.iterdir()) == [target]

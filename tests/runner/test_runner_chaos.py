@@ -18,14 +18,18 @@ the three supervised-runner invariants:
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import time
 
 import pytest
 
-from repro import supervise
-from repro.runner import chaos
+from repro import chaos, supervise
+from repro.assertions import Assertion, Literal
+from repro.formal.checker import build_engine
+from repro.formal.parallel import FormalWorkerPool
+from repro.formal.proofcache import assertion_shard
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.pool import execute_jobs
 from repro.runner.registry import ExperimentSpec, JobSpec, register
@@ -87,6 +91,18 @@ def chaos_stub():
         expand=lambda options: [], execute=_chaos_execute))
 
 
+def _formal_candidates(module):
+    """One-literal candidates over every 1-bit input/output pair."""
+    registers = set(module.state_names)
+    inputs = [name for name in module.data_input_names
+              if module.width_of(name) == 1]
+    outputs = [name for name in module.output_names
+               if module.width_of(name) == 1]
+    return [Assertion((Literal(name, value, 0),),
+                      Literal(output, 1, 1 if output in registers else 0), 1)
+            for name in inputs for output in outputs for value in (0, 1)]
+
+
 def _attempt_counts(marker_dir):
     counts = {}
     if marker_dir.exists():
@@ -121,15 +137,17 @@ def _assert_no_orphans():
 
 
 class TestKillRecovery:
-    def test_sigkilled_worker_recovers_byte_identical(self, tmp_path, chaos_stub):
+    def test_sigkilled_worker_recovers_byte_identical(self, tmp_path, chaos_stub,
+                                                      caplog):
         """The headline regression: kill → respawn → requeue → same artifact."""
         clean_jobs = _jobs(tmp_path / "m-clean", count=4)
         clean_records, _, _ = _run(clean_jobs, tmp_path / "clean", workers=2)
 
         jobs = _jobs(tmp_path / "m-chaos", count=4)
-        plan = chaos.RunnerChaosPlan(
-            faults={0: chaos.JobFault(chaos.FAULT_KILL)})
-        with chaos.injected(plan):
+        plan = chaos.ChaosPlan(
+            faults={0: chaos.WorkerFault(chaos.FAULT_KILL)})
+        with chaos.injected(plan), \
+                caplog.at_level(logging.WARNING, logger="repro.workers"):
             records, stats, _ = _run(jobs, tmp_path / "chaos", workers=2)
 
         assert _canonical(jobs, records) == _canonical(clean_jobs, clean_records)
@@ -142,11 +160,19 @@ class TestKillRecovery:
         assert killed["faults"][0]["exitcode"] == -9
         assert _attempt_counts(tmp_path / "m-chaos")[0] <= 2
         _assert_no_orphans()
+        # Each respawn is one WARNING from the shared substrate.
+        respawns = [record for record in caplog.records
+                    if record.name == "repro.workers"
+                    and "respawning" in record.getMessage()]
+        assert len(respawns) == stats["worker_restarts"]
+        assert all(record.levelno == logging.WARNING for record in respawns)
+        assert all("runner-worker-" in record.getMessage()
+                   for record in respawns)
 
     def test_kill_fault_persisted_in_checkpoint(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2)
-        plan = chaos.RunnerChaosPlan(
-            faults={1: chaos.JobFault(chaos.FAULT_KILL)})
+        plan = chaos.ChaosPlan(
+            faults={1: chaos.WorkerFault(chaos.FAULT_KILL)})
         with chaos.injected(plan):
             _, _, checkpoint = _run(jobs, tmp_path / "run", workers=2)
         reloaded = checkpoint.completed()["chaos/1"]
@@ -154,17 +180,37 @@ class TestKillRecovery:
         assert reloaded["attempts"] == 2
         assert reloaded["faults"][0]["fault"] == "crash"
 
-    def test_idle_worker_death_is_survived(self, tmp_path, chaos_stub):
-        """An externally-killed idle worker is replaced at next dispatch."""
+    @pytest.mark.parametrize("layer", ["runner", "formal"])
+    def test_idle_worker_death_is_survived(self, tmp_path, chaos_stub,
+                                           arbiter2_module, layer):
+        """An externally-killed idle worker is replaced before it is needed
+        (runner: at next dispatch; formal: when its shard goes unanswered)."""
         from repro.runner.pool import SupervisedJobPool, _JobState
 
-        pool = SupervisedJobPool(2, backoff=0.01)
-        jobs = _jobs(tmp_path / "m", count=3)
+        if layer == "runner":
+            pool = SupervisedJobPool(2, backoff=0.01)
+            pool._workers.start()
+        else:
+            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+                                    workers=2)
+            pool.ensure_started()
         # Kill a worker before any work is dispatched.
-        pool._spawn(0)
-        victim = pool._slots[0].process
+        victim = pool._workers.slots[0].process
         victim.kill()
         victim.join(5.0)
+        if layer == "formal":
+            candidates = _formal_candidates(arbiter2_module)
+            assert {assertion_shard(a, 2) for a in candidates} == {0, 1}
+            try:
+                results = pool.check_batch(list(enumerate(candidates)))
+            finally:
+                pool.close()
+            engine = build_engine(arbiter2_module, "bmc", bound=6)
+            assert [results[i].verdict for i in range(len(candidates))] == \
+                [engine.check(a).verdict for a in candidates]
+            assert pool.restarts == 1
+            return
+        jobs = _jobs(tmp_path / "m", count=3)
         done = []
         states = [_JobState(job=job, index=index)
                   for index, job in enumerate(jobs)]
@@ -172,6 +218,7 @@ class TestKillRecovery:
         assert sorted(record["job_id"] for record in done) == \
             [job.job_id for job in jobs]
         assert all(record["status"] == "ok" for record in done)
+        assert pool.stats["worker_restarts"] == 1
         _assert_no_orphans()
 
 
@@ -181,9 +228,9 @@ class TestDeadlines:
         clean_records, _, _ = _run(clean_jobs, tmp_path / "clean", workers=2)
 
         jobs = _jobs(tmp_path / "m-chaos", count=3)
-        plan = chaos.RunnerChaosPlan(
-            faults={1: chaos.JobFault(chaos.FAULT_WEDGE)},
-            job_timeout=0.5)
+        plan = chaos.ChaosPlan(
+            faults={1: chaos.WorkerFault(chaos.FAULT_WEDGE)},
+            deadline=0.5)
         with chaos.injected(plan):
             records, stats, _ = _run(jobs, tmp_path / "chaos", workers=2)
 
@@ -314,7 +361,7 @@ class TestMemoryGovernance:
         hog = records["chaos/1"]
         assert hog["status"] == "ok"
         assert hog["attempts"] == 2
-        assert hog["degraded"] == {"sim_lanes": 16, "formal_workers": 1}
+        assert hog["degraded"] == {"sim_lanes": 16}
         assert hog["faults"][0]["fault"] == "memory"
         assert hog["faults"][0]["rss_bytes"] > hog["faults"][0]["baseline_bytes"]
         assert stats["memory_kills"] == 1
@@ -326,8 +373,8 @@ class TestMemoryGovernance:
     def test_oom_chaos_fault_drives_watchdog(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2,
                      extra={"sim_lanes": 64, "formal_workers": 4})
-        plan = chaos.RunnerChaosPlan(
-            faults={0: chaos.JobFault(chaos.FAULT_OOM, balloon_mb=256)},
+        plan = chaos.ChaosPlan(
+            faults={0: chaos.WorkerFault(chaos.FAULT_OOM, balloon_mb=256)},
             memory_budget_mb=96)
         with chaos.injected(plan):
             records, stats, _ = _run(jobs, tmp_path / "run", workers=2)
@@ -340,31 +387,31 @@ class TestMemoryGovernance:
 
 class TestChaosPlan:
     def test_seeded_plans_are_reproducible(self):
-        first = chaos.RunnerChaosPlan.seeded(7, jobs=6, faults=2)
-        second = chaos.RunnerChaosPlan.seeded(7, jobs=6, faults=2)
+        first = chaos.ChaosPlan.seeded(7, 6, faults=2)
+        second = chaos.ChaosPlan.seeded(7, 6, faults=2)
         assert first.faults == second.faults
         assert len(first.faults) == 2
         assert all(fault.kind in (chaos.FAULT_KILL, chaos.FAULT_WEDGE)
                    for fault in first.faults.values())
         variants = {
-            tuple(sorted(chaos.RunnerChaosPlan.seeded(
-                seed, jobs=6, faults=2).faults.items()))
+            tuple(sorted(chaos.ChaosPlan.seeded(
+                seed, 6, faults=2).faults.items()))
             for seed in range(10)}
         assert len(variants) > 1, "different seeds must vary the schedule"
 
     def test_seeded_wedge_plan_arms_a_deadline(self):
-        plan = chaos.RunnerChaosPlan.seeded(
-            3, jobs=4, faults=2, kinds=(chaos.FAULT_WEDGE,))
-        assert plan.job_timeout is not None
+        plan = chaos.ChaosPlan.seeded(
+            3, 4, faults=2, kinds=(chaos.FAULT_WEDGE,))
+        assert plan.deadline is not None
 
     def test_fault_validation(self):
         with pytest.raises(ValueError):
-            chaos.JobFault("melt")
+            chaos.WorkerFault("melt")
         with pytest.raises(ValueError):
-            chaos.JobFault(chaos.FAULT_OOM, balloon_mb=0)
+            chaos.WorkerFault(chaos.FAULT_OOM, balloon_mb=0)
 
     def test_install_uninstall(self):
-        plan = chaos.RunnerChaosPlan()
+        plan = chaos.ChaosPlan()
         assert chaos.active_plan() is None
         with chaos.injected(plan):
             assert chaos.active_plan() is plan
@@ -374,8 +421,8 @@ class TestChaosPlan:
 class TestReporting:
     def test_report_surfaces_attempts(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2)
-        plan = chaos.RunnerChaosPlan(
-            faults={0: chaos.JobFault(chaos.FAULT_KILL)})
+        plan = chaos.ChaosPlan(
+            faults={0: chaos.WorkerFault(chaos.FAULT_KILL)})
         with chaos.injected(plan):
             records, _, _ = _run(jobs, tmp_path / "run", workers=2)
         document = aggregate_records("chaos-stub", jobs, records)
