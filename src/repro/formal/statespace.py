@@ -45,6 +45,8 @@ class StateSpace:
         self._predecessor: dict[State, tuple[State, dict[str, int]] | None] = {}
         #: (state, input key) -> (next state, sampled valuation)
         self._transition_cache: dict[tuple[State, tuple[int, ...]], tuple[State, dict[str, int]]] = {}
+        #: state -> its transitions under every input vector, in enumeration order
+        self._successors: dict[State, list[tuple[State, dict[str, int]]]] = {}
         self.reachable: list[State] = []
         self._explored = False
 
@@ -101,6 +103,17 @@ class StateSpace:
         self._transition_cache[key] = (next_state, sampled)
         return next_state, sampled
 
+    def successors(self, state: State) -> list[tuple[State, dict[str, int]]]:
+        """:meth:`step` from ``state`` under each of :attr:`input_vectors`, in order.
+
+        Input vector 0 sets every free input to 0 (pins applied).
+        """
+        transitions = self._successors.get(state)
+        if transitions is None:
+            transitions = [self.step(state, vector) for vector in self._input_vectors]
+            self._successors[state] = transitions
+        return transitions
+
     @property
     def input_vectors(self) -> list[dict[str, int]]:
         return [dict(vector) for vector in self._input_vectors]
@@ -119,8 +132,8 @@ class StateSpace:
         while frontier:
             next_frontier: list[State] = []
             for state in frontier:
-                for vector in self._input_vectors:
-                    next_state, _ = self.step(state, vector)
+                for vector, (next_state, _) in zip(self._input_vectors,
+                                                   self.successors(state)):
                     if next_state in seen:
                         continue
                     seen.add(next_state)

@@ -445,7 +445,7 @@ register(ExperimentSpec(
 register(ExperimentSpec(
     name="fig13", artifact="Figure 13",
     description="Design-space coverage by iteration, five designs",
-    expand=_fig13_expand, execute=_fig13_execute, runtime_hint="~5 s"))
+    expand=_fig13_expand, execute=_fig13_execute, runtime_hint="~1 s"))
 register(ExperimentSpec(
     name="fig14", artifact="Figure 14",
     description="Expression coverage by iteration, three designs",
@@ -465,11 +465,11 @@ register(ExperimentSpec(
 register(ExperimentSpec(
     name="table2", artifact="Table 2",
     description="Fault detection by the mined assertion suite",
-    expand=_table2_expand, execute=_table2_execute, runtime_hint="~7 s"))
+    expand=_table2_expand, execute=_table2_execute, runtime_hint="~1 s"))
 register(ExperimentSpec(
     name="table3", artifact="Table 3",
     description="Directed/random vs GoldMine coverage on Rigel modules",
-    expand=_table3_expand, execute=_table3_execute, runtime_hint="~3 s"))
+    expand=_table3_expand, execute=_table3_execute, runtime_hint="~1 s"))
 register(ExperimentSpec(
     name="walkthrough", artifact="Section 6",
     description="Worked example: two-port arbiter refinement narrative",
