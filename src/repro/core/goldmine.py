@@ -67,17 +67,8 @@ class GoldMine:
         #: verifier may be shared (warm worker pool, proof cache), and its
         #: lifecycle belongs to the caller.
         self._owns_verifier = verifier is None
-        self.verifier = verifier or FormalVerifier(
-            module,
-            engine=self.config.engine,
-            bound=self.config.bound,
-            max_states=self.config.max_states,
-            max_input_combinations=self.config.max_input_combinations,
-            induction_k=self.config.induction_k,
-            workers=self.config.formal_workers,
-            proof_cache=ProofCache.resolve(self.config.formal_proof_cache),
-            query_timeout=self.config.formal_query_timeout,
-        )
+        self.verifier = verifier or FormalVerifier.from_config(
+            module, self.config, ProofCache.resolve(self.config.formal_proof_cache))
 
     # ------------------------------------------------------------------
     # data generator

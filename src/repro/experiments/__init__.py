@@ -11,11 +11,15 @@ library code with no side effects; the layers above consume them:
 * ``benchmarks/`` — full-scale regeneration with shape validation.
 * ``tests/experiments/`` — scaled-down smoke/shape tests.
 
-Every driver accepts ``sim_engine``/``sim_lanes`` to route the
-bit-parallel batched simulator through data generation, counterexample
-replay and coverage measurement, and ``formal_engine`` to pick the formal
-back end; results are engine-independent.  Mining always runs on the
-bit-parallel columnar A-Miner.
+Every driver takes one ``config: GoldMineConfig | None`` carrying the
+engine settings (simulation engine and lanes, formal engine, induction
+depth, formal workers, query timeout, proof cache) and sets its own
+per-subject fields (window, iteration budget, ...) on a
+:func:`dataclasses.replace` copy.  ``config.sim_engine``/``sim_lanes``
+route the bit-parallel batched simulator through data generation,
+counterexample replay and coverage measurement; results are
+engine-independent.  Mining always runs on the bit-parallel columnar
+A-Miner.
 
 | Paper artifact | Driver |
 |----------------|--------|

@@ -14,7 +14,7 @@ properties its inductive step cannot prove).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.assertions.assertion import Assertion, Verdict
@@ -52,21 +52,12 @@ class EngineComparison:
 
 def _collect_assertions(design_name: str, seed_cycles: int, random_seed: int,
                         max_iterations: int, include_failed: bool = True,
-                        sim_engine: str = "scalar", sim_lanes: int = 64,
-                        formal_engine: str = "explicit",
-                        induction_k: int = 8,
-                        formal_workers: int = 1,
-                        formal_query_timeout: float | None = None,
-                        proof_cache: bool | str = False) -> tuple:
+                        config: GoldMineConfig | None = None) -> tuple:
     """Mine a mixed set of true and (historically) failed assertions."""
     meta = design_info(design_name)
     module = meta.build()
-    config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                            sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k,
-                            formal_workers=formal_workers,
-                            formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout)
+    config = replace(config or GoldMineConfig(), window=meta.window,
+                     max_iterations=max_iterations)
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None, config=config)
     result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
     assertions: list[Assertion] = list(result.all_true_assertions)
@@ -80,23 +71,12 @@ def run(designs: Sequence[str] = ("arbiter2", "arbiter4", "b01"),
         seed_cycles: int = 10, random_seed: int = 9,
         max_iterations: int = 16, bmc_bound: int = 8,
         max_assertions_per_design: int = 40,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> list[EngineComparison]:
+        config: GoldMineConfig | None = None) -> list[EngineComparison]:
     """Cross-check the three engines over mined assertion suites."""
     comparisons: list[EngineComparison] = []
     for design_name in designs:
         module, assertions = _collect_assertions(
-            design_name, seed_cycles, random_seed, max_iterations,
-            sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
-        induction_k=induction_k,
-            formal_workers=formal_workers,
-            formal_query_timeout=formal_query_timeout,
-            proof_cache=proof_cache,
-        )
+            design_name, seed_cycles, random_seed, max_iterations, config=config)
         assertions = assertions[:max_assertions_per_design]
         engines = {
             "explicit": ExplicitModelChecker(module),

@@ -16,7 +16,7 @@ the variable ordering above refined leaves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
@@ -49,20 +49,11 @@ class AblationResult:
 
 def _run_variant(design_name: str, output: str, rebuild: bool, seed_cycles: int,
                  random_seed: int, max_iterations: int,
-                 sim_engine: str = "scalar", sim_lanes: int = 64,
-                 formal_engine: str = "explicit",
-                 induction_k: int = 8,
-                 formal_workers: int = 1,
-                 formal_query_timeout: float | None = None,
-                 proof_cache: bool | str = False) -> tuple[VariantOutcome, set]:
+                 config: GoldMineConfig | None = None) -> tuple[VariantOutcome, set]:
     meta = design_info(design_name)
     module = meta.build()
-    config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                            sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k,
-                            formal_workers=formal_workers,
-                            formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout)
+    config = replace(config or GoldMineConfig(), window=meta.window,
+                     max_iterations=max_iterations)
     closure = CoverageClosure(module, outputs=[output], config=config,
                               rebuild_trees=rebuild)
     start = time.perf_counter()
@@ -84,29 +75,14 @@ def _run_variant(design_name: str, output: str, rebuild: bool, seed_cycles: int,
 def run(design_name: str = "arbiter4", output: str = "gnt0",
         seed_cycles: int = 12, random_seed: int = 5,
         max_iterations: int = 24,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> AblationResult:
+        config: GoldMineConfig | None = None) -> AblationResult:
     """Run both variants and collect the comparison."""
     incremental, incremental_set = _run_variant(
         design_name, output, rebuild=False, seed_cycles=seed_cycles,
-        random_seed=random_seed, max_iterations=max_iterations,
-        sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
-        induction_k=induction_k,
-        formal_workers=formal_workers,
-        formal_query_timeout=formal_query_timeout,
-        proof_cache=proof_cache)
+        random_seed=random_seed, max_iterations=max_iterations, config=config)
     rebuilt, rebuilt_set = _run_variant(
         design_name, output, rebuild=True, seed_cycles=seed_cycles,
-        random_seed=random_seed, max_iterations=max_iterations,
-        sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
-        induction_k=induction_k,
-        formal_workers=formal_workers,
-        formal_query_timeout=formal_query_timeout,
-        proof_cache=proof_cache)
+        random_seed=random_seed, max_iterations=max_iterations, config=config)
     result = AblationResult(design=design_name, output=output,
                             incremental=incremental, rebuilt=rebuilt)
     result.shared_assertions = len(incremental_set & rebuilt_set)

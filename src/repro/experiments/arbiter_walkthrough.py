@@ -13,7 +13,7 @@ the example script can print the same story the paper tells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.assertions.render import to_ltl, to_sva
 from repro.core.config import GoldMineConfig
@@ -44,26 +44,15 @@ class WalkthroughResult:
 
 
 def run(window: int = 2, max_iterations: int = 16,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> WalkthroughResult:
+        config: GoldMineConfig | None = None) -> WalkthroughResult:
     """Run the Section 6 walkthrough and collect its narrative data."""
+    config = replace(config or GoldMineConfig(), window=window,
+                     max_iterations=max_iterations)
     module = arbiter2()
-    closure = CoverageClosure(module, outputs=["gnt0"],
-                              config=GoldMineConfig(window=window,
-                                                    max_iterations=max_iterations,
-                                                    sim_engine=sim_engine,
-                                                    sim_lanes=sim_lanes,
-                                                    engine=formal_engine, induction_k=induction_k,
-                                                    formal_workers=formal_workers,
-                                                    formal_proof_cache=proof_cache,
-                                                    formal_query_timeout=formal_query_timeout))
+    closure = CoverageClosure(module, outputs=["gnt0"], config=config)
     closure_result = closure.run(arbiter2_directed_test())
     expression = metric_by_iteration(closure_result, arbiter2(), "expr",
-                                     engine=sim_engine, lanes=sim_lanes)
+                                     engine=config.sim_engine, lanes=config.sim_lanes)
 
     result = WalkthroughResult(converged=closure_result.converged,
                                test_suite_cycles=closure_result.total_test_cycles())

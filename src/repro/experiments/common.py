@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.config import GoldMineConfig
@@ -112,7 +112,7 @@ def closure_for_design(design_name: str, outputs: Sequence[str] | None = None,
     if config is None:
         config = GoldMineConfig(window=window if window is not None else meta.window)
     elif window is not None:
-        config.window = window
+        config = replace(config, window=window)
     if outputs is None:
         outputs = list(meta.mining_outputs) or None
     if seed is None and meta.directed_test is not None:

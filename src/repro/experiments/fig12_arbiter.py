@@ -22,7 +22,7 @@ decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import GoldMineConfig
 from repro.designs import arbiter2, arbiter2_directed_test
@@ -62,33 +62,22 @@ class Fig12Result:
 
 
 def run(window: int = 2, max_iterations: int = 16,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Fig12Result:
+        config: GoldMineConfig | None = None) -> Fig12Result:
     """Reproduce Figure 12 on the Section 6 arbiter.
 
-    ``sim_engine``/``sim_lanes`` select the simulation back end for both the
-    closure loop's counterexample replay and the coverage measurement; the
-    result is identical, the batched engine is just faster.
+    ``config``'s simulation engine drives both the closure loop's
+    counterexample replay and the coverage measurement; the result is
+    identical, the batched engine is just faster.
     """
+    config = replace(config or GoldMineConfig(), window=window,
+                     max_iterations=max_iterations)
     module = arbiter2()
-    closure = CoverageClosure(module, outputs=["gnt0"],
-                              config=GoldMineConfig(window=window,
-                                                    max_iterations=max_iterations,
-                                                    sim_engine=sim_engine,
-                                                    sim_lanes=sim_lanes,
-                                                    engine=formal_engine, induction_k=induction_k,
-                                                    formal_workers=formal_workers,
-                                                    formal_proof_cache=proof_cache,
-                                                    formal_query_timeout=formal_query_timeout))
+    closure = CoverageClosure(module, outputs=["gnt0"], config=config)
     closure_result = closure.run(arbiter2_directed_test())
 
     measurement_module = arbiter2()
     expression = metric_by_iteration(closure_result, measurement_module, "expr",
-                                     engine=sim_engine, lanes=sim_lanes)
+                                     engine=config.sim_engine, lanes=config.sim_lanes)
     input_space = input_space_by_iteration(closure_result, "gnt0")
 
     return Fig12Result(

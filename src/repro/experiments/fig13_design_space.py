@@ -12,7 +12,7 @@ returns the per-iteration input-space series for each design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.core.config import GoldMineConfig
@@ -68,24 +68,15 @@ class Fig13Result:
 def run(subjects: Sequence[tuple[str, str, str]] = DEFAULT_SUBJECTS,
         seed_cycles: int = 4, random_seed: int = 1,
         max_iterations: int = 20,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Fig13Result:
+        config: GoldMineConfig | None = None) -> Fig13Result:
     """Run the Figure 13 study on the default design set."""
+    config = config or GoldMineConfig()
     result = Fig13Result()
     for design_name, output, group in subjects:
         meta = design_info(design_name)
         module = meta.build()
-        config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                                sim_engine=sim_engine, sim_lanes=sim_lanes,
-                                engine=formal_engine, induction_k=induction_k,
-                                formal_workers=formal_workers,
-                                formal_proof_cache=proof_cache,
-                                formal_query_timeout=formal_query_timeout)
-        closure = CoverageClosure(module, outputs=[output], config=config)
+        closure = CoverageClosure(module, outputs=[output], config=replace(
+            config, window=meta.window, max_iterations=max_iterations))
         if meta.directed_test is not None:
             seed: object = meta.seed_vectors()
         else:

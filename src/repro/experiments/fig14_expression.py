@@ -20,7 +20,7 @@ definition; ours is documented in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
@@ -71,25 +71,16 @@ class Fig14Result:
 
 def run(subjects: Sequence[str] = DEFAULT_SUBJECTS, seed_cycles: int = 3,
         random_seed: int = 3, max_iterations: int = 20,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Fig14Result:
+        config: GoldMineConfig | None = None) -> Fig14Result:
     """Run the Figure 14 study."""
+    config = config or GoldMineConfig()
     result = Fig14Result()
     for design_name in subjects:
         meta = design_info(design_name)
         module = meta.build()
         outputs = list(meta.mining_outputs) or None
-        config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                                sim_engine=sim_engine, sim_lanes=sim_lanes,
-                                engine=formal_engine, induction_k=induction_k,
-                                formal_workers=formal_workers,
-                                formal_proof_cache=proof_cache,
-                                formal_query_timeout=formal_query_timeout)
-        closure = CoverageClosure(module, outputs=outputs, config=config)
+        closure = CoverageClosure(module, outputs=outputs, config=replace(
+            config, window=meta.window, max_iterations=max_iterations))
         if meta.directed_test is not None:
             seed: object = meta.seed_vectors()
         else:
@@ -100,7 +91,7 @@ def run(subjects: Sequence[str] = DEFAULT_SUBJECTS, seed_cycles: int = 3,
             expression_percent=metric_by_iteration(
                 closure_result, meta.build(), "expr",
                 fsm_signals=meta.fsm_signals or None,
-                engine=sim_engine, lanes=sim_lanes,
+                engine=config.sim_engine, lanes=config.sim_lanes,
             ),
             converged=closure_result.converged,
             test_suite_cycles=closure_result.total_test_cycles(),

@@ -13,7 +13,7 @@ uncovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
@@ -72,14 +72,11 @@ def _seed_vectors(module, random_cycles: int, random_seed: int, bias) -> list[di
 def run(design_name: str = "wbstage", random_cycles: int = 30,
         random_seed: int = 2, max_iterations: int = 16,
         bias: dict[str, float] | None = None,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Fig15Result:
+        config: GoldMineConfig | None = None) -> Fig15Result:
     """Run the high-coverage-block study."""
     meta = design_info(design_name)
+    config = replace(config or GoldMineConfig(), window=meta.window,
+                     max_iterations=max_iterations, random_seed=random_seed)
     metrics = ("line", "branch", "cond", "expr", "toggle")
     bias = DEFAULT_BIAS if bias is None else bias
 
@@ -87,25 +84,18 @@ def run(design_name: str = "wbstage", random_cycles: int = 30,
     baseline_module = meta.build()
     seed_vectors = _seed_vectors(baseline_module, random_cycles, random_seed, bias)
     baseline_runner = CoverageRunner(baseline_module, fsm_signals=meta.fsm_signals or None,
-                                     engine=sim_engine, lanes=sim_lanes)
+                                     engine=config.sim_engine, lanes=config.sim_lanes)
     baseline_runner.run_vectors(seed_vectors)
     before = {metric: baseline_runner.report().get(metric, 0.0) or 0.0 for metric in metrics}
 
     # GoldMine refinement seeded with the same cycles.
     module = meta.build()
-    config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                            random_seed=random_seed,
-                            sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k,
-                            formal_workers=formal_workers,
-                            formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout)
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None, config=config)
     closure_result = closure.run(seed_vectors)
 
     combined_module = meta.build()
     combined_runner = CoverageRunner(combined_module, fsm_signals=meta.fsm_signals or None,
-                                     engine=sim_engine, lanes=sim_lanes)
+                                     engine=config.sim_engine, lanes=config.sim_lanes)
     combined_runner.run_suite(closure_result.test_suite)
     after = {metric: combined_runner.report().get(metric, 0.0) or 0.0 for metric in metrics}
 

@@ -14,7 +14,7 @@ coverage is greater than or equal to the random baseline's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.core.config import GoldMineConfig
@@ -79,20 +79,14 @@ def run(designs: Sequence[str] | None = None,
         goldmine_seed_cycles: int = 25,
         max_iterations: int = 16,
         max_depth: int | None = 8,
-        sim_engine: str = "scalar",
-        sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Fig16Result:
+        config: GoldMineConfig | None = None) -> Fig16Result:
     """Run the ITC'99 coverage comparison.
 
-    ``sim_engine``/``sim_lanes`` select the simulation back end for both
-    the mining data generator and the suite coverage replay (see
-    :class:`repro.core.config.GoldMineConfig`); results are identical,
-    the batched engine is just faster on the refined suites.
+    ``config``'s simulation engine drives both the mining data generator
+    and the suite coverage replay; results are identical, the batched
+    engine is just faster on the refined suites.
     """
+    config = config or GoldMineConfig()
     cycles = dict(DEFAULT_CYCLES if cycles is None else cycles)
     designs = list(designs) if designs is not None else list(cycles)
     result = Fig16Result()
@@ -103,7 +97,7 @@ def run(designs: Sequence[str] | None = None,
         # Random baseline.
         baseline_module = meta.build()
         runner = CoverageRunner(baseline_module, fsm_signals=meta.fsm_signals or None,
-                                engine=sim_engine, lanes=sim_lanes)
+                                engine=config.sim_engine, lanes=config.sim_lanes)
         runner.run_stimulus(RandomStimulus(budget, seed=random_seed))
         baseline_report = runner.report()
         result.rows.append(CoverageRow(
@@ -116,20 +110,16 @@ def run(designs: Sequence[str] | None = None,
         # GoldMine suite: the same random seed truncated to a small prefix,
         # plus every counterexample pattern produced by the refinement loop.
         module = meta.build()
-        config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                                max_depth=max_depth, sim_engine=sim_engine,
-                                sim_lanes=sim_lanes, engine=formal_engine, induction_k=induction_k,
-                                formal_workers=formal_workers,
-                                formal_proof_cache=proof_cache,
-                                formal_query_timeout=formal_query_timeout)
-        closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
-                                  config=config)
+        closure = CoverageClosure(
+            module, outputs=list(meta.mining_outputs) or None,
+            config=replace(config, window=meta.window,
+                           max_iterations=max_iterations, max_depth=max_depth))
         closure_result = closure.run(
             RandomStimulus(min(goldmine_seed_cycles, budget), seed=random_seed)
         )
         goldmine_module = meta.build()
         goldmine_runner = CoverageRunner(goldmine_module, fsm_signals=meta.fsm_signals or None,
-                                         engine=sim_engine, lanes=sim_lanes)
+                                         engine=config.sim_engine, lanes=config.sim_lanes)
         # The GoldMine method still has the full random baseline available to
         # it (the paper compares suites, not seeds): replay baseline + refined
         # patterns so the comparison is "random" vs "random + counterexamples".

@@ -21,7 +21,7 @@ and reaches 100 % within the iteration budget for every output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
@@ -90,26 +90,16 @@ class Table1Result:
 
 def run(subjects: Sequence[tuple[str, str]] = DEFAULT_SUBJECTS,
         window: int | None = None, max_iterations: int = 24,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Table1Result:
+        config: GoldMineConfig | None = None) -> Table1Result:
     """Run the zero-seed study: no initial patterns at all."""
+    config = config or GoldMineConfig()
     result = Table1Result()
     for design_name, output in subjects:
         meta = design_info(design_name)
         module = meta.build()
-        config = GoldMineConfig(
-            window=window if window is not None else meta.window,
-            max_iterations=max_iterations,
-            sim_engine=sim_engine, sim_lanes=sim_lanes,
-            engine=formal_engine, induction_k=induction_k,
-            formal_workers=formal_workers, formal_proof_cache=proof_cache,
-            formal_query_timeout=formal_query_timeout,
-        )
-        closure = CoverageClosure(module, outputs=[output], config=config)
+        closure = CoverageClosure(module, outputs=[output], config=replace(
+            config, window=window if window is not None else meta.window,
+            max_iterations=max_iterations))
         closure_result = closure.run(None)
         label = closure.contexts[0].label
         series = ZeroSeedSeries(

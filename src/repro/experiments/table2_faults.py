@@ -25,7 +25,7 @@ the faults").  Absolute counts scale with assertion-suite size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
@@ -74,12 +74,7 @@ class Table2Result:
 
 def mine_assertion_suite(design_name: str, seed_cycles: int, random_seed: int,
                          max_iterations: int,
-                         sim_engine: str = "scalar", sim_lanes: int = 64,
-                         formal_engine: str = "explicit",
-                         induction_k: int = 8,
-                         formal_workers: int = 1,
-                         formal_query_timeout: float | None = None,
-                         proof_cache: bool | str = False):
+                         config: GoldMineConfig | None = None):
     """Mine the golden design's assertion suite with the refinement loop.
 
     All outputs (including multi-bit buses, mined bit by bit) are covered so
@@ -88,12 +83,8 @@ def mine_assertion_suite(design_name: str, seed_cycles: int, random_seed: int,
     """
     meta = design_info(design_name)
     module = meta.build()
-    config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                            sim_engine=sim_engine, sim_lanes=sim_lanes,
-                            engine=formal_engine, induction_k=induction_k,
-                            formal_workers=formal_workers,
-                            formal_proof_cache=proof_cache,
-                            formal_query_timeout=formal_query_timeout)
+    config = replace(config or GoldMineConfig(), window=meta.window,
+                     max_iterations=max_iterations)
     closure = CoverageClosure(module, outputs=None, config=config)
     result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
     return module, result
@@ -104,21 +95,10 @@ def run(design_name: str = "fetch",
         seed_cycles: int = 30, random_seed: int = 7,
         max_iterations: int = 16,
         mode: str = "formal",
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Table2Result:
+        config: GoldMineConfig | None = None) -> Table2Result:
     """Run the fault-injection regression on the fetch stage."""
     module, closure_result = mine_assertion_suite(
-        design_name, seed_cycles, random_seed, max_iterations,
-        sim_engine=sim_engine, sim_lanes=sim_lanes, formal_engine=formal_engine,
-        induction_k=induction_k,
-        formal_workers=formal_workers,
-        formal_query_timeout=formal_query_timeout,
-        proof_cache=proof_cache,
-    )
+        design_name, seed_cycles, random_seed, max_iterations, config=config)
     assertions = closure_result.all_true_assertions
 
     faults = []
@@ -128,13 +108,10 @@ def run(design_name: str = "fetch",
 
     campaign = run_fault_campaign(
         module, assertions, faults, mode=mode,
-        # The campaign's per-mutant model checking honours the same formal
-        # execution knobs as the mining phase (engine, worker pool, proof
-        # cache).
-        config=GoldMineConfig(engine=formal_engine, induction_k=induction_k,
-                              formal_workers=formal_workers,
-                              formal_proof_cache=proof_cache,
-                              formal_query_timeout=formal_query_timeout),
+        # The campaign's per-mutant model checking runs under the same
+        # config as the mining phase (engine, worker pool, proof cache,
+        # query timeout).
+        config=config,
         test_suite=closure_result.test_suite if mode == "simulation" else None,
     )
 

@@ -16,7 +16,7 @@ exceeds the baseline on every reported metric for every module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
@@ -62,12 +62,7 @@ class Table3Result:
 def run(modules: Sequence[str] = DEFAULT_MODULES,
         baseline_cycles: int = 1_000, baseline_seed: int = 11,
         max_iterations: int = 16,
-        sim_engine: str = "scalar", sim_lanes: int = 64,
-        formal_engine: str = "explicit",
-        induction_k: int = 8,
-        formal_workers: int = 1,
-        formal_query_timeout: float | None = None,
-        proof_cache: bool | str = False) -> Table3Result:
+        config: GoldMineConfig | None = None) -> Table3Result:
     """Run the Rigel coverage comparison.
 
     The baseline is each module's directed test (repeated to the requested
@@ -78,6 +73,7 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
     """
     from repro.designs.rigel import DIRECTED_TESTS
 
+    config = config or GoldMineConfig()
     result = Table3Result()
     for design_name in modules:
         meta = design_info(design_name)
@@ -86,7 +82,8 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
         # Baseline: the directed suite repeated up to the cycle budget.
         baseline_module = meta.build()
         runner = CoverageRunner(baseline_module, fsm_signals=meta.fsm_signals or None,
-                                prepend_reset=True, engine=sim_engine, lanes=sim_lanes)
+                                prepend_reset=True, engine=config.sim_engine,
+                                lanes=config.sim_lanes)
         cycles = 0
         while cycles < baseline_cycles:
             vectors = directed()
@@ -102,18 +99,14 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
 
         # GoldMine: counterexample-refined suite seeded with one directed pass.
         module = meta.build()
-        config = GoldMineConfig(window=meta.window, max_iterations=max_iterations,
-                                sim_engine=sim_engine, sim_lanes=sim_lanes,
-                                engine=formal_engine, induction_k=induction_k,
-                                formal_workers=formal_workers,
-                                formal_proof_cache=proof_cache,
-                                formal_query_timeout=formal_query_timeout)
-        closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
-                                  config=config)
+        closure = CoverageClosure(
+            module, outputs=list(meta.mining_outputs) or None,
+            config=replace(config, window=meta.window, max_iterations=max_iterations))
         closure_result = closure.run(directed())
         goldmine_module = meta.build()
         goldmine_runner = CoverageRunner(goldmine_module, fsm_signals=meta.fsm_signals or None,
-                                         prepend_reset=True, engine=sim_engine, lanes=sim_lanes)
+                                         prepend_reset=True, engine=config.sim_engine,
+                                         lanes=config.sim_lanes)
         goldmine_runner.run_suite(closure_result.test_suite)
         goldmine_report = goldmine_runner.report()
         result.rows.append(CoverageRow(

@@ -90,8 +90,10 @@ def run_fault_campaign(module: Module, assertions: Sequence[Assertion],
     paper's method); ``mode='simulation'`` evaluates the assertions on the
     mutant's simulation of ``test_suite``.
 
-    The formal mode honours ``config.formal_workers``/``formal_proof_cache``.
-    Note the pool granularity: every mutant is a distinct design, so a
+    The formal mode checks with the verifier ``config`` selects
+    (:meth:`FormalVerifier.from_config`: engine, bounds, workers, query
+    timeout), sharing one proof cache across mutants.  Note the pool
+    granularity: every mutant is a distinct design, so a
     worker pool lives for exactly one ``check_all`` batch and is respawned
     per mutant — worth it for large assertion suites or expensive engines,
     pure overhead for small ones (the campaign's natural parallel axis is
@@ -119,16 +121,7 @@ def run_fault_campaign(module: Module, assertions: Sequence[Assertion],
             # mutants are distinct designs, so their content fingerprints
             # keep cache entries apart, and a re-run of the same campaign
             # starts warm.
-            verifier = FormalVerifier(
-                mutant,
-                engine=config.engine,
-                bound=config.bound,
-                max_states=config.max_states,
-                max_input_combinations=config.max_input_combinations,
-                induction_k=config.induction_k,
-                workers=config.formal_workers,
-                proof_cache=proof_cache,
-            )
+            verifier = FormalVerifier.from_config(mutant, config, proof_cache)
             try:
                 checks = verifier.check_all(list(assertions))
             finally:

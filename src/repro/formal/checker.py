@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.assertions.assertion import Assertion, Verdict
 from repro.formal.bmc import BmcModelChecker
@@ -42,6 +42,9 @@ from repro.formal.result import (
     FormalEngineError,
 )
 from repro.hdl.module import Module
+
+if TYPE_CHECKING:
+    from repro.core.config import GoldMineConfig
 
 #: Proof-cache key suffix naming the SAT engines' encoding: every check
 #: runs on the assertion's cone-of-influence slice.  Slicing preserves
@@ -229,6 +232,23 @@ class FormalVerifier:
         self._fingerprint: str | None = None
         self._proof_hits = 0
         self._proof_misses = 0
+
+    @classmethod
+    def from_config(cls, module: Module, config: GoldMineConfig,
+                    proof_cache: ProofCache | None) -> FormalVerifier:
+        """The verifier a :class:`~repro.core.config.GoldMineConfig` selects.
+
+        The one mapping from config fields to verifier settings, shared by
+        the GoldMine engine and the fault campaign.  ``proof_cache`` is
+        passed resolved (not as ``config.formal_proof_cache``) so callers
+        that build many verifiers can share one cache.
+        """
+        return cls(module, engine=config.engine, bound=config.bound,
+                   max_states=config.max_states,
+                   max_input_combinations=config.max_input_combinations,
+                   induction_k=config.induction_k,
+                   workers=config.formal_workers, proof_cache=proof_cache,
+                   query_timeout=config.formal_query_timeout)
 
     # ------------------------------------------------------------------
     # lazy members

@@ -25,13 +25,15 @@ into declarative, independently-schedulable jobs:
 
 Library use mirrors the CLI::
 
+    from repro.core import GoldMineConfig
     from repro.runner import RunOptions, get_experiment, execute_jobs, RunCheckpoint
 
+    options = RunOptions(config=GoldMineConfig(sim_engine="batched", sim_lanes=128))
     spec = get_experiment("fig16")
-    jobs = spec.expand(RunOptions(engine="batched", lanes=128))
+    jobs = spec.expand(options)
     checkpoint = RunCheckpoint("artifacts/fig16")
     checkpoint.ensure_manifest({"experiment": spec.name,
-                                "options": RunOptions(engine="batched", lanes=128).identity(),
+                                "options": options.identity(),
                                 "jobs": [job.job_id for job in jobs]})
     records = execute_jobs(jobs, checkpoint, workers=4)
 """

@@ -29,6 +29,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.config import GoldMineConfig
+from repro.formal.checker import FormalVerifier
 from repro.runner.checkpoint import (
     CheckpointError,
     RunCheckpoint,
@@ -42,6 +44,7 @@ from repro.runner.registry import (
     get_experiment,
 )
 from repro.runner.report import aggregate_records, render_result
+from repro.sim.base import SIM_ENGINES
 
 
 def _parse_csv(text: str) -> tuple[str, ...]:
@@ -86,12 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true",
                      help="re-admit quarantined (poisoned/timed_out) and "
                           "budget-exhausted jobs with a fresh retry budget")
-    run.add_argument("--engine", choices=("scalar", "batched"), default="scalar",
+    run.add_argument("--engine", choices=SIM_ENGINES, default="scalar",
                      help="simulation engine threaded through the pipeline")
     run.add_argument("--formal-engine", dest="formal_engine",
-                     choices=("explicit", "bmc", "k-induction", "tiered",
-                              "bdd"),
-                     default="explicit",
+                     choices=FormalVerifier.ENGINES, default="explicit",
                      help="formal back end for candidate verification "
                           "(bmc = incremental SAT with a persistent solver "
                           "context per cone-of-influence slice; "
@@ -169,15 +170,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Bare --proof-cache: persist under the artifacts root so every
         # run (and every job of a sweep) shares one verdict store.
         proof_cache = str(Path(args.artifacts) / "proofcache.json")
-    options = RunOptions(
-        engine=args.engine, lanes=args.lanes, formal_engine=args.formal_engine,
-        induction_k=args.induction_k,
-        formal_workers=args.formal_workers,
-        formal_timeout=args.formal_timeout, proof_cache=proof_cache,
-        smoke=args.smoke,
-        designs=args.designs, seeds=args.seeds, seed_cycles=args.seed_cycles,
-        max_iterations=args.max_iterations,
-    )
+    try:
+        config = GoldMineConfig(
+            sim_engine=args.engine, sim_lanes=args.lanes,
+            engine=args.formal_engine, induction_k=args.induction_k,
+            formal_workers=args.formal_workers,
+            formal_query_timeout=args.formal_timeout,
+            formal_proof_cache=proof_cache)
+        options = RunOptions(
+            config=config, smoke=args.smoke, designs=args.designs,
+            seeds=args.seeds, seed_cycles=args.seed_cycles,
+            max_iterations=args.max_iterations)
+    except ValueError as exc:
+        # Reject before expansion: no run directory, no failed jobs.
+        print(f"invalid options: {exc}", file=sys.stderr)
+        return 2
     try:
         jobs = spec.expand(options)
     except KeyError as exc:

@@ -20,8 +20,9 @@ this module adds is the runner's policy per job:
 * **Memory pressure** — an optional RSS watchdog (``memory_budget_mb``)
   kills a worker whose resident set grows more than the budget past its
   post-spawn baseline and retries the job once, free of charge, in
-  degraded mode (``sim_lanes`` reduced — payloads are invariant to it,
-  so the artifact is unchanged; the degradation is recorded).
+  degraded mode (the ``"config"`` param's ``sim_lanes`` reduced —
+  payloads are invariant to it, so the artifact is unchanged; the
+  degradation is recorded).
 * **Poison jobs** — every other fault is charged to the job's bounded
   retry budget (exponential backoff between attempts); a job that
   exhausts it is quarantined as ``status: "poisoned"`` (or
@@ -68,7 +69,7 @@ from repro.workers import (
 #: the job.  Chosen to match the formal layer's restart allowance.
 DEFAULT_RETRY_BUDGET = 2
 #: Degraded-mode simulation lanes after a memory kill (only for jobs
-#: that have the param); a payload-invariant knob.
+#: whose ``"config"`` param sets them); a payload-invariant knob.
 DEGRADED_SIM_LANES = 16
 
 #: Counter keys ``execute_jobs`` maintains in its ``stats`` out-param.
@@ -99,9 +100,11 @@ def run_one_job(task: tuple[str, str, dict]) -> dict:
 
 
 def _degraded_overrides(params) -> dict:
-    """Reduced-resource params for a memory-kill retry (present keys only)."""
-    if "sim_lanes" in params:
-        return {"sim_lanes": min(int(params["sim_lanes"]), DEGRADED_SIM_LANES)}
+    """Reduced-resource config fields for a memory-kill retry (present
+    keys only), applied to the job's ``"config"`` param."""
+    config = params.get("config") or {}
+    if "sim_lanes" in config:
+        return {"sim_lanes": min(int(config["sim_lanes"]), DEGRADED_SIM_LANES)}
     return {}
 
 
@@ -130,7 +133,7 @@ class _JobState:
     def current_task(self) -> tuple[str, str, dict]:
         task = self.job.task()
         if self.degraded:
-            task[2].update(self.degraded)
+            task[2]["config"] = {**task[2]["config"], **self.degraded}
         return task
 
 

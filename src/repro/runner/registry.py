@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from repro.core.config import GoldMineConfig
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -55,40 +57,27 @@ class JobSpec:
 class RunOptions:
     """User-facing knobs shared by every experiment (the CLI flags).
 
-    ``engine``/``lanes`` select the simulation back end threaded through
-    every driver (see ``GoldMineConfig.sim_engine``); ``formal_engine``
-    selects the formal back end the refinement loop verifies candidates
-    with (``explicit``, ``bmc`` — the incremental SAT path,
-    ``k-induction``, ``tiered``, ``bdd``); ``induction_k`` caps the
-    induction depth of the two unbounded-proof engines (ignored by the
-    rest); ``formal_workers`` fans each run's candidate batches out to
-    that many persistent verification worker processes
-    (``GoldMineConfig.formal_workers`` — results are identical for every
-    count, see :mod:`repro.formal.parallel`); ``formal_timeout`` caps
-    each individual formal query's wall clock in seconds (expired
-    queries come back as uncached, ``timed_out`` UNKNOWNs, and the
-    unbounded-proof engines degrade to bounded search first — see
-    ``GoldMineConfig.formal_query_timeout``); ``proof_cache`` enables
-    cross-run verdict reuse (``True`` for in-memory sharing, a path to
-    persist under ``artifacts/``, see :mod:`repro.formal.proofcache`);
-    ``smoke`` shrinks workloads to seconds for CI and doc
-    checks; ``designs``/``seeds`` restrict or parameterize the job matrix
-    where an experiment iterates over designs; ``max_iterations``
-    overrides the refinement budget.
+    ``config`` is the engine configuration every job runs under: each
+    expanded job carries it as one ``"config"`` param
+    (:meth:`GoldMineConfig.to_json`), and the executor rebuilds it and
+    hands it to the driver, which sets its own per-subject fields
+    (window, iteration budget, ...).  ``smoke`` shrinks workloads to
+    seconds for CI and doc checks; ``designs``/``seeds`` restrict or
+    parameterize the job matrix where an experiment iterates over
+    designs; ``seed_cycles`` sizes the sweep's random seed stimulus;
+    ``max_iterations`` overrides the refinement budget.
     """
 
-    engine: str = "scalar"
-    lanes: int = 64
-    formal_engine: str = "explicit"
-    induction_k: int = 8
-    formal_workers: int = 1
-    formal_timeout: float | None = None
-    proof_cache: bool | str = False
+    config: GoldMineConfig = field(default_factory=GoldMineConfig)
     smoke: bool = False
     designs: tuple[str, ...] | None = None
     seeds: tuple[int, ...] = (0,)
     seed_cycles: int | None = None
     max_iterations: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
     def identity(self) -> dict:
         """The option values in effect, recorded in the run manifest.
@@ -99,13 +88,7 @@ class RunOptions:
         experiment ignores never blocks a resume.
         """
         return {
-            "engine": self.engine,
-            "lanes": self.lanes,
-            "formal_engine": self.formal_engine,
-            "induction_k": self.induction_k,
-            "formal_workers": self.formal_workers,
-            "formal_timeout": self.formal_timeout,
-            "proof_cache": self.proof_cache,
+            "config": self.config.to_json(),
             "smoke": self.smoke,
             "designs": list(self.designs) if self.designs is not None else None,
             "seeds": list(self.seeds),

@@ -15,8 +15,10 @@ studies that have no paper counterpart.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
+from repro.core.config import GoldMineConfig
 from repro.runner.registry import ExperimentSpec, JobSpec, RunOptions, register
 
 
@@ -26,13 +28,12 @@ def _iterations(options: RunOptions, full: int, smoke: int) -> int:
     return smoke if options.smoke else full
 
 
-def _engine_params(options: RunOptions) -> dict:
-    return {"sim_engine": options.engine, "sim_lanes": options.lanes,
-            "formal_engine": options.formal_engine,
-            "induction_k": options.induction_k,
-            "formal_workers": options.formal_workers,
-            "formal_query_timeout": options.formal_timeout,
-            "proof_cache": options.proof_cache}
+def _driver_kwargs(params: Mapping) -> dict:
+    """A job's params as driver kwargs: the ``"config"`` param (every job
+    carries :meth:`GoldMineConfig.to_json`) rebuilt into the config."""
+    kwargs = dict(params)
+    kwargs["config"] = GoldMineConfig.from_json(kwargs["config"])
+    return kwargs
 
 
 def _reject_designs(options: RunOptions, experiment: str, fixed: str) -> None:
@@ -49,14 +50,14 @@ def _reject_designs(options: RunOptions, experiment: str, fixed: str) -> None:
 def _fig12_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "fig12", "arbiter2")
     params = {"window": 2, "max_iterations": _iterations(options, 16, 8),
-              **_engine_params(options)}
+              "config": options.config.to_json()}
     return [JobSpec("fig12", "fig12/arbiter2", params)]
 
 
 def _fig12_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig12_arbiter
 
-    result = fig12_arbiter.run(**dict(params))
+    result = fig12_arbiter.run(**_driver_kwargs(params))
     payload = result.as_experiment_result().to_json()
     payload["notes"].append(f"converged={result.converged} "
                             f"assertions={result.assertion_count}")
@@ -82,7 +83,7 @@ def _fig13_expand(options: RunOptions) -> list[JobSpec]:
             params = {"subject": [design, output, group], "seed_cycles": 4,
                       "random_seed": 1,
                       "max_iterations": _iterations(options, 20, 12),
-                      **_engine_params(options)}
+                      "config": options.config.to_json()}
             jobs.append(JobSpec("fig13", f"fig13/{design}.{output}", params))
     return jobs
 
@@ -90,7 +91,7 @@ def _fig13_expand(options: RunOptions) -> list[JobSpec]:
 def _fig13_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig13_design_space
 
-    params = dict(params)
+    params = _driver_kwargs(params)
     subject = tuple(params.pop("subject"))
     result = fig13_design_space.run(subjects=(subject,), **params)
     cycles = sum(series.test_suite_cycles for series in result.series)
@@ -109,7 +110,7 @@ def _fig14_expand(options: RunOptions) -> list[JobSpec]:
     for design in designs:
         params = {"design": design, "seed_cycles": 3, "random_seed": 3,
                   "max_iterations": _iterations(options, 20, 12),
-                  **_engine_params(options)}
+                  "config": options.config.to_json()}
         jobs.append(JobSpec("fig14", f"fig14/{design}", params))
     return jobs
 
@@ -117,7 +118,7 @@ def _fig14_expand(options: RunOptions) -> list[JobSpec]:
 def _fig14_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig14_expression
 
-    params = dict(params)
+    params = _driver_kwargs(params)
     design = params.pop("design")
     result = fig14_expression.run(subjects=(design,), **params)
     cycles = sum(series.test_suite_cycles for series in result.series)
@@ -132,14 +133,14 @@ def _fig15_expand(options: RunOptions) -> list[JobSpec]:
     params = {"design_name": "wbstage",
               "random_cycles": 15 if options.smoke else 30,
               "random_seed": 2, "max_iterations": _iterations(options, 16, 8),
-              **_engine_params(options)}
+              "config": options.config.to_json()}
     return [JobSpec("fig15", "fig15/wbstage", params)]
 
 
 def _fig15_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig15_high_coverage
 
-    result = fig15_high_coverage.run(**dict(params))
+    result = fig15_high_coverage.run(**_driver_kwargs(params))
     payload = result.as_experiment_result().to_json()
     payload["notes"].append(f"added_test_cycles={result.added_test_cycles}")
     return payload, result.random_cycles + result.added_test_cycles
@@ -159,7 +160,7 @@ def _fig16_expand(options: RunOptions) -> list[JobSpec]:
                   "cycles": DEFAULT_CYCLES.get(design, 100),
                   "random_seed": 13, "goldmine_seed_cycles": 25,
                   "max_iterations": _iterations(options, 16, 10),
-                  "max_depth": 8, **_engine_params(options)}
+                  "max_depth": 8, "config": options.config.to_json()}
         jobs.append(JobSpec("fig16", f"fig16/{design}", params))
     return jobs
 
@@ -167,7 +168,7 @@ def _fig16_expand(options: RunOptions) -> list[JobSpec]:
 def _fig16_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import fig16_itc99
 
-    params = dict(params)
+    params = _driver_kwargs(params)
     design = params.pop("design")
     budget = params.pop("cycles")
     result = fig16_itc99.run(designs=[design], cycles={design: budget}, **params)
@@ -190,7 +191,7 @@ def _table1_expand(options: RunOptions) -> list[JobSpec]:
         for design, output in by_design[design]:
             params = {"subject": [design, output],
                       "max_iterations": _iterations(options, 24, 16),
-                      **_engine_params(options)}
+                      "config": options.config.to_json()}
             jobs.append(JobSpec("table1", f"table1/{design}.{output}", params))
     return jobs
 
@@ -198,7 +199,7 @@ def _table1_expand(options: RunOptions) -> list[JobSpec]:
 def _table1_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import table1_zero_seed
 
-    params = dict(params)
+    params = _driver_kwargs(params)
     subject = tuple(params.pop("subject"))
     result = table1_zero_seed.run(subjects=(subject,), **params)
     payload = result.as_experiment_result().to_json()
@@ -218,14 +219,14 @@ def _table2_expand(options: RunOptions) -> list[JobSpec]:
     params = {"design_name": "fetch",
               "seed_cycles": 12 if options.smoke else 30,
               "random_seed": 7, "max_iterations": _iterations(options, 16, 8),
-              "mode": "formal", **_engine_params(options)}
+              "mode": "formal", "config": options.config.to_json()}
     return [JobSpec("table2", "table2/fetch", params)]
 
 
 def _table2_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import table2_faults
 
-    result = table2_faults.run(**dict(params))
+    result = table2_faults.run(**_driver_kwargs(params))
     payload = result.as_experiment_result().to_json()
     payload["notes"].append(f"all_detected={result.all_detected}")
     return payload, result.test_suite_cycles
@@ -244,7 +245,7 @@ def _table3_expand(options: RunOptions) -> list[JobSpec]:
                   "baseline_cycles": 200 if options.smoke else 1_000,
                   "baseline_seed": 11,
                   "max_iterations": _iterations(options, 16, 10),
-                  **_engine_params(options)}
+                  "config": options.config.to_json()}
         jobs.append(JobSpec("table3", f"table3/{design}", params))
     return jobs
 
@@ -252,7 +253,7 @@ def _table3_expand(options: RunOptions) -> list[JobSpec]:
 def _table3_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import table3_rigel
 
-    params = dict(params)
+    params = _driver_kwargs(params)
     module = params.pop("module")
     result = table3_rigel.run(modules=(module,), **params)
     payload = result.as_experiment_result().to_json()
@@ -265,7 +266,7 @@ def _table3_execute(params: Mapping) -> tuple[dict, int]:
 def _walkthrough_expand(options: RunOptions) -> list[JobSpec]:
     _reject_designs(options, "walkthrough", "arbiter2")
     params = {"window": 2, "max_iterations": _iterations(options, 16, 8),
-              **_engine_params(options)}
+              "config": options.config.to_json()}
     return [JobSpec("walkthrough", "walkthrough/arbiter2", params)]
 
 
@@ -273,7 +274,7 @@ def _walkthrough_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import arbiter_walkthrough
     from repro.experiments.common import ExperimentResult
 
-    result = arbiter_walkthrough.run(**dict(params))
+    result = arbiter_walkthrough.run(**_driver_kwargs(params))
     payload = ExperimentResult(
         name="walkthrough",
         description="Section 6 worked example: two-port arbiter refinement",
@@ -295,7 +296,7 @@ def _ablation_incremental_expand(options: RunOptions) -> list[JobSpec]:
     params = {"design_name": "arbiter4", "output": "gnt0",
               "seed_cycles": 8 if options.smoke else 12, "random_seed": 5,
               "max_iterations": _iterations(options, 24, 14),
-              **_engine_params(options)}
+              "config": options.config.to_json()}
     return [JobSpec("ablation-incremental", "ablation-incremental/arbiter4", params)]
 
 
@@ -303,7 +304,7 @@ def _ablation_incremental_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import ablation_incremental
     from repro.experiments.common import ExperimentResult
 
-    result = ablation_incremental.run(**dict(params))
+    result = ablation_incremental.run(**_driver_kwargs(params))
     payload = ExperimentResult(
         name="ablation-incremental",
         description="Incremental vs rebuilt decision trees (ablation E10)",
@@ -334,7 +335,7 @@ def _ablation_engines_expand(options: RunOptions) -> list[JobSpec]:
                   "max_iterations": _iterations(options, 16, 10),
                   "bmc_bound": 8,
                   "max_assertions_per_design": 10 if options.smoke else 40,
-                  **_engine_params(options)}
+                  "config": options.config.to_json()}
         jobs.append(JobSpec("ablation-engines", f"ablation-engines/{design}", params))
     return jobs
 
@@ -343,7 +344,7 @@ def _ablation_engines_execute(params: Mapping) -> tuple[dict, int]:
     from repro.experiments import ablation_engines
     from repro.experiments.common import CoverageRow, ExperimentResult
 
-    params = dict(params)
+    params = _driver_kwargs(params)
     design = params.pop("design")
     comparisons = ablation_engines.run(designs=(design,), **params)
     payload = ExperimentResult(
@@ -378,13 +379,12 @@ def _sweep_expand(options: RunOptions) -> list[JobSpec]:
         for seed in options.seeds:
             params = {"design": design, "seed": seed, "seed_cycles": seed_cycles,
                       "max_iterations": _iterations(options, 24, 12),
-                      **_engine_params(options)}
+                      "config": options.config.to_json()}
             jobs.append(JobSpec("sweep", f"sweep/{design}/seed{seed}", params))
     return jobs
 
 
 def _sweep_execute(params: Mapping) -> tuple[dict, int]:
-    from repro.core.config import GoldMineConfig
     from repro.core.refinement import CoverageClosure
     from repro.coverage.runner import CoverageRunner
     from repro.designs import info as design_info
@@ -395,16 +395,8 @@ def _sweep_execute(params: Mapping) -> tuple[dict, int]:
     seed = params["seed"]
     meta = design_info(design)
     module = meta.build()
-    config = GoldMineConfig(window=meta.window,
-                            max_iterations=params["max_iterations"],
-                            sim_engine=params["sim_engine"],
-                            sim_lanes=params["sim_lanes"],
-                            engine=params.get("formal_engine", "explicit"),
-                            induction_k=params.get("induction_k", 8),
-                            formal_workers=params.get("formal_workers", 1),
-                            formal_proof_cache=params.get("proof_cache", False),
-                            formal_query_timeout=params.get(
-                                "formal_query_timeout"))
+    config = replace(GoldMineConfig.from_json(params["config"]),
+                     window=meta.window, max_iterations=params["max_iterations"])
     closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None,
                               config=config)
     seed_cycles = params["seed_cycles"]
@@ -412,7 +404,7 @@ def _sweep_execute(params: Mapping) -> tuple[dict, int]:
     result = closure.run(stimulus)
 
     runner = CoverageRunner(meta.build(), fsm_signals=meta.fsm_signals or None,
-                            engine=params["sim_engine"], lanes=params["sim_lanes"])
+                            engine=config.sim_engine, lanes=config.sim_lanes)
     runner.run_suite(result.test_suite)
     report = runner.report()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.assertions.assertion import Assertion, Literal
@@ -9,6 +11,7 @@ from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
 from repro.faults.mutation import StuckAtFault, enumerate_faults, inject_fault
 from repro.faults.regression import run_fault_campaign
+from repro.formal.checker import FormalVerifier
 from repro.formal.explicit import ExplicitModelChecker
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import DirectedStimulus, RandomStimulus
@@ -121,6 +124,29 @@ class TestRegression:
         # req1 stuck at 0 keeps gnt1 at 0, so this particular assertion stays
         # true and the fault goes undetected by it.
         assert not campaign.detections[0].detected
+
+    def test_campaign_verifier_gets_config_query_timeout(self, arbiter2_module,
+                                                         monkeypatch):
+        """Each mutant's verifier is built from the whole campaign config,
+        so the per-query timeout reaches it along with the engine."""
+        built = []
+        original = FormalVerifier.__init__
+
+        def spy(self, *args, **kwargs):
+            bound = inspect.signature(original).bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            built.append((bound.arguments["engine"],
+                          bound.arguments["query_timeout"]))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FormalVerifier, "__init__", spy)
+        assertion = Assertion((Literal("req0", 0, 0), Literal("req1", 0, 0),
+                               Literal("gnt0", 0, 0)),
+                              Literal("gnt1", 0, 1), 1)
+        run_fault_campaign(arbiter2_module, [assertion], [StuckAtFault("req0", 0)],
+                           config=GoldMineConfig(engine="tiered",
+                                                 formal_query_timeout=0.5))
+        assert built == [("tiered", 0.5)]
 
     def test_invalid_mode_rejected(self, arbiter2_module):
         with pytest.raises(ValueError):

@@ -140,6 +140,34 @@ class TestRun:
             assert "unrecognized arguments" in process.stderr
 
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--lanes", "0"), "sim_lanes must be at least 1"),
+        (("--formal-workers", "0"), "formal_workers must be at least 1"),
+        (("--induction-k", "-1"), "induction_k cannot be negative"),
+        (("--formal-timeout", "0"), "formal_query_timeout must be positive"),
+        (("--max-iterations", "0"), "max_iterations must be at least 1"),
+    ])
+    def test_invalid_engine_values_rejected_before_expansion(self, tmp_path,
+                                                             flags, message):
+        """An invalid engine value is a usage error (exit 2, the config's
+        own message), not four failed jobs in a fresh run directory."""
+        process = repro_cli("run", "sweep", "--designs", "arbiter2,b01",
+                            "--seeds", "0,1", "--smoke", *flags,
+                            "--artifacts", str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert message in process.stderr
+        assert "Traceback" not in process.stderr
+        assert not (tmp_path / "sweep").exists()
+
+    def test_engine_choices_come_from_the_engines(self):
+        from repro.formal.checker import FormalVerifier
+        from repro.sim.base import SIM_ENGINES
+
+        help_text = repro_cli("run", "--help").stdout
+        for engines in (SIM_ENGINES, FormalVerifier.ENGINES):
+            assert "{" + ",".join(engines) + "}" in help_text
+
+
 class TestResume:
     def test_resume_skips_completed_jobs(self, tmp_path):
         """Simulated mid-sweep kill: pre-seed the checkpoint with some of the
@@ -210,6 +238,38 @@ class TestReport:
 
         out = repro_cli("report", str(run_dir)).stdout
         assert "input_space_%" in out
+        old = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        assert old == fresh
+        process = repro_cli("run", "fig12", "--smoke", "--artifacts",
+                            str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert "--fresh" in process.stderr
+
+    def test_report_renders_pre_config_run(self, tmp_path):
+        """A run directory written before jobs carried one ``"config"``
+        param (its params restated each engine knob) keeps reporting, and
+        a resume is refused until ``--fresh``."""
+        from repro.runner.checkpoint import jobs_signature
+
+        repro_cli("run", "fig12", "--smoke", "--artifacts", str(tmp_path),
+                  "--quiet")
+        run_dir = tmp_path / "fig12"
+        fresh = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        manifest = json.loads((run_dir / "run.json").read_text())
+        manifest["options"] = {
+            "engine": "scalar", "lanes": 64, "formal_engine": "explicit",
+            "induction_k": 8, "formal_workers": 1, "formal_timeout": None,
+            "proof_cache": False, "smoke": True, "designs": None,
+            "seeds": [0], "seed_cycles": None, "max_iterations": None}
+        old_params = {
+            "window": 2, "max_iterations": 8, "sim_engine": "scalar",
+            "sim_lanes": 64, "formal_engine": "explicit", "induction_k": 8,
+            "formal_workers": 1, "formal_query_timeout": None,
+            "proof_cache": False}
+        manifest["jobs_signature"] = jobs_signature(
+            [("fig12", "fig12/arbiter2", old_params)])
+        (run_dir / "run.json").write_text(json.dumps(manifest))
+
         old = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
         assert old == fresh
         process = repro_cli("run", "fig12", "--smoke", "--artifacts",

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core.config import GoldMineConfig
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.pool import execute_jobs, run_one_job
 from repro.runner.registry import ExperimentSpec, JobSpec, RunOptions, register
@@ -175,7 +176,8 @@ class TestRunOptions:
     def test_identity_excludes_nothing_that_changes_payloads(self):
         base = RunOptions()
         assert RunOptions().identity() == base.identity()
-        assert RunOptions(engine="batched").identity() != base.identity()
+        assert RunOptions(config=GoldMineConfig(sim_engine="batched")).identity() \
+            != base.identity()
         assert RunOptions(smoke=True).identity() != base.identity()
         assert RunOptions(seeds=(1,)).identity() != base.identity()
 

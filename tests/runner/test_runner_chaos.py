@@ -58,7 +58,7 @@ def _chaos_execute(params):
     if params.get("poison") and not (marker_dir / "antidote").exists():
         os.kill(os.getpid(), signal.SIGKILL)
     balloon = params.get("balloon_mb", 0)
-    if balloon and params.get("sim_lanes", 0) > 16:
+    if balloon and params["config"].get("sim_lanes", 0) > 16:
         # Unique random pages: lazy mapping and same-page merging would
         # elide a zero/repeating buffer; hold the balloon while sleeping
         # so the RSS watchdog sees the growth.
@@ -353,7 +353,7 @@ class TestRetryBudgetAcrossResumes:
 class TestMemoryGovernance:
     def test_over_budget_worker_killed_and_degraded(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2,
-                     extra={"sim_lanes": 64, "formal_workers": 4},
+                     extra={"config": {"sim_lanes": 64, "formal_workers": 4}},
                      per_job={1: {"balloon_mb": 256}})
         records, stats, _ = _run(jobs, tmp_path / "run", workers=1,
                                  memory_budget_mb=96, retry_budget=1,
@@ -372,7 +372,7 @@ class TestMemoryGovernance:
 
     def test_oom_chaos_fault_drives_watchdog(self, tmp_path, chaos_stub):
         jobs = _jobs(tmp_path / "m", count=2,
-                     extra={"sim_lanes": 64, "formal_workers": 4})
+                     extra={"config": {"sim_lanes": 64, "formal_workers": 4}})
         plan = chaos.ChaosPlan(
             faults={0: chaos.WorkerFault(chaos.FAULT_OOM, balloon_mb=256)},
             memory_budget_mb=96)
