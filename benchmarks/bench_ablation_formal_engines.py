@@ -15,7 +15,7 @@ from repro.experiments.common import format_table
 
 
 def test_ablation_formal_engines(benchmark, print_section):
-    comparisons = run_once(benchmark, ablation_engines.run)
+    comparisons = run_once(benchmark, ablation_engines.run).comparisons
 
     headers = ["design", "assertions", "engine", "true", "false", "unknown",
                "avg ms/check"]

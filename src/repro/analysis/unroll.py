@@ -122,18 +122,6 @@ class UnrolledDesign:
             vectors.append(vector)
         return vectors
 
-    def model_to_initial_state(self, model: Mapping[str, bool]) -> dict[str, int]:
-        """Extract the cycle-0 register values from a satisfying assignment."""
-        state: dict[str, int] = {}
-        for name in self.module.state_names:
-            width = self.module.width_of(name)
-            value = 0
-            for bit in range(width):
-                if model.get(bit_variable(name, bit, 0), False):
-                    value |= 1 << bit
-            state[name] = value
-        return state
-
 
 class Unroller:
     """Unrolls a module's synthesized functions over a bounded window.

@@ -119,12 +119,6 @@ class Assertion:
         return len(self.antecedent)
 
     @property
-    def is_combinational(self) -> bool:
-        """True when every proposition refers to the same cycle."""
-        cycles = {literal.cycle for literal in self.antecedent} | {self.consequent.cycle}
-        return cycles == {0} or len(cycles) <= 1
-
-    @property
     def span(self) -> int:
         """Number of cycles the assertion spans (consequent offset + 1)."""
         return self.consequent.cycle + 1

@@ -66,9 +66,6 @@ class BDD:
     def variables(self) -> list[str]:
         return list(self._level_vars)
 
-    def level_of(self, name: str) -> int:
-        return self._var_levels[name]
-
     @property
     def node_count(self) -> int:
         return len(self._nodes)

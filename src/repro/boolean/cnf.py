@@ -122,9 +122,6 @@ class CnfBuilder:
             self._var_to_name[index] = name
         return self._name_to_var[name]
 
-    def name_of(self, variable: int) -> str | None:
-        return self._var_to_name.get(variable)
-
     def lookup(self, name: str) -> int | None:
         """The solver variable for ``name`` if it has one, without
         allocating (unlike :meth:`variable`) and without copying the whole

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 class BoolExpr:
@@ -330,11 +330,3 @@ def implies(antecedent: BoolExpr, consequent: BoolExpr) -> BoolExpr:
 def iff(left: BoolExpr, right: BoolExpr) -> BoolExpr:
     """Logical equivalence."""
     return not_(xor_(left, right))
-
-
-def conjoin_all(operands: Iterable[BoolExpr]) -> BoolExpr:
-    return and_(*list(operands))
-
-
-def disjoin_all(operands: Iterable[BoolExpr]) -> BoolExpr:
-    return or_(*list(operands))

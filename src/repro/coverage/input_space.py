@@ -9,28 +9,11 @@ paths their covered regions are disjoint, so the fractions add.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.assertions.assertion import (
-    Assertion,
-    combined_input_space_coverage,
-    input_space_fraction,
-)
+from repro.assertions.assertion import Assertion, combined_input_space_coverage
 
 
 def assertion_input_space_coverage(assertions: Iterable[Assertion]) -> float:
     """Combined input-space coverage (0..1) of a set of true assertions."""
     return combined_input_space_coverage(list(assertions))
-
-
-def per_output_input_space(assertions_by_output: Mapping[str, Iterable[Assertion]]) -> dict[str, float]:
-    """Input-space coverage per output, as plotted in Fig. 13 / Table 1."""
-    return {
-        output: combined_input_space_coverage(list(assertions))
-        for output, assertions in assertions_by_output.items()
-    }
-
-
-def coverage_gain(assertion: Assertion) -> float:
-    """Input-space fraction contributed by one assertion."""
-    return input_space_fraction(assertion)

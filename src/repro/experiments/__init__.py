@@ -11,15 +11,28 @@ library code with no side effects; the layers above consume them:
 * ``benchmarks/`` — full-scale regeneration with shape validation.
 * ``tests/experiments/`` — scaled-down smoke/shape tests.
 
-Every driver takes one ``config: GoldMineConfig | None`` carrying the
-engine settings (simulation engine and lanes, formal engine, induction
-depth, formal workers, query timeout, proof cache) and sets its own
-per-subject fields (window, iteration budget, ...) on a
-:func:`dataclasses.replace` copy.  ``config.sim_engine``/``sim_lanes``
-route the bit-parallel batched simulator through data generation,
-counterexample replay and coverage measurement; results are
-engine-independent.  Mining always runs on the bit-parallel columnar
-A-Miner.
+Every driver follows one contract:
+
+* ``run(**kwargs)`` takes one ``config: GoldMineConfig | None`` carrying
+  the engine settings (simulation engine and lanes, formal engine,
+  induction depth, formal workers, query timeout, proof cache) plus its
+  own subject kwargs; a runner job's params are exactly those kwargs.
+* The closure runs through :func:`~repro.experiments.common.closure_for_design`,
+  which sets the design's window and the driver's per-subject fields
+  (iteration budget, ...) on a :func:`dataclasses.replace` copy of the
+  config; coverage of a suite is measured through
+  :func:`~repro.experiments.common.coverage_of_suite` (or, per
+  iteration, :func:`~repro.experiments.common.coverage_snapshots`).
+  Those are the only places the experiments build a ``CoverageClosure``
+  or a ``CoverageRunner``.
+* The returned result renders its own runner payload,
+  ``as_experiment_result()`` (series, rows and notes), and its simulated
+  test cycles, ``test_cycles()``.
+
+``config.sim_engine``/``sim_lanes`` route the bit-parallel batched
+simulator through data generation, counterexample replay and coverage
+measurement; results are engine-independent.  Mining always runs on the
+bit-parallel columnar A-Miner.
 
 | Paper artifact | Driver |
 |----------------|--------|
@@ -34,6 +47,7 @@ A-Miner.
 | Sec. 6 walkthrough                           | :mod:`repro.experiments.arbiter_walkthrough` |
 | Ablation: incremental vs rebuilt trees       | :mod:`repro.experiments.ablation_incremental` |
 | Ablation: formal engine comparison           | :mod:`repro.experiments.ablation_engines` |
+| ad-hoc (design × seed) closure sweep         | :mod:`repro.experiments.sweep` |
 """
 
 from repro.experiments.common import (
@@ -41,6 +55,7 @@ from repro.experiments.common import (
     ExperimentResult,
     closure_for_design,
     coverage_of_suite,
+    coverage_snapshots,
     format_table,
 )
 
@@ -49,5 +64,6 @@ __all__ = [
     "ExperimentResult",
     "closure_for_design",
     "coverage_of_suite",
+    "coverage_snapshots",
     "format_table",
 ]

@@ -14,13 +14,13 @@ properties its inductive step cannot prove).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.assertions.assertion import Assertion, Verdict
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
 from repro.designs import info as design_info
+from repro.experiments.common import CoverageRow, ExperimentResult, closure_for_design
 from repro.formal.bdd_engine import BddModelChecker
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.explicit import ExplicitModelChecker
@@ -50,30 +50,53 @@ class EngineComparison:
     bmc_contradictions: int = 0
 
 
+@dataclass
+class EngineAblationResult:
+    comparisons: list[EngineComparison] = field(default_factory=list)
+
+    def as_experiment_result(self) -> ExperimentResult:
+        result = ExperimentResult(
+            name="ablation-engines",
+            description="Formal back-end comparison (ablation E11)",
+        )
+        for comparison in self.comparisons:
+            for engine_name, stats in sorted(comparison.stats.items()):
+                result.add_row(CoverageRow(
+                    design=comparison.design, method=engine_name, cycles=stats.checks,
+                    metrics={"true": float(stats.true_verdicts),
+                             "false": float(stats.false_verdicts),
+                             "unknown": float(stats.unknown_verdicts)},
+                ))
+            result.notes.append(
+                f"{comparison.design}: disagreements={comparison.disagreements} "
+                f"bmc_contradictions={comparison.bmc_contradictions}")
+        return result
+
+    def test_cycles(self) -> int:
+        return 0
+
+
 def _collect_assertions(design_name: str, seed_cycles: int, random_seed: int,
                         max_iterations: int, include_failed: bool = True,
                         config: GoldMineConfig | None = None) -> tuple:
     """Mine a mixed set of true and (historically) failed assertions."""
-    meta = design_info(design_name)
-    module = meta.build()
-    config = replace(config or GoldMineConfig(), window=meta.window,
-                     max_iterations=max_iterations)
-    closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None, config=config)
-    result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
+    closure, result = closure_for_design(
+        design_name, config, RandomStimulus(seed_cycles, seed=random_seed),
+        max_iterations=max_iterations)
     assertions: list[Assertion] = list(result.all_true_assertions)
     if include_failed:
         for context in closure.contexts:
             assertions.extend(context.failed)
-    return meta.build(), assertions
+    return design_info(design_name).build(), assertions
 
 
 def run(designs: Sequence[str] = ("arbiter2", "arbiter4", "b01"),
         seed_cycles: int = 10, random_seed: int = 9,
         max_iterations: int = 16, bmc_bound: int = 8,
         max_assertions_per_design: int = 40,
-        config: GoldMineConfig | None = None) -> list[EngineComparison]:
+        config: GoldMineConfig | None = None) -> EngineAblationResult:
     """Cross-check the three engines over mined assertion suites."""
-    comparisons: list[EngineComparison] = []
+    result = EngineAblationResult()
     for design_name in designs:
         module, assertions = _collect_assertions(
             design_name, seed_cycles, random_seed, max_iterations, config=config)
@@ -107,5 +130,5 @@ def run(designs: Sequence[str] = ("arbiter2", "arbiter4", "b01"),
             if verdicts["bmc"] is not Verdict.UNKNOWN and \
                     verdicts["bmc"] is not verdicts["explicit"]:
                 comparison.bmc_contradictions += 1
-        comparisons.append(comparison)
-    return comparisons
+        result.comparisons.append(comparison)
+    return result

@@ -16,11 +16,10 @@ the variable ordering above refined leaves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.designs import info as design_info
+from repro.experiments.common import ExperimentResult, closure_for_design
 from repro.sim.stimulus import RandomStimulus
 
 
@@ -41,23 +40,37 @@ class AblationResult:
     output: str
     incremental: VariantOutcome = None
     rebuilt: VariantOutcome = None
+    shared_assertions: int = 0
 
-    @property
-    def same_assertion_count(self) -> bool:
-        return self.incremental.true_assertions == self.rebuilt.true_assertions
+    def as_experiment_result(self) -> ExperimentResult:
+        result = ExperimentResult(
+            name="ablation-incremental",
+            description="Incremental vs rebuilt decision trees (ablation E10)",
+        )
+        # seconds is wall-clock and deliberately left out of the payload: the
+        # job record carries timing, the payload must stay deterministic.
+        for outcome in (self.incremental, self.rebuilt):
+            result.add_series(outcome.variant, [
+                float(outcome.converged), float(outcome.iterations),
+                float(outcome.formal_checks), float(outcome.true_assertions),
+                100.0 * outcome.input_space_coverage,
+            ])
+        result.notes.append("series values: [converged, iterations, formal_checks, "
+                            "true_assertions, input_space_%]")
+        result.notes.append(f"shared_assertions={self.shared_assertions}")
+        return result
+
+    def test_cycles(self) -> int:
+        return 0
 
 
 def _run_variant(design_name: str, output: str, rebuild: bool, seed_cycles: int,
                  random_seed: int, max_iterations: int,
                  config: GoldMineConfig | None = None) -> tuple[VariantOutcome, set]:
-    meta = design_info(design_name)
-    module = meta.build()
-    config = replace(config or GoldMineConfig(), window=meta.window,
-                     max_iterations=max_iterations)
-    closure = CoverageClosure(module, outputs=[output], config=config,
-                              rebuild_trees=rebuild)
     start = time.perf_counter()
-    result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
+    closure, result = closure_for_design(
+        design_name, config, RandomStimulus(seed_cycles, seed=random_seed),
+        outputs=[output], rebuild_trees=rebuild, max_iterations=max_iterations)
     seconds = time.perf_counter() - start
     label = closure.contexts[0].label
     outcome = VariantOutcome(
@@ -83,7 +96,6 @@ def run(design_name: str = "arbiter4", output: str = "gnt0",
     rebuilt, rebuilt_set = _run_variant(
         design_name, output, rebuild=True, seed_cycles=seed_cycles,
         random_seed=random_seed, max_iterations=max_iterations, config=config)
-    result = AblationResult(design=design_name, output=output,
-                            incremental=incremental, rebuilt=rebuilt)
-    result.shared_assertions = len(incremental_set & rebuilt_set)
-    return result
+    return AblationResult(design=design_name, output=output,
+                          incremental=incremental, rebuilt=rebuilt,
+                          shared_assertions=len(incremental_set & rebuilt_set))

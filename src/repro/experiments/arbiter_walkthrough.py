@@ -13,12 +13,12 @@ the example script can print the same story the paper tells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.assertions.render import to_ltl, to_sva
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.designs import arbiter2, arbiter2_directed_test
+from repro.designs import arbiter2_directed_test
+from repro.experiments.common import ExperimentResult, closure_for_design
 from repro.experiments.iteration_coverage import metric_by_iteration
 
 
@@ -42,17 +42,30 @@ class WalkthroughResult:
     converged: bool = False
     test_suite_cycles: int = 0
 
+    def as_experiment_result(self) -> ExperimentResult:
+        result = ExperimentResult(
+            name="walkthrough",
+            description="Section 6 worked example: two-port arbiter refinement",
+        )
+        result.add_series("input_space_%",
+                          [snap.input_space_percent for snap in self.snapshots])
+        result.add_series("expression_%",
+                          [snap.expression_percent for snap in self.snapshots])
+        result.notes.append(f"converged={self.converged}")
+        result.notes.extend(f"SVA: {sva}" for sva in self.final_assertions_sva)
+        return result
+
+    def test_cycles(self) -> int:
+        return self.test_suite_cycles
+
 
 def run(window: int = 2, max_iterations: int = 16,
         config: GoldMineConfig | None = None) -> WalkthroughResult:
     """Run the Section 6 walkthrough and collect its narrative data."""
-    config = replace(config or GoldMineConfig(), window=window,
-                     max_iterations=max_iterations)
-    module = arbiter2()
-    closure = CoverageClosure(module, outputs=["gnt0"], config=config)
-    closure_result = closure.run(arbiter2_directed_test())
-    expression = metric_by_iteration(closure_result, arbiter2(), "expr",
-                                     engine=config.sim_engine, lanes=config.sim_lanes)
+    closure, closure_result = closure_for_design(
+        "arbiter2", config, arbiter2_directed_test(), outputs=["gnt0"],
+        window=window, max_iterations=max_iterations)
+    expression = metric_by_iteration("arbiter2", closure_result, "expr", config)
 
     result = WalkthroughResult(converged=closure_result.converged,
                                test_suite_cycles=closure_result.total_test_cycles())

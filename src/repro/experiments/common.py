@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
 from repro.core.results import ClosureResult
 from repro.coverage.report import CoverageReport
 from repro.coverage.runner import CoverageRunner
-from repro.designs import DesignInfo, info as design_info, load as load_design
-from repro.hdl.module import Module
+from repro.designs import DesignInfo, info as design_info
 from repro.sim.stimulus import RandomStimulus, Stimulus
 
 
@@ -97,67 +96,80 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-def closure_for_design(design_name: str, outputs: Sequence[str] | None = None,
-                       window: int | None = None,
-                       seed: Stimulus | Sequence[Mapping[str, int]] | None = None,
-                       config: GoldMineConfig | None = None,
-                       max_iterations: int | None = None) -> tuple[ClosureResult, Module]:
-    """Run coverage closure on a registered design and return the result.
+Seed = Stimulus | Sequence[Mapping[str, int]] | None
 
-    ``seed`` defaults to the design's registered directed test if it has
-    one, otherwise to no seed (the zero-pattern limit case).
+
+def closure_for_design(design_name: str, config: GoldMineConfig | None = None,
+                       seed: Seed = None, outputs: Sequence[str] | None = None,
+                       rebuild_trees: bool = False,
+                       **overrides) -> tuple[CoverageClosure, ClosureResult]:
+    """Run coverage closure on a registered design from ``seed``.
+
+    The closure runs under ``config`` with the design's registered mining
+    window; ``overrides`` replace further config fields (``window``,
+    ``max_iterations``, ...) on a copy, so the caller's config is never
+    mutated.  ``outputs`` defaults to the design's registered mining
+    outputs; an empty ``outputs`` mines every output (buses bit by bit).
+    ``seed=None`` is the zero-pattern limit case.  Returns the closure
+    (its contexts and final trees) and its result.
     """
     meta: DesignInfo = design_info(design_name)
-    module = meta.build()
-    if config is None:
-        config = GoldMineConfig(window=window if window is not None else meta.window)
-    elif window is not None:
-        config = replace(config, window=window)
-    if outputs is None:
-        outputs = list(meta.mining_outputs) or None
-    if seed is None and meta.directed_test is not None:
-        seed = meta.seed_vectors()
-    closure = CoverageClosure(module, outputs=outputs, config=config)
-    result = closure.run(seed, max_iterations=max_iterations)
-    return result, module
+    config = replace(config or GoldMineConfig(),
+                     **{"window": meta.window, **overrides})
+    outputs = meta.mining_outputs if outputs is None else outputs
+    closure = CoverageClosure(meta.build(), outputs=list(outputs) or None,
+                              config=config, rebuild_trees=rebuild_trees)
+    return closure, closure.run(seed)
 
 
-def coverage_of_suite(module: Module,
-                      test_suite: Iterable[Sequence[Mapping[str, int]]],
-                      fsm_signals: Sequence[str] | None = None,
-                      engine: str = "scalar", lanes: int = 64) -> CoverageReport:
-    """Measure all standard coverage metrics of a test suite on a module.
+def design_seed(design_name: str, random_cycles: int,
+                random_seed: int) -> Stimulus | list[dict[str, int]]:
+    """The design's registered directed test, else a random seed stimulus."""
+    vectors = design_info(design_name).seed_vectors()
+    if vectors is not None:
+        return vectors
+    return RandomStimulus(random_cycles, seed=random_seed)
 
-    ``engine="batched"`` replays up to ``lanes`` sequences of the suite at
-    once on the bit-parallel engine (identical report, much faster for
-    the many short from-reset sequences a refined suite consists of).
+
+def coverage_snapshots(design_name: str, config: GoldMineConfig | None,
+                       suites: Iterable[Iterable[Stimulus | Sequence[Mapping[str, int]]]],
+                       prepend_reset: bool = False) -> Iterator[CoverageReport]:
+    """Replay ``suites`` in turn on one coverage runner; yield the report
+    after each.
+
+    Every sequence of a suite is replayed from reset (a :class:`Stimulus`
+    is materialised on the design first), and coverage is the union over
+    sequences, so the report after suite *k* equals the coverage of suites
+    0..*k* replayed together.  ``config.sim_engine``/``sim_lanes`` pick the
+    replay engine; reports are engine-independent.  ``prepend_reset``
+    starts every sequence with one cycle of asserted reset, the way a
+    testbench applies each test.
     """
-    runner = CoverageRunner(module, fsm_signals=fsm_signals, engine=engine, lanes=lanes)
-    runner.run_suite(test_suite)
-    return runner.report()
-
-
-def coverage_of_random(design_name: str, cycles: int, seed: int = 0,
-                       engine: str = "scalar", lanes: int = 64) -> tuple[CoverageReport, int]:
-    """Coverage achieved by pure random stimulus on a registered design."""
+    config = config or GoldMineConfig()
     meta = design_info(design_name)
     module = meta.build()
     runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None,
-                            engine=engine, lanes=lanes)
-    runner.run_stimulus(RandomStimulus(cycles, seed=seed))
-    return runner.report(), runner.cycles_run
+                            prepend_reset=prepend_reset,
+                            engine=config.sim_engine, lanes=config.sim_lanes)
+    for suite in suites:
+        runner.run_suite([list(sequence.cycles(module))
+                          if isinstance(sequence, Stimulus) else sequence
+                          for sequence in suite])
+        yield runner.report()
 
 
-def refined_suite_coverage(design_name: str, result: ClosureResult,
-                           module: Module | None = None,
-                           engine: str = "scalar", lanes: int = 64) -> CoverageReport:
-    """Coverage of the refined test suite produced by a closure run."""
-    meta = design_info(design_name)
-    module = module if module is not None else meta.build()
-    runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None,
-                            engine=engine, lanes=lanes)
-    runner.run_suite(result.test_suite)
-    return runner.report()
+def coverage_of_suite(design_name: str, config: GoldMineConfig | None,
+                      test_suite: Iterable[Stimulus | Sequence[Mapping[str, int]]],
+                      prepend_reset: bool = False) -> CoverageReport:
+    """Coverage of one test suite on a registered design (see
+    :func:`coverage_snapshots`)."""
+    [report] = coverage_snapshots(design_name, config, [test_suite], prepend_reset)
+    return report
+
+
+def metric_values(report: CoverageReport, metrics: Iterable[str]) -> dict[str, float]:
+    """``{metric: percent}``, counting a metric the design lacks as 0."""
+    return {metric: report.get(metric, 0.0) or 0.0 for metric in metrics}
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +185,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def percent(value: float) -> str:
-    return f"{value:.2f}%"

@@ -22,12 +22,11 @@ decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.config import GoldMineConfig
-from repro.designs import arbiter2, arbiter2_directed_test
-from repro.core.refinement import CoverageClosure
-from repro.experiments.common import ExperimentResult
+from repro.designs import arbiter2_directed_test
+from repro.experiments.common import ExperimentResult, closure_for_design
 from repro.experiments.iteration_coverage import (
     input_space_by_iteration,
     metric_by_iteration,
@@ -58,7 +57,12 @@ class Fig12Result:
         result.add_series("expression_%", self.expression)
         result.add_series("paper_input_space_%", PAPER_INPUT_SPACE)
         result.add_series("paper_expression_%", PAPER_EXPRESSION)
+        result.notes.append(f"converged={self.converged} "
+                            f"assertions={self.assertion_count}")
         return result
+
+    def test_cycles(self) -> int:
+        return self.test_suite_cycles
 
 
 def run(window: int = 2, max_iterations: int = 16,
@@ -69,21 +73,13 @@ def run(window: int = 2, max_iterations: int = 16,
     counterexample replay and the coverage measurement; the result is
     identical, the batched engine is just faster.
     """
-    config = replace(config or GoldMineConfig(), window=window,
-                     max_iterations=max_iterations)
-    module = arbiter2()
-    closure = CoverageClosure(module, outputs=["gnt0"], config=config)
-    closure_result = closure.run(arbiter2_directed_test())
-
-    measurement_module = arbiter2()
-    expression = metric_by_iteration(closure_result, measurement_module, "expr",
-                                     engine=config.sim_engine, lanes=config.sim_lanes)
-    input_space = input_space_by_iteration(closure_result, "gnt0")
-
+    _, closure_result = closure_for_design(
+        "arbiter2", config, arbiter2_directed_test(), outputs=["gnt0"],
+        window=window, max_iterations=max_iterations)
     return Fig12Result(
         iterations=list(range(len(closure_result.iterations))),
-        input_space=input_space,
-        expression=expression,
+        input_space=input_space_by_iteration(closure_result, "gnt0"),
+        expression=metric_by_iteration("arbiter2", closure_result, "expr", config),
         converged=closure_result.converged,
         assertion_count=len(closure_result.assertions_for("gnt0")),
         test_suite_cycles=closure_result.total_test_cycles(),

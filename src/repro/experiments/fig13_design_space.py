@@ -12,15 +12,12 @@ returns the per-iteration input-space series for each design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.designs import info as design_info
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, closure_for_design, design_seed
 from repro.experiments.iteration_coverage import input_space_by_iteration
-from repro.sim.stimulus import RandomStimulus
 
 #: Designs, the output tracked, window, and experiment group
 #: (Section 7.1 lists the four groups: combinational/sequential crossed
@@ -64,45 +61,28 @@ class Fig13Result:
             result.add_series(f"{entry.design}.{entry.output}", entry.coverage_percent)
         return result
 
+    def test_cycles(self) -> int:
+        return sum(entry.test_suite_cycles for entry in self.series)
+
 
 def run(subjects: Sequence[tuple[str, str, str]] = DEFAULT_SUBJECTS,
         seed_cycles: int = 4, random_seed: int = 1,
         max_iterations: int = 20,
         config: GoldMineConfig | None = None) -> Fig13Result:
     """Run the Figure 13 study on the default design set."""
-    config = config or GoldMineConfig()
     result = Fig13Result()
     for design_name, output, group in subjects:
-        meta = design_info(design_name)
-        module = meta.build()
-        closure = CoverageClosure(module, outputs=[output], config=replace(
-            config, window=meta.window, max_iterations=max_iterations))
-        if meta.directed_test is not None:
-            seed: object = meta.seed_vectors()
-        else:
-            seed = RandomStimulus(seed_cycles, seed=random_seed)
-        closure_result = closure.run(seed)
-        label = closure.contexts[0].label
-        series = DesignSpaceSeries(
+        closure, closure_result = closure_for_design(
+            design_name, config, design_seed(design_name, seed_cycles, random_seed),
+            outputs=[output], max_iterations=max_iterations)
+        result.series.append(DesignSpaceSeries(
             design=design_name,
             output=output,
             group=group,
-            coverage_percent=input_space_by_iteration(closure_result, label),
+            coverage_percent=input_space_by_iteration(
+                closure_result, closure.contexts[0].label),
             converged=closure_result.converged,
             iterations=closure_result.iteration_count,
             test_suite_cycles=closure_result.total_test_cycles(),
-        )
-        result.series.append(series)
+        ))
     return result
-
-
-def coverage_table(result: Fig13Result) -> list[list[object]]:
-    """Rows of (design, iteration count, final coverage, monotone?)."""
-    rows: list[list[object]] = []
-    for entry in result.series:
-        monotone = all(later >= earlier - 1e-9 for earlier, later
-                       in zip(entry.coverage_percent, entry.coverage_percent[1:]))
-        final = entry.coverage_percent[-1] if entry.coverage_percent else 0.0
-        rows.append([entry.design, entry.output, entry.iterations,
-                     f"{final:.2f}%", "yes" if monotone else "NO"])
-    return rows

@@ -20,15 +20,12 @@ definition; ours is documented in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.designs import info as design_info
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, closure_for_design, design_seed
 from repro.experiments.iteration_coverage import metric_by_iteration
-from repro.sim.stimulus import RandomStimulus
 
 PAPER_EXPRESSION = {
     "cex_small": [66.67, 83.33, 83.33, 83.33],
@@ -68,33 +65,24 @@ class Fig14Result:
             result.add_series(f"paper_{design}", values)
         return result
 
+    def test_cycles(self) -> int:
+        return sum(entry.test_suite_cycles for entry in self.series)
+
 
 def run(subjects: Sequence[str] = DEFAULT_SUBJECTS, seed_cycles: int = 3,
         random_seed: int = 3, max_iterations: int = 20,
         config: GoldMineConfig | None = None) -> Fig14Result:
     """Run the Figure 14 study."""
-    config = config or GoldMineConfig()
     result = Fig14Result()
     for design_name in subjects:
-        meta = design_info(design_name)
-        module = meta.build()
-        outputs = list(meta.mining_outputs) or None
-        closure = CoverageClosure(module, outputs=outputs, config=replace(
-            config, window=meta.window, max_iterations=max_iterations))
-        if meta.directed_test is not None:
-            seed: object = meta.seed_vectors()
-        else:
-            seed = RandomStimulus(seed_cycles, seed=random_seed)
-        closure_result = closure.run(seed)
-        series = ExpressionSeries(
+        _, closure_result = closure_for_design(
+            design_name, config, design_seed(design_name, seed_cycles, random_seed),
+            max_iterations=max_iterations)
+        result.series.append(ExpressionSeries(
             design=design_name,
-            expression_percent=metric_by_iteration(
-                closure_result, meta.build(), "expr",
-                fsm_signals=meta.fsm_signals or None,
-                engine=config.sim_engine, lanes=config.sim_lanes,
-            ),
+            expression_percent=metric_by_iteration(design_name, closure_result,
+                                                   "expr", config),
             converged=closure_result.converged,
             test_suite_cycles=closure_result.total_test_cycles(),
-        )
-        result.series.append(series)
+        ))
     return result

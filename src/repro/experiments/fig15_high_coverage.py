@@ -13,13 +13,16 @@ uncovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.coverage.runner import CoverageRunner
 from repro.designs import info as design_info
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult,
+    closure_for_design,
+    coverage_of_suite,
+    metric_values,
+)
 from repro.sim.stimulus import RandomStimulus
 
 PAPER_BEFORE = {"line": 100.0, "branch": 100.0, "cond": 93.02}
@@ -45,7 +48,11 @@ class Fig15Result:
         )
         result.add_series("before", [self.before.get(m, 0.0) for m in ("line", "branch", "cond")])
         result.add_series("after", [self.after.get(m, 0.0) for m in ("line", "branch", "cond")])
+        result.notes.append(f"added_test_cycles={self.added_test_cycles}")
         return result
+
+    def test_cycles(self) -> int:
+        return self.random_cycles + self.added_test_cycles
 
 
 #: Input bias used for the seed test: a realistic block-level directed
@@ -74,37 +81,26 @@ def run(design_name: str = "wbstage", random_cycles: int = 30,
         bias: dict[str, float] | None = None,
         config: GoldMineConfig | None = None) -> Fig15Result:
     """Run the high-coverage-block study."""
-    meta = design_info(design_name)
-    config = replace(config or GoldMineConfig(), window=meta.window,
-                     max_iterations=max_iterations, random_seed=random_seed)
     metrics = ("line", "branch", "cond", "expr", "toggle")
     bias = DEFAULT_BIAS if bias is None else bias
 
     # Baseline: a reset pulse plus the biased random test on its own.
-    baseline_module = meta.build()
-    seed_vectors = _seed_vectors(baseline_module, random_cycles, random_seed, bias)
-    baseline_runner = CoverageRunner(baseline_module, fsm_signals=meta.fsm_signals or None,
-                                     engine=config.sim_engine, lanes=config.sim_lanes)
-    baseline_runner.run_vectors(seed_vectors)
-    before = {metric: baseline_runner.report().get(metric, 0.0) or 0.0 for metric in metrics}
+    seed_vectors = _seed_vectors(design_info(design_name).build(), random_cycles,
+                                 random_seed, bias)
+    before = coverage_of_suite(design_name, config, [seed_vectors])
 
     # GoldMine refinement seeded with the same cycles.
-    module = meta.build()
-    closure = CoverageClosure(module, outputs=list(meta.mining_outputs) or None, config=config)
-    closure_result = closure.run(seed_vectors)
-
-    combined_module = meta.build()
-    combined_runner = CoverageRunner(combined_module, fsm_signals=meta.fsm_signals or None,
-                                     engine=config.sim_engine, lanes=config.sim_lanes)
-    combined_runner.run_suite(closure_result.test_suite)
-    after = {metric: combined_runner.report().get(metric, 0.0) or 0.0 for metric in metrics}
+    _, closure_result = closure_for_design(
+        design_name, config, seed_vectors, max_iterations=max_iterations,
+        random_seed=random_seed)
+    after = coverage_of_suite(design_name, config, closure_result.test_suite)
 
     added = closure_result.total_test_cycles() - len(seed_vectors)
     return Fig15Result(
         design=design_name,
         random_cycles=random_cycles,
-        before=before,
-        after=after,
+        before=metric_values(before, metrics),
+        after=metric_values(after, metrics),
         added_test_cycles=max(added, 0),
         converged=closure_result.converged,
     )

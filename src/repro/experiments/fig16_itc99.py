@@ -14,14 +14,17 @@ coverage is greater than or equal to the random baseline's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.coverage.runner import CoverageRunner
-from repro.designs import info as design_info
-from repro.experiments.common import CoverageRow, ExperimentResult
+from repro.experiments.common import (
+    CoverageRow,
+    ExperimentResult,
+    closure_for_design,
+    coverage_of_suite,
+    metric_values,
+)
 from repro.sim.stimulus import RandomStimulus
 
 METRICS: tuple[str, ...] = ("line", "cond", "toggle", "fsm", "branch")
@@ -72,6 +75,9 @@ class Fig16Result:
             rows=list(self.rows),
         )
 
+    def test_cycles(self) -> int:
+        return sum(row.cycles for row in self.rows)
+
 
 def run(designs: Sequence[str] | None = None,
         cycles: Mapping[str, int] | None = None,
@@ -86,50 +92,30 @@ def run(designs: Sequence[str] | None = None,
     and the suite coverage replay; results are identical, the batched
     engine is just faster on the refined suites.
     """
-    config = config or GoldMineConfig()
     cycles = dict(DEFAULT_CYCLES if cycles is None else cycles)
     designs = list(designs) if designs is not None else list(cycles)
     result = Fig16Result()
     for design_name in designs:
-        meta = design_info(design_name)
         budget = cycles.get(design_name, 100)
-
-        # Random baseline.
-        baseline_module = meta.build()
-        runner = CoverageRunner(baseline_module, fsm_signals=meta.fsm_signals or None,
-                                engine=config.sim_engine, lanes=config.sim_lanes)
-        runner.run_stimulus(RandomStimulus(budget, seed=random_seed))
-        baseline_report = runner.report()
+        baseline = RandomStimulus(budget, seed=random_seed)
+        random_report = coverage_of_suite(design_name, config, [baseline])
         result.rows.append(CoverageRow(
-            design=design_name,
-            method="random",
-            cycles=budget,
-            metrics={m: baseline_report.get(m, 0.0) or 0.0 for m in METRICS},
-        ))
+            design=design_name, method="random", cycles=budget,
+            metrics=metric_values(random_report, METRICS)))
 
         # GoldMine suite: the same random seed truncated to a small prefix,
         # plus every counterexample pattern produced by the refinement loop.
-        module = meta.build()
-        closure = CoverageClosure(
-            module, outputs=list(meta.mining_outputs) or None,
-            config=replace(config, window=meta.window,
-                           max_iterations=max_iterations, max_depth=max_depth))
-        closure_result = closure.run(
-            RandomStimulus(min(goldmine_seed_cycles, budget), seed=random_seed)
-        )
-        goldmine_module = meta.build()
-        goldmine_runner = CoverageRunner(goldmine_module, fsm_signals=meta.fsm_signals or None,
-                                         engine=config.sim_engine, lanes=config.sim_lanes)
+        _, closure_result = closure_for_design(
+            design_name, config,
+            RandomStimulus(min(goldmine_seed_cycles, budget), seed=random_seed),
+            max_iterations=max_iterations, max_depth=max_depth)
         # The GoldMine method still has the full random baseline available to
         # it (the paper compares suites, not seeds): replay baseline + refined
         # patterns so the comparison is "random" vs "random + counterexamples".
-        goldmine_runner.run_stimulus(RandomStimulus(budget, seed=random_seed))
-        goldmine_runner.run_suite(closure_result.test_suite)
-        goldmine_report = goldmine_runner.report()
+        goldmine_report = coverage_of_suite(
+            design_name, config, [baseline, *closure_result.test_suite])
         result.rows.append(CoverageRow(
-            design=design_name,
-            method="goldmine",
+            design=design_name, method="goldmine",
             cycles=budget + closure_result.total_test_cycles(),
-            metrics={m: goldmine_report.get(m, 0.0) or 0.0 for m in METRICS},
-        ))
+            metrics=metric_values(goldmine_report, METRICS)))
     return result

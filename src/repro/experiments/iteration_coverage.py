@@ -2,49 +2,47 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.results import ClosureResult, IterationRecord, TestSequence
-from repro.coverage.runner import CoverageRunner
-from repro.hdl.module import Module
+from repro.core.config import GoldMineConfig
+from repro.core.results import ClosureResult, TestSequence
+from repro.experiments.common import coverage_snapshots
 
 
-def suite_prefix_for_record(result: ClosureResult, record: IterationRecord) -> list[TestSequence]:
-    """The test-suite prefix that existed when ``record`` was captured.
+def sequences_by_iteration(result: ClosureResult) -> list[list[TestSequence]]:
+    """The test sequences each iteration added to the suite.
 
     The closure loop appends counterexample sequences to ``result.test_suite``
     in iteration order and records the cumulative cycle count in each
-    iteration record, so the prefix can be recovered exactly.
+    iteration record, so the suite splits exactly at those counts; the
+    seed belongs to iteration 0.
     """
-    prefix: list[TestSequence] = []
+    groups: list[list[TestSequence]] = []
+    suite = iter(result.test_suite)
     cycles = 0
-    for sequence in result.test_suite:
-        if cycles >= record.cumulative_test_cycles:
-            break
-        prefix.append(sequence)
-        cycles += len(sequence)
-    return prefix
+    for record in result.iterations:
+        group: list[TestSequence] = []
+        while cycles < record.cumulative_test_cycles:
+            sequence = next(suite, None)
+            if sequence is None:
+                break
+            group.append(sequence)
+            cycles += len(sequence)
+        groups.append(group)
+    return groups
 
 
-def metric_by_iteration(result: ClosureResult, module: Module, metric: str,
-                        fsm_signals: Sequence[str] | None = None,
-                        engine: str = "scalar", lanes: int = 64) -> list[float]:
-    """Replay the growing test suite and report ``metric`` after each iteration.
+def metric_by_iteration(design_name: str, result: ClosureResult, metric: str,
+                        config: GoldMineConfig | None = None) -> list[float]:
+    """Replay the growing test suite once and report ``metric`` after each
+    iteration.
 
     This reproduces the paper's "coverage increases monotonically with every
     iteration" plots: the suite after iteration *k* is the seed plus every
     counterexample pattern produced up to and including iteration *k*.
-    ``engine``/``lanes`` select the replay engine (see
-    :class:`~repro.coverage.runner.CoverageRunner`); reports are identical.
+    Each iteration's new sequences are fed into one coverage runner, which
+    gives the same report as replaying the whole prefix from scratch.
     """
-    percentages: list[float] = []
-    for record in result.iterations:
-        runner = CoverageRunner(module, fsm_signals=fsm_signals,
-                                engine=engine, lanes=lanes)
-        runner.run_suite(suite_prefix_for_record(result, record))
-        report = runner.report()
-        percentages.append(report.get(metric, 0.0) or 0.0)
-    return percentages
+    return [report.get(metric, 0.0) or 0.0 for report in coverage_snapshots(
+        design_name, config, sequences_by_iteration(result))]
 
 
 def input_space_by_iteration(result: ClosureResult, output: str | None = None) -> list[float]:

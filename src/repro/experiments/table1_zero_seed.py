@@ -21,13 +21,11 @@ and reaches 100 % within the iteration budget for every output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.designs import info as design_info
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, closure_for_design
 from repro.experiments.iteration_coverage import input_space_by_iteration
 
 #: Iteration checkpoints reported by the paper's Table 1.
@@ -85,22 +83,24 @@ class Table1Result:
         )
         for entry in self.series:
             result.add_series(f"{entry.design}.{entry.output}", entry.coverage_percent)
+            if entry.iterations_to_closure is not None:
+                result.notes.append(f"{entry.design}.{entry.output}: closed at "
+                                    f"iteration {entry.iterations_to_closure}")
         return result
+
+    def test_cycles(self) -> int:
+        return sum(entry.test_suite_cycles for entry in self.series)
 
 
 def run(subjects: Sequence[tuple[str, str]] = DEFAULT_SUBJECTS,
-        window: int | None = None, max_iterations: int = 24,
+        max_iterations: int = 24,
         config: GoldMineConfig | None = None) -> Table1Result:
     """Run the zero-seed study: no initial patterns at all."""
-    config = config or GoldMineConfig()
     result = Table1Result()
     for design_name, output in subjects:
-        meta = design_info(design_name)
-        module = meta.build()
-        closure = CoverageClosure(module, outputs=[output], config=replace(
-            config, window=window if window is not None else meta.window,
-            max_iterations=max_iterations))
-        closure_result = closure.run(None)
+        closure, closure_result = closure_for_design(
+            design_name, config, None, outputs=[output],
+            max_iterations=max_iterations)
         label = closure.contexts[0].label
         series = ZeroSeedSeries(
             design=design_name,

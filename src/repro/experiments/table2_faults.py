@@ -25,13 +25,11 @@ the faults").  Absolute counts scale with assertion-suite size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.designs import info as design_info
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, closure_for_design
 from repro.faults.mutation import StuckAtFault
 from repro.faults.regression import FaultCampaignResult, run_fault_campaign
 from repro.sim.stimulus import RandomStimulus
@@ -69,7 +67,11 @@ class Table2Result:
         for signal, sa0, sa1 in self.rows:
             result.add_series(signal, [float(sa0), float(sa1)])
         result.notes.append(f"assertion suite size: {self.assertion_count}")
+        result.notes.append(f"all_detected={self.all_detected}")
         return result
+
+    def test_cycles(self) -> int:
+        return self.test_suite_cycles
 
 
 def mine_assertion_suite(design_name: str, seed_cycles: int, random_seed: int,
@@ -81,13 +83,10 @@ def mine_assertion_suite(design_name: str, seed_cycles: int, random_seed: int,
     the regression suite observes every output the fault sites feed — the
     paper's Rigel suites likewise span every module output.
     """
-    meta = design_info(design_name)
-    module = meta.build()
-    config = replace(config or GoldMineConfig(), window=meta.window,
-                     max_iterations=max_iterations)
-    closure = CoverageClosure(module, outputs=None, config=config)
-    result = closure.run(RandomStimulus(seed_cycles, seed=random_seed))
-    return module, result
+    closure, result = closure_for_design(
+        design_name, config, RandomStimulus(seed_cycles, seed=random_seed),
+        outputs=(), max_iterations=max_iterations)
+    return closure.module, result
 
 
 def run(design_name: str = "fetch",

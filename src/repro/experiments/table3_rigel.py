@@ -16,15 +16,17 @@ exceeds the baseline on every reported metric for every module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import GoldMineConfig
-from repro.core.refinement import CoverageClosure
-from repro.coverage.runner import CoverageRunner
-from repro.designs import info as design_info
-from repro.experiments.common import CoverageRow, ExperimentResult
-from repro.sim.stimulus import RandomStimulus
+from repro.experiments.common import (
+    CoverageRow,
+    ExperimentResult,
+    closure_for_design,
+    coverage_of_suite,
+    metric_values,
+)
 
 DEFAULT_MODULES: tuple[str, ...] = ("wbstage", "fetch", "decode")
 METRICS: tuple[str, ...] = ("line", "cond", "toggle", "branch")
@@ -58,6 +60,9 @@ class Table3Result:
         )
         return result
 
+    def test_cycles(self) -> int:
+        return sum(row.cycles for row in self.rows)
+
 
 def run(modules: Sequence[str] = DEFAULT_MODULES,
         baseline_cycles: int = 1_000, baseline_seed: int = 11,
@@ -73,46 +78,30 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
     """
     from repro.designs.rigel import DIRECTED_TESTS
 
-    config = config or GoldMineConfig()
     result = Table3Result()
     for design_name in modules:
-        meta = design_info(design_name)
         directed = DIRECTED_TESTS[design_name]
 
         # Baseline: the directed suite repeated up to the cycle budget.
-        baseline_module = meta.build()
-        runner = CoverageRunner(baseline_module, fsm_signals=meta.fsm_signals or None,
-                                prepend_reset=True, engine=config.sim_engine,
-                                lanes=config.sim_lanes)
+        baseline: list[list[dict[str, int]]] = []
         cycles = 0
         while cycles < baseline_cycles:
-            vectors = directed()
-            runner.run_vectors(vectors)
-            cycles += len(vectors)
-        baseline_report = runner.report()
+            baseline.append(directed())
+            cycles += len(baseline[-1])
+        baseline_report = coverage_of_suite(design_name, config, baseline,
+                                            prepend_reset=True)
         result.rows.append(CoverageRow(
-            design=design_name,
-            method="directed",
-            cycles=cycles,
-            metrics={metric: baseline_report.get(metric, 0.0) or 0.0 for metric in METRICS},
-        ))
+            design=design_name, method="directed", cycles=cycles,
+            metrics=metric_values(baseline_report, METRICS)))
 
         # GoldMine: counterexample-refined suite seeded with one directed pass.
-        module = meta.build()
-        closure = CoverageClosure(
-            module, outputs=list(meta.mining_outputs) or None,
-            config=replace(config, window=meta.window, max_iterations=max_iterations))
-        closure_result = closure.run(directed())
-        goldmine_module = meta.build()
-        goldmine_runner = CoverageRunner(goldmine_module, fsm_signals=meta.fsm_signals or None,
-                                         prepend_reset=True, engine=config.sim_engine,
-                                         lanes=config.sim_lanes)
-        goldmine_runner.run_suite(closure_result.test_suite)
-        goldmine_report = goldmine_runner.report()
+        _, closure_result = closure_for_design(design_name, config, directed(),
+                                               max_iterations=max_iterations)
+        goldmine_report = coverage_of_suite(design_name, config,
+                                            closure_result.test_suite,
+                                            prepend_reset=True)
         result.rows.append(CoverageRow(
-            design=design_name,
-            method="goldmine",
+            design=design_name, method="goldmine",
             cycles=closure_result.total_test_cycles(),
-            metrics={metric: goldmine_report.get(metric, 0.0) or 0.0 for metric in METRICS},
-        ))
+            metrics=metric_values(goldmine_report, METRICS)))
     return result

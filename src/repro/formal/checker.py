@@ -3,9 +3,7 @@
 The refinement loop only talks to :class:`FormalVerifier`.  It selects the
 back end, caches verdicts for repeated queries, keeps the runtime
 statistics the paper discusses in Section 7 (average seconds per formal
-check, number of counterexamples), and can optionally cross-check every
-verdict against a second engine — which is how the test suite validates
-the engines against each other.
+check, number of counterexamples).
 
 Two scaling layers sit behind the same facade:
 
@@ -190,7 +188,6 @@ class FormalVerifier:
     ENGINES = ("explicit", "bmc", "k-induction", "tiered", "bdd")
 
     def __init__(self, module: Module, engine: str = "explicit",
-                 cross_check_engine: str | None = None,
                  bound: int = 10,
                  max_states: int = 50_000,
                  max_input_combinations: int = 4_096,
@@ -201,9 +198,6 @@ class FormalVerifier:
                  query_timeout: float | None = None):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine '{engine}'; choose from {self.ENGINES}")
-        if cross_check_engine is not None and cross_check_engine not in self.ENGINES:
-            raise ValueError(f"unknown engine '{cross_check_engine}'; "
-                             f"choose from {self.ENGINES}")
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.module = module
@@ -226,8 +220,6 @@ class FormalVerifier:
         # lazily: a parallel verifier never pays for an unused in-process
         # engine, and a cache-only lookup never elaborates a pool.
         self._engine = None
-        self._cross_engine = None
-        self._cross_engine_name = cross_check_engine
         self._pool = None
         self._fingerprint: str | None = None
         self._proof_hits = 0
@@ -258,12 +250,6 @@ class FormalVerifier:
             self._engine = build_engine(self.module, self.engine_name,
                                         **self._engine_kwargs)
         return self._engine
-
-    def _cross_checker(self):
-        if self._cross_engine is None and self._cross_engine_name is not None:
-            self._cross_engine = build_engine(self.module, self._cross_engine_name,
-                                              **self._engine_kwargs)
-        return self._cross_engine
 
     def _worker_pool(self):
         if self._pool is None:
@@ -320,12 +306,6 @@ class FormalVerifier:
         to_compute: list[tuple[int, Assertion]] = []
         first_occurrence: dict[Assertion, int] = {}
         duplicates: list[tuple[int, int]] = []
-        # A cross-checking verifier exists to validate engines against each
-        # other, so it must never *serve* verdicts from the proof cache
-        # (a cached entry would bypass the second engine); it still stores
-        # its double-checked results for other verifiers to reuse.
-        consult_cache = self.proof_cache is not None and \
-            self._cross_engine_name is None
         for index, assertion in enumerate(assertions):
             cached = self._cache.get(assertion)
             if cached is not None:
@@ -335,7 +315,7 @@ class FormalVerifier:
             if assertion in first_occurrence:
                 duplicates.append((index, first_occurrence[assertion]))
                 continue
-            if consult_cache:
+            if self.proof_cache is not None:
                 hit = self.proof_cache.lookup(self._design_fingerprint(),
                                               self._proof_engine_key(), assertion)
                 if hit is not None:
@@ -350,8 +330,6 @@ class FormalVerifier:
         computed = self._compute(to_compute)
         for index, assertion in to_compute:
             result = computed[index]
-            if self._cross_engine_name is not None:
-                self._cross_check(assertion, result)
             self._record(assertion, result)
             if self.proof_cache is not None and not result.timed_out:
                 self.proof_cache.store(self._design_fingerprint(),
@@ -458,17 +436,3 @@ class FormalVerifier:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    def _cross_check(self, assertion: Assertion, result: CheckResult) -> None:
-        other = self._cross_checker().check(assertion)
-        primary = result.verdict
-        secondary = other.verdict
-        if Verdict.UNKNOWN in (primary, secondary):
-            return
-        if primary is not secondary:
-            raise FormalEngineError(
-                f"engine disagreement on '{assertion.describe()}': "
-                f"{self.engine_name}={primary.value}, "
-                f"{type(self._cross_engine).name}={secondary.value}"
-            )

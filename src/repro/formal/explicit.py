@@ -248,8 +248,3 @@ class ExplicitModelChecker:
             assertion=assertion,
             initial_state=self.state_space.state_dict(state),
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def reachable_state_count(self) -> int:
-        return len(self.state_space.explore())

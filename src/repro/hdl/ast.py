@@ -447,11 +447,6 @@ class Concat(Expr):
         return "{" + inner + "}"
 
 
-def boolean_literal(value: bool | int) -> Const:
-    """Return a 1-bit constant for a Python truth value."""
-    return Const(1 if value else 0, 1)
-
-
 def conjoin(terms: Sequence[Expr]) -> Expr:
     """Return the logical AND of ``terms`` (1'd1 when empty)."""
     if not terms:

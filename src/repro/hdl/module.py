@@ -169,20 +169,6 @@ class Module:
                         result.append(name)
         return result
 
-    @property
-    def combinational_targets(self) -> list[str]:
-        """Signals driven by continuous assigns or combinational processes."""
-        result: list[str] = []
-        for assign in self.assigns:
-            if assign.target not in result:
-                result.append(assign.target)
-        for process in self.processes:
-            if process.kind is ProcessKind.COMBINATIONAL:
-                for name in sorted(process.assigned_signals()):
-                    if name not in result:
-                        result.append(name)
-        return result
-
     def signal(self, name: str) -> Signal:
         try:
             return self.signals[name]
@@ -285,20 +271,6 @@ class Module:
             raise ElaborationError(
                 f"reset '{self.reset}' is not declared in module '{self.name}'"
             )
-
-    def driver_of(self, name: str) -> ContinuousAssign | AlwaysBlock | None:
-        """Return the construct driving ``name`` (or ``None`` for inputs)."""
-        for assign in self.assigns:
-            if assign.target == name:
-                return assign
-        for process in self.processes:
-            if name in process.assigned_signals():
-                return process
-        return None
-
-    def is_sequential(self) -> bool:
-        """True when the module contains at least one register."""
-        return any(p.kind is ProcessKind.SEQUENTIAL for p in self.processes)
 
 
 def guess_reset(module: Module, candidates: Iterable[str] = ("rst", "reset", "rst_n", "resetn")) -> str | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.hdl.ast import Expr
 
@@ -190,10 +190,3 @@ class Case(Statement):
             lines.append(self.default.to_verilog(indent + 4))
         lines.append(f"{pad}endcase")
         return "\n".join(lines)
-
-
-def block_of(statements: Sequence[Statement]) -> Block:
-    """Wrap ``statements`` into a :class:`Block` (identity for one Block)."""
-    if len(statements) == 1 and isinstance(statements[0], Block):
-        return statements[0]
-    return Block(list(statements))

@@ -66,9 +66,6 @@ class SynthesizedModule:
             return self.next_state[name]
         raise KeyError(f"signal '{name}' is not driven in module '{self.module.name}'")
 
-    def is_register(self, name: str) -> bool:
-        return name in self.next_state
-
     def flattened_comb(self, name: str) -> Expr:
         """Return ``name``'s expression with combinational signals inlined.
 

@@ -70,9 +70,6 @@ class Simulator(SimulatorBase):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def add_observer(self, observer: Observer) -> None:
-        self.observers.append(observer)
-
     def reset(self) -> None:
         """Put the design into its reset state."""
         for name, signal in self.module.signals.items():

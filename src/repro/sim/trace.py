@@ -69,9 +69,6 @@ class Trace:
     def copy(self) -> "Trace":
         return Trace(self.columns, list(self.rows))
 
-    def to_dicts(self) -> list[dict[str, int]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     # ------------------------------------------------------------------
     @classmethod
     def from_dicts(cls, rows: Iterable[Mapping[str, int]],

@@ -22,17 +22,19 @@ from repro.experiments import (
     table1_zero_seed,
     table3_rigel,
 )
+from repro.sim.stimulus import RandomStimulus
 
 
 class TestCommonHelpers:
     def test_closure_for_design_uses_registered_metadata(self):
-        result, module = common.closure_for_design("arbiter2", outputs=["gnt0"])
-        assert module.name == "arbiter2"
+        closure, result = common.closure_for_design(
+            "arbiter2", seed=common.design_seed("arbiter2", 0, 0), outputs=["gnt0"])
+        assert closure.module.name == "arbiter2"
+        assert closure.config.window == 2
         assert result.converged
 
     def test_coverage_of_random(self):
-        report, cycles = common.coverage_of_random("b01", 40, seed=1)
-        assert cycles == 40
+        report = common.coverage_of_suite("b01", None, [RandomStimulus(40, seed=1)])
         assert 0.0 < report.percent("line") <= 100.0
 
     def test_format_table_alignment(self):
@@ -42,10 +44,15 @@ class TestCommonHelpers:
         assert lines[0].startswith("a")
 
     def test_suite_prefix_matches_cumulative_cycles(self):
-        result, module = common.closure_for_design("arbiter2", outputs=["gnt0"])
-        for record in result.iterations:
-            prefix = iteration_coverage.suite_prefix_for_record(result, record)
-            assert sum(len(seq) for seq in prefix) == record.cumulative_test_cycles
+        _, result = common.closure_for_design(
+            "arbiter2", seed=common.design_seed("arbiter2", 0, 0), outputs=["gnt0"])
+        groups = iteration_coverage.sequences_by_iteration(result)
+        assert len(groups) == len(result.iterations)
+        assert [seq for group in groups for seq in group] == result.test_suite
+        cycles = 0
+        for record, group in zip(result.iterations, groups):
+            cycles += sum(len(seq) for seq in group)
+            assert cycles == record.cumulative_test_cycles
 
 
 class TestFigureDrivers:
@@ -112,10 +119,10 @@ class TestNarrativeAndAblations:
         assert result.rebuilt.input_space_coverage == 1.0
 
     def test_ablation_engines_agree(self):
-        comparisons = ablation_engines.run(designs=("arbiter2",), seed_cycles=6,
-                                           max_assertions_per_design=10)
-        assert comparisons[0].disagreements == 0
-        assert comparisons[0].bmc_contradictions == 0
+        result = ablation_engines.run(designs=("arbiter2",), seed_cycles=6,
+                                      max_assertions_per_design=10)
+        assert result.comparisons[0].disagreements == 0
+        assert result.comparisons[0].bmc_contradictions == 0
 
     def test_experiment_result_containers(self):
         result = fig12_arbiter.run().as_experiment_result()

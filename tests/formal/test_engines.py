@@ -22,6 +22,8 @@ from repro.formal.result import FormalEngineError
 from repro.formal.statespace import StateSpace
 from repro.sim.simulator import Simulator
 
+from engine_agreement import assert_engines_agree
+
 # Assertions about the paper's arbiter whose verdicts are known from Section 6.
 A0_FALSE = Assertion((Literal("req0", 0, 0),), Literal("gnt0", 1, 1), 1, "A0")
 A1_FALSE = Assertion((Literal("req0", 1, 0),), Literal("gnt0", 0, 1), 1, "A1")
@@ -214,10 +216,9 @@ class TestFormalVerifierFacade:
             FormalVerifier(arbiter2_module, engine="magic")
 
     def test_cross_check_mode(self, arbiter2_module):
-        verifier = FormalVerifier(arbiter2_module, engine="explicit",
-                                  cross_check_engine="bdd")
-        for assertion, expected in KNOWN:
-            assert verifier.check(assertion).verdict is expected
+        assertions = [assertion for assertion, _ in KNOWN]
+        results = assert_engines_agree(arbiter2_module, assertions, "explicit", "bdd")
+        assert [result.verdict for result in results] == [expected for _, expected in KNOWN]
 
     def test_bdd_engine_selectable(self, arbiter2_module):
         verifier = FormalVerifier(arbiter2_module, engine="bdd")

@@ -26,6 +26,8 @@ from repro.formal.explicit import ExplicitModelChecker
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
 
+from engine_agreement import assert_engines_agree
+
 
 def random_assertions(module, count, seed=11):
     """Window-1/2 candidate assertions like the miner would produce."""
@@ -161,9 +163,10 @@ class TestVerifierBatchPath:
         assert payload["reuse"]["clauses_reused"] > 0
 
     def test_cross_check_incremental_against_explicit(self, arbiter2_module):
-        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6,
-                                  cross_check_engine="explicit")
-        for result in verifier.check_all(random_assertions(arbiter2_module, 6, seed=8)):
+        results = assert_engines_agree(arbiter2_module,
+                                       random_assertions(arbiter2_module, 6, seed=8),
+                                       "bmc", "explicit", bound=6)
+        for result in results:
             assert result.verdict in (Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN)
 
 

@@ -247,23 +247,6 @@ class TestClosureDifferential:
         assert canonical(cold) == baseline
         assert canonical(warm) == baseline
 
-    def test_cross_checking_verifier_never_serves_cached_verdicts(
-            self, arbiter2_module):
-        """A cross-check configuration exists to validate engines against
-        each other; serving a cached verdict would bypass the second
-        engine, so cache lookups are disabled there (stores still happen)."""
-        cache = ProofCache()
-        assertions = random_assertions(arbiter2_module, 5, seed=6)
-        warmer = FormalVerifier(arbiter2_module, engine="bmc", bound=6,
-                                proof_cache=cache)
-        warmer.check_all(assertions)
-        assert len(cache) > 0
-        checker = FormalVerifier(arbiter2_module, engine="bmc", bound=6,
-                                 cross_check_engine="explicit",
-                                 proof_cache=cache)
-        checker.check_all(assertions)
-        assert cache.hits == 0  # every candidate went through both engines
-
     def test_tiered_closure_identical_across_worker_counts(self):
         """The unbounded proof tier rides the same worker protocol: for
         the ``tiered`` engine, serial and parallel {1,2,4} runs must
