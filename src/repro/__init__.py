@@ -22,9 +22,9 @@ The main entry points are:
   the scalar interpreter (``engine="scalar"``) or the bit-parallel
   batched engine (``engine="batched"``), both behind
   :class:`repro.sim.SimulatorBase`.
-* :class:`repro.core.GoldMine` — a single assertion-mining pass; the
-  A-Miner itself is the columnar/bit-parallel decision tree of
-  :mod:`repro.mining`.
+* :class:`repro.core.GoldMine` — the per-design mining state (synthesis,
+  formal verifier, target datasets); the A-Miner itself is the
+  columnar/bit-parallel decision tree of :mod:`repro.mining`.
 * :class:`repro.core.CoverageClosure` — the paper's counterexample-guided
   refinement loop producing assertions + validation stimulus
   (serializable via :meth:`repro.core.ClosureResult.to_json`).
@@ -71,7 +71,7 @@ from repro.sim import (
 
 #: Single source of truth for the release version: ``setup.py`` parses
 #: this assignment, so bump it here and nowhere else.
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "Assertion",

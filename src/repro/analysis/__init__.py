@@ -1,21 +1,16 @@
-"""Static analysis of designs: dependency graphs, logic cones, unrolling.
+"""Static analysis of designs: windowed logic cones and unrolling.
 
 This is GoldMine's "static analyzer" component (Section 2.2): it extracts
-the logic cone of influence of every output so the data-mining phase only
+the windowed logic cone of every output so the data-mining phase only
 considers relevant variables, and it unrolls designs over the mining
 window for the symbolic formal engines.
 """
 
-from repro.analysis.cone import combinational_cone, cone_of_influence, windowed_cone
-from repro.analysis.depgraph import dependency_graph, structural_graph
+from repro.analysis.cone import windowed_cone
 from repro.analysis.unroll import Unroller, bit_variable
 
 __all__ = [
     "Unroller",
     "bit_variable",
-    "combinational_cone",
-    "cone_of_influence",
-    "dependency_graph",
-    "structural_graph",
     "windowed_cone",
 ]

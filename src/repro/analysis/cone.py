@@ -2,44 +2,14 @@
 
 Definition 8 of the paper: "The logic cone of an output z in M is the set
 of variables that affect z."  The A-Miner restricts its feature space to
-the logic cone, and the windowed variant below additionally tells it which
-cycle offsets of each variable are relevant for a given mining window.
+the logic cone, windowed: :func:`windowed_cone` tells it which cycle
+offsets of each variable are relevant for a given mining window.
 """
 
 from __future__ import annotations
 
 from repro.hdl.module import Module
 from repro.hdl.synth import SynthesizedModule, synthesize
-
-
-def cone_of_influence(module: Module, output: str,
-                      synth: SynthesizedModule | None = None) -> set[str]:
-    """All signals that can affect ``output`` over any number of cycles."""
-    synth = synth or synthesize(module)
-    if not module.has_signal(output):
-        raise KeyError(f"output '{output}' is not a signal of module '{module.name}'")
-    cone: set[str] = set()
-    frontier = {output}
-    while frontier:
-        current = frontier.pop()
-        if current in cone:
-            continue
-        cone.add(current)
-        try:
-            support = synth.support_of(current)
-        except KeyError:
-            support = set()
-        frontier |= support - cone
-    return cone
-
-
-def combinational_cone(module: Module, output: str,
-                       synth: SynthesizedModule | None = None) -> set[str]:
-    """Inputs/registers that affect ``output`` within the current cycle."""
-    synth = synth or synthesize(module)
-    if output in synth.comb or output in synth.next_state:
-        return synth.support_of(output)
-    return {output}
 
 
 def windowed_cone(module: Module, output: str, window: int,

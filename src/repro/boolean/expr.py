@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class BoolExpr:
@@ -33,12 +33,9 @@ class BoolExpr:
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         raise NotImplementedError
 
-    def support(self) -> set[str]:
-        return set(self.iter_vars())
-
-    def iter_vars(self) -> Iterator[str]:
-        for child in self.children():
-            yield from child.iter_vars()
+    def support(self) -> frozenset[str]:
+        """Names of the variables this expression reads (:func:`support_of`)."""
+        return support_of(self)
 
     def children(self) -> Sequence["BoolExpr"]:
         return ()
@@ -77,9 +74,6 @@ class BVar(BoolExpr):
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         return bool(assignment[self.name])
-
-    def iter_vars(self) -> Iterator[str]:
-        yield self.name
 
     def __repr__(self) -> str:
         return self.name
@@ -186,6 +180,38 @@ _HASHCONS: "weakref.WeakValueDictionary[tuple, BoolExpr]" = weakref.WeakValueDic
 def hashcons_size() -> int:
     """Number of interned nodes (reuse diagnostics for the formal layer)."""
     return len(_HASHCONS)
+
+
+def support_of(expr: BoolExpr,
+               memo: dict[BoolExpr, frozenset[str]] | None = None) -> frozenset[str]:
+    """Variable support of ``expr``, each shared DAG node walked once.
+
+    Iterative post-order walk (unrolled bit functions nest far deeper
+    than the recursion limit).  Results are keyed by node identity, which
+    hash-consing makes structural; pass a long-lived ``memo`` to amortise
+    the walk over subformulas shared between calls.
+    """
+    if memo is None:
+        memo = {}
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        children = node.children()
+        unresolved = [child for child in children if child not in memo]
+        if unresolved:
+            stack.extend(unresolved)
+            continue
+        stack.pop()
+        if isinstance(node, BVar):
+            memo[node] = frozenset((node.name,))
+        elif children:
+            memo[node] = frozenset().union(*(memo[child] for child in children))
+        else:
+            memo[node] = frozenset()
+    return memo[expr]
 
 
 def clear_hashcons() -> None:

@@ -2,8 +2,8 @@
 
 * :mod:`repro.core.config` — knobs shared by the engine and the loop.
 * :mod:`repro.core.goldmine` — the GoldMine engine of the original DATE'10
-  tool (data generator, static analyzer, A-Miner, formal verifier) used as
-  a single mining pass.
+  tool: the per-design state (synthesis, formal verifier, mining targets)
+  the refinement loop shares; its iteration 0 is one GoldMine pass.
 * :mod:`repro.core.refinement` — this paper's counterexample-guided
   iterative refinement producing validation stimulus and a final decision
   tree per output (coverage closure).
@@ -22,14 +22,14 @@ Typical use::
     result.all_true_assertions              # the mined invariants
     result.test_suite                       # seed + every counterexample
 
-``sim_engine`` selects the simulation back end for data generation and
+``sim_engine`` selects the simulation back end for seed and
 counterexample replay (``"scalar"`` or ``"batched"``); results are
 engine-independent, throughput is not.  The A-Miner is always the
 bit-parallel columnar decision tree (:mod:`repro.mining.columnar`).
 """
 
 from repro.core.config import GoldMineConfig
-from repro.core.goldmine import GoldMine, MiningReport
+from repro.core.goldmine import GoldMine
 from repro.core.refinement import CoverageClosure, OutputContext
 from repro.core.results import ClosureResult, IterationRecord, TestSequence
 
@@ -39,7 +39,6 @@ __all__ = [
     "GoldMine",
     "GoldMineConfig",
     "IterationRecord",
-    "MiningReport",
     "OutputContext",
     "TestSequence",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 
@@ -30,19 +30,12 @@ class GoldMineConfig:
       and ``tiered`` engines (ignored by the others).  Larger values
       prove more assertions at the cost of deeper step queries.
     * ``max_iterations`` — safety bound on counterexample iterations.
-    * ``random_cycles`` / ``random_seed`` — the data generator's random
-      stimulus phase (Section 2.1 simulates "a fixed number of cycles using
-      random input patterns").
-    * ``sim_engine`` / ``sim_lanes`` — simulation back end: ``scalar``
-      (the interpreting simulator) or ``batched`` (the bit-parallel
-      engine in :mod:`repro.sim.batched`, which packs ``sim_lanes``
-      independent trials per step).  The batched engine splits the
-      random-cycle budget across lanes (many short from-reset runs
-      instead of one long one), which both speeds up data generation by
-      orders of magnitude and diversifies the mining dataset.  In a
-      :meth:`~repro.core.goldmine.GoldMine.mine` pass the batched random
-      data generator hands the columnar miner
-      (:mod:`repro.mining.columnar`) its lane-packed words zero-copy.
+    * ``sim_engine`` / ``sim_lanes`` — simulation back end for replaying
+      the seed and every counterexample: ``scalar`` (the interpreting
+      simulator, one sequence at a time) or ``batched`` (the bit-parallel
+      engine in :mod:`repro.sim.batched`, ``sim_lanes`` sequences per
+      pass).  Both engines produce lane-exact identical traces, so the
+      choice changes only replay throughput, never what is mined.
     * ``formal_workers`` — process parallelism of the formal stage: ``1``
       checks candidates in-process, ``N > 1`` shards every batch across
       ``N`` persistent model-checking worker processes
@@ -72,9 +65,6 @@ class GoldMineConfig:
     bound: int = 10
     induction_k: int = 8
     max_iterations: int = 64
-    random_cycles: int = 0
-    random_seed: int = 0
-    input_bias: Mapping[str, float] = field(default_factory=dict)
     max_states: int = 50_000
     max_input_combinations: int = 4_096
     sim_engine: str = "scalar"
@@ -88,8 +78,6 @@ class GoldMineConfig:
             raise ValueError("window must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.random_cycles < 0:
-            raise ValueError("random_cycles cannot be negative")
         from repro.sim.base import SIM_ENGINES
 
         if self.sim_engine not in SIM_ENGINES:
@@ -118,15 +106,13 @@ class GoldMineConfig:
         """Plain-dict form recorded in run manifests (see :mod:`repro.runner`)."""
         from dataclasses import asdict
 
-        data = asdict(self)
-        data["input_bias"] = dict(self.input_bias)
-        return data
+        return asdict(self)
 
     @staticmethod
     def from_json(data: Mapping) -> "GoldMineConfig":
         """Rebuild a config from :meth:`to_json` output (unknown keys ignored,
-        so manifests written by newer versions, and the retired miner and
-        IR switches of older ones, still load)."""
+        so manifests written by newer versions, and the retired miner, IR
+        and random-data-generator fields of older ones, still load)."""
         from dataclasses import fields
 
         known = {f.name for f in fields(GoldMineConfig)}

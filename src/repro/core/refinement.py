@@ -15,6 +15,9 @@ The :class:`CoverageClosure` loop implements Section 3 / Figure 3:
    tree*, Definition 7) for every output, or the iteration budget is
    exhausted.
 
+Iteration 0 (steps 1-2 before any feedback) is exactly one GoldMine pass
+of the original tool (Figure 1): ``run(seed, max_iterations=0)``.
+
 The run's tangible outputs — the true assertions, the refined test suite
 (seed + every counterexample pattern), per-iteration coverage — are
 returned as a :class:`repro.core.results.ClosureResult`.
@@ -80,13 +83,11 @@ class CoverageClosure:
 
     def __init__(self, module: Module, outputs: Sequence[str] | None = None,
                  config: GoldMineConfig | None = None,
-                 share_counterexamples: bool = True,
                  rebuild_trees: bool = False):
         self.module = module
         self.config = config or GoldMineConfig()
         self.engine = GoldMine(module, self.config)
         self.verifier = self.engine.verifier
-        self.share_counterexamples = share_counterexamples
         #: Ablation switch: rebuild every decision tree from scratch at each
         #: iteration instead of growing it incrementally (Section 3 argues
         #: for the incremental variant; E10 quantifies the difference).
@@ -265,27 +266,24 @@ class CoverageClosure:
                                 result: ClosureResult) -> None:
         """Simulate counterexamples and fold the traces into every dataset.
 
-        All pending counterexamples of one iteration are replayed as a
+        Every counterexample trace goes to every output's tree: a witness
+        refuting one output's candidate is new data for all of them.  All
+        pending counterexamples of one iteration are replayed as a
         single batch (lane-parallel on the batched engine); the traces are
         then folded into the datasets in counterexample order, so the
         resulting trees are identical whichever engine replayed them.
         """
-        pending: list[tuple[Counterexample, TestSequence]] = []
+        pending: list[TestSequence] = []
         for counterexample in counterexamples:
             vectors = [dict(vector) for vector in counterexample.input_vectors]
             if not vectors:
                 continue
             result.test_suite.append(vectors)
-            pending.append((counterexample, vectors))
+            pending.append(vectors)
         if not pending:
             return
-        traces = self._simulate_suite([vectors for _, vectors in pending])
-        for (counterexample, _), trace in zip(pending, traces):
-            targets = self.contexts if self.share_counterexamples else [
-                context for context in self.contexts
-                if context.output == counterexample.assertion.consequent.signal
-            ]
-            for context in targets:
+        for trace in self._simulate_suite(pending):
+            for context in self.contexts:
                 context.tree.add_trace(trace)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Result records produced by mining and refinement runs."""
+"""Result records produced by refinement runs."""
 
 from __future__ import annotations
 
@@ -209,24 +209,6 @@ class ClosureResult:
                 f"{record.counterexamples:>3}  {100 * record.mean_input_space_coverage:>11.2f}"
             )
         return "\n".join(lines)
-
-
-@dataclass
-class MiningSummary:
-    """Summary of a single (non-iterative) GoldMine pass."""
-
-    module_name: str
-    output: str
-    candidates: list[Assertion] = field(default_factory=list)
-    true_assertions: list[Assertion] = field(default_factory=list)
-    false_assertions: list[Assertion] = field(default_factory=list)
-
-    @property
-    def precision(self) -> float:
-        """Fraction of candidates that survived formal verification."""
-        if not self.candidates:
-            return 0.0
-        return len(self.true_assertions) / len(self.candidates)
 
 
 def flatten_test_suite(test_suite: Iterable[Sequence[Mapping[str, int]]]) -> TestSequence:

@@ -91,8 +91,7 @@ def run(design_name: str = "wbstage", random_cycles: int = 30,
 
     # GoldMine refinement seeded with the same cycles.
     _, closure_result = closure_for_design(
-        design_name, config, seed_vectors, max_iterations=max_iterations,
-        random_seed=random_seed)
+        design_name, config, seed_vectors, max_iterations=max_iterations)
     after = coverage_of_suite(design_name, config, closure_result.test_suite)
 
     added = closure_result.total_test_cycles() - len(seed_vectors)

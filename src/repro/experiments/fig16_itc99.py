@@ -88,8 +88,8 @@ def run(designs: Sequence[str] | None = None,
         config: GoldMineConfig | None = None) -> Fig16Result:
     """Run the ITC'99 coverage comparison.
 
-    ``config``'s simulation engine drives both the mining data generator
-    and the suite coverage replay; results are identical, the batched
+    ``config``'s simulation engine drives both the closure's seed and
+    counterexample replay and the suite coverage replay; results are identical, the batched
     engine is just faster on the refined suites.
     """
     cycles = dict(DEFAULT_CYCLES if cycles is None else cycles)

@@ -11,9 +11,11 @@ if no assignment of an arbitrary (not necessarily reachable) starting
 state and window inputs violates the assertion, it certainly holds on all
 reachable states.  When the inductive check is inconclusive (the only
 violations start from unreachable states) and no bounded counterexample
-exists, the result is *unknown* — the caller can fall back to the exact
-explicit engine, which is what :class:`repro.formal.checker.FormalVerifier`
-does by default.
+exists, the result is *unknown*.  :class:`repro.formal.checker.FormalVerifier`
+reports that verdict as is (no engine falls back to another), and the
+refinement loop treats it conservatively: not proven, no counterexample.
+The ``k-induction`` and ``tiered`` engines are the ones that prove such
+assertions unbounded.
 
 Every check runs on the assertion's cone-of-influence slice
 (:class:`~repro.ir.netlist.OptimizedDesign`): the unrolling, the Tseitin
@@ -51,7 +53,7 @@ from typing import Mapping
 from repro.assertions.assertion import Assertion, Literal
 from repro.analysis.unroll import Unroller, bit_variable
 from repro.boolean.cnf import CnfBuilder
-from repro.boolean.expr import BoolExpr, BVar
+from repro.boolean.expr import BoolExpr, support_of
 from repro.boolean.incremental import IncrementalSolver, ReuseCounters
 from repro.boolean.sat import SatBudgetExceeded, SatSolver
 from repro.formal.result import (
@@ -372,7 +374,7 @@ class BmcModelChecker:
         first — which is the property the parallel dispatcher and the
         proof cache rely on.
         """
-        support = self._support(violation)
+        support = support_of(violation, self._support_memo)
         ordered: list[tuple[str, int]] = []
         for cycle in range(needed_cycles):
             for name in design.input_bit_names.get(cycle, ()):
@@ -446,35 +448,6 @@ class BmcModelChecker:
                     forced[bit_variable(literal.signal, bit, literal.cycle)] = \
                         bool((literal.value >> bit) & 1)
         return forced
-
-    def _support(self, expr: BoolExpr) -> frozenset[str]:
-        """Variable support of an expression, memoised over the shared DAG.
-
-        Iterative post-order walk (unrolled bit functions nest far deeper
-        than the recursion limit) with results keyed by node identity, so
-        subformulas shared between window offsets and candidates are
-        walked once per engine lifetime.
-        """
-        memo = self._support_memo
-        stack = [expr]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            children = node.children()
-            unresolved = [child for child in children if child not in memo]
-            if unresolved:
-                stack.extend(unresolved)
-                continue
-            stack.pop()
-            if isinstance(node, BVar):
-                memo[node] = frozenset((node.name,))
-            elif children:
-                memo[node] = frozenset().union(*(memo[child] for child in children))
-            else:
-                memo[node] = frozenset()
-        return memo[expr]
 
     def _inductive_proof(self, assertion: Assertion) -> bool:
         """True when no arbitrary-state violation exists (sound, incomplete)."""

@@ -34,32 +34,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.boolean.bitblast import BitBlaster, default_bit_name
-from repro.boolean.expr import BoolExpr, BVar
+from repro.boolean.expr import BoolExpr, support_of
 from repro.hdl.synth import SynthesizedModule
-
-
-def _bit_support(expr: BoolExpr) -> frozenset[str]:
-    """Variable support of one bit function (iterative; DAGs nest deep)."""
-    memo: dict[BoolExpr, frozenset[str]] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        children = node.children()
-        unresolved = [child for child in children if child not in memo]
-        if unresolved:
-            stack.extend(unresolved)
-            continue
-        stack.pop()
-        if isinstance(node, BVar):
-            memo[node] = frozenset((node.name,))
-        elif children:
-            memo[node] = frozenset().union(*(memo[child] for child in children))
-        else:
-            memo[node] = frozenset()
-    return memo[expr]
 
 
 @dataclass
@@ -111,7 +87,7 @@ class NetlistIR:
                     default_bit_name(name, bit), name, bit, "register",
                     function=functions[bit],
                     reset=bool((reset_value >> bit) & 1),
-                    operands=tuple(sorted(_bit_support(functions[bit]))),
+                    operands=tuple(sorted(support_of(functions[bit]))),
                 ))
         for name in synth.comb_order:
             width = module.width_of(name)
@@ -120,7 +96,7 @@ class NetlistIR:
                 self._add(BitNode(
                     default_bit_name(name, bit), name, bit, "comb",
                     function=functions[bit],
-                    operands=tuple(sorted(_bit_support(functions[bit]))),
+                    operands=tuple(sorted(support_of(functions[bit]))),
                 ))
 
         # Def-use back-edges: invert the operand lists.  Operands outside

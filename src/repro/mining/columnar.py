@@ -188,8 +188,8 @@ class ColumnarDataset:
         only consumes counts, so the resulting trees are the same.
 
         Ragged blocks (per-lane lengths differing) fall back to the
-        per-lane trace path; the batched data generator always produces
-        equal-length lanes.
+        per-lane trace path; ``BatchedSimulator.run_random_block`` always
+        produces equal-length lanes.
         """
         lanes = block.lanes
         cycles = block.cycles

@@ -220,10 +220,10 @@ class MiningDataset:
         """Extract windows from several traces; returns total rows added.
 
         This is the natural ingestion point for the batched simulation
-        engine, whose data generator returns one trace per lane
-        (:meth:`repro.core.goldmine.GoldMine.generate_traces` /
-        :func:`repro.sim.batched.random_batch_traces`): windows never
-        straddle lane boundaries, since every lane starts from reset.
+        engine, which returns one trace per lane
+        (:meth:`repro.sim.batched.BatchedSimulator.run_random` /
+        :meth:`~repro.sim.batched.BatchedSimulator.run_batch`): windows
+        never straddle lane boundaries, since every lane starts from reset.
         """
         return sum(self.add_trace(trace) for trace in traces)
 

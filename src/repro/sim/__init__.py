@@ -19,7 +19,6 @@ from repro.sim.batched import (
     BatchSample,
     CompiledNetlist,
     pack_lanes,
-    random_batch_traces,
     unpack_lanes,
 )
 from repro.sim.observer import Observer
@@ -52,6 +51,5 @@ __all__ = [
     "concatenate",
     "create_simulator",
     "pack_lanes",
-    "random_batch_traces",
     "unpack_lanes",
 ]

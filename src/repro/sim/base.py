@@ -20,8 +20,8 @@ Typical use::
     sample = sim.step({"req0": [0, 1] * 32})   # per-lane values, or an
     sim.peek("gnt0")                           # int to broadcast all lanes
 
-Everything downstream selects engines through this factory: the mining
-data generator and the closure loop's counterexample replay via
+Everything downstream selects engines through this factory: the closure
+loop's seed and counterexample replay via
 ``GoldMineConfig(sim_engine=..., sim_lanes=...)``, coverage replay via
 ``CoverageRunner(engine=..., lanes=...)``, and the CLI via
 ``python -m repro run <experiment> --engine batched --lanes N``.

@@ -561,26 +561,3 @@ class BatchedSimulator(SimulatorBase):
                 cycle_words.append(sampled.raw_words)
         return LaneWordBlock(self.netlist, self.trace_columns, cycle_words, lanes)
 
-
-def random_batch_traces(module: Module, cycles: int, lanes: int = 64, seed: int = 0,
-                        bias: Mapping[str, float] | None = None,
-                        trace_columns: Sequence[str] | None = None) -> list[Trace]:
-    """Convenience wrapper: ``lanes`` independent random runs of ``cycles``
-    cycles each, simulated bit-parallel; returns one trace per lane."""
-    simulator = BatchedSimulator(module, lanes=lanes, trace_columns=trace_columns)
-    return simulator.run_random(cycles, seed=seed, bias=bias)
-
-
-def random_batch_block(module: Module, cycles: int, lanes: int = 64, seed: int = 0,
-                       bias: Mapping[str, float] | None = None,
-                       trace_columns: Sequence[str] | None = None,
-                       synth: SynthesizedModule | None = None) -> LaneWordBlock:
-    """Like :func:`random_batch_traces`, but keep the lane-packed words.
-
-    Same RNG stream as :func:`random_batch_traces` for identical
-    arguments: ``block.to_traces()`` reproduces its output exactly, while
-    zero-copy consumers read the words directly.
-    """
-    simulator = BatchedSimulator(module, lanes=lanes, trace_columns=trace_columns,
-                                 synth=synth)
-    return simulator.run_random_block(cycles, seed=seed, bias=bias)

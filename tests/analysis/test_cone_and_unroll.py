@@ -1,67 +1,17 @@
-"""Tests for dependency graphs, logic cones and design unrolling."""
+"""Tests for windowed logic cones and design unrolling."""
 
 from __future__ import annotations
 
 import itertools
 
-import pytest
-
-from repro.analysis.cone import (
-    combinational_cone,
-    cone_of_influence,
-    mining_features,
-    windowed_cone,
-)
-from repro.analysis.depgraph import (
-    dependency_graph,
-    structural_graph,
-    transitive_fanin,
-    transitive_fanout,
-)
+from repro.analysis.cone import mining_features, windowed_cone
 from repro.analysis.unroll import Unroller, bit_variable
 from repro.assertions.assertion import Assertion, Literal
 from repro.hdl.parser import parse_module
 from repro.sim.simulator import Simulator
 
 
-class TestDependencyGraphs:
-    def test_structural_edges(self, arbiter2_module):
-        graph = structural_graph(arbiter2_module)
-        assert graph.has_edge("req0", "gnt0")
-        assert graph.has_edge("gnt0", "gnt1")
-        assert not graph.has_edge("clk", "gnt0")
-
-    def test_dependency_graph_marks_sequential_edges(self, arbiter2_module):
-        graph = dependency_graph(arbiter2_module)
-        assert graph.edges["req0", "gnt0"]["kind"] == "sequential"
-
-    def test_comb_edges_through_wires(self, wb_module):
-        graph = dependency_graph(wb_module)
-        # select_mem is combinational from mem_valid.
-        assert graph.edges["mem_valid", "select_mem"]["kind"] == "combinational"
-
-    def test_transitive_fanin(self, fetch_module):
-        fanin = transitive_fanin(fetch_module, "valid")
-        assert {"stall_in", "branch_mispredict", "icache_rdvl_i", "pending"} <= fanin
-
-    def test_transitive_fanout(self, fetch_module):
-        fanout = transitive_fanout(fetch_module, "stall_in")
-        assert "valid" in fanout and "fetch_req" in fanout
-
-
 class TestCones:
-    def test_cone_of_influence_closure(self, arbiter2_module):
-        cone = cone_of_influence(arbiter2_module, "gnt1")
-        assert cone == {"gnt1", "gnt0", "req0", "req1", "rst"}
-
-    def test_cone_unknown_output_raises(self, arbiter2_module):
-        with pytest.raises(KeyError):
-            cone_of_influence(arbiter2_module, "nope")
-
-    def test_combinational_cone(self, wb_module):
-        cone = combinational_cone(wb_module, "select_mem")
-        assert cone == {"mem_valid"}
-
     def test_windowed_cone_excludes_clock_and_reset(self, arbiter2_module):
         cones = windowed_cone(arbiter2_module, "gnt0", window=2)
         for offset, names in cones.items():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.boolean.expr import (
     ite,
     not_,
     or_,
+    support_of,
     var,
     xor_,
 )
@@ -68,6 +71,77 @@ class TestSimplifyingConstructors:
         expr = (var("a") & var("b")) | ~var("c")
         assert expr.evaluate({"a": True, "b": True, "c": True}) is True
         assert expr.evaluate({"a": False, "b": True, "c": True}) is False
+
+
+def recursive_support(expr, memo=None):
+    """Reference support: plain recursion over ``children()``, memoised."""
+    memo = {} if memo is None else memo
+    if expr not in memo:
+        names = {expr.name} if hasattr(expr, "name") else set()
+        for child in expr.children():
+            names |= recursive_support(child, memo)
+        memo[expr] = names
+    return memo[expr]
+
+
+def random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([TRUE, FALSE] + [var(f"v{i}") for i in range(6)])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return not_(random_expr(rng, depth - 1))
+    if kind == 1:
+        return and_(*(random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if kind == 2:
+        return or_(*(random_expr(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if kind == 3:
+        return xor_(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+    return ite(*(random_expr(rng, depth - 1) for _ in range(3)))
+
+
+class TestSupportOf:
+    def test_matches_recursive_reference(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            expr = random_expr(rng, 5)
+            assert support_of(expr) == recursive_support(expr)
+
+    def test_constants_have_empty_support(self):
+        assert support_of(TRUE) == frozenset() == support_of(FALSE)
+
+    def test_support_method_is_support_of(self):
+        expr = ite(var("s"), xor_(var("a"), var("b")), not_(var("c")))
+        assert isinstance(expr.support(), frozenset)
+        assert expr.support() == support_of(expr) == {"s", "a", "b", "c"}
+
+    def test_chain_deeper_than_recursion_limit(self):
+        expr = var("v0")
+        depth = sys.getrecursionlimit() + 100
+        for index in range(1, depth):
+            expr = xor_(expr, var(f"v{index}"))
+        assert support_of(expr) == {f"v{index}" for index in range(depth)}
+
+    def test_shared_dag_walks_each_node_once(self):
+        """Each level reads the previous one twice: 2**80 paths, 2 nodes per level."""
+        expr = var("v0")
+        for index in range(1, 80):
+            expr = xor_(expr, and_(expr, var(f"v{index}")))
+        memo = {}
+        assert support_of(expr, memo) == {f"v{index}" for index in range(80)}
+        distinct, stack = {expr}, [expr]
+        while stack:
+            for child in stack.pop().children():
+                if child not in distinct:
+                    distinct.add(child)
+                    stack.append(child)
+        assert set(memo) == distinct
+
+    def test_memo_is_reused_across_calls(self):
+        shared = and_(var("a"), var("b"))
+        memo = {}
+        first = support_of(shared, memo)
+        assert support_of(or_(shared, var("c")), memo) == {"a", "b", "c"}
+        assert memo[shared] is first
 
 
 class TestCnfBuilder:

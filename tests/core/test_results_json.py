@@ -66,9 +66,13 @@ class TestClosureEngineIndependence:
         ("arbiter4", ["gnt0"], False),
         ("b01", None, False),
     ])
-    def test_batched_replay_matches_scalar(self, design, outputs, seed):
+    @pytest.mark.parametrize("lanes", [1, 3, 8])
+    def test_batched_replay_matches_scalar(self, design, outputs, seed, lanes):
+        # One lane replays sequence by sequence; three lanes leave a partly
+        # filled last pass whenever a batch is not a multiple of three.
         scalar = _closure_json(design, "scalar", outputs=outputs, seed=seed)
-        batched = _closure_json(design, "batched", outputs=outputs, seed=seed)
+        batched = _closure_json(design, "batched", lanes=lanes, outputs=outputs,
+                                seed=seed)
         assert json.dumps(scalar, sort_keys=True) == \
             json.dumps(batched, sort_keys=True)
 
@@ -76,7 +80,7 @@ class TestClosureEngineIndependence:
 class TestConfigJson:
     def test_round_trip(self):
         config = GoldMineConfig(window=2, max_iterations=7, sim_engine="batched",
-                                sim_lanes=16, input_bias={"req0": 0.25})
+                                sim_lanes=16, formal_query_timeout=2.5)
         rebuilt = GoldMineConfig.from_json(config.to_json())
         assert rebuilt == config
 
@@ -86,9 +90,13 @@ class TestConfigJson:
         GoldMineConfig.from_json(data)
 
     def test_manifest_with_retired_engine_knobs_loads(self):
-        """A 1.9-era ``to_json()`` still carries the retired miner and IR
-        switches; they are ignored, every other field is kept."""
-        data = {"window": 2, "max_depth": None, "include_internal_state": True,
+        """Older ``to_json()`` output still loads: a 1.9-era manifest carries
+        the retired miner and IR switches, a 1.12-era one the retired random
+        data generator's fields.  They are ignored, every other field is
+        kept."""
+        retired = {"mine_engine", "ir_opt", "random_cycles", "random_seed",
+                   "input_bias"}
+        v1_9 = {"window": 2, "max_depth": None, "include_internal_state": True,
                 "engine": "tiered", "bound": 6, "induction_k": 4,
                 "max_iterations": 24, "random_cycles": 0, "random_seed": 0,
                 "input_bias": {}, "max_states": 50000,
@@ -96,11 +104,28 @@ class TestConfigJson:
                 "sim_lanes": 64, "mine_engine": "rowwise", "formal_workers": 1,
                 "formal_proof_cache": False, "formal_query_timeout": None,
                 "ir_opt": True}
-        config = GoldMineConfig.from_json(data)
-        assert config == GoldMineConfig(window=2, engine="tiered", bound=6,
-                                        induction_k=4, max_iterations=24,
-                                        sim_engine="batched")
-        assert set(config.to_json()) == set(data) - {"mine_engine", "ir_opt"}
+        v1_12 = {"window": 1, "max_depth": 8, "include_internal_state": False,
+                 "engine": "bmc", "bound": 5, "induction_k": 8,
+                 "max_iterations": 16, "random_cycles": 96, "random_seed": 7,
+                 "input_bias": {"req0": 0.25}, "max_states": 1000,
+                 "max_input_combinations": 4096, "sim_engine": "scalar",
+                 "sim_lanes": 16, "formal_workers": 2,
+                 "formal_proof_cache": True, "formal_query_timeout": 3.0}
+        for data, expected in [
+            (v1_9, GoldMineConfig(window=2, engine="tiered", bound=6,
+                                  induction_k=4, max_iterations=24,
+                                  sim_engine="batched")),
+            (v1_12, GoldMineConfig(window=1, max_depth=8,
+                                   include_internal_state=False, engine="bmc",
+                                   bound=5, max_iterations=16, max_states=1000,
+                                   sim_lanes=16, formal_workers=2,
+                                   formal_proof_cache=True,
+                                   formal_query_timeout=3.0)),
+        ]:
+            config = GoldMineConfig.from_json(data)
+            assert config == expected
+            assert config.to_json() == {key: value for key, value in data.items()
+                                        if key not in retired}
 
 
 class TestExperimentResultJson:

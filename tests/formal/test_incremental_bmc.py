@@ -175,8 +175,7 @@ class TestClosureWithIncrementalEngine:
         """The BMC engine closes the loop, and everything it proves is
         confirmed by the exact explicit engine."""
         explicit = FormalVerifier(arbiter2_module, engine="explicit")
-        config = GoldMineConfig(window=2, engine="bmc",
-                                random_cycles=20, random_seed=3)
+        config = GoldMineConfig(window=2, engine="bmc")
         closure = CoverageClosure(arbiter2_module, config=config)
         result = closure.run(RandomStimulus(20, seed=3), max_iterations=6)
         assert result.converged
@@ -187,7 +186,7 @@ class TestClosureWithIncrementalEngine:
     def test_formal_reuse_round_trips_through_json(self, arbiter2_module):
         from repro.core.results import ClosureResult
 
-        config = GoldMineConfig(window=2, engine="bmc", random_cycles=10, random_seed=1)
+        config = GoldMineConfig(window=2, engine="bmc")
         closure = CoverageClosure(arbiter2_module, config=config)
         result = closure.run(RandomStimulus(10, seed=1), max_iterations=3)
         restored = ClosureResult.from_json(result.to_json())

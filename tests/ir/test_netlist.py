@@ -18,6 +18,16 @@ from repro.hdl.synth import synthesize
 from repro.ir import NetlistIR, OptimizedDesign, fold_constants, structural_hash_stats
 from repro.ir.coi import BitCone
 
+def recursive_support(expr, memo):
+    """Reference support: plain recursion over ``children()``, memoised."""
+    if expr not in memo:
+        names = {expr.name} if hasattr(expr, "name") else set()
+        for child in expr.children():
+            names |= recursive_support(child, memo)
+        memo[expr] = names
+    return memo[expr]
+
+
 #: A register (``stuck``) that resets to 0 and can only ever be ANDed
 #: down, next to a live register (``track``) — the minimal folding case.
 FOLDABLE_SOURCE = """
@@ -101,6 +111,18 @@ class TestNetlistConstruction:
                     assert node.name in used.users
             for user in node.users:
                 assert node.name in ir.nodes[user].operands
+
+    @pytest.mark.parametrize("design_name", sorted(DESIGNS))
+    def test_operands_are_sorted_function_support(self, design_name):
+        """Operand lists are each bit function's support, in name order,
+        as a plain recursive walk of the function computes it."""
+        ir = NetlistIR(synthesize(DESIGNS[design_name].build()))
+        memo = {}
+        for node in ir.nodes.values():
+            if node.function is None:
+                assert node.operands == ()
+                continue
+            assert node.operands == tuple(sorted(recursive_support(node.function, memo)))
 
     def test_structural_hash_shares_nodes(self, arbiter4_module):
         ir = NetlistIR(synthesize(arbiter4_module))

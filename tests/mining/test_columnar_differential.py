@@ -18,7 +18,6 @@ from collections import Counter
 import pytest
 
 from repro.core.config import GoldMineConfig
-from repro.core.goldmine import GoldMine
 from repro.core.refinement import CoverageClosure
 from repro.designs import info as design_info
 from repro.mining import (
@@ -31,7 +30,7 @@ from repro.mining import (
     diff_trees,
 )
 from repro.mining.dataset import FeatureSpec
-from repro.sim.batched import random_batch_block, random_batch_traces
+from repro.sim.batched import BatchedSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
 
@@ -166,7 +165,7 @@ class TestZeroCopyBlockPath:
                                                          bit, window):
         meta = design_info(design)
         module = meta.build()
-        block = random_batch_block(module, cycles=8, lanes=16, seed=9)
+        block = BatchedSimulator(module, lanes=16).run_random_block(8, seed=9)
         from_block = ColumnarDataset(meta.build(), output, window=window,
                                      output_bit=bit)
         from_block.add_lane_block(block)
@@ -183,30 +182,14 @@ class TestZeroCopyBlockPath:
                                      block.to_traces())).build(),
             ColumnarDecisionTree(from_block).build()) == []
 
-    def test_block_traces_match_random_batch_traces(self, arbiter2_module):
-        block = random_batch_block(arbiter2_module, cycles=10, lanes=8, seed=2)
-        direct = random_batch_traces(arbiter2_module, cycles=10, lanes=8, seed=2)
+    def test_block_traces_match_run_random(self, arbiter2_module):
+        """Same RNG stream: the block widened to traces is ``run_random``."""
+        block = BatchedSimulator(arbiter2_module, lanes=8).run_random_block(10, seed=2)
+        direct = BatchedSimulator(arbiter2_module, lanes=8).run_random(10, seed=2)
         widened = block.to_traces()
         assert len(widened) == len(direct)
         for a, b in zip(widened, direct):
             assert a.columns == b.columns and a.rows == b.rows
-
-    def test_goldmine_mine_is_engine_invariant_end_to_end(self):
-        """GoldMine's zero-copy batched mining == the row-wise reference
-        mined from the same data widened to traces."""
-        from repro.designs import arbiter2
-
-        engine = GoldMine(arbiter2(), GoldMineConfig(
-            window=2, random_cycles=96, sim_engine="batched", sim_lanes=16))
-        traces = engine.generate_traces()
-        report = engine.mine()
-        assert set(report.summaries) == {"gnt0", "gnt1"}
-        for output, bit in engine.target_outputs():
-            dataset = _rowwise_from_traces(engine.module, output, bit, 2, traces)
-            reference = DecisionTree(dataset)
-            reference.build()
-            assert report.summaries[engine.target_label(output, bit)].candidates \
-                == reference.candidate_assertions()
 
 
 def _rowwise_from_traces(module, output, bit, window, traces):
