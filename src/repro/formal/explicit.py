@@ -141,11 +141,14 @@ class ExplicitModelChecker:
         )
 
     def reuse_stats(self) -> dict[str, int]:
-        """Window-table work: rows and blocks built, literal masks built."""
+        """Work done: window-table rows, blocks and literal masks built, and
+        the transitions (lanes) and settle+edge batches exploration ran."""
         return {
             "explicit_rows": self._built_rows,
             "explicit_blocks": self._built_blocks,
             "explicit_masks": self._built_masks,
+            "explicit_transitions": self.state_space.simulated_transitions,
+            "explicit_levels": self.state_space.simulated_batches,
         }
 
     # ------------------------------------------------------------------

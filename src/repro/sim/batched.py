@@ -61,16 +61,33 @@ def pack_lanes(values: Sequence[int], width: int) -> list[int]:
     return words
 
 
+#: ``_BIT_BYTES[b]`` turns the ASCII digits ``0``/``1`` into bytes 0 and ``1 << b``.
+_BIT_BYTES = [bytes.maketrans(b"01", bytes((0, 1 << bit))) for bit in range(8)]
+
+
 def unpack_lanes(words: Sequence[int], lanes: int) -> list[int]:
-    """Unpack lane words back into one integer per lane."""
+    """Unpack lane words back into one integer per lane.
+
+    Each word is spelled out in binary and translated to one byte per
+    lane holding that bit's weight; the words of eight consecutive bits
+    OR together as one big int whose bytes are the lanes' values.  Every
+    step runs in C, so a lane costs a few byte operations instead of a
+    Python loop iteration per lane and bit.
+    """
+    mask = (1 << lanes) - 1
+    spec = f"0{lanes}b"
     values = [0] * lanes
-    for bit, word in enumerate(words):
-        if not word:
-            continue
-        weight = 1 << bit
-        for lane in range(lanes):
-            if (word >> lane) & 1:
-                values[lane] += weight
+    for low in range(0, len(words), 8):
+        packed = 0
+        for bit, word in enumerate(words[low:low + 8]):
+            if word & mask:
+                # Spelled highest lane first, so the bytes read big-endian.
+                spelled = format(word & mask, spec).encode()
+                packed |= int.from_bytes(spelled.translate(_BIT_BYTES[bit]), "big")
+        if packed:
+            group = packed.to_bytes(lanes, "little")
+            values = (list(group) if low == 0
+                      else [value | (byte << low) for value, byte in zip(values, group)])
     return values
 
 

@@ -253,7 +253,8 @@ class TestLimitsAndCounters:
         before = checker.reuse_stats()
         checker.check(assertion)
         assert checker.reuse_stats() == before == {
-            "explicit_rows": 48, "explicit_blocks": 1, "explicit_masks": 3}
+            "explicit_rows": 48, "explicit_blocks": 1, "explicit_masks": 3,
+            "explicit_transitions": 12, "explicit_levels": 2}
 
     def test_identical_closures_report_identical_counters(self):
         info = DESIGNS["counter_block"]
@@ -266,7 +267,8 @@ class TestLimitsAndCounters:
         first, second = run(), run()
         counters = {key: value for key, value in first.formal_reuse.items()
                     if key.startswith("explicit_")}
-        assert set(counters) == {"explicit_rows", "explicit_blocks", "explicit_masks"}
+        assert set(counters) == {"explicit_rows", "explicit_blocks", "explicit_masks",
+                                 "explicit_transitions", "explicit_levels"}
         assert all(value > 0 for value in counters.values())
         assert first.formal_reuse == second.formal_reuse
         assert "formal_reuse" not in first.deterministic_json()

@@ -170,6 +170,19 @@ def test_pack_unpack_roundtrip():
     assert unpack_lanes(pack_lanes(values, 4), len(values)) == values
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 17, 40])
+@pytest.mark.parametrize("lanes", [1, 5, 8, 64, 1000])
+def test_unpack_matches_per_lane_shifts(width, lanes):
+    rng = random.Random(width * 1000 + lanes)
+    values = [rng.getrandbits(width) for _ in range(lanes)]
+    words = pack_lanes(values, width)
+    assert unpack_lanes(words, lanes) == values
+    # Bits past the lane count are not lanes.
+    junk = [word | (rng.getrandbits(9) << lanes) for word in words]
+    assert unpack_lanes(junk, lanes) == values
+    assert unpack_lanes([], lanes) == [0] * lanes
+
+
 def test_step_rejects_unknown_input():
     batched = BatchedSimulator(load("arbiter2"), lanes=2)
     with pytest.raises(SimulationError):
