@@ -1,11 +1,12 @@
 """E13 — scalar vs bit-parallel batched simulation throughput.
 
-Measures cycles/second of the interpreting scalar simulator against the
-batched engine on the paper's arbiter and the ITC'99-style designs, at
-several lane widths.  Batched throughput is reported in *lane-cycles*
-per second (one batched cycle advances every lane by one cycle), both
-for pure stepping and including per-lane trace materialisation (the
-mining data-generator path).
+Measures cycles/second of the compiled scalar simulator (one generated
+Python function per design; best of three runs, so the first run's code
+generation drops out) against the batched engine on the paper's arbiter
+and the ITC'99-style designs, at several lane widths.  Batched
+throughput is reported in *lane-cycles* per second (one batched cycle
+advances every lane by one cycle), both for pure stepping and including
+per-lane trace materialisation (the mining data-generator path).
 
 Shape requirement: at 64 lanes the batched engine sustains at least 5×
 the scalar engine's throughput on every measured design.
@@ -45,7 +46,7 @@ def test_batched_sim_speedup(benchmark, print_section):
     run_once(benchmark, lambda: BatchedSimulator(load("b12"), lanes=64)
              .run_random(CYCLES, seed=1, collect_traces=False))
 
-    headers = ["design", "lanes", "scalar c/s", "batched lane-c/s",
+    headers = ["design", "lanes", "compiled scalar c/s", "batched lane-c/s",
                "speedup", "speedup (with traces)"]
     rows = []
     speedups_at_64 = {}
@@ -68,7 +69,7 @@ def test_batched_sim_speedup(benchmark, print_section):
             rows.append([design_name, lanes, f"{scalar_rate:,.0f}",
                          f"{lane_rate:,.0f}", f"{speedup:.1f}x",
                          f"{trace_speedup:.1f}x"])
-    print_section("Batched simulation throughput (scalar vs bit-parallel)",
+    print_section("Batched simulation throughput (compiled scalar vs bit-parallel)",
                   format_table(headers, rows))
 
     for design_name, speedup in speedups_at_64.items():

@@ -19,7 +19,7 @@ The main entry points are:
 
 * :func:`repro.hdl.parse_module` — parse a Verilog-subset design.
 * :func:`repro.sim.create_simulator` — cycle-accurate simulation:
-  the scalar interpreter (``engine="scalar"``) or the bit-parallel
+  the compiled scalar engine (``engine="scalar"``) or the bit-parallel
   batched engine (``engine="batched"``), both behind
   :class:`repro.sim.SimulatorBase`.
 * :class:`repro.core.GoldMine` — the per-design mining state (synthesis,
@@ -71,7 +71,7 @@ from repro.sim import (
 
 #: Single source of truth for the release version: ``setup.py`` parses
 #: this assignment, so bump it here and nowhere else.
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "Assertion",

@@ -31,7 +31,7 @@ class GoldMineConfig:
       prove more assertions at the cost of deeper step queries.
     * ``max_iterations`` — safety bound on counterexample iterations.
     * ``sim_engine`` / ``sim_lanes`` — simulation back end for replaying
-      the seed and every counterexample: ``scalar`` (the interpreting
+      the seed and every counterexample: ``scalar`` (the compiled
       simulator, one sequence at a time) or ``batched`` (the bit-parallel
       engine in :mod:`repro.sim.batched`, ``sim_lanes`` sequences per
       pass).  Both engines produce lane-exact identical traces, so the

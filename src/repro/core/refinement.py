@@ -73,7 +73,7 @@ class CoverageClosure:
 
     ``config.sim_engine`` selects how counterexample/seed sequences are
     replayed into the mining datasets: ``"scalar"`` simulates them one at a
-    time on the interpreting :class:`~repro.sim.simulator.Simulator`, while
+    time on the compiled :class:`~repro.sim.simulator.Simulator`, while
     ``"batched"`` packs up to ``config.sim_lanes`` sequences per pass into
     the bit-parallel :class:`~repro.sim.batched.BatchedSimulator` (sharing
     the GoldMine engine's synthesis).  Both engines produce lane-exact

@@ -1,7 +1,7 @@
 """Coverage metrics used by the paper's evaluation.
 
 Traditional input-space-directed metrics (collected by instrumenting the
-simulator through observers):
+simulator with probes):
 
 * statement ("line") coverage — every procedural assignment executed,
 * branch coverage — every if/else and case arm taken,

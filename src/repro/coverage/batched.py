@@ -1,7 +1,7 @@
 """Lane-parallel coverage measurement on the batched simulation engine.
 
 The scalar :class:`~repro.coverage.runner.CoverageRunner` instruments the
-interpreting simulator with observers, which limits it to one trial at a
+compiled simulator with coverage probes, which limits it to one trial at a
 time.  This module measures the same metrics — line, branch, condition,
 expression, toggle and FSM coverage, with point-for-point identical
 reports — while replaying up to ``W`` test sequences at once on the

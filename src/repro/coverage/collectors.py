@@ -1,13 +1,16 @@
-"""Coverage collectors: simulation observers implementing each metric.
+"""Coverage collectors: the cover points of each metric.
 
 Every collector enumerates its *coverage points* statically from the
 module at construction time (so the denominator is independent of the
-stimulus) and marks points as hit while observing a simulation run.
+stimulus).  The simulation engines fill ``covered_points``: the scalar
+:class:`~repro.sim.simulator.Simulator` compiles each collector in as
+probes (:mod:`repro.sim.codegen`), the batched engine evaluates
+lane-parallel guards (:mod:`repro.coverage.batched`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.coverage.report import MetricReport
 from repro.hdl.ast import (
@@ -20,12 +23,11 @@ from repro.hdl.ast import (
     UnaryOp,
 )
 from repro.hdl.module import Module, ProcessKind
-from repro.hdl.stmt import Assign, Case, If, Statement
-from repro.sim.observer import Observer
+from repro.hdl.stmt import Assign, Case, If
 
 
-class CoverageCollector(Observer):
-    """Base class: an observer that produces a :class:`MetricReport`."""
+class CoverageCollector:
+    """Base class: a metric's cover points and the ones hit so far."""
 
     metric_name = "coverage"
 
@@ -64,17 +66,6 @@ class StatementCoverage(CoverageCollector):
                 self.total_points.add(("stmt", stmt.stmt_id))
         for index, _ in enumerate(module.assigns):
             self.total_points.add(("assign", index))
-        self._continuous_hit = False
-
-    def on_assign(self, stmt: Statement, value: int) -> None:
-        if isinstance(stmt, Assign):
-            self._hit(("stmt", stmt.stmt_id))
-
-    def on_cycle_start(self, cycle: int, values: Mapping[str, int]) -> None:
-        if not self._continuous_hit:
-            for index, _ in enumerate(self.module.assigns):
-                self.covered_points.add(("assign", index))
-            self._continuous_hit = True
 
 
 # ----------------------------------------------------------------------
@@ -93,9 +84,6 @@ class BranchCoverage(CoverageCollector):
                 for index, _ in enumerate(stmt.items):
                     self.total_points.add((stmt.stmt_id, f"item{index}"))
                 self.total_points.add((stmt.stmt_id, "default"))
-
-    def on_branch(self, stmt: Statement, branch: str) -> None:
-        self._hit((stmt.stmt_id, branch))
 
 
 # ----------------------------------------------------------------------
@@ -168,14 +156,6 @@ class ConditionCoverage(CoverageCollector):
                     counter += 1
                 self._atoms_by_expr[id(stmt.cond)] = atoms
 
-    def on_expression(self, expr: Expr, ctx) -> None:
-        atoms = self._atoms_by_expr.get(id(expr))
-        if not atoms:
-            return
-        for index, atom in atoms:
-            value = 1 if atom.evaluate(ctx) else 0
-            self._hit((index, value))
-
 
 class ExpressionCoverage(CoverageCollector):
     """Expression coverage over assignment right-hand sides.
@@ -226,14 +206,6 @@ class ExpressionCoverage(CoverageCollector):
             return self._is_single_bit(expr.then) and self._is_single_bit(expr.other)
         return False
 
-    def on_expression(self, expr: Expr, ctx) -> None:
-        bins = self._bins_by_expr.get(id(expr))
-        if not bins:
-            return
-        for index, sub in bins:
-            value = 1 if sub.evaluate(ctx) else 0
-            self._hit((index, value))
-
 
 # ----------------------------------------------------------------------
 class ToggleCoverage(CoverageCollector):
@@ -256,32 +228,6 @@ class ToggleCoverage(CoverageCollector):
             for bit in range(module.width_of(name)):
                 self.total_points.add((name, bit, "rise"))
                 self.total_points.add((name, bit, "fall"))
-        self._previous: dict[str, int] | None = None
-
-    def _observe(self, values: Mapping[str, int]) -> None:
-        if self._previous is not None:
-            for name in self._tracked:
-                old = self._previous.get(name, 0)
-                new = values.get(name, 0)
-                if old == new:
-                    continue
-                changed = old ^ new
-                width = self.module.width_of(name)
-                for bit in range(width):
-                    if not (changed >> bit) & 1:
-                        continue
-                    direction = "rise" if (new >> bit) & 1 else "fall"
-                    self._hit((name, bit, direction))
-        self._previous = {name: values.get(name, 0) for name in self._tracked}
-
-    def on_reset(self, values: Mapping[str, int]) -> None:
-        self._previous = {name: values.get(name, 0) for name in self._tracked}
-
-    def on_cycle_start(self, cycle: int, values: Mapping[str, int]) -> None:
-        self._observe(values)
-
-    def on_cycle_end(self, cycle: int, values: Mapping[str, int]) -> None:
-        self._observe(values)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +254,6 @@ class FsmCoverage(CoverageCollector):
             for state in states:
                 self.total_points.add((name, state))
         self.transitions: dict[str, set[tuple[int, int]]] = {name: set() for name in self.state_signals}
-        self._previous: dict[str, int] = {}
 
     def _detect_state_signals(self) -> list[str]:
         signals: list[str] = []
@@ -334,14 +279,6 @@ class FsmCoverage(CoverageCollector):
                     and isinstance(stmt.expr, Const):
                 states.add(stmt.expr.value)
         return states
-
-    def on_cycle_start(self, cycle: int, values: Mapping[str, int]) -> None:
-        for name in self.state_signals:
-            value = values.get(name, 0)
-            self._hit((name, value))
-            if name in self._previous and self._previous[name] != value:
-                self.transitions[name].add((self._previous[name], value))
-            self._previous[name] = value
 
     def observed_transition_count(self) -> int:
         return sum(len(edges) for edges in self.transitions.values())

@@ -19,12 +19,13 @@ class CoverageRunner:
     seed plus every counterexample pattern — is applied); coverage points
     accumulate across all of them.
 
-    ``engine`` selects how sequences are replayed: ``"scalar"`` drives the
-    observer-instrumented interpreter one sequence at a time, while
-    ``"batched"`` packs up to ``lanes`` sequences into the bit-parallel
-    engine and evaluates compiled cover-point guards lane-parallel
-    (:mod:`repro.coverage.batched`).  Both engines fill the same
-    collectors, and produce identical reports for identical stimulus.
+    ``engine`` selects how sequences are replayed: ``"scalar"`` runs the
+    compiled simulator, with the collectors compiled in as probes, one
+    sequence at a time, while ``"batched"`` packs up to ``lanes``
+    sequences into the bit-parallel engine and evaluates compiled
+    cover-point guards lane-parallel (:mod:`repro.coverage.batched`).
+    Both engines fill the same collectors, and produce identical reports
+    for identical stimulus.
 
     Typical use::
 

@@ -1,7 +1,7 @@
 """Module-level RTL model: signals, ports, processes and validation.
 
 A :class:`Module` is the unit every other subsystem operates on: the
-simulator interprets its processes, the static analyzer extracts logic
+simulator compiles its processes, the static analyzer extracts logic
 cones from it, the synthesizer turns its processes into per-signal
 next-value expressions, and the coverage engines instrument its statements
 and expressions.

@@ -1,8 +1,8 @@
 """Procedural synthesis: one next-value expression per assigned signal.
 
-The simulator interprets processes statement-by-statement (which is what
-the coverage instrumentation needs), but several other subsystems want a
-purely functional view of the design:
+The simulator executes processes statement-by-statement (which is what
+the coverage probes need), but several other subsystems want a purely
+functional view of the design:
 
 * cone-of-influence analysis needs the exact support of each driven signal,
 * the symbolic engines (SAT/BMC, BDD reachability) need word-level
@@ -147,7 +147,7 @@ class _WidthOnlyContext:
 def _truncate(module: Module, target: str, expr: Expr) -> Expr:
     """Mask ``expr`` to ``target``'s declared width when it could be wider.
 
-    The interpreter masks every assignment to the target's declared width;
+    The simulator masks every assignment to the target's declared width;
     without the same truncation a synthesized next-state function such as
     ``pc + 1`` (whose unsized literal is 32 bits wide) disagrees with the
     simulator whenever the arithmetic overflows the register.

@@ -2,8 +2,12 @@
 
 * :mod:`repro.sim.base` — the :class:`SimulatorBase` interface both
   engines implement, plus the :func:`create_simulator` engine factory.
-* :mod:`repro.sim.simulator` — scalar two-phase interpreter (combinational
-  settle, clock edge) with an observer hook used by the coverage engines.
+* :mod:`repro.sim.simulator` — the scalar two-phase simulator
+  (combinational settle, clock edge); it runs each design as one
+  generated Python function with the coverage collectors compiled in as
+  probes.
+* :mod:`repro.sim.codegen` — the code generator behind it, with the
+  process-wide cache of compiled code objects.
 * :mod:`repro.sim.batched` — bit-parallel batched engine: ``W``
   independent trials packed into big-int lanes, advanced by compiled
   next-state functions one cycle at a time.
@@ -21,7 +25,6 @@ from repro.sim.batched import (
     pack_lanes,
     unpack_lanes,
 )
-from repro.sim.observer import Observer
 from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.stimulus import (
     ConstantStimulus,
@@ -39,7 +42,6 @@ __all__ = [
     "CompiledNetlist",
     "ConstantStimulus",
     "DirectedStimulus",
-    "Observer",
     "RandomStimulus",
     "ReplayStimulus",
     "SIM_ENGINES",

@@ -2,9 +2,10 @@
 
 Two engines implement it:
 
-* :class:`repro.sim.simulator.Simulator` — the scalar two-phase
-  interpreter.  It walks statements one at a time, which is what the
-  coverage observers need, and simulates one trial at a time.
+* :class:`repro.sim.simulator.Simulator` — the scalar two-phase engine.
+  It runs each design as one generated Python function, with the
+  coverage collectors compiled in as probes, and simulates one trial at
+  a time.
 * :class:`repro.sim.batched.BatchedSimulator` — the bit-parallel batched
   engine.  It evaluates the synthesized next-state/output functions once
   per cycle for ``W`` independent trials packed into Python big-int lanes.
@@ -100,11 +101,12 @@ def create_simulator(module: Module, engine: str = "scalar", *,
                      synth=None) -> SimulatorBase:
     """Build a simulation engine by name.
 
-    ``engine`` is ``"scalar"`` (the interpreting :class:`Simulator`) or
+    ``engine`` is ``"scalar"`` (the compiled :class:`Simulator`) or
     ``"batched"`` (the bit-parallel :class:`BatchedSimulator`); ``lanes``
-    and ``synth`` only apply to the batched engine, ``observers`` only to
-    the scalar one (the batched engine has no statement-level hooks — use
-    the batched coverage runner for lane-parallel coverage).
+    and ``synth`` only apply to the batched engine, ``observers`` (coverage
+    collectors) only to the scalar one (the batched engine has no
+    statement-level probes — use the batched coverage runner for
+    lane-parallel coverage).
     """
     if engine == "scalar":
         from repro.sim.simulator import Simulator

@@ -1,6 +1,6 @@
 """Bit-parallel batched simulation of the Verilog subset.
 
-The scalar :class:`~repro.sim.simulator.Simulator` interprets statements
+The scalar :class:`~repro.sim.simulator.Simulator` executes statements
 one trial at a time.  This engine instead packs ``W`` independent trials
 into Python big-int *lanes*: every bit of every signal is stored as one
 integer whose bit ``l`` is that signal bit's value in lane ``l``.  The

