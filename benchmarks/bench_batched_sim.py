@@ -39,9 +39,6 @@ def _best(function, repeats=3):
 
 
 def test_batched_sim_speedup(benchmark, print_section):
-    # Warm numpy (used by trace materialisation) outside the measurements.
-    import numpy  # noqa: F401
-
     # The harness-timed sample: one representative batched run.
     run_once(benchmark, lambda: BatchedSimulator(load("b12"), lanes=64)
              .run_random(CYCLES, seed=1, collect_traces=False))

@@ -31,7 +31,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=[],
     entry_points={
         "console_scripts": ["repro=repro.runner.cli:main"],
     },

@@ -71,7 +71,7 @@ from repro.sim import (
 
 #: Single source of truth for the release version: ``setup.py`` parses
 #: this assignment, so bump it here and nowhere else.
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "Assertion",

@@ -43,7 +43,7 @@ from repro.hdl.ast import BinaryOp, Const, Expr, Ref, UnaryOp, conjoin, disjoin
 from repro.hdl.module import Module, ProcessKind
 from repro.hdl.stmt import Assign, Block, Case, If
 from repro.hdl.synth import _merge
-from repro.sim.batched import BatchedSimulator, CompiledNetlist
+from repro.sim.batched import BatchedSimulator, CompiledNetlist, unpack_lanes
 from repro.sim.simulator import SimulationError
 
 
@@ -237,14 +237,11 @@ class BatchedCoverage:
                      previous: dict[str, list[int | None]]) -> None:
         for fsm in self._fsms:
             for name in fsm.state_signals:
-                slots = self._fsm_slots[name]
                 prior = previous[name]
-                for lane in range(lanes):
+                values = unpack_lanes([words[slot] for slot in self._fsm_slots[name]], lanes)
+                for lane, value in enumerate(values):
                     if not (active >> lane) & 1:
                         continue
-                    value = 0
-                    for bit, slot in enumerate(slots):
-                        value |= ((words[slot] >> lane) & 1) << bit
                     fsm._hit((name, value))
                     if prior[lane] is not None and prior[lane] != value:
                         fsm.transitions[name].add((prior[lane], value))

@@ -28,9 +28,8 @@ combinational targets (the bundled designs never rely on latches, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
-
-import networkx as nx
 
 from repro.hdl.ast import BinaryOp, Const, Expr, Ref, Ternary, disjoin
 from repro.hdl.errors import ElaborationError
@@ -226,16 +225,16 @@ def _merge(cond: Expr, then_env: Mapping[str, Expr], else_env: Mapping[str, Expr
 
 def _order_combinational(module: Module, comb: Mapping[str, Expr]) -> list[str]:
     """Topologically order combinational targets; raise on true cycles."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(comb)
+    sorter = TopologicalSorter()
+    for name in comb:
+        sorter.add(name)
     for name, expr in comb.items():
         for dependency in expr.signals():
             if dependency in comb and dependency != name:
-                graph.add_edge(dependency, name)
+                sorter.add(name, dependency)
     try:
-        return list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible as exc:
-        cycles = list(nx.simple_cycles(graph))
+        return list(sorter.static_order())
+    except CycleError as exc:
         raise ElaborationError(
-            f"combinational cycle in module '{module.name}': {cycles[:3]}"
+            f"combinational cycle in module '{module.name}': {' -> '.join(exc.args[1])}"
         ) from exc

@@ -291,51 +291,28 @@ def _lane_traces(netlist: "CompiledNetlist", columns: Sequence[str],
                  lengths: Sequence[int] | None = None) -> list[Trace]:
     """Unpack per-cycle slot words into one :class:`Trace` per lane.
 
-    Bit extraction is vectorised with numpy (cycles × lanes at once per
-    signal bit), which keeps trace materialisation from dominating the
-    bit-parallel simulation it records.
+    Each signal bit's cycle words are laid end to end as one big int,
+    ``stride`` bits per cycle, so one :func:`unpack_lanes` call yields a
+    column's value at every (cycle, lane) position; lane ``l``'s rows are
+    then the slice starting at ``l`` with step ``stride``.
     """
-    import numpy as np
-
     cycles = len(cycle_words)
-    if cycles == 0:
-        count = lanes if lengths is None else len(lengths)
-        return [Trace(tuple(columns)) for _ in range(count)]
-    if any(len(netlist.slots[name]) >= 63 for name in columns):
-        # int64 accumulation would overflow into the sign bit; fall back
-        # to exact big-int unpacking for very wide signals.
-        traces = []
-        lane_count = lanes if lengths is None else len(lengths)
-        for lane in range(lane_count):
-            length = cycles if lengths is None else min(lengths[lane], cycles)
-            trace = Trace(tuple(columns))
-            for words in cycle_words[:length]:
-                trace.rows.append(tuple(
-                    sum(((words[slot] >> lane) & 1) << bit
-                        for bit, slot in enumerate(netlist.slots[name]))
-                    for name in columns
-                ))
-            traces.append(trace)
-        return traces
     nbytes = (lanes + 7) // 8
-    cube = np.empty((lanes, cycles, len(columns)), dtype=np.int64)
-    for index, name in enumerate(columns):
-        accumulated = np.zeros((cycles, lanes), dtype=np.int64)
-        for bit, slot in enumerate(netlist.slots[name]):
-            raw = b"".join(words[slot].to_bytes(nbytes, "little") for words in cycle_words)
-            bits = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8).reshape(cycles, nbytes),
-                axis=1, bitorder="little",
-            )[:, :lanes].astype(np.int64)
-            accumulated |= bits << bit
-        cube[:, :, index] = accumulated.T
-    nested = cube.tolist()  # one C-level conversion for every lane at once
+    stride = nbytes * 8
+    values = [
+        unpack_lanes([int.from_bytes(b"".join(words[slot].to_bytes(nbytes, "little")
+                                             for words in cycle_words), "little")
+                      for slot in netlist.slots[name]],
+                     cycles * stride)
+        for name in columns
+    ]
     traces: list[Trace] = []
-    lane_count = lanes if lengths is None else len(lengths)
-    for lane in range(lane_count):
+    for lane in range(lanes if lengths is None else len(lengths)):
         length = cycles if lengths is None else min(lengths[lane], cycles)
+        stop = lane + length * stride
         trace = Trace(tuple(columns))
-        trace.rows = [tuple(row) for row in nested[lane][:length]]
+        trace.rows = (list(zip(*(column[lane:stop:stride] for column in values)))
+                      if values else [()] * length)
         traces.append(trace)
     return traces
 
@@ -348,8 +325,8 @@ class LaneWordBlock:
     .add_lane_block`): ``word(name, bit, cycle)`` returns the raw lane
     word — bit ``l`` is lane ``l``'s value of that signal bit at that
     cycle — without ever transposing to per-lane rows.  :meth:`to_traces`
-    still widens the block into one :class:`Trace` per lane for the
-    row-wise engine and for ragged batches.
+    still widens the block into one :class:`Trace` per lane for ragged
+    batches.
     """
 
     __slots__ = ("netlist", "trace_columns", "cycle_words", "lanes", "lengths")

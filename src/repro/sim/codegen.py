@@ -42,9 +42,8 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Sequence
-
-import networkx as nx
 
 from repro.hdl.ast import (
     COMPARE_OPS,
@@ -88,8 +87,9 @@ def ordered_comb_constructs(module: Module
     constructs.extend(p for p in module.processes if p.kind is ProcessKind.COMBINATIONAL)
     if not constructs:
         return [], False
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(constructs)))
+    sorter = TopologicalSorter()
+    for index in range(len(constructs)):
+        sorter.add(index)
     writes: list[set[str]] = []
     reads: list[set[str]] = []
     for construct in constructs:
@@ -102,10 +102,10 @@ def ordered_comb_constructs(module: Module
     for i in range(len(constructs)):
         for j in range(len(constructs)):
             if i != j and writes[i] & reads[j]:
-                graph.add_edge(i, j)
+                sorter.add(j, i)
     try:
-        order = list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
+        order = list(sorter.static_order())
+    except CycleError:
         return constructs, True
     return [constructs[i] for i in order], False
 

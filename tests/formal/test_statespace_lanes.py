@@ -118,15 +118,25 @@ def test_latch_design_refused():
         ExplicitModelChecker(module)
 
 
-def test_exploration_does_not_import_numpy():
+def test_runtime_imports_no_third_party_packages():
+    """CLI import, a batched tiered closure, batched coverage replay and
+    lane exploration all run on the standard library alone."""
     script = ("import sys\n"
+              "import repro.runner.cli\n"
+              "from repro.core.config import GoldMineConfig\n"
+              "from repro.coverage.runner import CoverageRunner\n"
               "from repro.designs import load\n"
+              "from repro.experiments.common import closure_for_design\n"
               "from repro.formal.statespace import StateSpace\n"
+              "config = GoldMineConfig(engine='tiered', sim_engine='batched', sim_lanes=16)\n"
+              "_, result = closure_for_design('b01', config, window=2)\n"
+              "runner = CoverageRunner(load('b01'), engine='batched', lanes=16)\n"
+              "runner.run_suite(result.test_suite)\n"
               "StateSpace(load('decode')).explore()\n"
-              "print('numpy' in sys.modules)\n")
+              "print(sorted({'numpy', 'networkx'} & sys.modules.keys()))\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", ["arbiter2", "b09", "decode", "wbstage"])

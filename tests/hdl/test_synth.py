@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,8 +116,28 @@ class TestBasicSynthesis:
               assign y = q;
             endmodule
         """)
-        with pytest.raises(ElaborationError):
+        with pytest.raises(ElaborationError, match=r"module 'm':(?=.*\bp\b)(?=.*\bq\b)"):
             synthesize(module)
+
+    def test_combinational_cycle_names_only_the_loop(self):
+        module = parse_module("""
+            module m(a, y); input a; output y;
+              wire c1, c2, c3, r, s, t;
+              assign c1 = a;
+              assign c2 = c1 & a;
+              assign c3 = c2 | a;
+              assign r = t ^ c3;
+              assign s = r & a;
+              assign t = s | a;
+              assign y = t;
+            endmodule
+        """)
+        with pytest.raises(ElaborationError, match="module 'm'") as info:
+            synthesize(module)
+        cycle = str(info.value).split(":", 1)[1]
+        named = set(re.findall(r"\w+", cycle))
+        assert {"r", "s", "t"} <= named
+        assert not named & {"c1", "c2", "c3", "a", "y"}
 
 
 class TestSynthesisMatchesSimulation:

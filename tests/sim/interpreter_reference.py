@@ -13,9 +13,8 @@ values and every collector's ``covered_points`` and FSM transitions.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
 
 from repro.coverage.collectors import (
     BranchCoverage,
@@ -249,8 +248,9 @@ class ReferenceSimulator(SimulatorBase):
         self._comb_has_cycle = False
         if not constructs:
             return []
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(constructs)))
+        sorter = TopologicalSorter()
+        for index in range(len(constructs)):
+            sorter.add(index)
         writes: list[set[str]] = []
         reads: list[set[str]] = []
         for construct in constructs:
@@ -263,10 +263,10 @@ class ReferenceSimulator(SimulatorBase):
         for i in range(len(constructs)):
             for j in range(len(constructs)):
                 if i != j and writes[i] & reads[j]:
-                    graph.add_edge(i, j)
+                    sorter.add(j, i)
         try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
+            order = list(sorter.static_order())
+        except CycleError:
             order = list(range(len(constructs)))
             self._comb_has_cycle = True
         return [constructs[i] for i in order]

@@ -65,19 +65,21 @@ def test_lane_exact_agreement(design_name):
                 )
 
 
+@pytest.mark.parametrize("lanes", [1, 6, 8, 9, 64, 100])
 @pytest.mark.parametrize("design_name", ["arbiter2", "counter_block", "b09"])
-def test_run_batch_traces_match_scalar_run_vectors(design_name):
-    """Per-lane traces (numpy unpack path) equal scalar traces, including
-    ragged sequence lengths."""
+def test_run_batch_traces_match_scalar_run_vectors(design_name, lanes):
+    """Per-lane traces equal scalar traces, including ragged sequence
+    lengths, an empty sequence and lane counts that pad each cycle to a
+    whole number of bytes."""
     module = load(design_name)
     rng = random.Random(23)
-    lanes = 6
     vector_lists = [
         [{name: rng.randrange(1 << module.width_of(name))
           for name in module.data_input_names}
          for _ in range(rng.choice([17, 30, 43]))]
         for _ in range(lanes)
     ]
+    vector_lists[lanes // 2] = []
     batched_traces = BatchedSimulator(module, lanes=lanes).run_batch(vector_lists)
     for lane, vectors in enumerate(vector_lists):
         scalar_trace = Simulator(module).run_vectors(vectors)
