@@ -12,8 +12,8 @@
 * :mod:`repro.boolean.certify` — reverse-unit-propagation checking of
   the solver's learned-clause derivations (UNSAT certificates).
 * :mod:`repro.boolean.incremental` — a persistent CnfBuilder/SatSolver
-  pair with activation-literal queries, the substrate of the incremental
-  BMC engine.
+  pair whose queries encode, then assume the goal's literals, the
+  substrate of the incremental BMC engine.
 * :mod:`repro.boolean.bdd` — a reduced ordered BDD package with the
   operations symbolic reachability needs.
 """

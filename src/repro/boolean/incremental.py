@@ -6,14 +6,15 @@ protocol the incremental BMC engine is built on:
 
 * *Permanent* facts (``assert_expr``) are asserted once and hold for every
   later query.
-* *Queries* (``solve_query``) encode a goal expression, guard it behind a
-  fresh activation literal ``act`` with the single clause ``act → goal``
-  and solve under ``assumptions=[act]``.  Because Tseitin clauses are
-  definitional (they only constrain auxiliary variables to equal their
-  subformula), the accumulated encodings of past queries can never change
-  the verdict of a new one; the activation literal is the only assertive
-  part, and :meth:`retire` turns it off permanently with the unit clause
-  ``¬act``.
+* *Queries* (``solve_query``) encode, then assume the goal's literals:
+  each conjunct of a top-level AND (or the goal itself) is Tseitin-encoded
+  and the solve runs under ``assumptions=[*literals]``.  Tseitin clauses
+  are definitional (they only constrain auxiliary variables to equal their
+  subformula), so a query adds no assertive clause at all: the encodings
+  of past queries can never change the verdict of a new one, and nothing
+  needs retiring afterwards — not even after an interrupted solve.  No
+  top-level AND variable is encoded either, so no dead query cone is
+  re-derived by every later solve.
 
 Hash-consed expressions make the builder's memo table structural: a
 subformula shared between two queries — two candidate assertions over the
@@ -27,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.boolean.cnf import CnfBuilder
-from repro.boolean.expr import BoolExpr
-from repro.boolean.sat import SatBudgetExceeded, SatResult, SatSolver
+from repro.boolean.expr import BAnd, BoolExpr
+from repro.boolean.sat import SatResult, SatSolver
 
 
 @dataclass
@@ -84,9 +85,9 @@ class IncrementalSolver:
         """Permanently constrain ``expr`` to hold in every later query."""
         self.builder.assert_expr(expr)
 
-    def solve_query(self, goal: BoolExpr,
-                    assumptions: tuple[int, ...] = ()) -> tuple[SatResult, int]:
-        """Solve for ``goal`` under a fresh activation literal.
+    def solve_query(self, goal: BoolExpr, assumptions: tuple[int, ...] = ()
+                    ) -> tuple[SatResult, list[int]]:
+        """Solve for ``goal`` by assuming its encoded conjunct literals.
 
         ``assumptions`` are extra literals assumed for this query only —
         typically guards from :meth:`guard_expr`, which lets a set of
@@ -94,51 +95,35 @@ class IncrementalSolver:
         uniqueness clauses) be encoded once and switched on per query
         without ever becoming permanent.
 
-        Returns the solver result and the activation literal; pass the
-        literal to :meth:`retire` once the query's outcome has been
-        consumed (whether or not it was satisfiable).
+        Returns the solver result and the goal's literals; assume them
+        again (e.g. as the fixed prefix of follow-up solves) to stay
+        inside the query.
         """
         hits_before = self.builder.encode_cache_hits
         calls_before = self.builder.encode_calls
-        goal_literal = self.builder.encode(goal)
-        activation = self.builder.fresh()
-        self.builder.add_clause((-activation, goal_literal))
+        conjuncts = goal.operands if isinstance(goal, BAnd) else (goal,)
+        literals = [self.builder.encode(conjunct) for conjunct in conjuncts]
         self.counters.queries += 1
         self.counters.clauses_reused += self._flushed
         self.counters.learned_carried += self.solver.learned_count
         self.counters.encode_cache_hits += self.builder.encode_cache_hits - hits_before
         self.counters.encode_calls += self.builder.encode_calls - calls_before
         self._flush()
-        try:
-            result = self.solver.solve(assumptions=[activation, *assumptions])
-        except SatBudgetExceeded:
-            # Deadline expired mid-query: retire the activation literal so
-            # the context stays clean for the queries that follow, then let
-            # the engine translate the interrupt into a timed-out UNKNOWN.
-            self.retire(activation)
-            raise
-        return result, activation
+        result = self.solver.solve(assumptions=[*literals, *assumptions])
+        return result, literals
 
     def guard_expr(self, expr: BoolExpr) -> int:
-        """Encode ``expr`` behind a reusable guard literal.
+        """Encode ``expr`` and return its literal as a reusable guard.
 
-        Adds the single clause ``guard → expr`` and returns ``guard``
-        without asserting it: pass the literal in ``solve_query``'s
-        ``assumptions`` to enable the constraint for that query only.
-        Unlike :meth:`solve_query`'s activation literal, a guard is never
-        retired — the same literal can switch the constraint on across
-        arbitrarily many later queries.
+        The literal is not asserted: pass it in ``solve_query``'s
+        ``assumptions`` to enable the constraint for that query only.  The
+        Tseitin encoding makes the literal equivalent to ``expr``, so the
+        same literal switches the constraint on across arbitrarily many
+        later queries.
         """
-        guard_literal = self.builder.encode(expr)
-        guard = self.builder.fresh()
-        self.builder.add_clause((-guard, guard_literal))
+        guard = self.builder.encode(expr)
         self._flush()
         return guard
-
-    def retire(self, activation: int) -> None:
-        """Permanently deactivate a query's guard (unit ``¬activation``)."""
-        self.builder.add_clause((-activation,))
-        self._flush()
 
     # ------------------------------------------------------------------
     def decode_model(self, result: SatResult) -> dict[str, bool]:

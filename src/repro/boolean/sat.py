@@ -29,16 +29,19 @@ implementation but lays its data out the way hardware solvers do:
 
 The CDCL machinery itself is unchanged: two-watched-literal propagation,
 first-UIP learning with non-chronological backjumping, VSIDS from a lazy
-heap, phase saving, Luby restarts, activation-literal friendly
-assumptions, and mid-life ``add_clause``.  One instance outlives many
+heap with per-variable membership flags, phase saving, Luby restarts,
+assumptions (the incremental layer assumes each query's goal literals
+directly), and mid-life ``add_clause``.  One instance outlives many
 :meth:`solve` calls; learned clauses, activities and saved phases carry
 over between queries.
 
 Instrumentation: every :class:`SatResult` carries a ``stats`` dict with
-the per-solve propagation/decision/conflict/restart counters plus the
-blocker hit rate, and :meth:`SatSolver.stats_total` exposes the
-process-lifetime totals (surfaced as ``sat_*`` counters in
-``VerifierStatistics.reuse`` by the formal layer).  Two debug modes back
+the per-solve propagation/decision/conflict/restart counters, the
+blocker hit rate and ``assigned`` (trail literals above the root when
+the solve ended: the whole non-root assignment a SAT answer decides),
+and :meth:`SatSolver.stats_total` exposes the process-lifetime totals
+(surfaced as ``sat_*`` counters in ``VerifierStatistics.reuse`` by the
+formal layer).  Two debug modes back
 the solver test battery: ``debug_checks=True`` asserts the watch/arena/
 trail invariants after every propagation fixpoint, and ``certify=True``
 records every learned clause (plus the final empty clause on
@@ -138,6 +141,9 @@ class SatSolver:
         self._var_level: list[int] = [0]
         self._var_reason: list[int] = [-1]
         self._activity: list[float] = [0.0]
+        #: 1 while the heap holds an entry keyed on the variable's current
+        #: activity (MiniSat's heap membership), so a re-push is skipped.
+        self._in_heap = bytearray(1)
         self._var_seen = bytearray(1)
         self._registered = 0
         #: External variable -> last polarity it held (phase saving).
@@ -148,6 +154,8 @@ class SatSolver:
         self._queue_head = 0
         #: Lazy VSIDS heap of (-activity, variable); stale entries are
         #: skipped on pop (entry activity no longer matches, or assigned).
+        #: Every unassigned registered variable has exactly one entry
+        #: keyed on its current activity (``_in_heap``).
         self._order: list[tuple[float, int]] = []
         self._var_increment = 1.0
         self._clause_increment = 1.0
@@ -162,6 +170,8 @@ class SatSolver:
         self.blocker_hits = 0
         self.watch_checks = 0
         self.solves = 0
+        #: Trail literals above the root when each solve ended, summed.
+        self.assigned = 0
         #: Optional interrupt callback polled at every conflict and every
         #: 128th decision; ``None`` keeps the hot loop free of the check.
         self._interrupt = None
@@ -213,6 +223,7 @@ class SatSolver:
             "learned_dropped": self.learned_dropped,
             "blocker_hits": self.blocker_hits,
             "watch_checks": self.watch_checks,
+            "assigned": self.assigned,
             "arena_literals": len(self._arena),
         }
 
@@ -340,7 +351,9 @@ class SatSolver:
         if not self._var_seen[variable]:
             self._var_seen[variable] = 1
             self._registered += 1
-            heapq.heappush(self._order, (-self._activity[variable], variable))
+            if not self._in_heap[variable]:
+                self._in_heap[variable] = 1
+                heapq.heappush(self._order, (-self._activity[variable], variable))
 
     def _ensure_var(self, variable: int) -> None:
         """Grow the per-variable/per-literal arrays to cover ``variable``."""
@@ -350,6 +363,7 @@ class SatSolver:
         self._var_level.extend([0] * needed)
         self._var_reason.extend([-1] * needed)
         self._activity.extend([0.0] * needed)
+        self._in_heap.extend(bytes(needed))
         self._var_seen.extend(bytes(needed))
         self._values.extend([0] * (2 * needed))
         self._watches.extend([] for _ in range(2 * needed))
@@ -381,6 +395,7 @@ class SatSolver:
         values = self._values
         order = self._order
         activity = self._activity
+        in_heap = self._in_heap
         phases = self._saved_phase
         while len(trail) > target:
             code = trail.pop()
@@ -388,7 +403,9 @@ class SatSolver:
             phases[variable] = not (code & 1)
             values[code] = 0
             values[code ^ 1] = 0
-            heapq.heappush(order, (-activity[variable], variable))
+            if not in_heap[variable]:
+                in_heap[variable] = 1
+                heapq.heappush(order, (-activity[variable], variable))
         del self._trail_limits[level:]
 
     # ------------------------------------------------------------------
@@ -603,11 +620,29 @@ class SatSolver:
         if activity > 1e100:
             self._activity = [value * 1e-100 for value in self._activity]
             self._var_increment *= 1e-100
-            # Every heap entry is stale now; drop them and let the pick
-            # fall back to a rebuild.
-            self._order.clear()
+            self._rebuild_heap()  # every entry's key is stale now
         elif self._values[variable << 1] == 0:
+            self._in_heap[variable] = 1
             heapq.heappush(self._order, (-activity, variable))
+        else:
+            # Any entry left is keyed on the old activity; the unassign
+            # that frees the variable pushes the current one.
+            self._in_heap[variable] = 0
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned registered variable, current keys."""
+        activity = self._activity
+        values = self._values
+        seen = self._var_seen
+        in_heap = bytearray(len(seen))
+        entries = []
+        for variable in range(1, len(seen)):
+            if seen[variable] and values[variable << 1] == 0:
+                in_heap[variable] = 1
+                entries.append((-activity[variable], variable))
+        heapq.heapify(entries)
+        self._order = entries
+        self._in_heap = in_heap
 
     def _bump_clause(self, cid: int) -> None:
         if not self._c_learned[cid]:
@@ -748,24 +783,18 @@ class SatSolver:
         order = self._order
         activity = self._activity
         values = self._values
+        in_heap = self._in_heap
         while order:
             negated, variable = heapq.heappop(order)
+            if -negated != activity[variable]:
+                continue  # stale entry (activity bumped since)
+            in_heap[variable] = 0
             if values[variable << 1] != 0:
                 continue
-            if -negated != activity[variable]:
-                continue  # stale entry (activity bumped or rescaled since)
             return variable
-        # Heap exhausted (e.g. after an activity rescale): rebuild it from
-        # the unassigned registered variables and try again.
-        seen = self._var_seen
-        entries = [(-activity[variable], variable)
-                   for variable in range(1, len(seen))
-                   if seen[variable] and values[variable << 1] == 0]
-        if not entries:
-            return None
-        heapq.heapify(entries)
-        self._order = entries
-        return self._pick_branch_variable()
+        # Every unassigned registered variable has an entry, so an
+        # exhausted heap means a total assignment.
+        return None
 
     @staticmethod
     def _luby(index: int) -> int:
@@ -919,6 +948,9 @@ class SatSolver:
     def _finish(self, satisfiable: bool, base: tuple[int, ...],
                 certify_empty: bool,
                 model: dict[int, bool] | None = None) -> SatResult:
+        limits = self._trail_limits
+        assigned = len(self._trail) - limits[0] if limits else 0
+        self.assigned += assigned
         self._reset()
         if not satisfiable and certify_empty:
             # An assumption-free UNSAT answer claims the empty clause is
@@ -935,6 +967,7 @@ class SatSolver:
             "blocker_hits": hits,
             "watch_checks": checks,
             "blocker_hit_rate": (hits / checks) if checks else 0.0,
+            "assigned": assigned,
             "clauses": self._problem_clauses,
             "learned": self._learned_live,
             "arena_literals": len(self._arena),
@@ -975,7 +1008,10 @@ class SatSolver:
           and exactly cover the arena (no holes survive compaction);
         * **trail/decision-level monotonicity** — trail literals are all
           true, levels never decrease along the trail, and level
-          boundaries match ``_trail_limits``.
+          boundaries match ``_trail_limits``;
+        * **heap membership** — every unassigned registered variable, and
+          every variable whose ``_in_heap`` flag is set, has a heap entry
+          keyed on its current activity.
 
         A solver whose database is unsatisfiable (``_has_empty``) is
         retired — a root conflict legitimately stops propagation short of
@@ -987,6 +1023,7 @@ class SatSolver:
             return
         self._check_watches()
         self._check_trail()
+        self._check_heap()
 
     def _check_arena(self) -> None:
         offsets = self._c_offset
@@ -1083,6 +1120,21 @@ class SatSolver:
                 assert decision_level == index + 1, (
                     f"decision at trail position {limit} has level "
                     f"{decision_level}, expected {index + 1}")
+
+    def _check_heap(self) -> None:
+        activity = self._activity
+        current = {variable for negated, variable in self._order
+                   if -negated == activity[variable]}
+        seen = self._var_seen
+        for variable in range(1, len(seen)):
+            if seen[variable] and self._values[variable << 1] == 0:
+                assert variable in current, (
+                    f"unassigned variable {variable} has no heap entry keyed "
+                    f"on its activity {activity[variable]}")
+            if self._in_heap[variable]:
+                assert variable in current, (
+                    f"variable {variable} is flagged in the heap but has no "
+                    f"entry keyed on its activity {activity[variable]}")
 
 
 def solve_clauses(clauses: Iterable[Clause], variable_count: int = 0,

@@ -10,8 +10,9 @@ fails:
 * :mod:`repro.formal.bmc` — SAT-based bounded model checking with a simple
   inductive proof step, built on the in-house CDCL solver.  Every check
   runs on the assertion's cone-of-influence slice (:mod:`repro.ir`) with
-  one persistent solver context per slice: activation-literal queries,
-  learned clauses carried across the whole candidate batch.
+  one persistent solver context per slice: each query encodes its goal,
+  then assumes the goal's literals; learned clauses carry across the
+  whole candidate batch.
 * :mod:`repro.formal.bdd_engine` — BDD-based symbolic reachability with
   ring-by-ring counterexample reconstruction.
 * :mod:`repro.formal.induction` — strengthened k-induction on the same

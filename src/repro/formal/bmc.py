@@ -26,10 +26,11 @@ fold proved stuck at reset read as constants from reset.
 Each (from-reset or free-initial-state, slice) pair owns one persistent
 :class:`~repro.boolean.incremental.IncrementalSolver`.  The unrolled
 design is extended monotonically and its hash-consed bit functions are
-Tseitin-encoded exactly once; each (assertion, window) violation is
-guarded by a fresh activation literal, solved under ``assumptions=[act]``
-and retired with the unit ``¬act``, so learned clauses and variable
-activities carry across the whole candidate batch.
+Tseitin-encoded exactly once; each (assertion, window) violation query
+encodes its conjuncts, then assumes their literals.  A query adds no
+assertive clause and leaves nothing to retire, so learned clauses and
+variable activities carry across the whole candidate batch, and a batch
+checked a second time adds no clause or variable at all.
 
 Counterexamples are **canonical**: when a violation query is
 satisfiable, the engine does not report whatever model the CDCL search
@@ -327,14 +328,11 @@ class BmcModelChecker:
         violation = design.assertion_violation(shifted)
         needed = window_start + span
         context = self._context(True)
-        result, activation = context.solve_query(violation)
-        model = None
+        result, literals = context.solve_query(violation)
         if result.satisfiable:
             model = self._canonical_model(
                 context.builder, context.solver, design, needed,
-                shifted, violation, result.model, [activation])
-        context.retire(activation)
-        if model is not None:
+                shifted, violation, result.model, literals)
             vectors = design.model_to_vectors(model)
             return Counterexample(
                 input_vectors=tuple(vectors[:max(needed, 1)]),
@@ -459,6 +457,5 @@ class BmcModelChecker:
             design = self._unroller.unroll(assertion.consequent.cycle, from_reset=False)
         violation = design.assertion_violation(assertion)
         context = self._context(False)
-        result, activation = context.solve_query(violation)
-        context.retire(activation)
+        result, _ = context.solve_query(violation)
         return not result.satisfiable

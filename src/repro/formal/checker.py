@@ -167,7 +167,7 @@ class FormalVerifier:
     """Checks candidate assertions against a design using a chosen engine.
 
     ``bmc`` runs the incremental SAT path (one persistent solver context
-    per sliced unrolling, activation-literal queries).  ``k-induction``
+    per sliced unrolling, goal literals assumed per query).  ``k-induction``
     adds the simple-path inductive step on a second persistent context
     (``induction_k`` caps the induction depth) so surviving assertions
     become real ``unbounded`` proofs, and ``tiered`` is the portfolio —

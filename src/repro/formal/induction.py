@@ -16,8 +16,8 @@ Stålmarck).  For a candidate assertion ``A`` with window *span* ``s``
   *arbitrary* (not necessarily reachable) starting state on which ``A``
   holds at window offsets ``0 .. k-1`` yet is violated at offset ``k``.
   The step runs on the second long-lived context (the free-initial-state
-  unrolling the one-step induction already uses), guarded by a fresh
-  activation literal per query.
+  unrolling the one-step induction already uses): each query encodes its
+  goal's conjuncts, then assumes their literals.
 
 Both UNSAT together prove ``A`` on every reachable state at every cycle:
 a hypothetical earliest violation either starts within the first ``k``
@@ -215,8 +215,7 @@ class KInductionModelChecker(BmcModelChecker):
         context = self._context(False)
         guards = tuple(self._distinct_guard(design, i, j)
                        for i in range(k + 1) for j in range(i + 1, k + 1))
-        result, activation = context.solve_query(goal, assumptions=guards)
-        context.retire(activation)
+        result, _ = context.solve_query(goal, assumptions=guards)
         return not result.satisfiable
 
     def _distinct_guard(self, design, i: int, j: int) -> int:

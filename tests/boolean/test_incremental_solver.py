@@ -158,25 +158,26 @@ class TestIncrementalSolverContext:
     def test_guarded_queries_are_independent(self):
         context = IncrementalSolver()
         x, y = var("x"), var("y")
-        result, activation = context.solve_query(and_(x, not_(x)))
-        context.retire(activation)
+        result, _ = context.solve_query(and_(x, not_(x)))
         assert not result.satisfiable
-        result, activation = context.solve_query(and_(x, y))
-        context.retire(activation)
+        result, literals = context.solve_query(and_(x, y))
         assert result.satisfiable
+        assert literals == [context.builder.lookup("x"),
+                            context.builder.lookup("y")]
         model = context.decode_model(result)
         assert model["x"] is True and model["y"] is True
-        # A retired unsatisfiable query must not poison later ones.
-        result, activation = context.solve_query(x)
-        context.retire(activation)
+        # An unsatisfiable query must not poison later ones.
+        result, _ = context.solve_query(not_(y))
+        assert result.satisfiable
+        assert context.decode_model(result)["y"] is False
+        result, _ = context.solve_query(x)
         assert result.satisfiable
 
     def test_permanent_assertions_constrain_queries(self):
         context = IncrementalSolver()
         x = var("x")
         context.assert_expr(not_(x))
-        result, activation = context.solve_query(x)
-        context.retire(activation)
+        result, _ = context.solve_query(x)
         assert not result.satisfiable
 
     def test_counters_accumulate(self):
@@ -185,8 +186,7 @@ class TestIncrementalSolverContext:
         # it away), so the encoder can hit its memo on the later queries.
         shared = and_(var("p"), var("q"))
         for extra in ("r", "s", "t"):
-            result, activation = context.solve_query(or_(shared, var(extra)))
-            context.retire(activation)
+            result, _ = context.solve_query(or_(shared, var(extra)))
             assert result.satisfiable
         assert context.counters.queries == 3
         assert context.counters.encode_cache_hits >= 2

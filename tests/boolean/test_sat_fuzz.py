@@ -20,6 +20,11 @@ structured families the random sampler essentially never generates:
 pigeonhole (provably hard for resolution, exercises learning and DB
 reduction) and XOR/parity chains (zero-blocker-benefit worst case).
 
+A query-stream family drives the incremental layer the BMC engines sit
+on: hash-consed goals with shared sub-formulas sent to one
+:class:`~repro.boolean.incremental.IncrementalSolver`, each verdict
+checked against a fresh one-shot solve and each model against the goal.
+
 The default corpus stays well inside the suite's per-test budget; set
 ``SAT_FUZZ_FULL=1`` for the full >= 2000-formula sweep CI runs on the
 sat-core job.
@@ -33,7 +38,19 @@ import random
 
 import pytest
 
-from repro.boolean import SatSolver, check_rup_proof
+from repro.boolean import (
+    BoolExpr,
+    IncrementalSolver,
+    SatSolver,
+    and_,
+    check_rup_proof,
+    ite,
+    not_,
+    or_,
+    solve_expr,
+    var,
+    xor_,
+)
 
 FULL = os.environ.get("SAT_FUZZ_FULL", "") not in ("", "0")
 
@@ -276,6 +293,78 @@ def test_incremental_trickle_differential(chunk):
                     so_far + [(lit,) for lit in assumptions], {}), (
                     f"divergence after {len(so_far)} clauses, "
                     f"assumptions={assumptions}")
+
+
+def random_goal(rng: random.Random, pool: list) -> BoolExpr:
+    """A random hash-consed formula built over ``pool``, which it grows.
+
+    Every new node joins the pool, so later goals reuse earlier goals'
+    sub-formulas: the persistent encoder's memo hits, and the solver
+    carries their Tseitin definitions from query to query.
+    """
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("and", "or", "xor", "ite", "not"))
+        if kind == "and":
+            node = and_(*rng.sample(pool, min(len(pool), rng.randint(2, 3))))
+        elif kind == "or":
+            node = or_(*rng.sample(pool, min(len(pool), rng.randint(2, 3))))
+        elif kind == "xor":
+            node = xor_(rng.choice(pool), rng.choice(pool))
+        elif kind == "ite":
+            node = ite(rng.choice(pool), rng.choice(pool), rng.choice(pool))
+        else:
+            node = not_(rng.choice(pool))
+        pool.append(node)
+    # Top-level conjunctions are the common query shape (antecedent
+    # literals AND a failed consequent); mix them with plain goals.
+    if rng.random() < 0.6:
+        return and_(*rng.sample(pool, min(len(pool), rng.randint(2, 4))))
+    return pool[-1]
+
+
+@pytest.mark.parametrize("chunk", range(CHUNKS // 2))
+def test_incremental_query_stream_differential(chunk):
+    """A stream of goal queries on one :class:`IncrementalSolver`.
+
+    Each query encodes its goal and assumes the goal's literals (plus,
+    sometimes, reusable guards from ``guard_expr``); permanent facts are
+    asserted between queries.  Every verdict must match a fresh one-shot
+    :func:`solve_expr` of facts, guards and goal, and every SAT model
+    must satisfy all three.
+    """
+    rng = random.Random(0x57AEA7 + chunk)
+    for _ in range(4 if FULL else 2):
+        names = [f"v{index}" for index in range(rng.randint(4, 9))]
+        pool = [var(name) for name in names]
+        context = IncrementalSolver()
+        context.solver._debug = True  # invariant checks at every fixpoint
+        facts: list = []
+        guards: dict = {}
+        for _ in range(32 if FULL else 12):
+            if rng.random() < 0.1:
+                fact = or_(*rng.sample(pool, 2))
+                context.assert_expr(fact)
+                facts.append(fact)
+            if rng.random() < 0.3:
+                guard = random_goal(rng, pool)
+                guards.setdefault(guard, context.guard_expr(guard))
+            active = rng.sample(list(guards),
+                                min(len(guards), rng.randint(0, 2)))
+            goal = random_goal(rng, pool)
+            guard_literals = tuple(guards[g] for g in active)
+            result, literals = context.solve_query(
+                goal, assumptions=guard_literals)
+            expected, _ = solve_expr(and_(*facts, *active, goal))
+            assert result.satisfiable == expected.satisfiable, (
+                f"stream diverged on goal {goal!r} with guards {active!r}")
+            # The returned literals re-enter the query (the canonical
+            # counterexample walk's fixed prefix relies on it).
+            again = context.solver.solve([*literals, *guard_literals])
+            assert again.satisfiable == result.satisfiable
+            if result.satisfiable:
+                model = context.decode_model(result)
+                for expr in (*facts, *active, goal):
+                    assert expr.evaluate(model), f"model violates {expr!r}"
 
 
 def test_full_mode_reaches_2000_formulas():

@@ -7,8 +7,9 @@ solves with ``debug_checks=True``, which calls
 conflict-free propagation fixpoint.  That is only evidence if the
 checker can actually fail, so this module first proves it non-vacuous by
 corrupting each structure it guards and asserting it objects, then
-exercises the paths with distinctive state transitions: learned-DB
-reduction with in-place arena compaction, persistent root-level
+exercises the paths with distinctive state transitions: VSIDS heap
+membership across solves and activity rescales, learned-DB reduction
+with in-place arena compaction, persistent root-level
 assignments across solves, and clause intake edge cases (duplicates,
 tautologies, units, the empty clause) with and without assumptions.
 """
@@ -104,6 +105,64 @@ def test_checker_detects_false_trail_literal():
     solver._values[code ^ 1] = 1
     with pytest.raises(AssertionError, match="not true"):
         solver.check_invariants()
+
+
+def test_checker_detects_missing_heap_entry():
+    solver = solved_solver()
+    unassigned = next(v for v in range(1, 13) if solver._values[v << 1] == 0)
+    solver._activity[unassigned] += 1.0  # re-key without a heap push
+    with pytest.raises(AssertionError, match="no heap entry"):
+        solver.check_invariants()
+
+
+def test_checker_detects_heap_flag_without_entry():
+    solver = SatSolver([(1,), (-1, 2, 3)], 3)
+    assert solver.solve().satisfiable
+    assert solver._values[1 << 1] == 1  # root-assigned, its entry popped
+    solver._in_heap[1] = 1
+    with pytest.raises(AssertionError, match="flagged in the heap"):
+        solver.check_invariants()
+
+
+def test_heap_holds_one_entry_per_variable_across_solves():
+    """Conflict-free solves under varying assumptions never duplicate a
+    heap entry: a variable unassigned on backtrack is pushed only when
+    the heap lacks its current-activity entry.  The implication chain
+    ``x1 -> x2 -> ... -> x12`` makes ``[xk, -xm]`` (k < m) fail by
+    propagation alone, before any decision, and single-literal
+    assumptions satisfiable."""
+    nvars = 12
+    solver = SatSolver([(-v, v + 1) for v in range(1, nvars)], nvars,
+                       debug_checks=True)
+    rng = random.Random(7)
+    for _ in range(60):
+        low, high = sorted(rng.sample(range(1, nvars + 1), 2))
+        assumptions = rng.choice([(low, -high), (low,), (-high,),
+                                  (-low, high)])
+        solver.solve(assumptions)
+        assert solver.conflicts == 0
+        assert len(solver._order) <= solver.variable_count
+        solver.check_invariants()
+
+
+def test_activity_rescale_rebuilds_the_heap():
+    """The 1e100 activity rescale re-keys every entry: the heap is
+    rebuilt from the unassigned variables, and search stays sound."""
+    # Pigeonhole(5, 4) with every pigeon clause relaxed by selector 21:
+    # UNSAT (after real search) under -21, satisfiable without it.
+    clauses = [clause + (21,) if all(lit > 0 for lit in clause) else clause
+               for clause in pigeonhole(5, 4)]
+    solver = SatSolver(clauses, 21, debug_checks=True)
+    solver._var_increment = 1e101  # the first bump overflows 1e100
+    assert not solver.solve((-21,)).satisfiable
+    assert solver._var_increment < 1e50  # rescaled
+    result = solver.solve()
+    assert result.satisfiable
+    for clause in clauses:
+        assert any(result.model.get(abs(lit), False) == (lit > 0)
+                   for lit in clause)
+    solver.check_invariants()
+    assert len(solver._order) <= solver.variable_count
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 oracle.
 
 The incremental BMC engine (one persistent solver context per slice,
-activation-literal queries) must agree with the exact explicit-state
-engine wherever it decides, report counterexamples that replay to a real
-violation, and keep those counterexamples canonical: a query answered
-after a history of unrelated queries reports the same witness as the
-same query on a fresh engine.  These tests randomise assertions over the
-bundled designs and hold the engine to that contract, and also cover the
-batch path through :class:`FormalVerifier` and the refinement loop.
+queries that assume their goal's literals) must agree with the exact
+explicit-state engine wherever it decides, report counterexamples that
+replay to a real violation, and keep those counterexamples canonical: a
+query answered after a history of unrelated queries reports the same
+witness as the same query on a fresh engine.  These tests randomise
+assertions over the bundled designs and hold the engine to that
+contract, and also cover the batch path through :class:`FormalVerifier`
+and the refinement loop.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.refinement import CoverageClosure
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier
 from repro.formal.explicit import ExplicitModelChecker
+from repro.formal.induction import TieredModelChecker
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
 
@@ -110,8 +112,9 @@ class TestIncrementalAgainstExplicit:
                         == second.counterexample.input_vectors)
 
     def test_check_order_does_not_change_verdicts(self, arbiter2_module):
-        """The persistent context is query-order independent: clauses from
-        retired queries can never leak into later verdicts."""
+        """The persistent context is query-order independent: earlier
+        queries leave only definitional clauses behind, which can never
+        leak into later verdicts."""
         assertions = random_assertions(arbiter2_module, 10, seed=5)
         forward = BmcModelChecker(arbiter2_module, bound=6).check_all(assertions)
         backward = BmcModelChecker(arbiter2_module, bound=6).check_all(assertions[::-1])
@@ -132,6 +135,34 @@ class TestIncrementalAgainstExplicit:
         assert stats["queries"] >= 6
         assert stats["clauses_reused"] > 0
         assert stats["encode_cache_hits"] > 0
+
+    @pytest.mark.parametrize("engine", [BmcModelChecker, TieredModelChecker])
+    @pytest.mark.parametrize("fixture", ["arbiter2_module", "b01_module"])
+    def test_second_pass_adds_no_clauses_or_variables(self, engine, fixture,
+                                                      request):
+        """A query asserts nothing: it assumes its goal's literals, so it
+        leaves only definitional clauses behind.  Checking the same batch
+        again re-uses every encoding — no new solver clause, no new
+        variable — and reproduces every verdict and witness."""
+        module = request.getfixturevalue(fixture)
+        checker = engine(module, bound=6)
+        assertions = random_assertions(module, 10, seed=13)
+        first = checker.check_all(assertions)
+        before = checker.reuse_stats()
+        second = checker.check_all(assertions)
+        after = checker.reuse_stats()
+        assert after["queries"] > before["queries"]
+        assert after["solver_clauses"] == before["solver_clauses"]
+        assert after["encoded_variables"] == before["encoded_variables"]
+        for result, again in zip(first, second):
+            assert result.verdict is again.verdict
+            assert ((result.counterexample is None)
+                    == (again.counterexample is None))
+            if result.counterexample is not None:
+                assert (result.counterexample.window_start
+                        == again.counterexample.window_start)
+                assert (result.counterexample.input_vectors
+                        == again.counterexample.input_vectors)
 
 
 class TestVerifierBatchPath:
