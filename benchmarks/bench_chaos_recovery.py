@@ -74,7 +74,7 @@ def run_closure(design: str, window: int, bound: int, seed_cycles: int):
     meta = design_info(design)
     config = GoldMineConfig(
         window=window, engine="bmc", bound=bound, max_iterations=16,
-        max_depth=8, sim_engine="batched",
+        max_depth=8,
         formal_workers=WORKERS,
     )
     closure = CoverageClosure(meta.build(),

@@ -70,7 +70,7 @@ def run_closure(design: str, window: int, bound: int, seed_cycles: int,
     meta = design_info(design)
     config = GoldMineConfig(
         window=window, engine="bmc", bound=bound, max_iterations=16,
-        max_depth=8, sim_engine="batched",
+        max_depth=8,
         formal_workers=workers, formal_proof_cache=proof_cache,
     )
     closure = CoverageClosure(meta.build(),

@@ -185,13 +185,13 @@ def test_runner_chaos_recovery(benchmark, print_section, tmp_path):
     ]
     if _HAS_RSS_PROBE:
         schedules.append(
-            ("oom-degrade",
+            ("oom-retry",
              lambda: chaos.ChaosPlan(
                  faults={0: chaos.WorkerFault(chaos.FAULT_OOM, balloon_mb=256)},
                  memory_budget_mb=96)))
 
     headers = ["schedule", "clean s", "chaos s", "overhead", "restarts",
-               "timeouts", "mem kills", "degraded", "identical", "orphans"]
+               "timeouts", "mem kills", "identical", "orphans"]
     table_rows = []
     json_rows = []
     divergences = 0
@@ -213,7 +213,7 @@ def test_runner_chaos_recovery(benchmark, print_section, tmp_path):
             name, f"{clean_seconds:.2f}", f"{seconds:.2f}",
             f"{overhead:.2f}x", stats["worker_restarts"],
             stats["job_timeouts"], stats["memory_kills"],
-            stats["degraded_retries"], "yes" if identical else "NO",
+            "yes" if identical else "NO",
             len(orphans),
         ])
         json_rows.append({
@@ -223,7 +223,6 @@ def test_runner_chaos_recovery(benchmark, print_section, tmp_path):
             "worker_restarts": stats["worker_restarts"],
             "job_timeouts": stats["job_timeouts"],
             "memory_kills": stats["memory_kills"],
-            "degraded_retries": stats["degraded_retries"],
             "poisoned_jobs": stats["poisoned_jobs"],
             "timed_out_jobs": stats["timed_out_jobs"],
             "identical_artifact": identical,

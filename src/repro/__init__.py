@@ -18,10 +18,9 @@ True
 The main entry points are:
 
 * :func:`repro.hdl.parse_module` — parse a Verilog-subset design.
-* :func:`repro.sim.create_simulator` — cycle-accurate simulation:
-  the compiled scalar engine (``engine="scalar"``) or the bit-parallel
-  batched engine (``engine="batched"``), both behind
-  :class:`repro.sim.SimulatorBase`.
+* :class:`repro.sim.Simulator` — cycle-accurate simulation: each
+  design runs as one generated Python function, with the coverage
+  collectors compiled in as probes.
 * :class:`repro.core.GoldMine` — the per-design mining state (synthesis,
   formal verifier, target datasets); the A-Miner itself is the
   columnar/bit-parallel decision tree of :mod:`repro.mining`.
@@ -58,7 +57,6 @@ from repro.coverage import CoverageReport, CoverageRunner, measure_coverage
 from repro.formal import FormalVerifier, FormalWorkerPool, ProofCache
 from repro.hdl import Module, parse_module, parse_modules
 from repro.sim import (
-    SIM_ENGINES,
     BatchedSimulator,
     DirectedStimulus,
     RandomStimulus,
@@ -66,12 +64,11 @@ from repro.sim import (
     Simulator,
     SimulatorBase,
     Trace,
-    create_simulator,
 )
 
 #: Single source of truth for the release version: ``setup.py`` parses
 #: this assignment, so bump it here and nowhere else.
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "Assertion",
@@ -91,13 +88,11 @@ __all__ = [
     "ProofCache",
     "RandomStimulus",
     "ReplayStimulus",
-    "SIM_ENGINES",
     "Simulator",
     "SimulatorBase",
     "Trace",
     "Verdict",
     "__version__",
-    "create_simulator",
     "measure_coverage",
     "parse_module",
     "parse_modules",

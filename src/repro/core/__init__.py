@@ -15,17 +15,16 @@ Typical use::
 
     from repro.core import CoverageClosure, GoldMineConfig
 
-    config = GoldMineConfig(window=2, sim_engine="batched", sim_lanes=64)
+    config = GoldMineConfig(window=2, engine="tiered")
     closure = CoverageClosure(module, outputs=["gnt0"], config=config)
     result = closure.run(seed_vectors)      # Stimulus, vector list, or None
     result.converged                        # every leaf assertion proven?
     result.all_true_assertions              # the mined invariants
     result.test_suite                       # seed + every counterexample
 
-``sim_engine`` selects the simulation back end for seed and
-counterexample replay (``"scalar"`` or ``"batched"``); results are
-engine-independent, throughput is not.  The A-Miner is always the
-bit-parallel columnar decision tree (:mod:`repro.mining.columnar`).
+Seed and counterexample replay always runs on the compiled scalar
+simulator (:class:`repro.sim.simulator.Simulator`).  The A-Miner is always
+the bit-parallel columnar decision tree (:mod:`repro.mining.columnar`).
 """
 
 from repro.core.config import GoldMineConfig

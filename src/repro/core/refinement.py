@@ -37,7 +37,6 @@ from repro.hdl.module import Module
 from repro.mining.columnar import ColumnarIncrementalDecisionTree
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import Stimulus
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -71,14 +70,9 @@ class OutputContext:
 class CoverageClosure:
     """The counterexample-guided refinement loop.
 
-    ``config.sim_engine`` selects how counterexample/seed sequences are
-    replayed into the mining datasets: ``"scalar"`` simulates them one at a
-    time on the compiled :class:`~repro.sim.simulator.Simulator`, while
-    ``"batched"`` packs up to ``config.sim_lanes`` sequences per pass into
-    the bit-parallel :class:`~repro.sim.batched.BatchedSimulator` (sharing
-    the GoldMine engine's synthesis).  Both engines produce lane-exact
-    identical traces, so the mined assertions and the refined test suite do
-    not depend on the engine choice — only the replay throughput does.
+    The seed and every counterexample are replayed into the mining
+    datasets on the compiled :class:`~repro.sim.simulator.Simulator`, one
+    sequence at a time.
     """
 
     def __init__(self, module: Module, outputs: Sequence[str] | None = None,
@@ -100,41 +94,12 @@ class CoverageClosure:
                 OutputContext(output, bit, self.engine.target_label(output, bit), tree)
             )
         self._simulator = Simulator(module)
-        self._batched_simulator = None
-        if self.config.sim_engine == "batched":
-            from repro.sim.batched import BatchedSimulator
-
-            self._batched_simulator = BatchedSimulator(
-                module, lanes=self.config.sim_lanes, synth=self.engine.synth,
-                trace_columns=self._simulator.trace_columns,
-            )
 
     # ------------------------------------------------------------------
     # seed handling
     # ------------------------------------------------------------------
     def _materialise(self, stimulus: Stimulus) -> TestSequence:
         return [dict(vector) for vector in stimulus.cycles(self.module)]
-
-    def _simulate_sequence(self, vectors: Sequence[Mapping[str, int]]) -> Trace:
-        return self._simulate_suite([vectors])[0]
-
-    def _simulate_suite(self,
-                        sequences: Sequence[Sequence[Mapping[str, int]]]) -> list[Trace]:
-        """Replay from-reset input sequences on the configured engine.
-
-        This is the refinement loop's simulation hot path: every iteration
-        replays the batch of fresh counterexample patterns.  On the batched
-        engine the whole batch advances together, ``sim_lanes`` sequences
-        per bit-parallel pass.
-        """
-        if self._batched_simulator is None:
-            return [self._simulator.run_vectors(list(sequence)) for sequence in sequences]
-        traces: list[Trace] = []
-        lanes = self._batched_simulator.lanes
-        for start in range(0, len(sequences), lanes):
-            chunk = [list(sequence) for sequence in sequences[start:start + lanes]]
-            traces.extend(self._batched_simulator.run_batch(chunk))
-        return traces
 
     # ------------------------------------------------------------------
     # main loop
@@ -160,7 +125,7 @@ class CoverageClosure:
                 [dict(v) for v in seed]
             if vectors:
                 result.test_suite.append(vectors)
-                seed_trace = self._simulate_sequence(vectors)
+                seed_trace = self._simulator.run_vectors(vectors)
                 for context in self.contexts:
                     context.tree.dataset.add_trace(seed_trace)
         for context in self.contexts:
@@ -267,22 +232,15 @@ class CoverageClosure:
         """Simulate counterexamples and fold the traces into every dataset.
 
         Every counterexample trace goes to every output's tree: a witness
-        refuting one output's candidate is new data for all of them.  All
-        pending counterexamples of one iteration are replayed as a
-        single batch (lane-parallel on the batched engine); the traces are
-        then folded into the datasets in counterexample order, so the
-        resulting trees are identical whichever engine replayed them.
+        refuting one output's candidate is new data for all of them.  The
+        traces are folded in counterexample order.
         """
-        pending: list[TestSequence] = []
         for counterexample in counterexamples:
             vectors = [dict(vector) for vector in counterexample.input_vectors]
             if not vectors:
                 continue
             result.test_suite.append(vectors)
-            pending.append(vectors)
-        if not pending:
-            return
-        for trace in self._simulate_suite(pending):
+            trace = self._simulator.run_vectors(vectors)
             for context in self.contexts:
                 context.tree.add_trace(trace)
 

@@ -2,10 +2,9 @@
 
 Every collector enumerates its *coverage points* statically from the
 module at construction time (so the denominator is independent of the
-stimulus).  The simulation engines fill ``covered_points``: the scalar
-:class:`~repro.sim.simulator.Simulator` compiles each collector in as
-probes (:mod:`repro.sim.codegen`), the batched engine evaluates
-lane-parallel guards (:mod:`repro.coverage.batched`).
+stimulus).  The compiled :class:`~repro.sim.simulator.Simulator` fills
+``covered_points``: it compiles each collector in as probes
+(:mod:`repro.sim.codegen`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from repro.coverage.collectors import CoverageCollector, default_collectors
 from repro.coverage.report import CoverageReport
 from repro.hdl.module import Module
 from repro.sim.simulator import Simulator
-from repro.sim.stimulus import DirectedStimulus, Stimulus
+from repro.sim.stimulus import Stimulus
 
 
 class CoverageRunner:
@@ -19,47 +19,36 @@ class CoverageRunner:
     seed plus every counterexample pattern — is applied); coverage points
     accumulate across all of them.
 
-    ``engine`` selects how sequences are replayed: ``"scalar"`` runs the
-    compiled simulator, with the collectors compiled in as probes, one
-    sequence at a time, while ``"batched"`` packs up to ``lanes``
-    sequences into the bit-parallel engine and evaluates compiled
-    cover-point guards lane-parallel (:mod:`repro.coverage.batched`).
-    Both engines fill the same collectors, and produce identical reports
-    for identical stimulus.
+    Every sequence replays on the compiled
+    :class:`~repro.sim.simulator.Simulator`, with the collectors compiled
+    in as probes, one sequence at a time.
 
     Typical use::
 
-        runner = CoverageRunner(module, fsm_signals=["state"],
-                                engine="batched", lanes=64)
+        runner = CoverageRunner(module, fsm_signals=["state"])
         runner.run_suite(result.test_suite)   # each sequence from reset
         report = runner.report()              # merged CoverageReport
         report.percent("line"), report.as_dict()
 
     For one-shot measurements, :func:`measure_coverage` wraps the
     construct/replay/report cycle in a single call.
+
+    ``engine`` and ``lanes`` are kept only so the closure benchmark's
+    ``CoverageRunner(..., engine=config.sim_engine,
+    lanes=config.sim_lanes)`` keeps running: ``engine`` must be
+    ``"scalar"`` and ``lanes`` is ignored.
     """
 
     def __init__(self, module: Module, collectors: Sequence[CoverageCollector] | None = None,
                  fsm_signals: Sequence[str] | None = None,
-                 prepend_reset: bool = False,
-                 engine: str = "scalar", lanes: int = 64):
+                 prepend_reset: bool = False, *,
+                 engine: str = "scalar", lanes: int = 1):
+        if engine != "scalar":
+            raise ValueError(f"unknown coverage engine '{engine}' (only 'scalar')")
         self.module = module
         self.collectors = list(collectors) if collectors is not None else \
             default_collectors(module, fsm_signals)
-        self.engine = engine
-        if engine == "scalar":
-            self.simulator = Simulator(module, observers=self.collectors)
-            self._batched = None
-        elif engine == "batched":
-            from repro.coverage.batched import BatchedCoverage
-
-            self.simulator = None
-            self._batched = BatchedCoverage(module, self.collectors, lanes=lanes)
-        else:
-            from repro.sim.base import SIM_ENGINES
-
-            raise ValueError(f"unknown coverage engine '{engine}' "
-                             f"(expected one of {SIM_ENGINES})")
+        self.simulator = Simulator(module, observers=self.collectors)
         self.cycles_run = 0
         #: When true, every replayed sequence starts with one cycle of
         #: asserted reset (the way a real testbench applies each test),
@@ -74,25 +63,18 @@ class CoverageRunner:
         prefixed.extend({**dict(v), self.module.reset: 0} for v in vectors)
         return prefixed
 
-    def run_stimulus(self, stimulus: Stimulus) -> None:
-        vectors = self._with_reset(list(stimulus.cycles(self.module)))
-        if self._batched is not None:
-            if vectors:
-                self.cycles_run += self._batched.run_suite([vectors])
-            return
-        trace = self.simulator.run(DirectedStimulus(vectors), reset=True)
+    def _replay(self, vectors: Sequence[Mapping[str, int]]) -> None:
+        trace = self.simulator.run_vectors(self._with_reset(vectors))
         self.cycles_run += len(trace)
 
+    def run_stimulus(self, stimulus: Stimulus) -> None:
+        self._replay(list(stimulus.cycles(self.module)))
+
     def run_vectors(self, vectors: Sequence[Mapping[str, int]]) -> None:
-        if not vectors:
-            return
-        self.run_stimulus(DirectedStimulus([dict(v) for v in vectors]))
+        if vectors:
+            self._replay(vectors)
 
     def run_suite(self, test_suite: Iterable[Sequence[Mapping[str, int]]]) -> None:
-        if self._batched is not None:
-            sequences = [self._with_reset(sequence) for sequence in test_suite if sequence]
-            self.cycles_run += self._batched.run_suite(sequences)
-            return
         for sequence in test_suite:
             self.run_vectors(sequence)
 
@@ -108,16 +90,13 @@ def measure_coverage(module: Module,
                      stimulus: Stimulus | Sequence[Mapping[str, int]] |
                      Iterable[Sequence[Mapping[str, int]]] | None = None,
                      test_suite: Iterable[Sequence[Mapping[str, int]]] | None = None,
-                     fsm_signals: Sequence[str] | None = None,
-                     engine: str = "scalar", lanes: int = 64) -> CoverageReport:
+                     fsm_signals: Sequence[str] | None = None) -> CoverageReport:
     """Measure coverage of ``stimulus`` and/or a ``test_suite`` on ``module``.
 
     ``stimulus`` may be a :class:`Stimulus` or one explicit vector list;
     ``test_suite`` is a list of vector lists (each replayed from reset).
-    ``engine`` picks the scalar or batched coverage engine (see
-    :class:`CoverageRunner`).
     """
-    runner = CoverageRunner(module, fsm_signals=fsm_signals, engine=engine, lanes=lanes)
+    runner = CoverageRunner(module, fsm_signals=fsm_signals)
     if stimulus is not None:
         if isinstance(stimulus, Stimulus):
             runner.run_stimulus(stimulus)

@@ -14,8 +14,8 @@ library code with no side effects; the layers above consume them:
 Every driver follows one contract:
 
 * ``run(**kwargs)`` takes one ``config: GoldMineConfig | None`` carrying
-  the engine settings (simulation engine and lanes, formal engine,
-  induction depth, formal workers, query timeout, proof cache) plus its
+  the engine settings (formal engine, induction depth, formal workers,
+  query timeout, proof cache) plus its
   own subject kwargs; a runner job's params are exactly those kwargs.
 * The closure runs through :func:`~repro.experiments.common.closure_for_design`,
   which sets the design's window and the driver's per-subject fields
@@ -29,10 +29,9 @@ Every driver follows one contract:
   ``as_experiment_result()`` (series, rows and notes), and its simulated
   test cycles, ``test_cycles()``.
 
-``config.sim_engine``/``sim_lanes`` route the bit-parallel batched
-simulator through data generation, counterexample replay and coverage
-measurement; results are engine-independent.  Mining always runs on the
-bit-parallel columnar A-Miner.
+Seed and counterexample replay and coverage measurement always run on the
+compiled scalar simulator, and mining always runs on the bit-parallel
+columnar A-Miner.
 
 | Paper artifact | Driver |
 |----------------|--------|

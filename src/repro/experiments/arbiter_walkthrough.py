@@ -65,7 +65,7 @@ def run(window: int = 2, max_iterations: int = 16,
     closure, closure_result = closure_for_design(
         "arbiter2", config, arbiter2_directed_test(), outputs=["gnt0"],
         window=window, max_iterations=max_iterations)
-    expression = metric_by_iteration("arbiter2", closure_result, "expr", config)
+    expression = metric_by_iteration("arbiter2", closure_result, "expr")
 
     result = WalkthroughResult(converged=closure_result.converged,
                                test_suite_cycles=closure_result.total_test_cycles())

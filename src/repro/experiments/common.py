@@ -131,7 +131,7 @@ def design_seed(design_name: str, random_cycles: int,
     return RandomStimulus(random_cycles, seed=random_seed)
 
 
-def coverage_snapshots(design_name: str, config: GoldMineConfig | None,
+def coverage_snapshots(design_name: str,
                        suites: Iterable[Iterable[Stimulus | Sequence[Mapping[str, int]]]],
                        prepend_reset: bool = False) -> Iterator[CoverageReport]:
     """Replay ``suites`` in turn on one coverage runner; yield the report
@@ -140,17 +140,14 @@ def coverage_snapshots(design_name: str, config: GoldMineConfig | None,
     Every sequence of a suite is replayed from reset (a :class:`Stimulus`
     is materialised on the design first), and coverage is the union over
     sequences, so the report after suite *k* equals the coverage of suites
-    0..*k* replayed together.  ``config.sim_engine``/``sim_lanes`` pick the
-    replay engine; reports are engine-independent.  ``prepend_reset``
-    starts every sequence with one cycle of asserted reset, the way a
-    testbench applies each test.
+    0..*k* replayed together.  ``prepend_reset`` starts every sequence
+    with one cycle of asserted reset, the way a testbench applies each
+    test.
     """
-    config = config or GoldMineConfig()
     meta = design_info(design_name)
     module = meta.build()
     runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None,
-                            prepend_reset=prepend_reset,
-                            engine=config.sim_engine, lanes=config.sim_lanes)
+                            prepend_reset=prepend_reset)
     for suite in suites:
         runner.run_suite([list(sequence.cycles(module))
                           if isinstance(sequence, Stimulus) else sequence
@@ -158,12 +155,12 @@ def coverage_snapshots(design_name: str, config: GoldMineConfig | None,
         yield runner.report()
 
 
-def coverage_of_suite(design_name: str, config: GoldMineConfig | None,
+def coverage_of_suite(design_name: str,
                       test_suite: Iterable[Stimulus | Sequence[Mapping[str, int]]],
                       prepend_reset: bool = False) -> CoverageReport:
     """Coverage of one test suite on a registered design (see
     :func:`coverage_snapshots`)."""
-    [report] = coverage_snapshots(design_name, config, [test_suite], prepend_reset)
+    [report] = coverage_snapshots(design_name, [test_suite], prepend_reset)
     return report
 
 

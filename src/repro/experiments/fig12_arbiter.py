@@ -67,19 +67,14 @@ class Fig12Result:
 
 def run(window: int = 2, max_iterations: int = 16,
         config: GoldMineConfig | None = None) -> Fig12Result:
-    """Reproduce Figure 12 on the Section 6 arbiter.
-
-    ``config``'s simulation engine drives both the closure loop's
-    counterexample replay and the coverage measurement; the result is
-    identical, the batched engine is just faster.
-    """
+    """Reproduce Figure 12 on the Section 6 arbiter."""
     _, closure_result = closure_for_design(
         "arbiter2", config, arbiter2_directed_test(), outputs=["gnt0"],
         window=window, max_iterations=max_iterations)
     return Fig12Result(
         iterations=list(range(len(closure_result.iterations))),
         input_space=input_space_by_iteration(closure_result, "gnt0"),
-        expression=metric_by_iteration("arbiter2", closure_result, "expr", config),
+        expression=metric_by_iteration("arbiter2", closure_result, "expr"),
         converged=closure_result.converged,
         assertion_count=len(closure_result.assertions_for("gnt0")),
         test_suite_cycles=closure_result.total_test_cycles(),

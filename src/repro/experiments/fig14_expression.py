@@ -80,8 +80,7 @@ def run(subjects: Sequence[str] = DEFAULT_SUBJECTS, seed_cycles: int = 3,
             max_iterations=max_iterations)
         result.series.append(ExpressionSeries(
             design=design_name,
-            expression_percent=metric_by_iteration(design_name, closure_result,
-                                                   "expr", config),
+            expression_percent=metric_by_iteration(design_name, closure_result, "expr"),
             converged=closure_result.converged,
             test_suite_cycles=closure_result.total_test_cycles(),
         ))

@@ -87,12 +87,12 @@ def run(design_name: str = "wbstage", random_cycles: int = 30,
     # Baseline: a reset pulse plus the biased random test on its own.
     seed_vectors = _seed_vectors(design_info(design_name).build(), random_cycles,
                                  random_seed, bias)
-    before = coverage_of_suite(design_name, config, [seed_vectors])
+    before = coverage_of_suite(design_name, [seed_vectors])
 
     # GoldMine refinement seeded with the same cycles.
     _, closure_result = closure_for_design(
         design_name, config, seed_vectors, max_iterations=max_iterations)
-    after = coverage_of_suite(design_name, config, closure_result.test_suite)
+    after = coverage_of_suite(design_name, closure_result.test_suite)
 
     added = closure_result.total_test_cycles() - len(seed_vectors)
     return Fig15Result(

@@ -86,19 +86,14 @@ def run(designs: Sequence[str] | None = None,
         max_iterations: int = 16,
         max_depth: int | None = 8,
         config: GoldMineConfig | None = None) -> Fig16Result:
-    """Run the ITC'99 coverage comparison.
-
-    ``config``'s simulation engine drives both the closure's seed and
-    counterexample replay and the suite coverage replay; results are identical, the batched
-    engine is just faster on the refined suites.
-    """
+    """Run the ITC'99 coverage comparison."""
     cycles = dict(DEFAULT_CYCLES if cycles is None else cycles)
     designs = list(designs) if designs is not None else list(cycles)
     result = Fig16Result()
     for design_name in designs:
         budget = cycles.get(design_name, 100)
         baseline = RandomStimulus(budget, seed=random_seed)
-        random_report = coverage_of_suite(design_name, config, [baseline])
+        random_report = coverage_of_suite(design_name, [baseline])
         result.rows.append(CoverageRow(
             design=design_name, method="random", cycles=budget,
             metrics=metric_values(random_report, METRICS)))
@@ -113,7 +108,7 @@ def run(designs: Sequence[str] | None = None,
         # it (the paper compares suites, not seeds): replay baseline + refined
         # patterns so the comparison is "random" vs "random + counterexamples".
         goldmine_report = coverage_of_suite(
-            design_name, config, [baseline, *closure_result.test_suite])
+            design_name, [baseline, *closure_result.test_suite])
         result.rows.append(CoverageRow(
             design=design_name, method="goldmine",
             cycles=budget + closure_result.total_test_cycles(),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.core.config import GoldMineConfig
 from repro.core.results import ClosureResult, TestSequence
 from repro.experiments.common import coverage_snapshots
 
@@ -30,8 +29,8 @@ def sequences_by_iteration(result: ClosureResult) -> list[list[TestSequence]]:
     return groups
 
 
-def metric_by_iteration(design_name: str, result: ClosureResult, metric: str,
-                        config: GoldMineConfig | None = None) -> list[float]:
+def metric_by_iteration(design_name: str, result: ClosureResult,
+                        metric: str) -> list[float]:
     """Replay the growing test suite once and report ``metric`` after each
     iteration.
 
@@ -42,7 +41,7 @@ def metric_by_iteration(design_name: str, result: ClosureResult, metric: str,
     gives the same report as replaying the whole prefix from scratch.
     """
     return [report.get(metric, 0.0) or 0.0 for report in coverage_snapshots(
-        design_name, config, sequences_by_iteration(result))]
+        design_name, sequences_by_iteration(result))]
 
 
 def input_space_by_iteration(result: ClosureResult, output: str | None = None) -> list[float]:

@@ -59,7 +59,7 @@ def run(design: str, seed: int = 0, seed_cycles: int = 25,
     stimulus = RandomStimulus(seed_cycles, seed=seed) if seed_cycles > 0 else None
     _, closure = closure_for_design(design, config, stimulus,
                                     max_iterations=max_iterations)
-    report = coverage_of_suite(design, config, closure.test_suite)
+    report = coverage_of_suite(design, closure.test_suite)
     metrics = {name: report.get(name) or 0.0
                for name in METRICS if report.get(name) is not None}
     metrics["input_space"] = 100.0 * closure.input_space_coverage()

@@ -88,8 +88,7 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
         while cycles < baseline_cycles:
             baseline.append(directed())
             cycles += len(baseline[-1])
-        baseline_report = coverage_of_suite(design_name, config, baseline,
-                                            prepend_reset=True)
+        baseline_report = coverage_of_suite(design_name, baseline, prepend_reset=True)
         result.rows.append(CoverageRow(
             design=design_name, method="directed", cycles=cycles,
             metrics=metric_values(baseline_report, METRICS)))
@@ -97,8 +96,7 @@ def run(modules: Sequence[str] = DEFAULT_MODULES,
         # GoldMine: counterexample-refined suite seeded with one directed pass.
         _, closure_result = closure_for_design(design_name, config, directed(),
                                                max_iterations=max_iterations)
-        goldmine_report = coverage_of_suite(design_name, config,
-                                            closure_result.test_suite,
+        goldmine_report = coverage_of_suite(design_name, closure_result.test_suite,
                                             prepend_reset=True)
         result.rows.append(CoverageRow(
             design=design_name, method="goldmine",

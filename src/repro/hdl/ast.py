@@ -447,16 +447,6 @@ class Concat(Expr):
         return "{" + inner + "}"
 
 
-def conjoin(terms: Sequence[Expr]) -> Expr:
-    """Return the logical AND of ``terms`` (1'd1 when empty)."""
-    if not terms:
-        return Const(1, 1)
-    result = terms[0]
-    for term in terms[1:]:
-        result = BinaryOp("&&", result, term)
-    return result
-
-
 def disjoin(terms: Sequence[Expr]) -> Expr:
     """Return the logical OR of ``terms`` (1'd0 when empty)."""
     if not terms:

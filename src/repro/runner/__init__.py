@@ -10,8 +10,8 @@ into declarative, independently-schedulable jobs:
 * :mod:`repro.runner.pool` — the runner's policy over the shared
   supervised substrate (:mod:`repro.workers`): any-idle-slot routing,
   per-job wall-clock/cycle accounting, deterministic requeue on worker
-  death, per-job deadlines, an RSS-growth memory watchdog with a
-  degraded retry, and bounded retry budgets with poison quarantine;
+  death, per-job deadlines, an RSS-growth memory watchdog, and bounded
+  retry budgets (charged by every worker fault) with poison quarantine;
   serial, parallel, and fault-recovered runs produce identical artifact
   JSON.  Fault injection for tests and benchmarks is :mod:`repro.chaos`
   (plans keyed by job index).
@@ -28,7 +28,7 @@ Library use mirrors the CLI::
     from repro.core import GoldMineConfig
     from repro.runner import RunOptions, get_experiment, execute_jobs, RunCheckpoint
 
-    options = RunOptions(config=GoldMineConfig(sim_engine="batched", sim_lanes=128))
+    options = RunOptions(config=GoldMineConfig(engine="tiered", induction_k=4))
     spec = get_experiment("fig16")
     jobs = spec.expand(options)
     checkpoint = RunCheckpoint("artifacts/fig16")

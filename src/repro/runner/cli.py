@@ -13,7 +13,7 @@ Three subcommands:
 Examples::
 
     python -m repro run fig12 --workers 4
-    python -m repro run fig16 --engine batched --lanes 128
+    python -m repro run fig16 --formal-engine tiered --induction-k 4
     python -m repro run sweep --designs arbiter2,b01 --seeds 0,1,2 --workers 8
     python -m repro report artifacts/fig16
     python -m repro list
@@ -44,7 +44,6 @@ from repro.runner.registry import (
     get_experiment,
 )
 from repro.runner.report import aggregate_records, render_result
-from repro.sim.base import SIM_ENGINES
 
 
 def _parse_csv(text: str) -> tuple[str, ...]:
@@ -76,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                      type=float, default=None, metavar="MB",
                      help="RSS-growth budget per job in MB (default: "
                           "unbounded); an over-budget worker is killed and "
-                          "the job retried once in degraded mode (sim_lanes "
-                          "capped at 16) before the retry budget applies; "
+                          "the job retried within its --job-retries budget; "
                           "requires /proc, disabled elsewhere")
     run.add_argument("--job-retries", dest="job_retries", type=int, default=2,
                      metavar="N",
@@ -89,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true",
                      help="re-admit quarantined (poisoned/timed_out) and "
                           "budget-exhausted jobs with a fresh retry budget")
-    run.add_argument("--engine", choices=SIM_ENGINES, default="scalar",
-                     help="simulation engine threaded through the pipeline")
     run.add_argument("--formal-engine", dest="formal_engine",
                      choices=FormalVerifier.ENGINES, default="explicit",
                      help="formal back end for candidate verification "
@@ -121,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reuse formal verdicts across jobs and runs, "
                           "persisted to PATH (a JSON file; given bare, "
                           "defaults to <artifacts>/proofcache.json)")
-    run.add_argument("--lanes", type=int, default=64,
-                     help="lanes per batched-simulation pass (default 64)")
     run.add_argument("--smoke", action="store_true",
                      help="smoke scale: reduced subjects/budgets, seconds not minutes")
     run.add_argument("--designs", type=_parse_csv, default=None,
@@ -172,7 +166,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         proof_cache = str(Path(args.artifacts) / "proofcache.json")
     try:
         config = GoldMineConfig(
-            sim_engine=args.engine, sim_lanes=args.lanes,
             engine=args.formal_engine, induction_k=args.induction_k,
             formal_workers=args.formal_workers,
             formal_query_timeout=args.formal_timeout,

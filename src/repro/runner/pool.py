@@ -19,11 +19,9 @@ this module adds is the runner's policy per job:
   (``job_timeout``) ends an over-deadline worker and requeues the job.
 * **Memory pressure** — an optional RSS watchdog (``memory_budget_mb``)
   kills a worker whose resident set grows more than the budget past its
-  post-spawn baseline and retries the job once, free of charge, in
-  degraded mode (the ``"config"`` param's ``sim_lanes`` reduced —
-  payloads are invariant to it, so the artifact is unchanged; the
-  degradation is recorded).
-* **Poison jobs** — every other fault is charged to the job's bounded
+  post-spawn baseline; the kill is charged to the job's retry budget
+  like a worker death.
+* **Poison jobs** — every fault is charged to the job's bounded
   retry budget (exponential backoff between attempts); a job that
   exhausts it is quarantined as ``status: "poisoned"`` (or
   ``"timed_out"`` when the final fault was its deadline) with its
@@ -68,13 +66,10 @@ from repro.workers import (
 #: Default per-job retry budget: faults beyond these retries quarantine
 #: the job.  Chosen to match the formal layer's restart allowance.
 DEFAULT_RETRY_BUDGET = 2
-#: Degraded-mode simulation lanes after a memory kill (only for jobs
-#: whose ``"config"`` param sets them); a payload-invariant knob.
-DEGRADED_SIM_LANES = 16
 
 #: Counter keys ``execute_jobs`` maintains in its ``stats`` out-param.
 STAT_KEYS = ("worker_restarts", "job_timeouts", "memory_kills",
-             "degraded_retries", "poisoned_jobs", "timed_out_jobs")
+             "poisoned_jobs", "timed_out_jobs")
 
 
 def run_one_job(task: tuple[str, str, dict]) -> dict:
@@ -99,15 +94,6 @@ def run_one_job(task: tuple[str, str, dict]) -> dict:
     return record
 
 
-def _degraded_overrides(params) -> dict:
-    """Reduced-resource config fields for a memory-kill retry (present
-    keys only), applied to the job's ``"config"`` param."""
-    config = params.get("config") or {}
-    if "sim_lanes" in config:
-        return {"sim_lanes": min(int(config["sim_lanes"]), DEGRADED_SIM_LANES)}
-    return {}
-
-
 @dataclass
 class _JobState:
     """Supervision bookkeeping for one pending job."""
@@ -121,7 +107,6 @@ class _JobState:
     #: Executions started in this run.
     runs: int = 0
     faults: list = field(default_factory=list)
-    degraded: dict | None = None
     #: Earliest monotonic time the next attempt may dispatch (backoff).
     ready_at: float = 0.0
     started_at: float = 0.0
@@ -129,12 +114,6 @@ class _JobState:
     @property
     def attempts(self) -> int:
         return self.prior_attempts + self.runs
-
-    def current_task(self) -> tuple[str, str, dict]:
-        task = self.job.task()
-        if self.degraded:
-            task[2]["config"] = {**task[2]["config"], **self.degraded}
-        return task
 
 
 class SupervisedJobPool:
@@ -199,7 +178,7 @@ class SupervisedJobPool:
             state.runs += 1
             state.started_at = now
             self._running[index] = state
-            self._workers.submit(index, state.current_task(),
+            self._workers.submit(index, state.job.task(),
                                  self._workers.policy.deadline, fault)
             progressed = True
         return progressed
@@ -232,27 +211,17 @@ class SupervisedJobPool:
     @staticmethod
     def _finish(state: _JobState, record: dict, absorb) -> None:
         record["attempts"] = state.attempts
-        if state.degraded:
-            record["degraded"] = dict(state.degraded)
         if state.faults:
             record["faults"] = list(state.faults)
         absorb(record)
 
     def _fault(self, state: _JobState, kind: str, detail: dict,
                pending: deque, absorb) -> None:
-        """Charge a fault to a job: requeue, degrade, or quarantine."""
+        """Charge a fault to a job: requeue or quarantine."""
         entry = {"fault": kind, "attempt": state.attempts}
         entry.update(detail)
         state.faults.append(entry)
         now = time.monotonic()
-        if kind == MEMORY and state.degraded is None:
-            # One free degraded-mode retry before memory faults start
-            # consuming the regular budget.
-            state.degraded = _degraded_overrides(state.job.params)
-            state.ready_at = now
-            self.stats["degraded_retries"] += 1
-            pending.append(state)
-            return
         delay = self._workers.retry_delay(
             state.index, f"quarantining job {state.job.job_id}")
         if delay is not None:
@@ -280,8 +249,6 @@ class SupervisedJobPool:
             "attempts": state.attempts,
             "faults": list(state.faults),
         }
-        if state.degraded:
-            record["degraded"] = dict(state.degraded)
         absorb(record)
 
 

@@ -1,23 +1,26 @@
 """Cycle-accurate simulation of the Verilog-subset designs.
 
 * :mod:`repro.sim.base` — the :class:`SimulatorBase` interface both
-  engines implement, plus the :func:`create_simulator` engine factory.
+  engines implement.
 * :mod:`repro.sim.simulator` — the scalar two-phase simulator
   (combinational settle, clock edge); it runs each design as one
   generated Python function with the coverage collectors compiled in as
-  probes.
+  probes.  It is the one engine that replays sequences and measures
+  coverage.
 * :mod:`repro.sim.codegen` — the code generator behind it, with the
   process-wide cache of compiled code objects.
 * :mod:`repro.sim.batched` — bit-parallel batched engine: ``W``
   independent trials packed into big-int lanes, advanced by compiled
-  next-state functions one cycle at a time.
+  next-state functions one cycle at a time.  Its
+  :class:`~repro.sim.batched.CompiledNetlist` steps every frontier state
+  of the explicit engine's state-space search at once.
 * :mod:`repro.sim.trace` — per-cycle value tables produced by simulation.
 * :mod:`repro.sim.stimulus` — random, directed, constant and replay
   stimulus generators (the paper's "data generator").
 * :mod:`repro.sim.vcd` — minimal VCD dumping for waveform inspection.
 """
 
-from repro.sim.base import SIM_ENGINES, SimulatorBase, create_simulator
+from repro.sim.base import SimulatorBase
 from repro.sim.batched import (
     BatchedSimulator,
     BatchSample,
@@ -44,14 +47,12 @@ __all__ = [
     "DirectedStimulus",
     "RandomStimulus",
     "ReplayStimulus",
-    "SIM_ENGINES",
     "SimulationError",
     "Simulator",
     "SimulatorBase",
     "Stimulus",
     "Trace",
     "concatenate",
-    "create_simulator",
     "pack_lanes",
     "unpack_lanes",
 ]

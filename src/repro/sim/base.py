@@ -11,21 +11,10 @@ Two engines implement it:
   per cycle for ``W`` independent trials packed into Python big-int lanes.
 
 Code that only needs ``reset``/``step``/``peek`` can hold either engine
-through :class:`SimulatorBase`; :func:`create_simulator` selects one by
-name (the same names :class:`repro.core.config.GoldMineConfig` uses).
-
-Typical use::
-
-    sim = create_simulator(module, engine="batched", lanes=64)
-    sim.reset()
-    sample = sim.step({"req0": [0, 1] * 32})   # per-lane values, or an
-    sim.peek("gnt0")                           # int to broadcast all lanes
-
-Everything downstream selects engines through this factory: the closure
-loop's seed and counterexample replay via
-``GoldMineConfig(sim_engine=..., sim_lanes=...)``, coverage replay via
-``CoverageRunner(engine=..., lanes=...)``, and the CLI via
-``python -m repro run <experiment> --engine batched --lanes N``.
+through :class:`SimulatorBase`.  The compiled scalar engine is the one
+that replays seed and counterexample sequences and measures coverage;
+the batched engine's :class:`~repro.sim.batched.CompiledNetlist` steps
+the explicit engine's state-space search lane-parallel.
 """
 
 from __future__ import annotations
@@ -33,9 +22,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.hdl.module import Module
-
-#: Engine names accepted by :func:`create_simulator` and by the config.
-SIM_ENGINES = ("scalar", "batched")
 
 
 class SimulatorBase:
@@ -95,33 +81,3 @@ class SimulatorBase:
     def snapshot(self):
         raise NotImplementedError
 
-
-def create_simulator(module: Module, engine: str = "scalar", *,
-                     observers=(), trace_columns=None, lanes: int = 64,
-                     synth=None) -> SimulatorBase:
-    """Build a simulation engine by name.
-
-    ``engine`` is ``"scalar"`` (the compiled :class:`Simulator`) or
-    ``"batched"`` (the bit-parallel :class:`BatchedSimulator`); ``lanes``
-    and ``synth`` only apply to the batched engine, ``observers`` (coverage
-    collectors) only to the scalar one (the batched engine has no
-    statement-level probes — use the batched coverage runner for
-    lane-parallel coverage).
-    """
-    if engine == "scalar":
-        from repro.sim.simulator import Simulator
-
-        return Simulator(module, observers=observers, trace_columns=trace_columns)
-    if engine == "batched":
-        from repro.sim.batched import BatchedSimulator
-
-        if observers:
-            raise ValueError(
-                "the batched engine does not support observers; use the scalar "
-                "engine or repro.coverage's batched runner"
-            )
-        return BatchedSimulator(module, lanes=lanes, trace_columns=trace_columns,
-                                synth=synth)
-    raise ValueError(
-        f"unknown simulation engine '{engine}' (expected one of {SIM_ENGINES})"
-    )

@@ -174,9 +174,7 @@ class CompiledNetlist:
 
     Allocates one slot per signal bit, compiles a ``settle`` function
     (combinational targets in dependency order) and an ``edge`` function
-    (all next-state values computed, then committed), and offers
-    :meth:`compile_flags` so the batched coverage engine can evaluate
-    arbitrary Boolean cover conditions against the same slots.
+    (all next-state values computed, then committed).
 
     The netlist is immutable and lane-count agnostic (the lane mask is an
     argument), so one instance can back any number of simulators.
@@ -199,19 +197,6 @@ class CompiledNetlist:
         self._blaster = BitBlaster(module.width_of)
         self.settle = self._compile_settle()
         self.edge = self._compile_edge()
-
-    # ------------------------------------------------------------------
-    def blast_condition(self, expr) -> BoolExpr:
-        """Bit-blast a word-level expression to its truth value."""
-        return self._blaster.blast_bool(expr)
-
-    def compile_flags(self, conditions: Sequence[BoolExpr]) -> Callable:
-        """Compile Boolean conditions into ``fn(bits, mask) -> tuple`` of
-        lane words (nonzero word = condition holds in some lane)."""
-        emitter = _Emitter(self._var_slot)
-        results = [emitter.emit(condition) for condition in conditions]
-        emitter.lines.append("    return (" + ", ".join(results) + ("," if results else "") + ")")
-        return _compile_lines("_flags", emitter.lines)
 
     # ------------------------------------------------------------------
     def _compile_settle(self) -> Callable:
@@ -364,7 +349,7 @@ class BatchedSimulator(SimulatorBase):
     the scalar engine uses single integers; a plain int broadcast-pokes
     every lane.  Statement-level observers are not supported (there are
     no statements at runtime — the design has been compiled to a
-    netlist); use the scalar engine or the batched coverage runner.
+    netlist); coverage is measured on the scalar engine.
     """
 
     def __init__(self, module: Module, lanes: int = 64,
@@ -387,10 +372,6 @@ class BatchedSimulator(SimulatorBase):
     @property
     def lanes(self) -> int:
         return self._lanes
-
-    @property
-    def lane_mask(self) -> int:
-        return self._mask
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -443,10 +424,6 @@ class BatchedSimulator(SimulatorBase):
         for name, value in registers.items():
             self.poke(name, value)
         self.netlist.settle(self._bits, self._mask)
-
-    def sample(self) -> BatchSample:
-        """Sample the current (settled) state of every lane."""
-        return BatchSample(self.netlist.slots, tuple(self._bits), self._lanes)
 
     def step(self, inputs: Mapping[str, object] | None = None) -> BatchSample:
         """Advance all lanes one cycle; return the pre-edge sample.

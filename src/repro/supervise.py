@@ -23,7 +23,7 @@ these; they are deliberately free of any pool/engine/runner imports.
   manifest/result/cache file behind an ``os.replace``.
 
 Determinism note: supervision decides only *where* work runs (original
-worker, respawned worker, or a degraded retry), never *what* it
+worker or respawned worker), never *what* it
 computes.  Every payload in this repository is a pure function of its
 parameters, so a recovered run is field-for-field identical to a
 fault-free one.

@@ -19,7 +19,8 @@ class TestConfig:
         assert config.window == 1 and config.engine == "explicit"
 
     @pytest.mark.parametrize("kwargs", [
-        {"window": 0}, {"max_iterations": 0}, {"sim_lanes": 0},
+        {"window": 0}, {"max_iterations": 0}, {"max_depth": -1},
+        {"max_states": 0}, {"max_input_combinations": 0},
         {"engine": "nope"}, {"bound": 0}, {"bound": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):

@@ -1,4 +1,5 @@
-"""Serialization round-trips and engine-independence of the closure loop."""
+"""Serialization round-trips of closure results and configs, and the
+closure's replay checked against the lane-parallel trace oracle."""
 
 from __future__ import annotations
 
@@ -11,16 +12,15 @@ from repro.core.refinement import CoverageClosure
 from repro.core.results import ClosureResult
 from repro.designs import info as design_info
 from repro.experiments.common import CoverageRow, ExperimentResult
+from repro.sim.batched import BatchedSimulator
 
 
-def _closure_json(design: str, engine: str, lanes: int = 8,
-                  outputs=None, seed=True) -> dict:
+def _closure_json(design: str, outputs=None) -> dict:
     meta = design_info(design)
     module = meta.build()
-    config = GoldMineConfig(window=meta.window, max_iterations=20,
-                            sim_engine=engine, sim_lanes=lanes)
+    config = GoldMineConfig(window=meta.window, max_iterations=20)
     closure = CoverageClosure(module, outputs=outputs, config=config)
-    result = closure.run(meta.seed_vectors() if seed else None)
+    result = closure.run(meta.seed_vectors())
     data = result.to_json()
     data.pop("formal_seconds")  # wall-clock
     return data
@@ -28,14 +28,14 @@ def _closure_json(design: str, engine: str, lanes: int = 8,
 
 class TestClosureResultJson:
     def test_round_trip_preserves_everything_deterministic(self):
-        data = _closure_json("arbiter2", "scalar", outputs=["gnt0"])
+        data = _closure_json("arbiter2", outputs=["gnt0"])
         rebuilt = ClosureResult.from_json(data)
         again = rebuilt.to_json()
         again.pop("formal_seconds")
         assert json.dumps(again, sort_keys=True) == json.dumps(data, sort_keys=True)
 
     def test_round_trip_keeps_assertion_semantics(self):
-        data = _closure_json("arbiter2", "scalar", outputs=["gnt0"])
+        data = _closure_json("arbiter2", outputs=["gnt0"])
         rebuilt = ClosureResult.from_json(data)
         assert rebuilt.converged
         assert rebuilt.input_space_coverage("gnt0") == 1.0
@@ -43,7 +43,7 @@ class TestClosureResultJson:
             data["iterations"][-1]["cumulative_test_cycles"]
 
     def test_json_is_plain_data(self):
-        data = _closure_json("arbiter2", "scalar", outputs=["gnt0"])
+        data = _closure_json("arbiter2", outputs=["gnt0"])
         json.dumps(data)  # raises if any non-JSON type leaked through
 
     def test_assertion_metadata_survives_round_trip(self):
@@ -59,7 +59,9 @@ class TestClosureResultJson:
 
 
 class TestClosureEngineIndependence:
-    """config.sim_engine must not change what the closure loop computes."""
+    """What the closure loop mines must not depend on the replay engine:
+    every output's dataset equals the one rebuilt from the refined suite
+    replayed on :class:`BatchedSimulator`, an independent trace oracle."""
 
     @pytest.mark.parametrize("design,outputs,seed", [
         ("arbiter2", ["gnt0"], True),
@@ -69,18 +71,30 @@ class TestClosureEngineIndependence:
     @pytest.mark.parametrize("lanes", [1, 3, 8])
     def test_batched_replay_matches_scalar(self, design, outputs, seed, lanes):
         # One lane replays sequence by sequence; three lanes leave a partly
-        # filled last pass whenever a batch is not a multiple of three.
-        scalar = _closure_json(design, "scalar", outputs=outputs, seed=seed)
-        batched = _closure_json(design, "batched", lanes=lanes, outputs=outputs,
-                                seed=seed)
-        assert json.dumps(scalar, sort_keys=True) == \
-            json.dumps(batched, sort_keys=True)
+        # filled last pass whenever the suite is not a multiple of three.
+        meta = design_info(design)
+        closure = CoverageClosure(
+            meta.build(), outputs=outputs,
+            config=GoldMineConfig(window=meta.window, max_iterations=20))
+        suite = closure.run(meta.seed_vectors() if seed else None).test_suite
+        assert len(suite) > 1
+        oracle = BatchedSimulator(closure.module, lanes=lanes,
+                                  synth=closure.engine.synth)
+        traces = []
+        for start in range(0, len(suite), lanes):
+            traces.extend(oracle.run_batch(suite[start:start + lanes]))
+        for context in closure.contexts:
+            rebuilt = closure.engine.build_dataset(context.output, context.bit)
+            rebuilt.add_traces(traces)
+            mined = context.tree.dataset
+            assert rebuilt.feature_columns == mined.feature_columns
+            assert rebuilt.row_tuples() == mined.row_tuples(), context.label
 
 
 class TestConfigJson:
     def test_round_trip(self):
-        config = GoldMineConfig(window=2, max_iterations=7, sim_engine="batched",
-                                sim_lanes=16, formal_query_timeout=2.5)
+        config = GoldMineConfig(window=2, max_iterations=7, engine="tiered",
+                                formal_query_timeout=2.5)
         rebuilt = GoldMineConfig.from_json(config.to_json())
         assert rebuilt == config
 
@@ -92,10 +106,10 @@ class TestConfigJson:
     def test_manifest_with_retired_engine_knobs_loads(self):
         """Older ``to_json()`` output still loads: a 1.9-era manifest carries
         the retired miner and IR switches, a 1.12-era one the retired random
-        data generator's fields.  They are ignored, every other field is
-        kept."""
+        data generator's fields, both the retired simulation-engine fields.
+        They are ignored, every other field is kept."""
         retired = {"mine_engine", "ir_opt", "random_cycles", "random_seed",
-                   "input_bias"}
+                   "input_bias", "sim_engine", "sim_lanes"}
         v1_9 = {"window": 2, "max_depth": None, "include_internal_state": True,
                 "engine": "tiered", "bound": 6, "induction_k": 4,
                 "max_iterations": 24, "random_cycles": 0, "random_seed": 0,
@@ -113,12 +127,11 @@ class TestConfigJson:
                  "formal_proof_cache": True, "formal_query_timeout": 3.0}
         for data, expected in [
             (v1_9, GoldMineConfig(window=2, engine="tiered", bound=6,
-                                  induction_k=4, max_iterations=24,
-                                  sim_engine="batched")),
+                                  induction_k=4, max_iterations=24)),
             (v1_12, GoldMineConfig(window=1, max_depth=8,
                                    include_internal_state=False, engine="bmc",
                                    bound=5, max_iterations=16, max_states=1000,
-                                   sim_lanes=16, formal_workers=2,
+                                   formal_workers=2,
                                    formal_proof_cache=True,
                                    formal_query_timeout=3.0)),
         ]:
@@ -126,6 +139,18 @@ class TestConfigJson:
             assert config == expected
             assert config.to_json() == {key: value for key, value in data.items()
                                         if key not in retired}
+
+    def test_manifest_with_simulation_engine_fields_loads(self):
+        """A 1.17 manifest still names the lane engine; it loads, while the
+        constructor no longer takes the retired fields."""
+        v1_17 = {**GoldMineConfig(window=2, engine="tiered").to_json(),
+                 "sim_engine": "batched", "sim_lanes": 64}
+        config = GoldMineConfig.from_json(v1_17)
+        assert config == GoldMineConfig(window=2, engine="tiered")
+        assert "sim_engine" not in config.to_json()
+        assert (config.sim_engine, config.sim_lanes) == ("scalar", 1)
+        with pytest.raises(TypeError):
+            GoldMineConfig(sim_engine="batched")
 
 
 class TestExperimentResultJson:

@@ -3,8 +3,8 @@
 For every registered experiment: the expanded jobs carry exactly the
 ``RunOptions`` config as their ``"config"`` param, and executing the first
 job in-process hands that config's engine settings to every
-``CoverageClosure``, ``FormalVerifier`` and ``CoverageRunner`` the job
-constructs.  A driver that drops or restates a knob fails here.
+``CoverageClosure`` and ``FormalVerifier`` the job constructs.  A driver
+that drops or restates a knob fails here.
 """
 
 from __future__ import annotations
@@ -15,24 +15,22 @@ import pytest
 
 from repro.core.config import GoldMineConfig
 from repro.core.refinement import CoverageClosure
-from repro.coverage.runner import CoverageRunner
 from repro.formal.checker import FormalVerifier
 from repro.runner import RunOptions, experiment_names, get_experiment
 
 #: Every engine knob off its default, so a dropped knob is visible.
-CONFIG = GoldMineConfig(sim_engine="batched", sim_lanes=16, engine="tiered",
-                        induction_k=4, formal_query_timeout=30.0)
+CONFIG = GoldMineConfig(engine="tiered", induction_k=4, formal_query_timeout=30.0)
 
 #: The config fields a driver must pass through untouched.
-ENGINE_FIELDS = ("sim_engine", "sim_lanes", "engine", "induction_k",
-                 "formal_workers", "formal_query_timeout", "formal_proof_cache")
+ENGINE_FIELDS = ("engine", "induction_k", "formal_workers",
+                 "formal_query_timeout", "formal_proof_cache")
 
 
 @pytest.fixture
 def built(monkeypatch):
     """Record the effective constructor arguments of every spied class."""
     calls: dict[str, list[dict]] = {}
-    for cls in (CoverageClosure, FormalVerifier, CoverageRunner):
+    for cls in (CoverageClosure, FormalVerifier):
         original = cls.__init__
         log = calls.setdefault(cls.__name__, [])
 
@@ -64,5 +62,3 @@ def test_jobs_carry_the_config(experiment, built):
         assert (arguments["engine"], arguments["induction_k"],
                 arguments["workers"], arguments["query_timeout"]) == \
             ("tiered", 4, 1, 30.0)
-    for arguments in built["CoverageRunner"]:
-        assert (arguments["engine"], arguments["lanes"]) == ("batched", 16)

@@ -34,7 +34,7 @@ class TestCommonHelpers:
         assert result.converged
 
     def test_coverage_of_random(self):
-        report = common.coverage_of_suite("b01", None, [RandomStimulus(40, seed=1)])
+        report = common.coverage_of_suite("b01", [RandomStimulus(40, seed=1)])
         assert 0.0 < report.percent("line") <= 100.0
 
     def test_format_table_alignment(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import GoldMineConfig
 from repro.coverage.runner import CoverageRunner
 from repro.designs import info as design_info
 from repro.experiments.common import closure_for_design, design_seed
@@ -20,7 +19,7 @@ from repro.experiments.iteration_coverage import metric_by_iteration
 METRICS = ("line", "branch", "cond", "expr", "toggle", "fsm")
 
 
-def prefix_reports(design_name, result, config):
+def prefix_reports(design_name, result):
     """Oracle: one fresh runner per iteration, replaying the suite prefix."""
     meta = design_info(design_name)
     module = meta.build()
@@ -32,21 +31,19 @@ def prefix_reports(design_name, result, config):
                 break
             prefix.append(sequence)
             cycles += len(sequence)
-        runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None,
-                                engine=config.sim_engine, lanes=config.sim_lanes)
+        runner = CoverageRunner(module, fsm_signals=meta.fsm_signals or None)
         runner.run_suite(prefix)
         reports.append(runner.report())
     return reports
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batched"])
-@pytest.mark.parametrize("design", ["arbiter2", "arbiter4", "b01"])
-def test_incremental_replay_matches_per_prefix_replay(design, engine):
-    config = GoldMineConfig(sim_engine=engine, sim_lanes=4)
-    _, result = closure_for_design(design, config, design_seed(design, 6, 2),
+@pytest.mark.parametrize("design", ["arbiter2", "arbiter4", "b01", "b02", "b06",
+                                    "b09", "counter_block", "wbstage"])
+def test_incremental_replay_matches_per_prefix_replay(design):
+    _, result = closure_for_design(design, None, design_seed(design, 6, 2),
                                    max_iterations=6)
     assert len(result.iterations) > 1
-    expected = prefix_reports(design, result, config)
+    expected = prefix_reports(design, result)
     for metric in METRICS:
-        assert metric_by_iteration(design, result, metric, config) == \
+        assert metric_by_iteration(design, result, metric) == \
             [report.get(metric, 0.0) or 0.0 for report in expected], metric

@@ -20,7 +20,7 @@ from repro.runner.specs import _run_driver
 OPTIONS = {
     "full": RunOptions(),
     "smoke": RunOptions(smoke=True),
-    "overrides": RunOptions(config=GoldMineConfig(sim_engine="batched"),
+    "overrides": RunOptions(config=GoldMineConfig(engine="tiered"),
                             seeds=(0, 3), seed_cycles=0, max_iterations=2),
 }
 

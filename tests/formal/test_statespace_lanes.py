@@ -119,8 +119,8 @@ def test_latch_design_refused():
 
 
 def test_runtime_imports_no_third_party_packages():
-    """CLI import, a batched tiered closure, batched coverage replay and
-    lane exploration all run on the standard library alone."""
+    """CLI import, a tiered closure, coverage replay and lane exploration
+    all run on the standard library alone."""
     script = ("import sys\n"
               "import repro.runner.cli\n"
               "from repro.core.config import GoldMineConfig\n"
@@ -128,9 +128,9 @@ def test_runtime_imports_no_third_party_packages():
               "from repro.designs import load\n"
               "from repro.experiments.common import closure_for_design\n"
               "from repro.formal.statespace import StateSpace\n"
-              "config = GoldMineConfig(engine='tiered', sim_engine='batched', sim_lanes=16)\n"
+              "config = GoldMineConfig(engine='tiered')\n"
               "_, result = closure_for_design('b01', config, window=2)\n"
-              "runner = CoverageRunner(load('b01'), engine='batched', lanes=16)\n"
+              "runner = CoverageRunner(load('b01'))\n"
               "runner.run_suite(result.test_suite)\n"
               "StateSpace(load('decode')).explore()\n"
               "print(sorted({'numpy', 'networkx'} & sys.modules.keys()))\n")

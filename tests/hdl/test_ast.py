@@ -15,7 +15,6 @@ from repro.hdl.ast import (
     Ref,
     Ternary,
     UnaryOp,
-    conjoin,
     disjoin,
     equals,
     mask,
@@ -183,16 +182,8 @@ class TestTernaryAndConcat:
 
 
 class TestHelpers:
-    def test_conjoin_empty_is_true(self):
-        assert conjoin([]).evaluate(ctx()) == 1
-
     def test_disjoin_empty_is_false(self):
         assert disjoin([]).evaluate(ctx()) == 0
-
-    def test_conjoin_combines(self):
-        expr = conjoin([Ref("a"), Ref("b")])
-        assert expr.evaluate(ctx(a=1, b=1)) == 1
-        assert expr.evaluate(ctx(a=1, b=0)) == 0
 
     def test_equals_builds_comparison(self):
         expr = equals("c", 5, 4)

@@ -129,7 +129,7 @@ def closure_json(design_name, **overrides):
     module = meta.build()
     config = GoldMineConfig(window=meta.window, max_iterations=5,
                             engine="tiered", bound=BOUND, induction_k=4,
-                            sim_engine="batched", sim_lanes=16, **overrides)
+                            **overrides)
     closure = CoverageClosure(module,
                               outputs=list(meta.mining_outputs) or None,
                               config=config)

@@ -106,13 +106,13 @@ class TestRun:
     def test_mismatched_resume_refused(self, tmp_path):
         repro_cli("run", "fig12", "--artifacts", str(tmp_path),
                   "--run-id", "shared", "--quiet")
-        process = repro_cli("run", "fig12", "--engine", "batched",
+        process = repro_cli("run", "fig12", "--induction-k", "4",
                             "--artifacts", str(tmp_path), "--run-id", "shared",
                             check=False)
         assert process.returncode == 2
         assert "--fresh" in process.stderr
         # --fresh discards the old checkpoint and proceeds
-        repro_cli("run", "fig12", "--engine", "batched", "--fresh",
+        repro_cli("run", "fig12", "--induction-k", "4", "--fresh",
                   "--artifacts", str(tmp_path), "--run-id", "shared", "--quiet")
 
     def test_ignored_flag_does_not_block_resume(self, tmp_path):
@@ -123,14 +123,14 @@ class TestRun:
                             "--artifacts", str(tmp_path))
         assert "resume: 1/1 jobs already complete" in process.stderr
 
-    def test_engine_batched_matches_scalar(self, tmp_path):
-        repro_cli("run", "fig12", "--artifacts", str(tmp_path / "scalar"),
-                  "--quiet")
-        repro_cli("run", "fig12", "--engine", "batched", "--lanes", "16",
-                  "--artifacts", str(tmp_path / "batched"), "--quiet")
-        scalar = json.loads((tmp_path / "scalar" / "fig12" / "result.json").read_text())
-        batched = json.loads((tmp_path / "batched" / "fig12" / "result.json").read_text())
-        assert scalar["series"] == batched["series"]
+    def test_retired_engine_flag_rejected(self, tmp_path):
+        """``--engine``/``--lanes`` are gone with the lane engine choice: a
+        usage error before any run directory exists."""
+        process = repro_cli("run", "fig12", "--engine", "batched",
+                            "--artifacts", str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert "unrecognized arguments" in process.stderr
+        assert not (tmp_path / "fig12").exists()
 
     def test_retired_flags_rejected(self, tmp_path):
         for flag in ("--mine-engine=columnar", "--ir-opt"):
@@ -141,7 +141,6 @@ class TestRun:
 
 
     @pytest.mark.parametrize("flags,message", [
-        (("--lanes", "0"), "sim_lanes must be at least 1"),
         (("--formal-workers", "0"), "formal_workers must be at least 1"),
         (("--induction-k", "-1"), "induction_k cannot be negative"),
         (("--formal-timeout", "0"), "formal_query_timeout must be positive"),
@@ -161,11 +160,9 @@ class TestRun:
 
     def test_engine_choices_come_from_the_engines(self):
         from repro.formal.checker import FormalVerifier
-        from repro.sim.base import SIM_ENGINES
 
         help_text = repro_cli("run", "--help").stdout
-        for engines in (SIM_ENGINES, FormalVerifier.ENGINES):
-            assert "{" + ",".join(engines) + "}" in help_text
+        assert "{" + ",".join(FormalVerifier.ENGINES) + "}" in help_text
 
 
 class TestResume:
@@ -271,6 +268,47 @@ class TestReport:
         (run_dir / "run.json").write_text(json.dumps(manifest))
 
         old = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        assert old == fresh
+        process = repro_cli("run", "fig12", "--smoke", "--artifacts",
+                            str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert "--fresh" in process.stderr
+
+    def test_report_renders_run_with_degraded_record(self, tmp_path):
+        """A 1.17 run directory keeps reporting: its jobs carried the
+        retired simulation-engine fields in their ``"config"`` param, and a
+        memory-killed job's record carries the retired ``"degraded"``
+        field.  A resume is refused until ``--fresh``."""
+        from repro.runner import RunOptions, get_experiment
+        from repro.runner.checkpoint import jobs_signature
+
+        repro_cli("run", "fig12", "--smoke", "--artifacts", str(tmp_path),
+                  "--quiet")
+        run_dir = tmp_path / "fig12"
+        fresh = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        retired = {"sim_engine": "batched", "sim_lanes": 64}
+        manifest = json.loads((run_dir / "run.json").read_text())
+        manifest["options"].update(engine="batched", lanes=64)
+        manifest["options"]["config"].update(retired)
+        tasks = [job.task()
+                 for job in get_experiment("fig12").expand(RunOptions(smoke=True))]
+        manifest["jobs_signature"] = jobs_signature(
+            (experiment, job_id, {**params, "config": {**params["config"], **retired}})
+            for experiment, job_id, params in tasks)
+        (run_dir / "run.json").write_text(json.dumps(manifest))
+        jobs_path = run_dir / "jobs.jsonl"
+        (record,) = [json.loads(line) for line in jobs_path.read_text().splitlines()]
+        record.update(attempts=2, degraded={"sim_lanes": 16},
+                      faults=[{"fault": "memory", "attempt": 1}])
+        jobs_path.write_text(json.dumps(record, sort_keys=True) + "\n")
+
+        out = repro_cli("report", str(run_dir)).stdout
+        assert "input_space_%" in out
+        old = json.loads(repro_cli("report", str(run_dir), "--json").stdout)
+        assert [job["attempts"] for job in old["jobs"]] == [2]
+        for document in (old, fresh):
+            for job in document["jobs"]:
+                job.pop("attempts")
         assert old == fresh
         process = repro_cli("run", "fig12", "--smoke", "--artifacts",
                             str(tmp_path), check=False)

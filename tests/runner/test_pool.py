@@ -176,7 +176,7 @@ class TestRunOptions:
     def test_identity_excludes_nothing_that_changes_payloads(self):
         base = RunOptions()
         assert RunOptions().identity() == base.identity()
-        assert RunOptions(config=GoldMineConfig(sim_engine="batched")).identity() \
+        assert RunOptions(config=GoldMineConfig(engine="tiered")).identity() \
             != base.identity()
         assert RunOptions(smoke=True).identity() != base.identity()
         assert RunOptions(seeds=(1,)).identity() != base.identity()

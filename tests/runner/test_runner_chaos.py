@@ -43,22 +43,26 @@ def _chaos_execute(params):
 
     Appends one line per execution to ``<index>.log`` (the attempt
     proof), then optionally raises, SIGKILLs itself unless an antidote
-    marker exists, balloons its RSS, or sleeps — all driven by params so
-    each test controls the failure mode exactly.
+    marker exists, balloons its RSS (on every execution, or on the first
+    only with ``balloon_once``), or sleeps — all driven by params so each
+    test controls the failure mode exactly.
     """
     import signal
     from pathlib import Path
 
     marker_dir = Path(params["marker_dir"])
     marker_dir.mkdir(parents=True, exist_ok=True)
-    with (marker_dir / f"{params['index']}.log").open("a") as handle:
+    log = marker_dir / f"{params['index']}.log"
+    with log.open("a") as handle:
         handle.write(f"{os.getpid()}\n")
     if params.get("explode"):
         raise ValueError(f"job {params['index']} exploded")
     if params.get("poison") and not (marker_dir / "antidote").exists():
         os.kill(os.getpid(), signal.SIGKILL)
     balloon = params.get("balloon_mb", 0)
-    if balloon and params["config"].get("sim_lanes", 0) > 16:
+    if params.get("balloon_once") and len(log.read_text().splitlines()) > 1:
+        balloon = 0
+    if balloon:
         # Unique random pages: lazy mapping and same-page merging would
         # elide a zero/repeating buffer; hold the balloon while sleeping
         # so the RSS watchdog sees the growth.
@@ -74,11 +78,10 @@ def _chaos_execute(params):
     return payload, 10 * params["index"]
 
 
-def _jobs(marker_dir, count=4, extra=None, per_job=None):
+def _jobs(marker_dir, count=4, per_job=None):
     specs = []
     for index in range(count):
         params = {"index": index, "marker_dir": str(marker_dir)}
-        params.update(extra or {})
         params.update((per_job or {}).get(index, {}))
         specs.append(JobSpec("chaos-stub", f"chaos/{index}", params))
     return specs
@@ -351,28 +354,46 @@ class TestRetryBudgetAcrossResumes:
 
 @pytest.mark.skipif(not _HAS_RSS_PROBE, reason="no /proc RSS probe")
 class TestMemoryGovernance:
-    def test_over_budget_worker_killed_and_degraded(self, tmp_path, chaos_stub):
+    def test_over_budget_worker_killed_and_retry_charged(self, tmp_path, chaos_stub):
+        """A memory kill is charged to the retry budget like a worker
+        death; a job that balloons only once finishes on the retry."""
         jobs = _jobs(tmp_path / "m", count=2,
-                     extra={"config": {"sim_lanes": 64, "formal_workers": 4}},
-                     per_job={1: {"balloon_mb": 256}})
+                     per_job={1: {"balloon_mb": 256, "balloon_once": True}})
         records, stats, _ = _run(jobs, tmp_path / "run", workers=1,
                                  memory_budget_mb=96, retry_budget=1,
                                  backoff=0.01)
         hog = records["chaos/1"]
         assert hog["status"] == "ok"
         assert hog["attempts"] == 2
-        assert hog["degraded"] == {"sim_lanes": 16}
-        assert hog["faults"][0]["fault"] == "memory"
+        assert [fault["fault"] for fault in hog["faults"]] == ["memory"]
         assert hog["faults"][0]["rss_bytes"] > hog["faults"][0]["baseline_bytes"]
         assert stats["memory_kills"] == 1
-        assert stats["degraded_retries"] == 1
+        assert stats["poisoned_jobs"] == 0
         assert records["chaos/0"]["status"] == "ok"
-        assert "degraded" not in records["chaos/0"]
+        assert "faults" not in records["chaos/0"]
+        _assert_no_orphans()
+
+    def test_always_over_budget_job_poisoned(self, tmp_path, chaos_stub):
+        """With no free retry, a job that balloons every time is
+        quarantined after ``1 + retry_budget`` attempts."""
+        marker = tmp_path / "m"
+        jobs = _jobs(marker, count=2, per_job={1: {"balloon_mb": 256}})
+        records, stats, _ = _run(jobs, tmp_path / "run", workers=1,
+                                 memory_budget_mb=96, retry_budget=1,
+                                 backoff=0.01)
+        hog = records["chaos/1"]
+        assert hog["status"] == "poisoned"
+        assert hog["attempts"] == 2
+        assert _attempt_counts(marker)[1] == 2
+        assert [fault["fault"] for fault in hog["faults"]] == ["memory", "memory"]
+        assert "memory budget" in hog["error"]
+        assert stats["memory_kills"] == 2
+        assert stats["poisoned_jobs"] == 1
+        assert records["chaos/0"]["status"] == "ok"
         _assert_no_orphans()
 
     def test_oom_chaos_fault_drives_watchdog(self, tmp_path, chaos_stub):
-        jobs = _jobs(tmp_path / "m", count=2,
-                     extra={"config": {"sim_lanes": 64, "formal_workers": 4}})
+        jobs = _jobs(tmp_path / "m", count=2)
         plan = chaos.ChaosPlan(
             faults={0: chaos.WorkerFault(chaos.FAULT_OOM, balloon_mb=256)},
             memory_budget_mb=96)
@@ -380,7 +401,6 @@ class TestMemoryGovernance:
             records, stats, _ = _run(jobs, tmp_path / "run", workers=2)
         assert all(record["status"] == "ok" for record in records.values())
         assert stats["memory_kills"] >= 1
-        assert stats["degraded_retries"] == 1
         assert records["chaos/0"]["attempts"] == 2
         _assert_no_orphans()
 

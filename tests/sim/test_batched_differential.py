@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.designs import DESIGNS, load
-from repro.sim.base import SimulatorBase, create_simulator
+from repro.sim.base import SimulatorBase
 from repro.sim.batched import BatchedSimulator, CompiledNetlist, pack_lanes, unpack_lanes
 from repro.sim.simulator import SimulationError, Simulator
 
@@ -197,17 +197,13 @@ def test_run_batch_rejects_too_many_sequences():
         batched.run_batch([[], [], []])
 
 
-def test_create_simulator_factory():
+def test_engines_share_simulator_base():
     module = load("arbiter2")
-    assert isinstance(create_simulator(module), Simulator)
-    batched = create_simulator(module, engine="batched", lanes=8)
-    assert isinstance(batched, BatchedSimulator)
-    assert isinstance(batched, SimulatorBase)
-    assert batched.lanes == 8
-    with pytest.raises(ValueError):
-        create_simulator(module, engine="verilator")
-    with pytest.raises(ValueError):
-        create_simulator(module, engine="batched", observers=[object()])
+    scalar = Simulator(module)
+    batched = BatchedSimulator(module, lanes=8)
+    assert isinstance(scalar, SimulatorBase) and scalar.lanes == 1
+    assert isinstance(batched, SimulatorBase) and batched.lanes == 8
+    assert scalar.trace_columns == batched.trace_columns
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 import repro
 
 
@@ -21,12 +23,12 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_engine_surface_exported(self):
-        """The PR-1 engine API must be reachable from the top level."""
-        from repro import SIM_ENGINES, SimulatorBase, create_simulator
+        """Both simulation engines are reachable from the top level."""
+        from repro import BatchedSimulator, Simulator, SimulatorBase
         from repro.designs import arbiter2
 
-        assert set(SIM_ENGINES) == {"scalar", "batched"}
-        simulator = create_simulator(arbiter2(), engine="batched", lanes=4)
+        assert isinstance(Simulator(arbiter2()), SimulatorBase)
+        simulator = BatchedSimulator(arbiter2(), lanes=4)
         assert isinstance(simulator, SimulatorBase)
         assert simulator.lanes == 4
 
@@ -49,6 +51,21 @@ class TestPublicApi:
         assert runner.report().percent("line") > 0.0
         report = measure_coverage(arbiter2(), RandomStimulus(8, seed=1))
         assert report.as_dict() == runner.report().as_dict()
+
+    def test_coverage_runner_keeps_benchmark_keywords(self):
+        """The closure benchmark still passes the config's engine
+        constants; only the scalar engine is accepted."""
+        from repro import CoverageRunner, GoldMineConfig, RandomStimulus
+        from repro.designs import arbiter2
+
+        config = GoldMineConfig()
+        runner = CoverageRunner(arbiter2(), engine=config.sim_engine,
+                                lanes=config.sim_lanes)
+        runner.run_stimulus(RandomStimulus(8, seed=1))
+        assert runner.cycles_run == 8
+        assert runner.report().percent("line") > 0.0
+        with pytest.raises(ValueError, match="batched"):
+            CoverageRunner(arbiter2(), engine="batched")
 
     def test_runner_surface_importable(self):
         """repro.runner is intentionally not imported at top level (it pulls
