@@ -73,8 +73,8 @@ def run_closure(design: str, window: int, bound: int, seed_cycles: int):
     the deterministic artifact, and the formal reuse telemetry."""
     meta = design_info(design)
     config = GoldMineConfig(
-        window=window, engine="bmc", bound=bound, max_iterations=16,
-        max_depth=8,
+        window=window, engine="tiered", induction_k=0, bound=bound,
+        max_iterations=16, max_depth=8,
         formal_workers=WORKERS,
     )
     closure = CoverageClosure(meta.build(),

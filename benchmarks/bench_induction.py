@@ -1,9 +1,9 @@
-"""Unbounded proof tier: the tiered BMC+k-induction portfolio vs plain BMC.
+"""Unbounded proof tier: the tiered engine's k-induction vs plain BMC.
 
 Plain bounded model checking leaves every true assertion at
 ``proof_strength="bounded"`` — "no violation within ``bound`` cycles of
 reset".  The tiered engine (:class:`~repro.formal.induction.
-TieredModelChecker`) runs the same bounded search for falsification and
+KInductionModelChecker`) runs the same bounded search for falsification and
 then escalates strengthened k-induction on the free-initial-state
 context, upgrading bounded passes to genuine **unbounded** proofs.  This
 benchmark measures what that tier buys and what it costs on miner-shaped
@@ -43,7 +43,7 @@ from repro.designs import load
 from repro.experiments.common import format_table
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import TieredModelChecker
+from repro.formal.induction import KInductionModelChecker
 from repro.formal.result import PROOF_UNBOUNDED
 from repro.sim.simulator import Simulator
 
@@ -87,8 +87,8 @@ def test_induction_proof_tier(benchmark, print_section):
     sample_module = load(DESIGNS[0])
     sample = miner_shaped_assertions(sample_module, ASSERTION_COUNT, seed=SEED)
     run_once(benchmark, lambda: check_batch(
-        TieredModelChecker(sample_module, bound=BOUND,
-                           induction_k=INDUCTION_K), sample))
+        KInductionModelChecker(sample_module, bound=BOUND,
+                               induction_k=INDUCTION_K), sample))
 
     headers = ["design", "asserts", "bmc T/F/U", "tiered T/F/U", "upgrades",
                "max k", "bmc s", "tiered s", "diverg", "refuted"]
@@ -104,11 +104,11 @@ def test_induction_proof_tier(benchmark, print_section):
         bmc_seconds, bmc_results = check_batch(
             BmcModelChecker(module, bound=BOUND), assertions)
         tiered_seconds, tiered_results = check_batch(
-            TieredModelChecker(module, bound=BOUND, induction_k=INDUCTION_K),
+            KInductionModelChecker(module, bound=BOUND, induction_k=INDUCTION_K),
             assertions)
 
         # Gate 1: falsification identity / zero divergences on decided
-        # assertions.  (k-induction may additionally falsify a few
+        # assertions.  (The tiered engine may additionally falsify a few
         # bmc-UNKNOWNs — its base case scans slightly past the plain
         # bound — which is a sound improvement, not a divergence.)
         divergences = 0
@@ -197,7 +197,7 @@ def test_induction_proof_tier(benchmark, print_section):
     artifact = write_bench_json("induction", payload)
 
     print_section(
-        "Unbounded proof tier — tiered BMC+k-induction vs plain BMC",
+        "Unbounded proof tier — tiered k-induction vs plain BMC",
         format_table(headers, table_rows) + f"\nartifact: {artifact}")
 
     # Divergence gate (always, including CI smoke).

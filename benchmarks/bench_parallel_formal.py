@@ -69,8 +69,8 @@ def run_closure(design: str, window: int, bound: int, seed_cycles: int,
     """One full refinement run; returns (wall seconds, ClosureResult)."""
     meta = design_info(design)
     config = GoldMineConfig(
-        window=window, engine="bmc", bound=bound, max_iterations=16,
-        max_depth=8,
+        window=window, engine="tiered", induction_k=0, bound=bound,
+        max_iterations=16, max_depth=8,
         formal_workers=workers, formal_proof_cache=proof_cache,
     )
     closure = CoverageClosure(meta.build(),

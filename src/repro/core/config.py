@@ -19,16 +19,16 @@ class GoldMineConfig:
       applied up to a certain depth", Section 7.1).
     * ``include_internal_state`` — whether registers/internal signals are
       visible to the miner (Section 3.1's "flat single-cycle picture").
-    * ``engine`` — formal back end: ``explicit`` (exact, default), ``bmc``
-      (incremental SAT on each assertion's cone-of-influence slice),
-      ``k-induction`` (BMC base case + simple-path inductive step, proves
-      assertions *unbounded*), ``tiered`` (portfolio: BMC falsification
-      tier, then induction escalation for proof) or ``bdd``.
-    * ``bound`` — search depth of the SAT engines (at least 1; raised to
+    * ``engine`` — formal back end: ``explicit`` (exact, default),
+      ``tiered`` (incremental SAT on each assertion's cone-of-influence
+      slice: bounded search for falsification, then the simple-path
+      inductive step for *unbounded* proofs) or ``bdd``.
+    * ``bound`` — search depth of the SAT engine (at least 1; raised to
       the assertion's span when shorter).
-    * ``induction_k`` — maximum induction depth for the ``k-induction``
-      and ``tiered`` engines (ignored by the others).  Larger values
-      prove more assertions at the cost of deeper step queries.
+    * ``induction_k`` — maximum induction depth of the ``tiered`` engine
+      (ignored by the others).  ``0`` is plain BMC with one-step
+      induction; larger values prove more assertions at the cost of
+      deeper step queries.
     * ``max_iterations`` — safety bound on counterexample iterations.
     * ``max_states`` / ``max_input_combinations`` — explicit-engine
       limits on reachable states and on enumerated input vectors per
@@ -47,12 +47,13 @@ class GoldMineConfig:
       identical candidates.  Cache hits reproduce byte-identical results.
     * ``formal_query_timeout`` — optional wall-clock budget in seconds
       for each individual formal query (``None`` = unbounded, the
-      default).  On expiry the SAT engines abandon the query and report
+      default).  On expiry the SAT engine abandons the query and reports
       an UNKNOWN-style result flagged ``timed_out`` — never cached or
-      memoised, since more budget might have produced a verdict — and
-      the ``tiered``/``k-induction`` engines degrade the unbounded proof
-      tier to plain bounded search before giving up.  Enforced
-      identically in-process and inside worker processes.
+      memoised, since more budget might have produced a verdict — and a
+      timed-out inductive step of the ``tiered`` engine (at any depth,
+      ``0`` included) still finishes the bounded search and reports its
+      UNKNOWN (``proof_strength="bounded"``).  Enforced identically
+      in-process and inside worker processes.
 
     The seed and every counterexample are replayed on the compiled
     :class:`~repro.sim.simulator.Simulator`.
@@ -116,8 +117,19 @@ class GoldMineConfig:
         """Rebuild a config from :meth:`to_json` output (unknown keys ignored,
         so manifests written by newer versions, and the retired miner, IR,
         random-data-generator and simulation-engine fields of older ones,
-        still load)."""
+        still load).  The retired SAT engine names map onto ``tiered``:
+        ``bmc`` is ``tiered`` at ``induction_k=0``, ``k-induction`` is
+        ``tiered`` at the manifest's depth."""
         from dataclasses import fields
 
         known = {f.name for f in fields(GoldMineConfig)}
-        return GoldMineConfig(**{k: v for k, v in dict(data).items() if k in known})
+        kwargs = {k: v for k, v in dict(data).items() if k in known}
+        kwargs.update(_RETIRED_ENGINES.get(kwargs.get("engine"), {}))
+        return GoldMineConfig(**kwargs)
+
+
+#: Retired engine name -> the config fields that reproduce it.
+_RETIRED_ENGINES = {
+    "bmc": {"engine": "tiered", "induction_k": 0},
+    "k-induction": {"engine": "tiered"},
+}

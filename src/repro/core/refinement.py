@@ -168,7 +168,7 @@ class CoverageClosure:
 
         All unresolved candidates of one output are verified as a single
         batch through :meth:`FormalVerifier.check_all`: the incremental
-        BMC engine amortises its per-design encoding and learned clauses
+        SAT engine amortises its per-design encoding and learned clauses
         over the whole candidate set, and a parallel verifier
         (``config.formal_workers > 1``) fans the batch out across its
         persistent worker processes in one wave.

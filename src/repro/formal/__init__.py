@@ -7,21 +7,21 @@ fails:
 * :mod:`repro.formal.explicit` — explicit-state reachability plus bounded
   path checking.  Exact for the small designs the paper evaluates; this is
   the default engine of the refinement loop.
-* :mod:`repro.formal.bmc` — SAT-based bounded model checking with a simple
-  inductive proof step, built on the in-house CDCL solver.  Every check
+* :mod:`repro.formal.induction` — the ``tiered`` SAT engine, built on the
+  in-house CDCL solver: the bounded search of :mod:`repro.formal.bmc`
+  falsifies, then strengthened k-induction on the same persistent
+  contexts escalates from depth 0 to ``induction_k`` for proof
+  (``induction_k=0`` is plain BMC with one-step induction, the
+  :class:`~repro.formal.bmc.BmcModelChecker` baseline).  Every check
   runs on the assertion's cone-of-influence slice (:mod:`repro.ir`) with
   one persistent solver context per slice: each query encodes its goal,
   then assumes the goal's literals; learned clauses carry across the
-  whole candidate batch.
-* :mod:`repro.formal.bdd_engine` — BDD-based symbolic reachability with
-  ring-by-ring counterexample reconstruction.
-* :mod:`repro.formal.induction` — strengthened k-induction on the same
-  persistent contexts (``k-induction``), and the ``tiered`` portfolio
-  (BMC falsification tier + induction proof tier).  These are the
-  unbounded proof tier: every result carries a ``proof_strength``
+  whole candidate batch.  Every result carries a ``proof_strength``
   (``unbounded`` for real proofs, ``bounded`` for survived-the-search
   verdicts) that flows through the worker protocol, the proof cache and
   the closure-result JSON.
+* :mod:`repro.formal.bdd_engine` — BDD-based symbolic reachability with
+  ring-by-ring counterexample reconstruction.
 
 :class:`repro.formal.checker.FormalVerifier` is the facade the rest of the
 library uses; it selects an engine and keeps per-run statistics (number of
@@ -50,15 +50,15 @@ are respawned with their shard deterministically requeued, within a
 bounded per-slot restart budget, then served by an in-process fallback
 — every query can carry a wall-clock deadline
 (``GoldMineConfig.formal_query_timeout`` — expiry yields an uncached
-``timed_out`` UNKNOWN, with k-induction/tiered degrading to bounded
-search first), and :mod:`repro.chaos` replays pinned fault schedules to
+``timed_out`` UNKNOWN; a timed-out inductive step of ``tiered`` still
+finishes the bounded search first), and :mod:`repro.chaos` replays pinned fault schedules to
 prove recovered runs byte-identical to clean ones.
 """
 
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier, VerifierStatistics, build_engine
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import KInductionModelChecker, TieredModelChecker
+from repro.formal.induction import KInductionModelChecker
 from repro.formal.parallel import FormalWorkerPool
 from repro.formal.proofcache import (
     ProofCache,
@@ -87,7 +87,6 @@ __all__ = [
     "PROOF_UNBOUNDED",
     "ProofCache",
     "StateSpace",
-    "TieredModelChecker",
     "VerifierStatistics",
     "build_engine",
     "canonical_assertion_key",

@@ -6,16 +6,20 @@ candidate assertion's antecedent hold while its consequent fails at some
 window position.  A satisfying assignment is translated back into a
 counterexample input sequence.
 
-For *proving* assertions the engine uses a one-step inductive argument:
-if no assignment of an arbitrary (not necessarily reachable) starting
-state and window inputs violates the assertion, it certainly holds on all
-reachable states.  When the inductive check is inconclusive (the only
-violations start from unreachable states) and no bounded counterexample
-exists, the result is *unknown*.  :class:`repro.formal.checker.FormalVerifier`
-reports that verdict as is (no engine falls back to another), and the
-refinement loop treats it conservatively: not proven, no counterexample.
-The ``k-induction`` and ``tiered`` engines are the ones that prove such
-assertions unbounded.
+For *proving* assertions the engine uses a one-step inductive argument
+(the depth-0 inductive step, :meth:`BmcModelChecker._step_holds`): if no
+assignment of an arbitrary (not necessarily reachable) starting state and
+window inputs violates the assertion, it certainly holds on all reachable
+states.  When the inductive check is inconclusive (the only violations
+start from unreachable states) and no bounded counterexample exists, the
+result is *unknown*.  The refinement loop treats that conservatively: not
+proven, no counterexample.
+
+This class is the plain-BMC baseline the engine ablation and the
+induction benchmark construct directly; the ``tiered`` engine
+(:class:`~repro.formal.induction.KInductionModelChecker`) runs the same
+bounded search and escalates the inductive step to depth ``induction_k``,
+so at ``induction_k=0`` it gives this engine's verdicts and witnesses.
 
 Every check runs on the assertion's cone-of-influence slice
 (:class:`~repro.ir.netlist.OptimizedDesign`): the unrolling, the Tseitin
@@ -54,7 +58,7 @@ from typing import Mapping
 from repro.assertions.assertion import Assertion, Literal
 from repro.analysis.unroll import Unroller, bit_variable
 from repro.boolean.cnf import CnfBuilder
-from repro.boolean.expr import BoolExpr, support_of
+from repro.boolean.expr import BoolExpr, and_, support_of
 from repro.boolean.incremental import IncrementalSolver, ReuseCounters
 from repro.boolean.sat import SatBudgetExceeded, SatSolver
 from repro.formal.result import (
@@ -140,12 +144,10 @@ class BmcModelChecker:
 
     name = "bmc"
 
-    def __init__(self, module: Module, bound: int = 10, use_induction: bool = True,
-                 max_learned: int = 4000,
+    def __init__(self, module: Module, bound: int = 10, max_learned: int = 4000,
                  query_timeout: float | None = None):
         self.module = module
         self.bound = bound
-        self.use_induction = use_induction
         self._max_learned = max_learned
         #: Wall-clock budget per :meth:`check` call; ``None`` disables the
         #: deadline entirely (no interrupt callback is even installed).
@@ -276,7 +278,7 @@ class BmcModelChecker:
                 elapsed = time.perf_counter() - start
                 return false_result(assertion, falsified, self.name, elapsed, bound=depth)
 
-            if self.use_induction and self._inductive_proof(assertion):
+            if self._step_holds(assertion, 0):
                 elapsed = time.perf_counter() - start
                 return true_result(assertion, self.name, elapsed, bound=depth,
                                    proof="induction")
@@ -320,8 +322,8 @@ class BmcModelChecker:
         ``window_start + span - 1``, and the canonical counterexample is
         truncated to the cycles the window needs, so the outcome — verdict
         and witness alike — is independent of how deep ``design`` happens
-        to be unrolled.  The k-induction engine relies on this to extend
-        the base case window by window on the same persistent context.
+        to be unrolled.  The tiered engine relies on this to extend the
+        base case window by window on the same persistent context.
         """
         span = assertion.consequent.cycle + 1
         shifted = _shift(assertion, window_start)
@@ -447,15 +449,25 @@ class BmcModelChecker:
                         bool((literal.value >> bit) & 1)
         return forced
 
-    def _inductive_proof(self, assertion: Assertion) -> bool:
-        """True when no arbitrary-state violation exists (sound, incomplete)."""
-        span = assertion.consequent.cycle + 1
-        design = self._unroller.unroll(span - 1 if span > 1 else 0, from_reset=False)
-        # The consequent may live one cycle past the antecedent window for
-        # sequential targets, so make sure that cycle exists in the unrolling.
-        if (assertion.consequent.signal, assertion.consequent.cycle) not in design.bits:
-            design = self._unroller.unroll(assertion.consequent.cycle, from_reset=False)
-        violation = design.assertion_violation(assertion)
-        context = self._context(False)
-        result, _ = context.solve_query(violation)
+    def _step_holds(self, assertion: Assertion, k: int) -> bool:
+        """True when the inductive step at depth ``k`` is unsatisfiable.
+
+        That is, no path from an arbitrary (not necessarily reachable)
+        starting state satisfies the assertion at window offsets
+        ``0 .. k-1`` and violates it at offset ``k`` (sound, incomplete).
+        Depth 0 is this engine's one-step induction.  The query runs on
+        the free-initial-state context under :meth:`_step_assumptions`.
+        """
+        max_cycle = max([assertion.consequent.cycle]
+                        + [lit.cycle for lit in assertion.antecedent])
+        design = self._unroller.unroll(k + max_cycle, from_reset=False)
+        hypothesis = [design.assertion_expr(_shift(assertion, t)) for t in range(k)]
+        violation = design.assertion_violation(_shift(assertion, k))
+        result, _ = self._context(False).solve_query(
+            and_(*hypothesis, violation),
+            assumptions=self._step_assumptions(design, k))
         return not result.satisfiable
+
+    def _step_assumptions(self, design, k: int) -> tuple[int, ...]:
+        """Extra literals the depth-``k`` step assumes: none for plain BMC."""
+        return ()

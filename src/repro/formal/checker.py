@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from repro.assertions.assertion import Assertion, Verdict
-from repro.formal.bmc import BmcModelChecker
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import KInductionModelChecker, TieredModelChecker
+from repro.formal.induction import KInductionModelChecker
 from repro.formal.proofcache import ProofCache, design_fingerprint
 from repro.formal.result import (
     PROOF_BOUNDED,
@@ -44,7 +43,7 @@ from repro.hdl.module import Module
 if TYPE_CHECKING:
     from repro.core.config import GoldMineConfig
 
-#: Proof-cache key suffix naming the SAT engines' encoding: every check
+#: Proof-cache key suffix naming the SAT engine's encoding: every check
 #: runs on the assertion's cone-of-influence slice.  Slicing preserves
 #: bounded verdicts but can strengthen k-induction (sliced simple-path
 #: constraints prove more), so entries stored under the unsliced key
@@ -55,7 +54,6 @@ SLICED_ENCODING = ":ir"
 def build_engine(module: Module, name: str, bound: int = 10,
                  max_states: int = 50_000,
                  max_input_combinations: int = 4_096,
-                 pinned_inputs: Mapping[str, int] | None = None,
                  induction_k: int = 8,
                  query_timeout: float | None = None):
     """Construct one formal engine by name.
@@ -65,26 +63,19 @@ def build_engine(module: Module, name: str, bound: int = 10,
     parameters), so the two paths can never drift apart.
 
     ``query_timeout`` is the per-check wall-clock budget; it only applies
-    to the SAT-based engines (the explicit and BDD engines already carry
-    their own exploration limits).
+    to the SAT engine (the explicit and BDD engines already carry their
+    own exploration limits).
     """
     if name == "explicit":
         return ExplicitModelChecker(
             module,
             max_states=max_states,
             max_input_combinations=max_input_combinations,
-            pinned_inputs=pinned_inputs,
         )
-    if name == "bmc":
-        return BmcModelChecker(module, bound=bound, query_timeout=query_timeout)
-    if name == "k-induction":
+    if name == "tiered":
         return KInductionModelChecker(module, bound=bound,
                                       induction_k=induction_k,
                                       query_timeout=query_timeout)
-    if name == "tiered":
-        return TieredModelChecker(module, bound=bound,
-                                  induction_k=induction_k,
-                                  query_timeout=query_timeout)
     if name == "bdd":
         from repro.formal.bdd_engine import BddModelChecker
 
@@ -166,14 +157,12 @@ class VerifierStatistics:
 class FormalVerifier:
     """Checks candidate assertions against a design using a chosen engine.
 
-    ``bmc`` runs the incremental SAT path (one persistent solver context
-    per sliced unrolling, goal literals assumed per query).  ``k-induction``
-    adds the simple-path inductive step on a second persistent context
-    (``induction_k`` caps the induction depth) so surviving assertions
-    become real ``unbounded`` proofs, and ``tiered`` is the portfolio —
-    full BMC falsification tier first, induction escalation for proof —
-    with verdicts and counterexamples identical to both tiers run
-    independently.
+    ``tiered`` is the one SAT engine: the bounded search on one
+    persistent solver context per sliced unrolling (goal literals assumed
+    per query) falsifies, then the simple-path inductive step on a second
+    persistent context escalates from depth 0 to ``induction_k`` so
+    surviving assertions become real ``unbounded`` proofs.
+    ``induction_k=0`` stops at the one-step induction of plain BMC.
 
     ``workers`` selects how checks execute: ``1`` (default) runs the
     engine in-process, ``> 1`` fans batches out to that many persistent
@@ -185,13 +174,12 @@ class FormalVerifier:
     lazily after a close.
     """
 
-    ENGINES = ("explicit", "bmc", "k-induction", "tiered", "bdd")
+    ENGINES = ("explicit", "tiered", "bdd")
 
     def __init__(self, module: Module, engine: str = "explicit",
                  bound: int = 10,
                  max_states: int = 50_000,
                  max_input_combinations: int = 4_096,
-                 pinned_inputs: Mapping[str, int] | None = None,
                  induction_k: int = 8,
                  workers: int = 1,
                  proof_cache: ProofCache | None = None,
@@ -211,7 +199,6 @@ class FormalVerifier:
             "bound": bound,
             "max_states": max_states,
             "max_input_combinations": max_input_combinations,
-            "pinned_inputs": dict(pinned_inputs) if pinned_inputs else None,
             "induction_k": induction_k,
             "query_timeout": query_timeout,
         }
@@ -268,22 +255,19 @@ class FormalVerifier:
         """Engine-configuration part of the proof-cache key.
 
         Only parameters that can change a verdict participate: the bound
-        for the SAT engines, the exploration limits for the explicit
-        engine.  Worker count never appears — parallelism does not change
-        results, so serial and parallel runs share cache entries.
+        and induction depth for the SAT engine, the exploration limits for
+        the explicit engine.  Worker count never appears — parallelism
+        does not change results, so serial and parallel runs share cache
+        entries.  The explicit key keeps the empty ``:pinned=`` field of
+        its earlier form, so existing cache files still hit.
         """
-        if self.engine_name == "bmc":
-            return f"bmc:bound={self._engine_kwargs['bound']}{SLICED_ENCODING}"
-        if self.engine_name in ("k-induction", "tiered"):
-            return (f"{self.engine_name}:bound={self._engine_kwargs['bound']}"
+        if self.engine_name == "tiered":
+            return (f"tiered:bound={self._engine_kwargs['bound']}"
                     f":k={self._engine_kwargs['induction_k']}{SLICED_ENCODING}")
         if self.engine_name == "explicit":
-            pinned = self._engine_kwargs["pinned_inputs"] or {}
-            pinned_key = ",".join(f"{name}={value}"
-                                  for name, value in sorted(pinned.items()))
             return (f"explicit:max_states={self._engine_kwargs['max_states']}"
                     f":max_inputs={self._engine_kwargs['max_input_combinations']}"
-                    f":pinned={pinned_key}")
+                    f":pinned=")
         return self.engine_name
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""k-induction on the persistent incremental contexts, plus a tiered portfolio.
+"""The ``tiered`` engine: BMC, then k-induction, on the persistent contexts.
 
 :class:`KInductionModelChecker` upgrades the BMC engine's one-step
 inductive argument to full strengthened k-induction (Sheeran/Singh/
@@ -42,13 +42,14 @@ correctly so: with no state there are no distinct-state paths of length
 ≥ 1, every behaviour is covered by the base case, and the step at
 ``k ≥ 1`` is vacuously unsatisfiable.
 
-:class:`TieredModelChecker` is the portfolio the refinement loop wants:
-run the full bounded search first (BMC is the falsification tier — every
-miner-shaped candidate that is wrong is wrong early), then escalate the
-induction depth for proof.  Its verdicts — and counterexamples — are
-identical to :class:`KInductionModelChecker`'s; only the query order
-differs, which is invisible because verdicts are semantic and witnesses
-are canonical.
+The engine is the ``tiered`` SAT engine, the only one
+:class:`~repro.formal.checker.FormalVerifier` offers: the full bounded
+search runs first (the falsification tier — every miner-shaped candidate
+that is wrong is wrong early), then the inductive step escalates from
+depth 0 to ``induction_k`` for proof.  Depth 0 is plain BMC's one-step
+induction, so ``induction_k=0`` gives :class:`BmcModelChecker`'s
+verdicts and counterexamples (Eén & Sörensson's view of BMC as the base
+case of one incremental induction procedure).
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from __future__ import annotations
 import time
 
 from repro.assertions.assertion import Assertion
-from repro.boolean.expr import and_, or_, xor_
+from repro.boolean.expr import or_, xor_
 from repro.boolean.sat import SatBudgetExceeded
-from repro.formal.bmc import BmcModelChecker, _shift
+from repro.formal.bmc import BmcModelChecker
 from repro.formal.result import (
     CheckResult,
     false_result,
@@ -84,34 +85,33 @@ def state_distinct_expr(design, registers, i: int, j: int):
 
 
 class KInductionModelChecker(BmcModelChecker):
-    """Strengthened k-induction interleaved with the bounded search.
+    """Bounded search first, then strengthened k-induction for proof.
 
-    Iterates ``k = 0 .. induction_k``: extend the from-reset base case to
-    window start ``k-1``, then try the simple-path inductive step at depth
-    ``k``.  Returns FALSE with the canonical counterexample the moment a
-    base window is violated (ascending window starts — the same earliest
-    witness plain BMC reports), TRUE with ``proof_strength="unbounded"``
-    when a step query is unsatisfiable, and otherwise finishes the bounded
-    search to the configured bound before conceding UNKNOWN
+    Runs :class:`BmcModelChecker`'s bounded search, then tries the
+    simple-path inductive step at ``k = 0 .. induction_k``.  Returns FALSE
+    with the canonical counterexample the moment a from-reset window is
+    violated (ascending window starts — the same earliest witness plain
+    BMC reports), TRUE with ``proof_strength="unbounded"`` when a step
+    query is unsatisfiable, and otherwise UNKNOWN
     (``proof_strength="bounded"``).
 
-    The base case is itself a bounded search whose depth grows with k, so
-    when ``induction_k + span - 1`` exceeds ``bound`` the engine examines
+    A proof at depth k is sound only once base windows ``0 .. k-1`` hold
+    from reset, so once k passes the bounded search's last window start
+    the engine scans window ``k-1`` before the step.  When
+    ``induction_k + span - 1`` exceeds ``bound`` it therefore examines
     window starts plain BMC never reaches and may falsify assertions BMC
     reports UNKNOWN on.  That is a strict (and sound — every witness is
-    canonical and replays) improvement: FALSE(bmc) ⊆ FALSE(k-induction),
-    with byte-identical counterexamples wherever both falsify.
+    canonical and replays) improvement: FALSE(bmc) ⊆ FALSE(tiered), with
+    byte-identical counterexamples wherever both falsify.
     """
 
-    name = "k-induction"
-    #: Subclass hook: run the whole bounded search before any step query.
-    _bmc_first = False
+    name = "tiered"
 
     def __init__(self, module: Module, bound: int = 10, induction_k: int = 8,
                  max_learned: int = 4000,
                  query_timeout: float | None = None):
-        super().__init__(module, bound=bound, use_induction=True,
-                         max_learned=max_learned, query_timeout=query_timeout)
+        super().__init__(module, bound=bound, max_learned=max_learned,
+                         query_timeout=query_timeout)
         self.induction_k = induction_k
         #: ``(slice key, i, j)`` -> guard literal in that slice's step
         #: context.  The distinctness constraints range over the slice's
@@ -124,8 +124,6 @@ class KInductionModelChecker(BmcModelChecker):
         self._induction_counters = {
             "induction_step_queries": 0,
             "induction_proofs": 0,
-            "induction_base_windows": 0,
-            "induction_guards_encoded": 0,
         }
 
     # ------------------------------------------------------------------
@@ -133,6 +131,7 @@ class KInductionModelChecker(BmcModelChecker):
         stats = super().reuse_stats()
         # Plain additive ints, so the worker pool's sum-merge applies.
         stats.update(self._induction_counters)
+        stats["induction_guards_encoded"] = len(self._distinct_guards)
         return stats
 
     # ------------------------------------------------------------------
@@ -141,30 +140,28 @@ class KInductionModelChecker(BmcModelChecker):
         self._activate_slice(assertion)
         span = assertion.consequent.cycle + 1
         depth = max(self.bound, span)
-        #: Window starts the plain bounded search would scan: [0, base_limit).
-        base_limit = depth - span + 2
-        state = _BaseScan(self, assertion, span)
+        #: The bounded search scans window starts [0, scanned).
+        scanned = depth - span + 2
         self._start_deadline()
         #: Degradation ladder: a timed-out inductive step abandons the
-        #: proof tier but keeps the bounded falsification search running
-        #: on the remaining budget (k-induction -> BMC before giving up).
+        #: proof tier but keeps the base-case scan running on the
+        #: remaining budget (k-induction -> BMC before giving up).
         degraded = False
         try:
-            if self._bmc_first:
-                counterexample = state.extend(base_limit)
-                if counterexample is not None:
-                    return false_result(assertion, counterexample, self.name,
-                                        time.perf_counter() - start, bound=depth)
-
+            counterexample = self._bounded_search(assertion, depth)
             for k in range(self.induction_k + 1):
-                # A proof at depth k is only sound once base windows 0..k-1
-                # are verified, so the base scan is extended eagerly first.
-                counterexample = state.extend(k)
+                if k > scanned:
+                    # A proof at depth k is only sound once base windows
+                    # 0..k-1 hold, so window k-1 is scanned before the step.
+                    design = self._unroller.unroll(max(self.bound, k + span - 2),
+                                                   from_reset=True)
+                    counterexample = self._window_violation(design, assertion, k - 1)
                 if counterexample is not None:
                     return false_result(assertion, counterexample, self.name,
                                         time.perf_counter() - start, bound=depth)
                 if degraded:
                     continue
+                self._induction_counters["induction_step_queries"] += 1
                 try:
                     step_holds = self._step_holds(assertion, k)
                 except SatBudgetExceeded:
@@ -177,15 +174,10 @@ class KInductionModelChecker(BmcModelChecker):
                                        time.perf_counter() - start,
                                        bound=depth, proof="k-induction",
                                        induction_k=k)
-
-            counterexample = state.extend(base_limit)
-            if counterexample is not None:
-                return false_result(assertion, counterexample, self.name,
-                                    time.perf_counter() - start, bound=depth)
             if degraded:
                 # The proof tier timed out but the bounded search finished:
                 # report BMC's survived-the-search answer, marked timed-out
-                # so it is never cached as a k-induction verdict (a later
+                # so it is never cached as a proof-tier verdict (a later
                 # run with more budget may still prove the assertion).
                 self._count_timeout()
                 return unknown_result(assertion, self.name,
@@ -203,68 +195,17 @@ class KInductionModelChecker(BmcModelChecker):
             self._clear_deadline()
 
     # ------------------------------------------------------------------
-    def _step_holds(self, assertion: Assertion, k: int) -> bool:
-        """UNSAT check of the simple-path inductive step at depth ``k``."""
-        max_cycle = max([assertion.consequent.cycle]
-                        + [lit.cycle for lit in assertion.antecedent])
-        design = self._unroller.unroll(max(k + max_cycle, k), from_reset=False)
-        hypothesis = [design.assertion_expr(_shift(assertion, t)) for t in range(k)]
-        violation = design.assertion_violation(_shift(assertion, k))
-        goal = and_(*hypothesis, violation)
-        self._induction_counters["induction_step_queries"] += 1
-        context = self._context(False)
-        guards = tuple(self._distinct_guard(design, i, j)
-                       for i in range(k + 1) for j in range(i + 1, k + 1))
-        result, _ = context.solve_query(goal, assumptions=guards)
-        return not result.satisfiable
+    def _step_assumptions(self, design, k: int) -> tuple[int, ...]:
+        """Simple-path guards: states at cycles ``0 .. k`` pairwise distinct."""
+        return tuple(self._distinct_guard(design, i, j)
+                     for i in range(k + 1) for j in range(i + 1, k + 1))
 
     def _distinct_guard(self, design, i: int, j: int) -> int:
         """Guard literal enabling ``state(i) != state(j)`` in the step context."""
         key = (self._active_slice, i, j)
         guard = self._distinct_guards.get(key)
         if guard is None:
-            context = self._context(False)
-            guard = context.guard_expr(
+            guard = self._context(False).guard_expr(
                 state_distinct_expr(design, self._slice_registers(), i, j))
             self._distinct_guards[key] = guard
-            self._induction_counters["induction_guards_encoded"] += 1
         return guard
-
-
-class _BaseScan:
-    """Ascending from-reset window scan, shared by base case and tail search."""
-
-    def __init__(self, engine: KInductionModelChecker, assertion: Assertion,
-                 span: int):
-        self._engine = engine
-        self._assertion = assertion
-        self._span = span
-        self._next_start = 0
-
-    def extend(self, target: int):
-        """Verify window starts up to ``target`` (exclusive); first witness wins."""
-        engine = self._engine
-        while self._next_start < target:
-            start = self._next_start
-            design = engine._unroller.unroll(
-                max(engine.bound, start + self._span - 1), from_reset=True)
-            self._next_start += 1
-            engine._induction_counters["induction_base_windows"] += 1
-            counterexample = engine._window_violation(design, self._assertion, start)
-            if counterexample is not None:
-                return counterexample
-        return None
-
-
-class TieredModelChecker(KInductionModelChecker):
-    """Falsification tier first (full BMC scan), then induction for proof.
-
-    Observationally identical to :class:`KInductionModelChecker` — same
-    verdicts, same canonical counterexamples, same minimal proving k —
-    but front-loads the bounded search, which is the cheap tier on
-    miner-shaped candidate batches where most wrong candidates fail
-    within a few cycles of reset.
-    """
-
-    name = "tiered"
-    _bmc_first = True

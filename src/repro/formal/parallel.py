@@ -23,8 +23,8 @@ of **persistent** verification worker processes:
   :mod:`repro.formal.bmc`), the merged batch is identical to what the
   serial engine would have produced, for any worker count.  The whole
   :class:`~repro.formal.result.CheckResult` crosses the protocol —
-  including the ``proof_strength`` field the k-induction/tiered engines
-  set — so proof strength survives sharding byte-for-byte.
+  including the ``proof_strength`` field the tiered engine sets — so
+  proof strength survives sharding byte-for-byte.
 
 Workers are forked where the platform allows (see
 :mod:`repro.workers`): they inherit the already-elaborated module

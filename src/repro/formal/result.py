@@ -12,9 +12,9 @@ from repro.hdl.errors import HdlError
 #:
 #: ``unbounded`` — the verdict is a real proof over every reachable
 #: behaviour: an exact engine (explicit-state, BDD reachability) said so,
-#: or an inductive argument (the BMC engine's one-step induction, the
-#: k-induction engine's strengthened step) closed the property for all
-#: depths.  ``bounded`` — the assertion merely survived a bounded search
+#: or an inductive argument (the tiered engine's strengthened step, of
+#: which plain BMC's one-step induction is depth 0) closed the property
+#: for all depths.  ``bounded`` — the assertion merely survived a bounded search
 #: ("no counterexample up to k"), which is evidence, not proof.  ``FALSE``
 #: verdicts carry no strength: a counterexample is a counterexample.
 PROOF_UNBOUNDED = "unbounded"

@@ -24,8 +24,8 @@ consumers:
   paper's Definition 8 mining cone (:mod:`repro.analysis.cone`).
 
 :class:`~repro.ir.netlist.OptimizedDesign` bundles the three passes into
-the facade every SAT engine (:mod:`repro.formal.bmc`,
-:mod:`repro.formal.induction`) checks through.  The passes preserve
+the facade the SAT engine (:mod:`repro.formal.induction`, on the
+bounded search of :mod:`repro.formal.bmc`) checks through.  The passes preserve
 bounded verdicts and canonical counterexamples; the sliced simple-path
 constraints can only strengthen k-induction (more unbounded proofs).
 """

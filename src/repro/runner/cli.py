@@ -90,16 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--formal-engine", dest="formal_engine",
                      choices=FormalVerifier.ENGINES, default="explicit",
                      help="formal back end for candidate verification "
-                          "(bmc = incremental SAT with a persistent solver "
-                          "context per cone-of-influence slice; "
-                          "k-induction = BMC base case + simple-path "
-                          "inductive step, proves assertions unbounded; "
-                          "tiered = BMC falsification tier, then induction "
-                          "escalation for proof)")
+                          "(explicit = exact explicit-state search; "
+                          "tiered = incremental SAT on each assertion's "
+                          "cone-of-influence slice: bounded search, then "
+                          "simple-path induction up to --induction-k, "
+                          "proves assertions unbounded; bdd = symbolic "
+                          "reachability)")
     run.add_argument("--induction-k", dest="induction_k", type=int, default=8,
                      metavar="K",
-                     help="maximum induction depth for k-induction/tiered "
-                          "(default 8; ignored by the other engines)")
+                     help="maximum induction depth of the tiered engine "
+                          "(default 8; 0 = plain BMC with one-step "
+                          "induction; ignored by the other engines)")
     run.add_argument("--formal-workers", dest="formal_workers", type=int,
                      default=1, metavar="N",
                      help="persistent formal verification worker processes "
@@ -109,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None, metavar="SECONDS",
                      help="wall-clock budget per formal query (default: "
                           "unbounded); an expired query returns an uncached "
-                          "UNKNOWN flagged timed_out instead of hanging, and "
-                          "k-induction/tiered degrade to bounded search "
-                          "before giving up")
+                          "UNKNOWN flagged timed_out instead of hanging; a "
+                          "timed-out tiered induction step still finishes "
+                          "the bounded search first")
     run.add_argument("--proof-cache", dest="proof_cache", nargs="?",
                      const=True, default=False, metavar="PATH",
                      help="reuse formal verdicts across jobs and runs, "

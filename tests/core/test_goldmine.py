@@ -35,10 +35,14 @@ class TestConfig:
         for name in FormalVerifier.ENGINES:
             assert name in str(excinfo.value)
 
-    @pytest.mark.parametrize("engine", ["explicit", "bmc", "k-induction",
-                                        "tiered", "bdd"])
+    @pytest.mark.parametrize("engine", ["explicit", "tiered", "bdd"])
     def test_every_formal_engine_accepted(self, engine):
         assert GoldMineConfig(engine=engine, bound=1).engine == engine
+
+    @pytest.mark.parametrize("retired", ["bmc", "k-induction"])
+    def test_retired_sat_engine_names_rejected(self, retired):
+        with pytest.raises(ValueError, match=retired):
+            GoldMineConfig(engine=retired)
 
 
 class TestTargets:

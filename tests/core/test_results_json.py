@@ -107,7 +107,8 @@ class TestConfigJson:
         """Older ``to_json()`` output still loads: a 1.9-era manifest carries
         the retired miner and IR switches, a 1.12-era one the retired random
         data generator's fields, both the retired simulation-engine fields.
-        They are ignored, every other field is kept."""
+        They are ignored, every other field is kept (the 1.12 manifest's
+        retired ``bmc`` engine name loads as ``tiered`` at depth 0)."""
         retired = {"mine_engine", "ir_opt", "random_cycles", "random_seed",
                    "input_bias", "sim_engine", "sim_lanes"}
         v1_9 = {"window": 2, "max_depth": None, "include_internal_state": True,
@@ -125,20 +126,34 @@ class TestConfigJson:
                  "max_input_combinations": 4096, "sim_engine": "scalar",
                  "sim_lanes": 16, "formal_workers": 2,
                  "formal_proof_cache": True, "formal_query_timeout": 3.0}
-        for data, expected in [
+        for data, expected, remapped in [
             (v1_9, GoldMineConfig(window=2, engine="tiered", bound=6,
-                                  induction_k=4, max_iterations=24)),
+                                  induction_k=4, max_iterations=24), {}),
             (v1_12, GoldMineConfig(window=1, max_depth=8,
-                                   include_internal_state=False, engine="bmc",
+                                   include_internal_state=False,
+                                   engine="tiered", induction_k=0,
                                    bound=5, max_iterations=16, max_states=1000,
                                    formal_workers=2,
                                    formal_proof_cache=True,
-                                   formal_query_timeout=3.0)),
+                                   formal_query_timeout=3.0),
+             {"engine": "tiered", "induction_k": 0}),
         ]:
             config = GoldMineConfig.from_json(data)
             assert config == expected
-            assert config.to_json() == {key: value for key, value in data.items()
-                                        if key not in retired}
+            assert config.to_json() == {**{key: value for key, value in data.items()
+                                           if key not in retired}, **remapped}
+
+    @pytest.mark.parametrize("retired,induction_k", [("bmc", 0),
+                                                      ("k-induction", 5)])
+    def test_retired_sat_engine_names_load_as_tiered(self, retired, induction_k):
+        """A 1.18 manifest may name a retired SAT engine: ``bmc`` loads as
+        ``tiered`` at ``induction_k=0``, ``k-induction`` as ``tiered`` at
+        the manifest's own depth; every other field is kept."""
+        v1_18 = {**GoldMineConfig(window=2, bound=6, induction_k=5).to_json(),
+                 "engine": retired}
+        config = GoldMineConfig.from_json(v1_18)
+        assert config == GoldMineConfig(window=2, engine="tiered", bound=6,
+                                        induction_k=induction_k)
 
     def test_manifest_with_simulation_engine_fields_loads(self):
         """A 1.17 manifest still names the lane engine; it loads, while the

@@ -6,8 +6,8 @@ The fault-tolerance acceptance contract, asserted here end to end:
   proof-cache files truncated/garbled, checkpoint lines corrupted —
   yields a ``ClosureResult.deterministic_json()`` byte-identical to the
   fault-free run's, and leaves zero orphan worker processes;
-* an expired per-query deadline degrades (k-induction → BMC → uncached
-  ``timed_out`` UNKNOWN) instead of hanging or, worse, caching a verdict
+* an expired per-query deadline degrades (inductive step → bounded
+  search → uncached ``timed_out`` UNKNOWN) instead of hanging or, worse, caching a verdict
   the engine never actually established;
 * the solver-level interrupt aborts cleanly and leaves the solver
   usable, so persistent contexts survive their queries being cancelled.
@@ -29,7 +29,6 @@ from repro.boolean.sat import SatBudgetExceeded, SatSolver
 from repro.chaos import FAULT_KILL, FAULT_WEDGE, ChaosPlan, WorkerFault
 from repro.core.config import GoldMineConfig
 from repro.designs import info as design_info
-from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier, build_engine
 from repro.formal.induction import KInductionModelChecker
 from repro.formal.parallel import FormalWorkerPool
@@ -39,7 +38,7 @@ from repro.runner.pool import SupervisedJobPool
 
 # Sibling test modules (pytest puts this directory on sys.path).
 from test_incremental_bmc import random_assertions
-from test_parallel_formal import canonical, closure_artifact
+from test_parallel_formal import BMC, canonical, closure_artifact
 
 
 @pytest.fixture(autouse=True)
@@ -137,9 +136,12 @@ class TestSolverInterrupt:
 class TestQueryDeadline:
     """Per-query deadlines: uncached timed-out UNKNOWNs, tiered degradation."""
 
-    def _expired_engine(self, module, **kwargs) -> BmcModelChecker:
-        """A BMC engine whose deadline reads as already expired."""
-        engine = BmcModelChecker(module, bound=6, query_timeout=100.0, **kwargs)
+    def _expired_engine(self, module) -> KInductionModelChecker:
+        """Plain BMC (``tiered`` at depth 0) whose deadline reads as
+        already expired: a search-heavy bounded search times out bare, and
+        a step query that times out after a finished bounded search
+        yields the degraded UNKNOWN."""
+        engine = KInductionModelChecker(module, **BMC, query_timeout=100.0)
         engine._deadline_expired = lambda: True
         return engine
 
@@ -160,7 +162,7 @@ class TestQueryDeadline:
 
     def test_timed_out_results_never_memoised_or_cached(self, arbiter2_module):
         cache = ProofCache()
-        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6,
+        verifier = FormalVerifier(arbiter2_module, engine="tiered", **BMC,
                                   query_timeout=100.0, proof_cache=cache)
         verifier._serial_engine()._deadline_expired = lambda: True
         assertions = random_assertions(arbiter2_module, 12, seed=23)
@@ -183,7 +185,7 @@ class TestQueryDeadline:
             self, arbiter2_module):
         """Whatever verdicts survive an expired deadline match the
         unconstrained engine's exactly."""
-        clean = BmcModelChecker(arbiter2_module, bound=6)
+        clean = KInductionModelChecker(arbiter2_module, **BMC)
         expired = self._expired_engine(arbiter2_module)
         for assertion in random_assertions(arbiter2_module, 12, seed=23):
             baseline = clean.check(assertion)
@@ -229,17 +231,47 @@ class TestQueryDeadline:
         assert stats["induction_step_timeouts"] > 0
         assert stats["query_timeouts"] > 0
 
+    def test_depth0_step_timeout_is_degraded_bounded_unknown(
+            self, arbiter2_module, monkeypatch):
+        """Plain BMC (``tiered`` at depth 0) whose one-step induction
+        times out after a finished bounded search reports the degraded
+        UNKNOWN — ``proof_strength="bounded"``, flagged ``timed_out`` —
+        and the verifier neither memoises nor proof-caches it."""
+        cache = ProofCache()
+        verifier = FormalVerifier(arbiter2_module, engine="tiered", **BMC,
+                                  query_timeout=100.0, proof_cache=cache)
+
+        def step_times_out(assertion, k):
+            assert k == 0
+            raise SatBudgetExceeded("chaos: one-step induction over budget")
+
+        monkeypatch.setattr(verifier._serial_engine(), "_step_holds",
+                            step_times_out)
+        assertions = random_assertions(arbiter2_module, 12, seed=23)
+        degraded = [(a, r) for a, r in zip(assertions,
+                                           verifier.check_all(assertions))
+                    if r.verdict is not Verdict.FALSE]
+        assert degraded
+        for assertion, result in degraded:
+            assert result.verdict is Verdict.UNKNOWN
+            assert result.timed_out
+            assert result.proof_strength == "bounded"
+            assert result.details["degraded"] == "bmc"
+            assert cache.lookup(verifier._design_fingerprint(),
+                                verifier._proof_engine_key(), assertion) is None
+        assert verifier.stats.timeouts == len(degraded)
+
     def test_query_timeout_excluded_from_proof_cache_key(self, arbiter2_module):
         """Timeouts withhold verdicts, never change them, so cache entries
         are shared across timeout settings."""
-        plain = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
-        budgeted = FormalVerifier(arbiter2_module, engine="bmc", bound=6,
+        plain = FormalVerifier(arbiter2_module, engine="tiered", **BMC)
+        budgeted = FormalVerifier(arbiter2_module, engine="tiered", **BMC,
                                   query_timeout=30.0)
         assert plain._proof_engine_key() == budgeted._proof_engine_key()
 
     def test_nonpositive_timeout_rejected(self, arbiter2_module):
         with pytest.raises(ValueError):
-            FormalVerifier(arbiter2_module, engine="bmc", query_timeout=0.0)
+            FormalVerifier(arbiter2_module, engine="tiered", query_timeout=0.0)
         with pytest.raises(ValueError):
             GoldMineConfig(formal_query_timeout=-1.0)
 
@@ -277,7 +309,7 @@ class TestPoolSupervision:
     WORKERS = 2
 
     def _baseline(self, module, assertions):
-        engine = build_engine(module, "bmc", bound=6)
+        engine = build_engine(module, "tiered", **BMC)
         return [engine.check(a) for a in assertions]
 
     def _assert_identical(self, baseline, results, count):
@@ -301,7 +333,7 @@ class TestPoolSupervision:
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
         with chaos.injected(plan), \
                 caplog.at_level(logging.WARNING, logger="repro.workers"):
-            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+            pool = FormalWorkerPool(arbiter2_module, "tiered", BMC,
                                     workers=self.WORKERS)
             try:
                 results = pool.check_batch(list(enumerate(assertions)))
@@ -328,7 +360,7 @@ class TestPoolSupervision:
         plan = ChaosPlan(faults={1: WorkerFault(FAULT_WEDGE, after_messages=0)},
                          deadline=1.0)
         with chaos.injected(plan):
-            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+            pool = FormalWorkerPool(arbiter2_module, "tiered", BMC,
                                     workers=self.WORKERS)
             try:
                 results = pool.check_batch(list(enumerate(assertions)))
@@ -346,7 +378,7 @@ class TestPoolSupervision:
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)},
                          retry_budget=0)
         with chaos.injected(plan):
-            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+            pool = FormalWorkerPool(arbiter2_module, "tiered", BMC,
                                     workers=self.WORKERS)
             try:
                 results = pool.check_batch(list(enumerate(assertions)))
@@ -367,7 +399,7 @@ class TestPoolSupervision:
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=1)})
         indexed = list(enumerate(assertions))
         with chaos.injected(plan):
-            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+            pool = FormalWorkerPool(arbiter2_module, "tiered", BMC,
                                     workers=self.WORKERS)
             try:
                 first = pool.check_batch(indexed)
@@ -382,7 +414,7 @@ class TestPoolSupervision:
         assertions = random_assertions(arbiter2_module, 8, seed=9)
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
         with chaos.injected(plan):
-            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+            pool = FormalWorkerPool(arbiter2_module, "tiered", BMC,
                                     workers=self.WORKERS)
             try:
                 pool.check_batch(list(enumerate(assertions)))
@@ -417,29 +449,30 @@ class TestClosureChaosIdentity:
         ChaosPlan.seeded(7, 2, faults=2, max_after=2),
     ]
 
+    #: Plain BMC (``tiered`` at depth 0) on two formal workers.
+    RUN = {"engine": "tiered", "induction_k": 0, "workers": 2,
+           "max_iterations": 6}
+
     @pytest.mark.parametrize("schedule", range(len(SCHEDULES)))
     def test_chaos_closure_identical_to_clean(self, schedule):
-        baseline = canonical(closure_artifact("arbiter2", 1, engine="bmc",
-                                              workers=2, max_iterations=6))
+        baseline = canonical(closure_artifact("arbiter2", 1, **self.RUN))
         with chaos.injected(self.SCHEDULES[schedule]):
-            chaotic = closure_artifact("arbiter2", 1, engine="bmc",
-                                       workers=2, max_iterations=6)
+            chaotic = closure_artifact("arbiter2", 1, **self.RUN)
         assert canonical(chaotic) == baseline
 
     def test_chaos_with_proof_cache_identical(self, tmp_path):
-        baseline = canonical(closure_artifact("arbiter2", 1, engine="bmc",
-                                              workers=2, max_iterations=6))
+        baseline = canonical(closure_artifact("arbiter2", 1, **self.RUN))
         cache_file = str(tmp_path / "proofs.json")
         plan = ChaosPlan(faults={0: WorkerFault(FAULT_KILL, after_messages=0)})
         with chaos.injected(plan):
-            first = closure_artifact("arbiter2", 1, engine="bmc", workers=2,
-                                     proof_cache=cache_file, max_iterations=6)
+            first = closure_artifact("arbiter2", 1, proof_cache=cache_file,
+                                     **self.RUN)
         assert canonical(first) == baseline
         # Corrupt the persisted cache; the reload quarantines and re-proves.
         chaos.truncate_file(cache_file, keep_ratio=0.4)
         ProofCache.reset_shared()
-        second = closure_artifact("arbiter2", 1, engine="bmc", workers=2,
-                                  proof_cache=cache_file, max_iterations=6)
+        second = closure_artifact("arbiter2", 1, proof_cache=cache_file,
+                                  **self.RUN)
         assert canonical(second) == baseline
         assert list(tmp_path.glob("proofs.json.corrupt-*"))
 
@@ -448,7 +481,7 @@ class TestClosureChaosIdentity:
 def _started_pool(layer: str, module):
     """A started two-worker formal or runner pool, never closed here."""
     if layer == "formal":
-        pool = FormalWorkerPool(module, "bmc", {"bound": 6}, workers=2)
+        pool = FormalWorkerPool(module, "tiered", BMC, workers=2)
         pool.ensure_started()
     else:
         pool = SupervisedJobPool(2)

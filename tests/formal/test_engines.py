@@ -17,7 +17,7 @@ from repro.formal.bdd_engine import BddModelChecker
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import TieredModelChecker
+from repro.formal.induction import KInductionModelChecker
 from repro.formal.result import FormalEngineError
 from repro.formal.statespace import StateSpace
 from repro.sim.simulator import Simulator
@@ -114,10 +114,9 @@ class TestCounterexamples:
 
     @pytest.mark.parametrize("engine_factory", [
         ExplicitModelChecker,
-        lambda m: BmcModelChecker(m, bound=6),
-        lambda m: TieredModelChecker(m, bound=6, induction_k=4),
+        lambda m: KInductionModelChecker(m, bound=6, induction_k=4),
         BddModelChecker,
-    ], ids=["explicit", "bmc", "tiered", "bdd"])
+    ], ids=["explicit", "tiered", "bdd"])
     def test_counterexamples_reproduce_violation(self, arbiter2_module, engine_factory):
         engine = engine_factory(arbiter2_module)
         for assertion in (A0_FALSE, A1_FALSE, A4_FALSE):

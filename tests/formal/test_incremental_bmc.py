@@ -24,7 +24,7 @@ from repro.core.refinement import CoverageClosure
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.checker import FormalVerifier
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import TieredModelChecker
+from repro.formal.induction import KInductionModelChecker
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
 
@@ -136,7 +136,7 @@ class TestIncrementalAgainstExplicit:
         assert stats["clauses_reused"] > 0
         assert stats["encode_cache_hits"] > 0
 
-    @pytest.mark.parametrize("engine", [BmcModelChecker, TieredModelChecker])
+    @pytest.mark.parametrize("engine", [BmcModelChecker, KInductionModelChecker])
     @pytest.mark.parametrize("fixture", ["arbiter2_module", "b01_module"])
     def test_second_pass_adds_no_clauses_or_variables(self, engine, fixture,
                                                       request):
@@ -170,15 +170,24 @@ class TestVerifierBatchPath:
         """The retired cold-solver engine name is no longer accepted."""
         with pytest.raises(ValueError, match="bmc-fresh"):
             FormalVerifier(arbiter2_module, engine="bmc-fresh", bound=6)
-        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
+        verifier = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                  induction_k=0)
         oracle = ExplicitModelChecker(arbiter2_module)
         for assertion in random_assertions(arbiter2_module, 4, seed=2):
             assert_matches_oracle(arbiter2_module, assertion,
                                   verifier.check(assertion), oracle)
 
+    @pytest.mark.parametrize("retired", ["bmc", "k-induction"])
+    def test_retired_sat_engine_names_rejected(self, arbiter2_module, retired):
+        """``bmc`` is ``tiered`` at ``induction_k=0`` and ``k-induction`` is
+        ``tiered``; neither name is accepted any more."""
+        with pytest.raises(ValueError, match=retired):
+            FormalVerifier(arbiter2_module, engine=retired, bound=6)
+
     def test_check_all_caches_like_sequential_checks(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 5, seed=4)
-        batch_verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
+        batch_verifier = FormalVerifier(arbiter2_module, engine="tiered",
+                                        bound=6, induction_k=0)
         batch = batch_verifier.check_all(assertions + assertions)
         assert batch_verifier.stats.checks == len(assertions)
         assert batch_verifier.stats.cache_hits == len(assertions)
@@ -187,7 +196,8 @@ class TestVerifierBatchPath:
         assert [r.verdict for r in again] == [r.verdict for r in batch[:len(assertions)]]
 
     def test_reuse_statistics_surface_in_verifier(self, arbiter2_module):
-        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
+        verifier = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                  induction_k=0)
         verifier.check_all(random_assertions(arbiter2_module, 5, seed=6))
         assert verifier.stats.reuse["queries"] > 0
         payload = verifier.stats.to_json()
@@ -196,7 +206,8 @@ class TestVerifierBatchPath:
     def test_cross_check_incremental_against_explicit(self, arbiter2_module):
         results = assert_engines_agree(arbiter2_module,
                                        random_assertions(arbiter2_module, 6, seed=8),
-                                       "bmc", "explicit", bound=6)
+                                       "tiered", "explicit", bound=6,
+                                       induction_k=0)
         for result in results:
             assert result.verdict in (Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN)
 
@@ -206,7 +217,7 @@ class TestClosureWithIncrementalEngine:
         """The BMC engine closes the loop, and everything it proves is
         confirmed by the exact explicit engine."""
         explicit = FormalVerifier(arbiter2_module, engine="explicit")
-        config = GoldMineConfig(window=2, engine="bmc")
+        config = GoldMineConfig(window=2, engine="tiered", induction_k=0)
         closure = CoverageClosure(arbiter2_module, config=config)
         result = closure.run(RandomStimulus(20, seed=3), max_iterations=6)
         assert result.converged
@@ -217,7 +228,7 @@ class TestClosureWithIncrementalEngine:
     def test_formal_reuse_round_trips_through_json(self, arbiter2_module):
         from repro.core.results import ClosureResult
 
-        config = GoldMineConfig(window=2, engine="bmc")
+        config = GoldMineConfig(window=2, engine="tiered", induction_k=0)
         closure = CoverageClosure(arbiter2_module, config=config)
         result = closure.run(RandomStimulus(10, seed=1), max_iterations=3)
         restored = ClosureResult.from_json(result.to_json())

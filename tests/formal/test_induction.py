@@ -1,4 +1,4 @@
-"""Property suite for the k-induction engine's strengthening and tiering.
+"""Property suite for the tiered engine's strengthening and its depth 0.
 
 Two properties carry the engine's soundness, and both are checked here
 over Hypothesis-driven random small FSMs (state spaces small enough to
@@ -13,12 +13,14 @@ enumerate explicitly) as well as the bundled designs:
   simple-path pair constraints must stay satisfiable.  If this ever went
   UNSAT the step would be assuming away real behaviour and "proofs"
   could be refutable.
-* **Tiering is unobservable** — :class:`TieredModelChecker` must equal
-  running plain BMC and :class:`KInductionModelChecker` independently:
-  identical verdicts, identical proof strengths, identical canonical
-  counterexamples, identical minimal proving k.  The refinement loop
-  treats ``tiered`` as a drop-in engine, so any divergence would make
-  mined assertion sets depend on which tier answered first.
+* **Depth 0 is plain BMC** — :class:`KInductionModelChecker` (the
+  ``tiered`` engine) at ``induction_k=0`` must equal
+  :class:`BmcModelChecker`: identical verdicts, identical proof
+  strengths, identical canonical counterexamples.  ``induction_k=0`` is
+  the configuration that replaced the separate ``bmc`` engine, so any
+  divergence would change what a plain-BMC run mines.  At larger depths
+  the engine must subsume BMC (every BMC verdict kept, every witness
+  byte-identical) and stay exact against the explicit oracle.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ from repro.boolean.sat import SatSolver
 from repro.designs import DESIGNS
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import (
-    KInductionModelChecker,
-    TieredModelChecker,
-    state_distinct_expr,
-)
+from repro.formal.induction import KInductionModelChecker, state_distinct_expr
 from repro.formal.statespace import StateSpace
 from repro.hdl.parser import parse_module
 from repro.hdl.synth import synthesize
@@ -156,27 +154,26 @@ class TestSimplePathReachability:
 
 
 # ----------------------------------------------------------------------
-class TestTieringIsUnobservable:
+class TestDepthZeroIsPlainBmc:
     def _compare(self, module, assertions):
         bmc = BmcModelChecker(module, bound=6)
-        induction = KInductionModelChecker(module, bound=6, induction_k=6)
-        tiered = TieredModelChecker(module, bound=6, induction_k=6)
+        depth0 = KInductionModelChecker(module, bound=6, induction_k=0)
+        tiered = KInductionModelChecker(module, bound=6, induction_k=6)
         for assertion in assertions:
             bounded = bmc.check(assertion)
-            independent = induction.check(assertion)
+            plain = depth0.check(assertion)
             combined = tiered.check(assertion)
-            # Tiered ≡ k-induction, field for field.
-            assert combined.verdict is independent.verdict
-            assert combined.proof_strength == independent.proof_strength
-            if combined.verdict is Verdict.TRUE:
-                assert combined.details["induction_k"] \
-                    == independent.details["induction_k"]
-            if combined.counterexample is not None:
-                assert combined.counterexample.input_vectors \
-                    == independent.counterexample.input_vectors
-                assert combined.counterexample.window_start \
-                    == independent.counterexample.window_start
-            # ...and tiered subsumes the BMC tier it runs first.
+            # Depth 0 ≡ plain BMC, field for field.
+            assert plain.verdict is bounded.verdict
+            assert plain.proof_strength == bounded.proof_strength
+            assert (plain.counterexample is None) \
+                == (bounded.counterexample is None)
+            if bounded.counterexample is not None:
+                assert plain.counterexample.input_vectors \
+                    == bounded.counterexample.input_vectors
+                assert plain.counterexample.window_start \
+                    == bounded.counterexample.window_start
+            # ...and deeper induction subsumes the BMC tier it runs first.
             if bounded.verdict is Verdict.FALSE:
                 assert combined.verdict is Verdict.FALSE
                 assert combined.counterexample.input_vectors \
@@ -200,7 +197,7 @@ class TestTieringIsUnobservable:
         unbounded proof and every falsification the engine produces."""
         module = random_fsm(seed)
         explicit = ExplicitModelChecker(module)
-        engine = TieredModelChecker(module, bound=6, induction_k=6)
+        engine = KInductionModelChecker(module, bound=6, induction_k=6)
         for assertion in random_assertions(module, 5, seed=seed + 2):
             check = engine.check(assertion)
             if check.verdict is Verdict.TRUE:

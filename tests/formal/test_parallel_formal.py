@@ -29,6 +29,9 @@ from repro.sim.stimulus import RandomStimulus
 # Sibling test module (pytest puts this directory on sys.path).
 from test_incremental_bmc import random_assertions
 
+#: Plain BMC: the tiered engine at induction depth 0.
+BMC = {"bound": 6, "induction_k": 0}
+
 
 @pytest.fixture(autouse=True)
 def _isolated_shared_cache():
@@ -40,10 +43,12 @@ def _isolated_shared_cache():
 
 def closure_artifact(design: str, seed: int, *, workers: int = 1,
                      proof_cache: bool | str = False,
-                     engine: str = "explicit", max_iterations: int = 10) -> dict:
+                     engine: str = "explicit", induction_k: int = 8,
+                     max_iterations: int = 10) -> dict:
     """One full refinement run, reduced to its deterministic artifact."""
     meta = design_info(design)
     config = GoldMineConfig(window=meta.window, engine=engine,
+                            induction_k=induction_k,
                             formal_workers=workers,
                             formal_proof_cache=proof_cache,
                             max_iterations=max_iterations)
@@ -62,14 +67,15 @@ def canonical(document: dict) -> str:
 class TestBatchEquivalence:
     """Pool dispatch must reproduce the serial engine query for query."""
 
-    @pytest.mark.parametrize("engine", ["bmc", "explicit"])
+    @pytest.mark.parametrize("engine", ["tiered", "explicit"])
     def test_verdicts_and_counterexamples_identical(self, arbiter2_module, engine):
         assertions = random_assertions(arbiter2_module, 12, seed=23)
-        serial = FormalVerifier(arbiter2_module, engine=engine, bound=6)
+        serial = FormalVerifier(arbiter2_module, engine=engine, bound=6,
+                                induction_k=0)
         baseline = serial.check_all(assertions)
         for workers in (2, 4):
             verifier = FormalVerifier(arbiter2_module, engine=engine, bound=6,
-                                      workers=workers)
+                                      induction_k=0, workers=workers)
             try:
                 results = verifier.check_all(assertions)
             finally:
@@ -89,9 +95,11 @@ class TestBatchEquivalence:
         like sequential ``check`` calls, so artifacts cannot depend on the
         execution mode."""
         assertions = random_assertions(arbiter2_module, 6, seed=4)
-        serial = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
+        serial = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                induction_k=0)
         serial.check_all(assertions + assertions)
-        parallel = FormalVerifier(arbiter2_module, engine="bmc", bound=6, workers=2)
+        parallel = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                  induction_k=0, workers=2)
         try:
             parallel.check_all(assertions + assertions)
         finally:
@@ -102,7 +110,8 @@ class TestBatchEquivalence:
         assert parallel.stats.false_count == serial.stats.false_count
 
     def test_worker_reuse_counters_surface(self, arbiter2_module):
-        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6, workers=2)
+        verifier = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                  induction_k=0, workers=2)
         try:
             verifier.check_all(random_assertions(arbiter2_module, 8, seed=9))
             # Per batch only the parent-side dispatch counters refresh (the
@@ -119,7 +128,7 @@ class TestBatchEquivalence:
 class TestPoolLifecycle:
     def test_pool_restarts_after_close(self, arbiter2_module):
         assertions = random_assertions(arbiter2_module, 4, seed=2)
-        pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6}, workers=2)
+        pool = FormalWorkerPool(arbiter2_module, "tiered", BMC, workers=2)
         first = pool.check_batch(list(enumerate(assertions)))
         pool.close()
         assert not pool.started
@@ -148,9 +157,10 @@ class TestPoolLifecycle:
         monkeypatch.setattr(FormalVerifier, "_can_spawn_workers",
                             staticmethod(lambda: False))
         assertions = random_assertions(arbiter2_module, 6, seed=23)
-        serial = FormalVerifier(arbiter2_module, engine="bmc", bound=6)
-        verifier = FormalVerifier(arbiter2_module, engine="bmc", bound=6,
-                                  workers=4)
+        serial = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                induction_k=0)
+        verifier = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
+                                  induction_k=0, workers=4)
         try:
             results = verifier.check_all(assertions)
         finally:
@@ -170,9 +180,9 @@ class TestPoolLifecycle:
         from repro.formal.checker import build_engine
 
         assertions = random_assertions(arbiter2_module, 12, seed=23)
-        engine = build_engine(arbiter2_module, "bmc", bound=6)
+        engine = build_engine(arbiter2_module, "tiered", **BMC)
         baseline = [engine.check(a) for a in assertions]
-        pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6}, workers=2)
+        pool = FormalWorkerPool(arbiter2_module, "tiered", BMC, workers=2)
         try:
             pool.ensure_started()
             os.kill(pool._workers.slots[0].process.pid, signal.SIGKILL)
@@ -233,17 +243,18 @@ class TestClosureDifferential:
         assert cache.hits > 0
 
     def test_bmc_closure_identical_across_modes(self):
+        """Plain BMC (``tiered`` at ``induction_k=0``) across worker counts
+        and proof-cache states."""
         seed = 1
-        baseline = canonical(closure_artifact("arbiter2", seed, engine="bmc",
-                                              max_iterations=6))
+        bmc = {"engine": "tiered", "induction_k": 0, "max_iterations": 6}
+        baseline = canonical(closure_artifact("arbiter2", seed, **bmc))
         for workers in (2, 4):
-            assert canonical(closure_artifact("arbiter2", seed, engine="bmc",
-                                              workers=workers,
-                                              max_iterations=6)) == baseline
-        cold = closure_artifact("arbiter2", seed, engine="bmc", workers=2,
-                                proof_cache=True, max_iterations=6)
-        warm = closure_artifact("arbiter2", seed, engine="bmc", workers=2,
-                                proof_cache=True, max_iterations=6)
+            assert canonical(closure_artifact("arbiter2", seed, workers=workers,
+                                              **bmc)) == baseline
+        cold = closure_artifact("arbiter2", seed, workers=2, proof_cache=True,
+                                **bmc)
+        warm = closure_artifact("arbiter2", seed, workers=2, proof_cache=True,
+                                **bmc)
         assert canonical(cold) == baseline
         assert canonical(warm) == baseline
 

@@ -1,16 +1,19 @@
 """Cross-engine proof-oracle battery for the unbounded proof tier.
 
-The k-induction engine claims something qualitatively stronger than every
-other SAT-side engine in the repo: ``proof_strength="unbounded"`` asserts
+The tiered engine's inductive step claims something qualitatively
+stronger than a bounded search: ``proof_strength="unbounded"`` asserts
 the property holds on **every** reachable state at **every** cycle, not
 just within a bound.  That claim is falsifiable — the explicit-state and
 BDD engines are exact on the bundled designs — so this battery checks it
 the hard way: every small design × a seeded miner-shaped corpus, every
-k-induction/tiered verdict cross-examined against both exact oracles.
+``tiered`` verdict — at the default depth and at ``induction_k=0``, the
+configuration that plain BMC is — cross-examined against both exact
+oracles.
 
 Any refutable ``unbounded`` proof is a soundness bug and fails loudly,
 naming the design, the assertion and both engines' verdicts.  The
-battery also pins the tiering identity (tiered ≡ k-induction ≡ BMC on
+battery also pins the depth-0 identity (``tiered`` at ``induction_k=0``
+≡ :class:`BmcModelChecker`, field for field, and ``tiered`` ≡ BMC on
 falsification, with byte-identical canonical counterexamples) and guards
 its own strength: a corpus drift that stopped producing proofs would turn
 the oracle vacuous, so the battery asserts proofs actually occur.
@@ -25,7 +28,7 @@ from repro.designs import DESIGNS
 from repro.formal.bdd_engine import BddModelChecker
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import KInductionModelChecker, TieredModelChecker
+from repro.formal.induction import KInductionModelChecker
 from repro.formal.result import PROOF_BOUNDED, PROOF_UNBOUNDED
 
 # Sibling test module (pytest puts this directory on sys.path).
@@ -40,8 +43,8 @@ ORACLE_DESIGNS = (
 )
 
 #: (count, seed) corpora per design.  Seed 101 is proof-rich (bounded
-#: passes that k-induction upgrades on most designs); seed 11 matches the
-#: incremental-BMC differential suite and skews falsifiable.
+#: passes that the inductive step upgrades on most designs); seed 11
+#: matches the incremental-BMC differential suite and skews falsifiable.
 CORPORA = ((18, 101), (12, 11))
 
 BOUND = 8
@@ -62,22 +65,22 @@ def describe(design_name, assertion, **verdicts):
 
 @pytest.fixture(scope="module", params=ORACLE_DESIGNS)
 def battery(request):
-    """All five engines' results over the corpus of one design."""
+    """Every engine configuration's results over the corpus of one design."""
     design_name = request.param
     module = DESIGNS[design_name].build()
     assertions = corpus(module)
     explicit = ExplicitModelChecker(module)
     bdd = BddModelChecker(module)
     bmc = BmcModelChecker(module, bound=BOUND)
-    induction = KInductionModelChecker(module, bound=BOUND, induction_k=INDUCTION_K)
-    tiered = TieredModelChecker(module, bound=BOUND, induction_k=INDUCTION_K)
+    depth0 = KInductionModelChecker(module, bound=BOUND, induction_k=0)
+    tiered = KInductionModelChecker(module, bound=BOUND, induction_k=INDUCTION_K)
     results = [
         {
             "assertion": assertion,
             "explicit": explicit.check(assertion),
             "bdd": bdd.check(assertion),
             "bmc": bmc.check(assertion),
-            "k-induction": induction.check(assertion),
+            "tiered-k0": depth0.check(assertion),
             "tiered": tiered.check(assertion),
         }
         for assertion in assertions
@@ -88,7 +91,7 @@ def battery(request):
 class TestUnboundedProofSoundness:
     """No exact oracle may ever refute an ``unbounded`` verdict."""
 
-    @pytest.mark.parametrize("engine", ["k-induction", "tiered"])
+    @pytest.mark.parametrize("engine", ["tiered-k0", "tiered"])
     def test_explicit_oracle_confirms_every_proof(self, battery, engine):
         design_name, _, results = battery
         for row in results:
@@ -103,7 +106,7 @@ class TestUnboundedProofSoundness:
                               "explicit": oracle.verdict.name})
             )
 
-    @pytest.mark.parametrize("engine", ["k-induction", "tiered"])
+    @pytest.mark.parametrize("engine", ["tiered-k0", "tiered"])
     def test_bdd_oracle_confirms_every_proof(self, battery, engine):
         design_name, _, results = battery
         for row in results:
@@ -118,7 +121,7 @@ class TestUnboundedProofSoundness:
                               "bdd": oracle.verdict.name})
             )
 
-    @pytest.mark.parametrize("engine", ["k-induction", "tiered"])
+    @pytest.mark.parametrize("engine", ["tiered-k0", "tiered"])
     def test_proof_strength_matches_verdict_shape(self, battery, engine):
         """TRUE ⇒ unbounded, UNKNOWN ⇒ bounded, FALSE ⇒ no strength."""
         _, _, results = battery
@@ -137,7 +140,7 @@ class TestUnboundedProofSoundness:
 class TestFalsificationAgreement:
     """The falsification tier must be exactly plain BMC."""
 
-    @pytest.mark.parametrize("engine", ["k-induction", "tiered"])
+    @pytest.mark.parametrize("engine", ["tiered-k0", "tiered"])
     def test_false_verdicts_contain_bmc_with_identical_witness(self, battery, engine):
         """FALSE(bmc) ⊆ FALSE(engine), byte-identical witnesses on the
         overlap.  The containment can be strict: the base case of a depth-k
@@ -159,30 +162,31 @@ class TestFalsificationAgreement:
                                        check.counterexample)
                 assert row["explicit"].verdict is Verdict.FALSE
 
-    def test_tiered_identical_to_k_induction(self, battery):
-        """Query order (bmc-first vs interleaved) must be unobservable."""
+    def test_tiered_k0_identical_to_bmc(self, battery):
+        """``tiered`` at ``induction_k=0`` is plain BMC: same verdict, proof
+        strength and witness for every assertion."""
         design_name, _, results = battery
         for row in results:
-            tiered, induction = row["tiered"], row["k-induction"]
-            assert tiered.verdict is induction.verdict, \
+            depth0, bmc = row["tiered-k0"], row["bmc"]
+            assert depth0.verdict is bmc.verdict, \
                 describe(design_name, row["assertion"],
-                         tiered=tiered.verdict.name,
-                         induction=induction.verdict.name)
-            assert tiered.proof_strength == induction.proof_strength
-            if tiered.verdict is Verdict.TRUE:
-                assert tiered.details["induction_k"] \
-                    == induction.details["induction_k"]
-            if tiered.counterexample is not None:
-                assert tiered.counterexample.input_vectors \
-                    == induction.counterexample.input_vectors
+                         **{"tiered-k0": depth0.verdict.name,
+                            "bmc": bmc.verdict.name})
+            assert depth0.proof_strength == bmc.proof_strength
+            assert (depth0.counterexample is None) == (bmc.counterexample is None)
+            if bmc.counterexample is not None:
+                assert depth0.counterexample.window_start \
+                    == bmc.counterexample.window_start
+                assert depth0.counterexample.input_vectors \
+                    == bmc.counterexample.input_vectors
 
     def test_never_weaker_than_bmc(self, battery):
-        """Everything BMC decides, the induction engines decide the same."""
+        """Everything BMC proves, ``tiered`` proves at every depth."""
         _, _, results = battery
         for row in results:
             if row["bmc"].verdict is Verdict.TRUE:
                 assert row["tiered"].verdict is Verdict.TRUE
-                assert row["k-induction"].verdict is Verdict.TRUE
+                assert row["tiered-k0"].verdict is Verdict.TRUE
 
 
 class TestBatteryStrength:

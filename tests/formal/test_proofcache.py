@@ -322,16 +322,34 @@ class TestResolve:
         assert first is not ProofCache.resolve(tmp_path / "b.json")
 
 
+class TestEngineKeyText:
+    """Engine-configuration keys are part of every persisted entry, so
+    their text is pinned byte for byte: a change would orphan every
+    existing cache file."""
+
+    def test_explicit_key_keeps_its_pinned_field(self):
+        module = design_info("arbiter2").build()
+        verifier = FormalVerifier(module, engine="explicit")
+        assert verifier._proof_engine_key() == \
+            "explicit:max_states=50000:max_inputs=4096:pinned="
+
+    @pytest.mark.parametrize("induction_k", [0, 4])
+    def test_tiered_key_names_bound_and_depth(self, induction_k):
+        module = design_info("arbiter2").build()
+        verifier = FormalVerifier(module, engine="tiered", bound=6,
+                                  induction_k=induction_k)
+        assert verifier._proof_engine_key() == \
+            f"tiered:bound=6:k={induction_k}:ir"
+
+
 class TestSlicedEncodingKeys:
-    """The SAT engines check every assertion on its cone-of-influence slice
-    and key their entries with the ``:ir`` encoding suffix — the key form
+    """The SAT engine checks every assertion on its cone-of-influence slice
+    and keys its entries with the ``:ir`` encoding suffix — the key form
     ``--ir-opt`` runs already wrote, so those caches keep hitting.  Entries
     under the suffix-less key were written by the retired unsliced
     encoding, which can prove less under k-induction: never served."""
 
-    FORMS = [("bmc", "bmc:bound=6"),
-             ("k-induction", "k-induction:bound=6:k=4"),
-             ("tiered", "tiered:bound=6:k=4")]
+    FORMS = [("tiered", "tiered:bound=6:k=4")]
 
     def _verifier(self, engine, path):
         module = design_info("arbiter2").build()

@@ -1,11 +1,13 @@
-"""Differential contract of the IR slicing every SAT engine checks through.
+"""Differential contract of the IR slicing the SAT engine checks through.
 
-The BMC and k-induction engines check each assertion on its
-cone-of-influence slice, with reset-stuck registers folded to constants.
-That must never change anything the exact oracle can observe:
+The ``tiered`` engine (and the plain-BMC baseline it extends) checks
+each assertion on its cone-of-influence slice, with reset-stuck
+registers folded to constants.  That must never change anything the
+exact oracle can observe:
 
-* every decided BMC and k-induction verdict equals the explicit-state
-  engine's, and every counterexample replays to a violation;
+* every decided verdict — ``tiered`` at ``induction_k=0`` (plain BMC)
+  and at depth ``INDUCTION_K`` — equals the explicit-state engine's, and
+  every counterexample replays to a violation;
 * counterexamples are canonical — the full witness, input vectors
   included, does not depend on which queries the engine answered first;
 * every ``unbounded`` proof found on a slice survives the explicit oracle
@@ -77,15 +79,16 @@ class TestEngineIdentity:
     @pytest.mark.parametrize("design_name", DIFFERENTIAL_DESIGNS)
     def test_bmc_verdicts_and_witnesses_identical(self, design_name):
         module = DESIGNS[design_name].build()
-        engine = assert_oracle_agrees(module, BmcModelChecker,
-                                      f"[{design_name}] bmc")
+        engine = assert_oracle_agrees(module, KInductionModelChecker,
+                                      f"[{design_name}] tiered k=0",
+                                      induction_k=0)
         assert engine.reuse_stats()["ir_slices"] >= 1
 
     @pytest.mark.parametrize("design_name", DIFFERENTIAL_DESIGNS)
     def test_k_induction_verdicts_and_witnesses_identical(self, design_name):
         module = DESIGNS[design_name].build()
         assert_oracle_agrees(module, KInductionModelChecker,
-                             f"[{design_name}] k-induction",
+                             f"[{design_name}] tiered",
                              induction_k=INDUCTION_K)
 
     @pytest.mark.parametrize("engine_cls", [BmcModelChecker,

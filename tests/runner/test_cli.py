@@ -132,6 +132,17 @@ class TestRun:
         assert "unrecognized arguments" in process.stderr
         assert not (tmp_path / "fig12").exists()
 
+    @pytest.mark.parametrize("retired", ["bmc", "k-induction"])
+    def test_retired_formal_engine_rejected(self, tmp_path, retired):
+        """``bmc`` and ``k-induction`` are ``tiered`` now (``bmc`` at
+        ``--induction-k 0``): naming either is a usage error before any
+        run directory exists."""
+        process = repro_cli("run", "fig12", "--formal-engine", retired,
+                            "--artifacts", str(tmp_path), check=False)
+        assert process.returncode == 2
+        assert "invalid choice" in process.stderr
+        assert not (tmp_path / "fig12").exists()
+
     def test_retired_flags_rejected(self, tmp_path):
         for flag in ("--mine-engine=columnar", "--ir-opt"):
             process = repro_cli("run", "fig12", flag, "--artifacts",

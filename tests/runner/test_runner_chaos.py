@@ -35,6 +35,9 @@ from repro.runner.pool import execute_jobs
 from repro.runner.registry import ExperimentSpec, JobSpec, register
 from repro.runner.report import aggregate_records, render_result
 
+#: Plain BMC: the tiered engine at induction depth 0.
+BMC = {"bound": 6, "induction_k": 0}
+
 _HAS_RSS_PROBE = supervise.process_rss_bytes(os.getpid()) is not None
 
 
@@ -194,7 +197,7 @@ class TestKillRecovery:
             pool = SupervisedJobPool(2, backoff=0.01)
             pool._workers.start()
         else:
-            pool = FormalWorkerPool(arbiter2_module, "bmc", {"bound": 6},
+            pool = FormalWorkerPool(arbiter2_module, "tiered", BMC,
                                     workers=2)
             pool.ensure_started()
         # Kill a worker before any work is dispatched.
@@ -208,7 +211,7 @@ class TestKillRecovery:
                 results = pool.check_batch(list(enumerate(candidates)))
             finally:
                 pool.close()
-            engine = build_engine(arbiter2_module, "bmc", bound=6)
+            engine = build_engine(arbiter2_module, "tiered", **BMC)
             assert [results[i].verdict for i in range(len(candidates))] == \
                 [engine.check(a).verdict for a in candidates]
             assert pool.restarts == 1

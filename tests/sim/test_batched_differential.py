@@ -122,8 +122,8 @@ def test_run_random_traces_are_independent_uniform_runs():
 
 
 def test_wide_signal_traces_are_exact():
-    """Signals 63+ bits wide must take the exact big-int trace path
-    (int64 accumulation would overflow into the sign bit)."""
+    """A 64-bit register that wraps below zero traces to the same
+    values (above 2**63) on the batched engine as on the scalar one."""
     from repro.hdl.parser import parse_module
 
     module = parse_module("""
