@@ -118,8 +118,9 @@ class GoldMineConfig:
         so manifests written by newer versions, and the retired miner, IR,
         random-data-generator and simulation-engine fields of older ones,
         still load).  The retired SAT engine names map onto ``tiered``:
-        ``bmc`` is ``tiered`` at ``induction_k=0``, ``k-induction`` is
-        ``tiered`` at the manifest's depth."""
+        ``bmc`` and ``bmc-fresh`` (the non-incremental BMC) are ``tiered``
+        at ``induction_k=0``, ``k-induction`` is ``tiered`` at the
+        manifest's depth."""
         from dataclasses import fields
 
         known = {f.name for f in fields(GoldMineConfig)}
@@ -131,5 +132,6 @@ class GoldMineConfig:
 #: Retired engine name -> the config fields that reproduce it.
 _RETIRED_ENGINES = {
     "bmc": {"engine": "tiered", "induction_k": 0},
+    "bmc-fresh": {"engine": "tiered", "induction_k": 0},
     "k-induction": {"engine": "tiered"},
 }

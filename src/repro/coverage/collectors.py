@@ -31,6 +31,8 @@ class CoverageCollector:
     metric_name = "coverage"
 
     def __init__(self, module: Module):
+        # Validation numbers the statements the points are keyed by.
+        module.validate()
         self.module = module
         self.total_points: set = set()
         self.covered_points: set = set()

@@ -42,6 +42,8 @@ class DesignInfo:
     origin: str = "synthetic"
 
     def build(self) -> Module:
+        """The design's module; every bundled factory parses a constant
+        source, so repeated builds return the same read-only module."""
         return self.factory()
 
     def seed_vectors(self) -> list[dict[str, int]] | None:
@@ -172,7 +174,8 @@ def design_names() -> list[str]:
 
 
 def load(name: str) -> Module:
-    """Build a fresh instance of the named benchmark design."""
+    """The named benchmark design: one shared, read-only module per process
+    (see :func:`repro.hdl.parser.parse_modules`)."""
     try:
         return DESIGNS[name].build()
     except KeyError as exc:

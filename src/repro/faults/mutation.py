@@ -11,7 +11,10 @@ assertions are then formally checked on the mutated design model"
   port (the port itself cannot be re-driven).
 
 The mutation produces a fresh :class:`~repro.hdl.module.Module`; the golden
-design is never modified.
+design is never modified (it may be the shared, read-only module of its
+source text).  Every rewritten statement keeps the id of the statement it
+replaces, so a mutant's statement and branch cover points are the
+original's.
 """
 
 from __future__ import annotations
@@ -45,34 +48,37 @@ class StuckAtFault:
 # ----------------------------------------------------------------------
 def _substitute_stmt(stmt: Statement, mapping: Mapping[str, Expr]) -> Statement:
     if isinstance(stmt, Assign):
-        return Assign(stmt.target, stmt.expr.substitute(mapping), blocking=stmt.blocking)
+        return Assign(stmt.target, stmt.expr.substitute(mapping), stmt.blocking, stmt.stmt_id)
     if isinstance(stmt, Block):
-        return Block([_substitute_stmt(child, mapping) for child in stmt.statements])
+        return Block([_substitute_stmt(child, mapping) for child in stmt.statements],
+                     stmt.stmt_id)
     if isinstance(stmt, If):
         otherwise = _substitute_stmt(stmt.otherwise, mapping) if stmt.otherwise else None
-        return If(stmt.cond.substitute(mapping), _substitute_stmt(stmt.then, mapping), otherwise)
+        return If(stmt.cond.substitute(mapping), _substitute_stmt(stmt.then, mapping), otherwise,
+                  stmt.stmt_id)
     if isinstance(stmt, Case):
         items = [CaseItem(item.labels, _substitute_stmt(item.body, mapping)) for item in stmt.items]
         default = _substitute_stmt(stmt.default, mapping) if stmt.default else None
-        return Case(stmt.subject.substitute(mapping), items, default)
+        return Case(stmt.subject.substitute(mapping), items, default, stmt.stmt_id)
     raise TypeError(f"unsupported statement {type(stmt).__name__}")
 
 
 def _force_assignments(stmt: Statement, target: str, constant: Const) -> Statement:
     if isinstance(stmt, Assign):
-        if stmt.target == target:
-            return Assign(stmt.target, constant, blocking=stmt.blocking)
-        return Assign(stmt.target, stmt.expr, blocking=stmt.blocking)
+        expr = constant if stmt.target == target else stmt.expr
+        return Assign(stmt.target, expr, stmt.blocking, stmt.stmt_id)
     if isinstance(stmt, Block):
-        return Block([_force_assignments(child, target, constant) for child in stmt.statements])
+        return Block([_force_assignments(child, target, constant) for child in stmt.statements],
+                     stmt.stmt_id)
     if isinstance(stmt, If):
         otherwise = _force_assignments(stmt.otherwise, target, constant) if stmt.otherwise else None
-        return If(stmt.cond, _force_assignments(stmt.then, target, constant), otherwise)
+        return If(stmt.cond, _force_assignments(stmt.then, target, constant), otherwise,
+                  stmt.stmt_id)
     if isinstance(stmt, Case):
         items = [CaseItem(item.labels, _force_assignments(item.body, target, constant))
                  for item in stmt.items]
         default = _force_assignments(stmt.default, target, constant) if stmt.default else None
-        return Case(stmt.subject, items, default)
+        return Case(stmt.subject, items, default, stmt.stmt_id)
     raise TypeError(f"unsupported statement {type(stmt).__name__}")
 
 

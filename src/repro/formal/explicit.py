@@ -82,22 +82,17 @@ class ExplicitModelChecker:
     name = "explicit"
 
     def __init__(self, module: Module, max_states: int = 50_000,
-                 max_input_combinations: int = 4_096,
-                 pinned_inputs: Mapping[str, int] | None = None):
+                 max_input_combinations: int = 4_096):
         self.module = module
         self.state_space = StateSpace(
             module,
             max_states=max_states,
             max_input_combinations=max_input_combinations,
-            pinned_inputs=pinned_inputs or {},
         )
-        # Idle cycles after the window: every free input 0, pins kept.
-        # That is input vector 0 of the state space's enumeration, so the
-        # table steps padding cycles through ``successors(state)[0]``.
+        # Idle cycles after the window: every data input 0.  That is input
+        # vector 0 of the state space's enumeration, so the table steps
+        # padding cycles through ``successors(state)[0]``.
         self._padding_vector = {name: 0 for name in module.data_input_names}
-        self._padding_vector.update(
-            (name, int(value)) for name, value in self.state_space.pinned_inputs.items()
-        )
         if module.reset is not None:
             self._padding_vector[module.reset] = 0
         self._input_vectors = self.state_space.input_vectors

@@ -76,7 +76,7 @@ def design_fingerprint(module: Module) -> str:
 
     Built from the module's canonical Verilog rendering (statements and
     expressions render via ``to_verilog``, which — unlike ``repr`` —
-    excludes the process-local ``stmt_id`` coverage counters), so
+    excludes the ``stmt_id`` coverage ids), so
     structurally identical modules — e.g. two ``meta.build()`` calls of
     the same registered design, in different runs or processes — share a
     fingerprint, while any edit to the RTL changes it.  Computed fresh on

@@ -19,6 +19,11 @@ words are unpacked into :meth:`StateSpace.successors` in enumeration
 order, so discovery order, predecessors and counterexample paths are
 those of stepping each pair through the scalar simulator.
 
+The lane netlist and one state's block of input lane words depend on the
+module alone, so they are built once per module and kept on it
+(:meth:`~repro.hdl.module.Module.derived`): every state space of one
+design shares them.
+
 Designs with inferred latches are refused: a latched combinational signal
 is state the register tuple does not record, so a transition would depend
 on history rather than on the state alone.
@@ -32,8 +37,7 @@ Limits guard against accidental blow-up.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.formal.result import FormalEngineError
 from repro.hdl.errors import ElaborationError
@@ -55,13 +59,13 @@ class StateSpace:
     module: Module
     max_states: int = 50_000
     max_input_combinations: int = 4_096
-    #: Extra constraints applied to every explored input vector (name -> value).
-    pinned_inputs: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.register_names: list[str] = list(self.module.state_names)
         self.input_names: list[str] = list(self.module.data_input_names)
-        self._input_vectors = self._enumerate_inputs()
+        self._check_input_limit()
+        self._input_vectors: list[dict[str, int]] = self.module.derived(
+            "statespace.inputs", self._enumerate_inputs)
         self._synth = synthesize(self.module)
         try:
             self._synth.check_no_latches()
@@ -86,23 +90,23 @@ class StateSpace:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _enumerate_inputs(self) -> list[dict[str, int]]:
-        free_inputs = [name for name in self.input_names if name not in self.pinned_inputs]
+    def _check_input_limit(self) -> None:
         total = 1
-        for name in free_inputs:
+        for name in self.input_names:
             total *= 1 << self.module.width_of(name)
             if total > self.max_input_combinations:
                 raise FormalEngineError(
                     f"module '{self.module.name}' has more than "
                     f"{self.max_input_combinations} input combinations; "
-                    "use the SAT/BDD engines or pin some inputs"
+                    "use the SAT/BDD engines"
                 )
-        ranges = [range(1 << self.module.width_of(name)) for name in free_inputs]
+
+    def _enumerate_inputs(self) -> list[dict[str, int]]:
+        ranges = [range(1 << self.module.width_of(name)) for name in self.input_names]
         vectors: list[dict[str, int]] = []
         for values in itertools.product(*ranges):
-            vector = dict(zip(free_inputs, values))
-            vector.update({name: int(value) for name, value in self.pinned_inputs.items()})
-            if self.module.reset is not None and self.module.reset not in vector:
+            vector = dict(zip(self.input_names, values))
+            if self.module.reset is not None:
                 vector[self.module.reset] = 0
             vectors.append(vector)
         return vectors
@@ -120,7 +124,7 @@ class StateSpace:
         The sampled valuation is the full signal snapshot after combinational
         settling and before the clock edge, keyed in ``module.signals``
         order — exactly the trace row the simulator records for that cycle.
-        Input vector 0 sets every free input to 0 (pins applied).
+        Input vector 0 sets every data input to 0.
         """
         if not self._explored:
             self.explore()
@@ -131,16 +135,22 @@ class StateSpace:
         return [dict(vector) for vector in self._input_vectors]
 
     def _compile(self) -> None:
-        """Build the lane netlist and one state's block of input lane words."""
-        self._netlist = CompiledNetlist(self.module, self._synth)
-        self._input_words = [
+        """Fetch the module's lane netlist and input lane words."""
+        self._netlist, self._input_words = self.module.derived(
+            "statespace.lanes", self._build_lanes)
+
+    def _build_lanes(self) -> tuple[CompiledNetlist, list[tuple[int, int]]]:
+        """The lane netlist and one state's block of input lane words."""
+        netlist = CompiledNetlist(self.module, self._synth)
+        words = [
             (slot, word)
             for name in self._input_vectors[0]
             for slot, word in zip(
-                self._netlist.slots[name],
+                netlist.slots[name],
                 pack_lanes([vector[name] for vector in self._input_vectors],
                            self.module.width_of(name)))
         ]
+        return netlist, words
 
     def _expand(self, frontier: list[State]) -> None:
         """Fill :attr:`_successors` for every state of one BFS level."""

@@ -4,10 +4,19 @@ Handles identifiers, sized and unsized numeric literals (binary, decimal,
 hexadecimal and octal bases), operators, punctuation, and both ``//`` and
 ``/* */`` comments.  Line/column information is preserved on every token so
 parse errors point at the offending source position.
+
+:func:`tokenize` scans ASCII source with one master regular expression
+(:func:`scan_tokens`).  Anything that pattern cannot take — a non-ASCII
+character, a malformed literal, an unterminated comment, a stray
+character — sends the whole source through the character-level
+:class:`Lexer` instead, which is the reference: both give equal token
+lists wherever the pattern succeeds, and every located
+:class:`~repro.hdl.errors.ParseError` comes from the character-level path.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.hdl.errors import ParseError
@@ -201,6 +210,73 @@ class Lexer:
         return Token("NUMBER", size_text, line, column, value=value, width=None)
 
 
+#: One token, or a run of whitespace/comments, per match; the lexical
+#: rules of :class:`Lexer` restricted to ASCII source.  ``/`` is an
+#: operator only where no comment starts, so an unterminated block comment
+#: matches nothing; a decimal literal may not stop before a digit, an
+#: underscore or a quote, so a bad base matches nothing either.
+_MASTER = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ | `[^\n]* )
+  | (?P<escaped> \\\S* )
+  | (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
+  | (?P<based> (?:[0-9][0-9_]*)? '[bBdDhHoO][A-Za-z0-9_?]* )
+  | (?P<decimal> [0-9][0-9_]* (?![0-9_']) )
+  | (?P<op> <<< | >>> | === | !== | == | != | <= | >= | && | \|\| | << | >>
+          | ~\^ | \^~ | ~& | ~\| | /(?![/*]) | [()\[\]{}:;,\#?@.=<>!~&|^+\-*%] )
+""", re.VERBOSE | re.DOTALL)
+
+_BASES = {"b": 2, "d": 10, "h": 16, "o": 8}
+_UNKNOWN_DIGITS = str.maketrans("xXzZ?", "00000", "_")
+
+
+def scan_tokens(source: str) -> list[Token] | None:
+    """Tokenize ``source`` with the master pattern; ``None`` where it fails.
+
+    On success the list equals ``Lexer(source).tokenize()``.
+    """
+    if not source.isascii():
+        return None
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    pos, end = 0, len(source)
+    line, line_start = 1, 0
+    while pos < end:
+        found = match(source, pos)
+        if found is None:
+            return None
+        kind, text = found.lastgroup, found.group()
+        start, pos = pos, found.end()
+        column = start - line_start + 1
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "word":
+            append(Token("KEYWORD" if text in KEYWORDS else "IDENT", text, line, column))
+        elif kind == "op":
+            append(Token("OP", text, line, column))
+        elif kind == "decimal":
+            size_text = text.replace("_", "")
+            append(Token("NUMBER", size_text, line, column, value=int(size_text)))
+        elif kind == "based":
+            quote = text.index("'")
+            size_text = text[:quote].replace("_", "")
+            digits = text[quote + 2:].translate(_UNKNOWN_DIGITS)
+            try:
+                value = int(digits, _BASES[text[quote + 1].lower()])
+            except ValueError:  # no digits, or digits outside the base
+                return None
+            width = int(size_text) if size_text else max(value.bit_length(), 1)
+            append(Token("NUMBER", text, line, column, value=value, width=width))
+        else:  # escaped identifier: the backslash is not part of the name
+            append(Token("IDENT", text[1:], line, column))
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
+    return tokens
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source`` and return the token list (including EOF)."""
-    return Lexer(source).tokenize()
+    tokens = scan_tokens(source)
+    return tokens if tokens is not None else Lexer(source).tokenize()

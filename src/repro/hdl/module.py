@@ -5,17 +5,28 @@ simulator compiles its processes, the static analyzer extracts logic
 cones from it, the synthesizer turns its processes into per-signal
 next-value expressions, and the coverage engines instrument its statements
 and expressions.
+
+A module is read-only once :meth:`Module.validate` has run: the parser
+hands out one shared instance per source text (see
+:func:`repro.hdl.parser.parse_modules`), and what other layers derive
+from it — the synthesized view, the lane netlist, generated simulator
+code — is kept on the module itself (:meth:`Module.derived`).  The
+``add_*`` helpers drop those artefacts, so a module still under
+construction never serves a stale one; code that needs a changed design
+builds a new module, as :mod:`repro.faults.mutation` does.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from repro.hdl.ast import Expr, mask
 from repro.hdl.errors import ElaborationError
 from repro.hdl.stmt import Assign, Block, Statement
+
+T = TypeVar("T")
 
 
 class SignalKind(enum.Enum):
@@ -108,7 +119,7 @@ class AlwaysBlock:
 
 @dataclass
 class Module:
-    """A parsed-and-elaborated RTL module."""
+    """A parsed-and-elaborated RTL module (read-only once validated)."""
 
     name: str
     ports: list[Port] = field(default_factory=list)
@@ -117,6 +128,24 @@ class Module:
     processes: list[AlwaysBlock] = field(default_factory=list)
     clock: str | None = None
     reset: str | None = None
+    #: Artefacts derived from this module, by key; see :meth:`derived`.
+    _derived: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The artefact ``key`` derived from this module, built on first use.
+
+        ``build`` must depend on the module alone.  A build that raises
+        stores nothing, so it raises again on the next call.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+    def __getstate__(self) -> dict:
+        # Derived artefacts hold compiled code; a pickled copy rebuilds them.
+        return {**self.__dict__, "_derived": {}}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -126,6 +155,7 @@ class Module:
         """Declare a signal, raising on duplicate declarations."""
         if name in self.signals:
             raise ElaborationError(f"signal '{name}' declared twice in module '{self.name}'")
+        self._derived.clear()
         signal = Signal(name, width, kind, reset_value)
         self.signals[name] = signal
         if kind in (SignalKind.INPUT, SignalKind.OUTPUT):
@@ -133,11 +163,13 @@ class Module:
         return signal
 
     def add_assign(self, target: str, expr: Expr) -> ContinuousAssign:
+        self._derived.clear()
         assign = ContinuousAssign(target, expr)
         self.assigns.append(assign)
         return assign
 
     def add_process(self, process: AlwaysBlock) -> AlwaysBlock:
+        self._derived.clear()
         self.processes.append(process)
         return process
 
@@ -161,13 +193,16 @@ class Module:
     @property
     def state_names(self) -> list[str]:
         """Signals assigned by sequential processes (the design's registers)."""
+        return list(self.derived("state_names", self._state_names))
+
+    def _state_names(self) -> tuple[str, ...]:
         result: list[str] = []
         for process in self.processes:
             if process.kind is ProcessKind.SEQUENTIAL:
                 for name in sorted(process.assigned_signals()):
                     if name not in result:
                         result.append(name)
-        return result
+        return tuple(result)
 
     def signal(self, name: str) -> Signal:
         try:
@@ -184,8 +219,9 @@ class Module:
         return name in self.signals
 
     def iter_statements(self) -> Iterator[Statement]:
-        for process in self.processes:
-            yield from process.iter_statements()
+        """Every statement of every process, in pre-order (walked once)."""
+        return iter(self.derived("statements", lambda: tuple(
+            stmt for process in self.processes for stmt in process.iter_statements())))
 
     def iter_assignments(self) -> Iterator[Assign]:
         for stmt in self.iter_statements():
@@ -210,10 +246,29 @@ class Module:
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural well-formedness; raise :class:`ElaborationError`."""
+        """Check structural well-formedness; raise :class:`ElaborationError`.
+
+        Also numbers the statements whose ``stmt_id`` is still 0, in
+        pre-order after the highest id already set, so a parsed module's
+        ids run 1, 2, ... and a mutant keeps the ids it carried over.
+        The checks run once: a validated module is read-only, and the
+        ``add_*`` helpers drop the mark along with every derived artefact.
+        """
+        self.derived("validated", self._validate)
+
+    def _validate(self) -> None:
         self._check_references()
         self._check_drivers()
         self._check_clock_and_reset()
+        self._number_statements()
+
+    def _number_statements(self) -> None:
+        statements = list(self.iter_statements())
+        next_id = max((stmt.stmt_id for stmt in statements), default=0)
+        for stmt in statements:
+            if not stmt.stmt_id:
+                next_id += 1
+                stmt.stmt_id = next_id
 
     def _check_references(self) -> None:
         for expr in self.iter_expressions():

@@ -14,9 +14,16 @@ Supported constructs (everything the bundled benchmark designs need):
 Deliberately out of scope (not needed by any evaluated design): module
 instantiation hierarchies, generate blocks, tasks/functions, delays,
 four-state values and assignments to bit/part selects.
+
+Parsing is memoised per source text (:data:`PARSE_CACHE_SIZE` texts per
+process): every call on one text returns the same elaborated
+:class:`~repro.hdl.module.Module` objects, which are read-only from then
+on.  A source that fails to parse is never cached and raises every time.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.hdl.ast import (
     BinaryOp,
@@ -489,9 +496,22 @@ class Parser:
         return Concat(tuple(parts))
 
 
+#: Distinct source texts whose parsed modules are kept per process.
+PARSE_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_once(source: str) -> tuple[Module, ...]:
+    return tuple(Parser(source).parse_modules())
+
+
 def parse_modules(source: str) -> list[Module]:
-    """Parse every module in ``source``."""
-    return Parser(source).parse_modules()
+    """Parse every module in ``source``.
+
+    The list is new on every call; the modules in it are shared by every
+    caller that parses the same text, and must not be mutated.
+    """
+    return list(_parse_once(source))
 
 
 def parse_module(source: str, name: str | None = None) -> Module:

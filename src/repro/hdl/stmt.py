@@ -2,25 +2,19 @@
 
 The subset supports blocking/non-blocking assignments, ``if``/``else``,
 ``case`` with constant labels and a default arm, and ``begin``/``end``
-blocks.  Statements carry stable integer ids (assigned at parse/build time)
-so the coverage engines can key statement and branch hits without relying
-on object identity.
+blocks.  Statements carry integer ids so the coverage engines can key
+statement and branch hits without relying on object identity.  Ids are
+numbered per module, in pre-order, by :meth:`repro.hdl.module.Module.validate`
+(which the parser calls): a statement built by hand has ``stmt_id`` 0 until
+its module is validated, so two elaborations of one source carry equal ids.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.hdl.ast import Expr
-
-_STMT_COUNTER = itertools.count(1)
-
-
-def _next_stmt_id() -> int:
-    return next(_STMT_COUNTER)
-
 
 @dataclass
 class Statement:
@@ -57,7 +51,7 @@ class Assign(Statement):
     target: str
     expr: Expr
     blocking: bool = False
-    stmt_id: int = field(default_factory=_next_stmt_id)
+    stmt_id: int = 0
 
     def assigned_signals(self) -> set[str]:
         return {self.target}
@@ -75,7 +69,7 @@ class Block(Statement):
     """A ``begin ... end`` sequence of statements."""
 
     statements: list[Statement] = field(default_factory=list)
-    stmt_id: int = field(default_factory=_next_stmt_id)
+    stmt_id: int = 0
 
     def iter_statements(self) -> Iterator[Statement]:
         yield self
@@ -107,7 +101,7 @@ class If(Statement):
     cond: Expr
     then: Block
     otherwise: Block | None = None
-    stmt_id: int = field(default_factory=_next_stmt_id)
+    stmt_id: int = 0
 
     def iter_statements(self) -> Iterator[Statement]:
         yield self
@@ -153,7 +147,7 @@ class Case(Statement):
     subject: Expr
     items: list[CaseItem] = field(default_factory=list)
     default: Block | None = None
-    stmt_id: int = field(default_factory=_next_stmt_id)
+    stmt_id: int = 0
 
     def iter_statements(self) -> Iterator[Statement]:
         yield self

@@ -48,6 +48,9 @@ class SynthesizedModule:
     next_state: dict[str, Expr] = field(default_factory=dict)
     #: Combinational targets sorted in dependency (evaluation) order.
     comb_order: list[str] = field(default_factory=list)
+    #: One-cycle support per driven signal, filled by :meth:`support_of`.
+    _supports: dict[str, frozenset[str]] = field(default_factory=dict, compare=False,
+                                                 repr=False)
 
     @property
     def registers(self) -> list[str]:
@@ -94,8 +97,14 @@ class SynthesizedModule:
         )
 
     def support_of(self, name: str) -> set[str]:
-        """Return the inputs/registers the signal ``name`` depends on (one cycle)."""
-        return self.flattened_comb(name).signals()
+        """Return the inputs/registers the signal ``name`` depends on (one cycle).
+
+        Memoised per name: a synthesized module is not changed once built.
+        """
+        support = self._supports.get(name)
+        if support is None:
+            support = self._supports[name] = frozenset(self.flattened_comb(name).signals())
+        return set(support)
 
     def check_no_latches(self) -> None:
         """Raise if any combinational target can hold its previous value."""
@@ -107,7 +116,15 @@ class SynthesizedModule:
 
 
 def synthesize(module: Module) -> SynthesizedModule:
-    """Convert ``module``'s processes into per-signal expressions."""
+    """Convert ``module``'s processes into per-signal expressions.
+
+    Memoised on the module (:meth:`Module.derived`): every caller shares
+    one result, which must not be mutated.
+    """
+    return module.derived("synth", lambda: _synthesize(module))
+
+
+def _synthesize(module: Module) -> SynthesizedModule:
     result = SynthesizedModule(module)
 
     for assign in module.assigns:

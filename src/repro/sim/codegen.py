@@ -32,9 +32,14 @@ a seen-state set and a transition set per state register.
 after every call.
 
 The source embeds no statement id and no object id — cover points map to
-slots in emission order — so structurally equal modules generate
-byte-equal source, and :func:`compile_source` compiles each distinct
-source once per process.
+slots in emission order, and the :class:`ProbeLayout` names collectors by
+their position in the ``collectors`` list — so structurally equal modules
+generate byte-equal source, and :func:`compile_source` compiles each
+distinct source once per process.  A :class:`Program` is thus independent
+of the collector objects it was generated for: :func:`generate` keeps it
+on the module (:meth:`~repro.hdl.module.Module.derived`) per trace-column
+layout and collector configuration, and every later simulator of that
+module with the same probes reuses it.
 """
 
 from __future__ import annotations
@@ -118,29 +123,35 @@ def _mask(width: int) -> int:
 class ProbeLayout:
     """What the generated probes record, and which cover points they feed.
 
-    ``slots[k]`` lists the ``(collector, point)`` pairs hit when byte ``k``
-    of ``ProbeState.hits`` is set; ``toggle_signals``/``fsm_signals`` name
-    the signals behind the toggle masks and FSM sets, by position.
+    Collectors are named by their position in the list the program was
+    generated for.  ``slots[k]`` lists the ``(position, point)`` pairs hit
+    when byte ``k`` of ``ProbeState.hits`` is set;
+    ``toggle_signals``/``fsm_signals`` name the signals behind the toggle
+    masks and FSM sets, by position; ``toggles``, ``fsms`` and
+    ``statements`` are the positions of the toggle, FSM and statement
+    collectors.
     """
 
-    slots: list[list[tuple[object, object]]] = field(default_factory=list)
+    slots: list[list[tuple[int, object]]] = field(default_factory=list)
     toggle_signals: list[str] = field(default_factory=list)
     fsm_signals: list[str] = field(default_factory=list)
-    toggles: list = field(default_factory=list)
-    fsms: list = field(default_factory=list)
-    statements: list = field(default_factory=list)
+    toggles: list[int] = field(default_factory=list)
+    fsms: list[int] = field(default_factory=list)
+    statements: list[int] = field(default_factory=list)
 
 
 class ProbeState:
     """Coverage accumulated by one simulator's generated code.
 
     Everything grows monotonically; :meth:`fold` adds what is new since
-    the previous fold to the collectors, so folding after every call costs
-    little once coverage saturates.
+    the previous fold to ``collectors`` (in the order the program was
+    generated for), so folding after every call costs little once
+    coverage saturates.
     """
 
-    def __init__(self, layout: ProbeLayout):
+    def __init__(self, layout: ProbeLayout, collectors: Sequence):
         self.layout = layout
+        self.collectors = list(collectors)
         self.hits = bytearray(len(layout.slots))
         self._folded_hits = bytes(len(layout.slots))
         toggles = len(layout.toggle_signals)
@@ -157,12 +168,12 @@ class ProbeState:
 
     def fold(self, cycles: int) -> None:
         """Add newly observed points to the collectors' ``covered_points``."""
-        layout = self.layout
+        layout, collectors = self.layout, self.collectors
         if self.hits != self._folded_hits:
             for slot, (now, before) in enumerate(zip(self.hits, self._folded_hits)):
                 if now and not before:
-                    for collector, point in layout.slots[slot]:
-                        collector._hit(point)
+                    for position, point in layout.slots[slot]:
+                        collectors[position]._hit(point)
             self._folded_hits = bytes(self.hits)
         if (self.toggle_rise, self.toggle_fall) != self._folded_toggles:
             self._fold_toggles()
@@ -170,7 +181,7 @@ class ProbeState:
             seen, transitions = self.fsm_seen[k], self.fsm_transitions[k]
             if (len(seen), len(transitions)) == self._folded_fsm[k]:
                 continue
-            for collector in layout.fsms:
+            for collector in (collectors[position] for position in layout.fsms):
                 if name in collector.state_signals:
                     for value in seen:
                         collector._hit((name, value))
@@ -178,14 +189,16 @@ class ProbeState:
             self._folded_fsm[k] = (len(seen), len(transitions))
         if cycles and not self._cycled:
             # Continuous assigns execute on every cycle.
-            for collector in layout.statements:
+            for position in layout.statements:
+                collector = collectors[position]
                 for index, _ in enumerate(collector.module.assigns):
                     collector.covered_points.add(("assign", index))
             self._cycled = True
 
     def _fold_toggles(self) -> None:
         index = {name: k for k, name in enumerate(self.layout.toggle_signals)}
-        for collector in self.layout.toggles:
+        for position in self.layout.toggles:
+            collector = self.collectors[position]
             for name in collector._tracked:
                 k = index.get(name)
                 if k is None:
@@ -212,8 +225,26 @@ def generate(module: Module, collectors: Sequence = (),
 
     ``collectors`` are coverage collectors (the six types of
     :mod:`repro.coverage.collectors`); ``columns`` is the trace-row layout.
+    When every collector observes ``module`` itself, the program is
+    generated once per module, column layout and collector configuration
+    and shared; it must not be mutated.
     """
-    return _Emitter(module, list(collectors), list(columns)).program()
+    collectors, columns = list(collectors), list(columns)
+    if any(collector.module is not module for collector in collectors):
+        return _Emitter(module, collectors, columns).program()
+    key = ("codegen", tuple(columns), tuple(_probe_key(c) for c in collectors))
+    return module.derived(key, lambda: _Emitter(module, collectors, columns).program())
+
+
+def _probe_key(collector) -> tuple:
+    """What of ``collector``, besides its module, shapes the probes."""
+    from repro.coverage.collectors import FsmCoverage, ToggleCoverage
+
+    if isinstance(collector, ToggleCoverage):
+        return (type(collector), tuple(collector._tracked))
+    if isinstance(collector, FsmCoverage):
+        return (type(collector), tuple(collector.state_signals))
+    return (type(collector),)
 
 
 class _Suite:
@@ -264,22 +295,25 @@ class _Emitter:
         self._slot_of: dict[tuple, int] = {}
         self._widths: dict[int, int] = {}
 
-        self.statement_cov = [c for c in collectors if isinstance(c, StatementCoverage)]
-        self.branch_cov = [c for c in collectors if isinstance(c, BranchCoverage)]
+        def positions(kind) -> list[int]:
+            return [position for position, c in enumerate(collectors) if isinstance(c, kind)]
+
+        self.statement_cov = positions(StatementCoverage)
+        self.branch_cov = positions(BranchCoverage)
         self.atom_tables = [
-            (position, c._atoms_by_expr if isinstance(c, ConditionCoverage) else c._bins_by_expr, c)
+            (position, c._atoms_by_expr if isinstance(c, ConditionCoverage) else c._bins_by_expr)
             for position, c in enumerate(collectors)
             if isinstance(c, (ConditionCoverage, ExpressionCoverage))
         ]
         self.layout.statements = self.statement_cov
-        self.layout.toggles = [c for c in collectors if isinstance(c, ToggleCoverage)]
-        self.layout.fsms = [c for c in collectors if isinstance(c, FsmCoverage)]
-        for collector in self.layout.toggles:
-            for name in collector._tracked:
+        self.layout.toggles = positions(ToggleCoverage)
+        self.layout.fsms = positions(FsmCoverage)
+        for position in self.layout.toggles:
+            for name in collectors[position]._tracked:
                 if name in self.widths and name not in self.layout.toggle_signals:
                     self.layout.toggle_signals.append(name)
-        for collector in self.layout.fsms:
-            for name in collector.state_signals:
+        for position in self.layout.fsms:
+            for name in collectors[position].state_signals:
                 if name not in self.layout.fsm_signals:
                     self.layout.fsm_signals.append(name)
         self.probed = bool(collectors)
@@ -302,7 +336,7 @@ class _Emitter:
         self.emit(header)
         return _Suite(self)
 
-    def _slot(self, key: tuple, targets: list[tuple[object, object]]) -> int:
+    def _slot(self, key: tuple, targets: list[tuple[int, object]]) -> int:
         slot = self._slot_of.get(key)
         if slot is None:
             slot = self._slot_of[key] = len(self.layout.slots)
@@ -430,22 +464,22 @@ class _Emitter:
     def probe_expression(self, expr: Expr) -> None:
         """Condition atoms and expression bins of ``expr`` (the
         interpreter's ``on_expression`` site)."""
-        for position, table, collector in self.atom_tables:
+        for position, table in self.atom_tables:
             for index, atom in table.get(id(expr), ()):
-                low = self._slot(("atom", position, index, 0), [(collector, (index, 0))])
-                high = self._slot(("atom", position, index, 1), [(collector, (index, 1))])
+                low = self._slot(("atom", position, index, 0), [(position, (index, 0))])
+                high = self._slot(("atom", position, index, 1), [(position, (index, 1))])
                 self.emit(f"H[{high} if {self.truth(atom)} else {low}] = 1")
 
     def probe_statement(self, stmt: Assign) -> None:
         if self.statement_cov:
             point = ("stmt", stmt.stmt_id)
-            slot = self._slot(point, [(c, point) for c in self.statement_cov])
+            slot = self._slot(point, [(position, point) for position in self.statement_cov])
             self.emit(f"H[{slot}] = 1")
 
     def probe_branch(self, stmt: Statement, arm: str) -> None:
         if self.branch_cov:
             point = (stmt.stmt_id, arm)
-            slot = self._slot(point, [(c, point) for c in self.branch_cov])
+            slot = self._slot(point, [(position, point) for position in self.branch_cov])
             self.emit(f"H[{slot}] = 1")
 
     def probe_toggles(self, site: str) -> None:

@@ -22,7 +22,8 @@ false combinational cycles fall back to bounded fixpoint iteration.
 On the first run the simulator generates one Python function for the
 design and its collectors (:mod:`repro.sim.codegen`) that simulates a
 whole input sequence over local ints; ``run``, ``step``, ``reset`` and
-``load_state`` all call it.  Nothing is generated in ``__init__``, so
+``load_state`` all call it.  The generated program is kept on the module,
+so later simulators of the design with the same probes reuse it.  Nothing is generated in ``__init__``, so
 building a simulator only for its :attr:`trace_columns` stays cheap.
 """
 
@@ -93,7 +94,8 @@ class Simulator(SimulatorBase):
             program = codegen.generate(self.module, self.observers, self.trace_columns)
             namespace = {"SimulationError": SimulationError}
             exec(codegen.compile_source(program.source), namespace)
-            probes = codegen.ProbeState(program.layout) if self.observers else None
+            probes = (codegen.ProbeState(program.layout, self.observers)
+                      if self.observers else None)
             self._program = (namespace["simulate"], probes)
         function, probes = self._program
         rows: list[tuple[int, ...]] = []

@@ -144,11 +144,13 @@ class TestConfigJson:
                                            if key not in retired}, **remapped}
 
     @pytest.mark.parametrize("retired,induction_k", [("bmc", 0),
+                                                      ("bmc-fresh", 0),
                                                       ("k-induction", 5)])
     def test_retired_sat_engine_names_load_as_tiered(self, retired, induction_k):
-        """A 1.18 manifest may name a retired SAT engine: ``bmc`` loads as
-        ``tiered`` at ``induction_k=0``, ``k-induction`` as ``tiered`` at
-        the manifest's own depth; every other field is kept."""
+        """A manifest may name a retired SAT engine: ``bmc`` (1.18) and
+        ``bmc-fresh`` (1.13) load as ``tiered`` at ``induction_k=0``,
+        ``k-induction`` as ``tiered`` at the manifest's own depth; every
+        other field is kept."""
         v1_18 = {**GoldMineConfig(window=2, bound=6, induction_k=5).to_json(),
                  "engine": retired}
         config = GoldMineConfig.from_json(v1_18)

@@ -23,10 +23,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             info("not_a_design")
 
-    def test_load_returns_fresh_instances(self):
-        first = load("arbiter2")
-        second = load("arbiter2")
-        assert first is not second
+    def test_load_shares_one_instance_per_design(self):
+        # Parsing is memoised per source text: every load of a design is
+        # the one read-only module, and different designs stay apart.
+        assert load("arbiter2") is load("arbiter2") is info("arbiter2").build()
+        assert load("arbiter2") is not load("arbiter4")
 
     def test_directed_test_metadata(self):
         meta = info("arbiter2")

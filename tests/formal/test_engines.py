@@ -71,12 +71,6 @@ class TestStateSpace:
         with pytest.raises(FormalEngineError):
             StateSpace(wb_module, max_input_combinations=4)
 
-    def test_pinned_inputs_reduce_exploration(self, wb_module):
-        space = StateSpace(wb_module, pinned_inputs={"mem_valid": 0})
-        for vector in space.input_vectors:
-            assert vector["mem_valid"] == 0
-
-
 class TestKnownVerdicts:
     @pytest.mark.parametrize("assertion,expected", KNOWN,
                              ids=[a.name for a, _ in KNOWN])
@@ -138,19 +132,6 @@ class TestCounterexamples:
         result = ExplicitModelChecker(fetch_module).check(assertion)
         assert result.is_false
         assert self._replay_violates(fetch_module, assertion, result.counterexample)
-
-    def test_counterexample_honours_pinned_inputs(self, wb_module):
-        # The consequent lies one cycle past the window, so the witness ends
-        # with an idle padding cycle; it must keep the pin like every other.
-        assertion = Assertion((), Literal("wb_valid", 0, 1), 1)
-        checker = ExplicitModelChecker(wb_module, pinned_inputs={"mem_valid": 1})
-        result = checker.check(assertion)
-        assert result.is_false
-        vectors = result.counterexample.input_vectors
-        assert len(vectors) > result.counterexample.window_start + assertion.window
-        assert [vector["mem_valid"] for vector in vectors] == [1] * len(vectors)
-        assert self._replay_violates(wb_module, assertion, result.counterexample)
-
 
 class TestCrossEngineAgreement:
     @pytest.mark.parametrize("fixture", ["arbiter2_module", "counter_module",

@@ -166,19 +166,6 @@ class TestWindowTableMatchesLoop:
                 assert assertion.span < assertion.window
                 assert_same(table.check(assertion), loop.check(assertion))
 
-    def test_pinned_inputs(self, wb_module):
-        pins = {"mem_valid": 1}
-        table = ExplicitModelChecker(wb_module, pinned_inputs=pins)
-        loop = LoopExplicitModelChecker(wb_module, pinned_inputs=pins)
-        corpus = random_assertions(wb_module, table, random.Random(3), 2 * RANDOM_ASSERTIONS)
-        corpus.append(Assertion((), Literal("wb_valid", 0, 1), 1))
-        for assertion in corpus:
-            table_result = table.check(assertion)
-            assert_same(table_result, loop.check(assertion))
-            if table_result.counterexample is not None:
-                assert all(vector["mem_valid"] == 1
-                           for vector in table_result.counterexample.input_vectors)
-
 
 class TestSmallBlocks:
     """Block size 5 and a 12-row budget: many blocks, split states, drops."""

@@ -5,8 +5,8 @@ design's compiled netlist.  The reference here is a plain BFS that steps
 every (state, input vector) pair through the scalar simulator
 (``load_state`` + ``step``).  The two must agree on the reachable order,
 on every reset path and on every successor list — next state, sampled
-valuation and the valuation's key order — on every bundled design, on a
-pinned design, on random FSMs and with levels split into tiny batches.
+valuation and the valuation's key order — on every bundled design, on
+random FSMs and with levels split into tiny batches.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ def assert_matches_scalar(space: StateSpace) -> None:
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_bundled_design_matches_scalar(name):
     assert_matches_scalar(StateSpace(load(name)))
-
-
-def test_pinned_inputs_match_scalar():
-    assert_matches_scalar(StateSpace(load("wbstage"), pinned_inputs={"mem_valid": 0}))
 
 
 @pytest.mark.parametrize("seed", range(50))

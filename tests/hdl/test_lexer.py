@@ -7,8 +7,16 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.designs import arbiters, itc99, rigel, simple
 from repro.hdl.errors import ParseError
-from repro.hdl.lexer import tokenize
+from repro.hdl.lexer import Lexer, scan_tokens, tokenize
+
+SOURCES = {
+    name: text
+    for module in (arbiters, itc99, rigel, simple)
+    for name, text in sorted(vars(module).items())
+    if name.endswith("_SOURCE") and isinstance(text, str)
+}
 
 
 def kinds(source):
@@ -178,3 +186,40 @@ class TestOperators:
         with pytest.raises(ParseError) as excinfo:
             tokenize("a § b")
         assert "line 1" in str(excinfo.value)
+
+
+class TestMasterPattern:
+    """The regex scanner against the character-level reference lexer."""
+
+    def test_equal_tokens_on_every_design_source(self):
+        assert len(SOURCES) == 13
+        for name, source in SOURCES.items():
+            assert scan_tokens(source) == Lexer(source).tokenize(), name
+
+    @pytest.mark.parametrize("source", [
+        "a § b",             # stray non-ASCII character
+        "x /* open",         # unterminated block comment
+        "4'q1",              # unknown base after a size
+        "8'b",               # no digits
+        "4'b102",            # digit outside the base
+        "a\fb",             # a form feed is no whitespace here
+        "a $b",              # ``$`` cannot start an identifier
+    ])
+    def test_unmatched_input_falls_back_to_the_located_error(self, source):
+        assert scan_tokens(source) is None
+        with pytest.raises(ParseError) as scanned:
+            tokenize(source)
+        with pytest.raises(ParseError) as reference:
+            Lexer(source).tokenize()
+        assert str(scanned.value) == str(reference.value)
+
+    def test_non_ascii_identifier_uses_the_character_level_path(self):
+        assert scan_tokens("caf\u00e9") is None
+        assert texts("caf\u00e9 x") == ["caf\u00e9", "x"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=string.printable, max_size=60))
+    def test_scan_equals_reference_wherever_it_succeeds(self, source):
+        scanned = scan_tokens(source)
+        if scanned is not None:
+            assert scanned == Lexer(source).tokenize()

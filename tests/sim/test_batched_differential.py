@@ -259,4 +259,4 @@ def test_shared_netlist_reuse():
             == BatchedSimulator(module, lanes=4).run_random_block(
                 20, seed=3).to_traces())
     with pytest.raises(ValueError, match="different module"):
-        BatchedSimulator(load("b01"), lanes=4, netlist=netlist)
+        BatchedSimulator(load("b02"), lanes=4, netlist=netlist)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from repro.coverage.collectors import default_collectors
 from repro.designs import info
+from repro.designs.itc99 import B12_CLASS_SOURCE
 from repro.faults import StuckAtFault, inject_fault
+from repro.hdl.parser import Parser
 from repro.hdl.stmt import Assign
 from repro.sim import codegen
 from repro.sim.simulator import Simulator
@@ -24,16 +26,19 @@ def _compiled(module, fsm_signals):
 
 def test_rebuilt_design_shares_source_and_code_object():
     meta = info("b12")
-    first, second = meta.build(), meta.build()
-    assert set(_statement_ids(first)).isdisjoint(_statement_ids(second))
+    cached = meta.build()
+    # A cold parse of the same text bypasses the parse cache.
+    [cold] = Parser(B12_CLASS_SOURCE).parse_modules()
+    assert cold is not cached
+    assert _statement_ids(cold) == _statement_ids(cached)
     (sim_a, source_a), (sim_b, source_b) = (_compiled(m, meta.fsm_signals)
-                                            for m in (first, second))
+                                            for m in (cached, cold))
     assert source_a == source_b
     assert sim_a._program[0].__code__ is sim_b._program[0].__code__
-    # The slots still map to each build's own statement ids.
+    # Statement ids are per module, so both builds report the same points.
     ours, theirs = ({point for point in sim.observers[0].covered_points if point[0] == "stmt"}
                     for sim in (sim_a, sim_b))
-    assert ours and ours.isdisjoint(theirs) and len(ours) == len(theirs)
+    assert ours and ours == theirs
 
 
 def test_stuck_at_mutant_generates_different_source():
