@@ -11,7 +11,7 @@ environment".
 The example runs the zero-seed study on three designs (the arbiters and
 the Rigel-like fetch stage), prints the per-iteration coverage table
 (paper Table 1), and dumps the generated bring-up test suite for one of
-them as a VCD-able stimulus listing.
+them as a per-cycle stimulus listing.
 
 Run with:  python examples/zero_seed_bringup.py
 """

@@ -9,8 +9,6 @@
   on a flat clause arena with blocker-literal watch lists (VSIDS,
   first-UIP learning, phase saving, restarts, compacting learned-clause
   database reduction, per-solve instrumentation).
-* :mod:`repro.boolean.certify` — reverse-unit-propagation checking of
-  the solver's learned-clause derivations (UNSAT certificates).
 * :mod:`repro.boolean.incremental` — a persistent CnfBuilder/SatSolver
   pair whose queries encode, then assume the goal's literals, the
   substrate of the incremental BMC engine.
@@ -19,7 +17,6 @@
 """
 
 from repro.boolean.bdd import BDD
-from repro.boolean.certify import CertificateError, check_rup_proof, rup_implied
 from repro.boolean.cnf import CnfBuilder, Clause, canonical_clause
 from repro.boolean.incremental import IncrementalSolver, ReuseCounters
 from repro.boolean.expr import (
@@ -40,7 +37,6 @@ from repro.boolean.sat import SatResult, SatSolver, solve_clauses, solve_expr
 __all__ = [
     "BDD",
     "BoolExpr",
-    "CertificateError",
     "Clause",
     "CnfBuilder",
     "FALSE",
@@ -51,13 +47,11 @@ __all__ = [
     "TRUE",
     "and_",
     "canonical_clause",
-    "check_rup_proof",
     "iff",
     "implies",
     "ite",
     "not_",
     "or_",
-    "rup_implied",
     "solve_clauses",
     "solve_expr",
     "var",

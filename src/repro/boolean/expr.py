@@ -31,7 +31,35 @@ class BoolExpr:
     __slots__ = ()
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        raise NotImplementedError
+        """Truth value under ``assignment``; absent variables read as 0.
+
+        Runs the expression's linearised program (:func:`_linearise`,
+        built once per root): each shared DAG node is computed once, in
+        topological order and without recursion, so neither deep unrolled
+        bit functions nor subgraphs shared along many paths cost more
+        than the DAG's size.
+        """
+        program = _PROGRAMS.get(self)
+        if program is None:
+            program = _PROGRAMS[self] = _linearise(self)
+        values: list[bool] = []
+        push = values.append
+        for op, arg in program:
+            if op == _NOT:
+                push(not values[arg])
+            elif op == _AND:
+                push(all([values[index] for index in arg]))
+            elif op == _VAR:
+                push(bool(assignment.get(arg, False)))
+            elif op == _ITE:
+                push(values[arg[1]] if values[arg[0]] else values[arg[2]])
+            elif op == _OR:
+                push(any([values[index] for index in arg]))
+            elif op == _XOR:
+                push(values[arg[0]] != values[arg[1]])
+            else:
+                push(arg)
+        return values[-1]
 
     def support(self) -> frozenset[str]:
         """Names of the variables this expression reads (:func:`support_of`)."""
@@ -59,9 +87,6 @@ class BConst(BoolExpr):
 
     value: bool
 
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return self.value
-
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
 
@@ -72,9 +97,6 @@ class BVar(BoolExpr):
 
     name: str
 
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return bool(assignment[self.name])
-
     def __repr__(self) -> str:
         return self.name
 
@@ -84,9 +106,6 @@ class BNot(BoolExpr):
     """Negation."""
 
     operand: BoolExpr
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return not self.operand.evaluate(assignment)
 
     def children(self) -> Sequence[BoolExpr]:
         return (self.operand,)
@@ -101,9 +120,6 @@ class BAnd(BoolExpr):
 
     operands: tuple[BoolExpr, ...]
 
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return all(operand.evaluate(assignment) for operand in self.operands)
-
     def children(self) -> Sequence[BoolExpr]:
         return self.operands
 
@@ -116,9 +132,6 @@ class BOr(BoolExpr):
     """N-ary disjunction."""
 
     operands: tuple[BoolExpr, ...]
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return any(operand.evaluate(assignment) for operand in self.operands)
 
     def children(self) -> Sequence[BoolExpr]:
         return self.operands
@@ -134,9 +147,6 @@ class BXor(BoolExpr):
     left: BoolExpr
     right: BoolExpr
 
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return self.left.evaluate(assignment) != self.right.evaluate(assignment)
-
     def children(self) -> Sequence[BoolExpr]:
         return (self.left, self.right)
 
@@ -151,11 +161,6 @@ class BIte(BoolExpr):
     cond: BoolExpr
     then: BoolExpr
     other: BoolExpr
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        if self.cond.evaluate(assignment):
-            return self.then.evaluate(assignment)
-        return self.other.evaluate(assignment)
 
     def children(self) -> Sequence[BoolExpr]:
         return (self.cond, self.then, self.other)
@@ -214,14 +219,48 @@ def support_of(expr: BoolExpr,
     return memo[expr]
 
 
-def clear_hashcons() -> None:
-    """Drop the intern table (tests / explicit memory shedding).
+#: Opcodes of a linearised program step ``(op, arg)``: ``arg`` is the
+#: constant, the variable name, or the operand slot index(es).
+_CONST, _VAR, _NOT, _AND, _OR, _XOR, _ITE = range(7)
 
-    Nodes already handed out stay valid, but expressions built afterwards
-    no longer share identity with them — only call this between
-    independent work units.
-    """
-    _HASHCONS.clear()
+#: Root node -> its linearised program.  Keys are weak, so a program
+#: dies with its root; steps hold slot indices and names, never nodes.
+_PROGRAMS: "weakref.WeakKeyDictionary[BoolExpr, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _linearise(root: BoolExpr) -> tuple[tuple[int, object], ...]:
+    """The evaluation program of ``root``: one step per distinct DAG node
+    in post-order (operands before users), ``root`` last."""
+    slots: dict[BoolExpr, int] = {}
+    program: list[tuple[int, object]] = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in slots:
+            stack.pop()
+            continue
+        unresolved = [child for child in node.children() if child not in slots]
+        if unresolved:
+            stack.extend(unresolved)
+            continue
+        stack.pop()
+        if isinstance(node, BVar):
+            step = (_VAR, node.name)
+        elif isinstance(node, BAnd):
+            step = (_AND, tuple(slots[operand] for operand in node.operands))
+        elif isinstance(node, BOr):
+            step = (_OR, tuple(slots[operand] for operand in node.operands))
+        elif isinstance(node, BNot):
+            step = (_NOT, slots[node.operand])
+        elif isinstance(node, BXor):
+            step = (_XOR, (slots[node.left], slots[node.right]))
+        elif isinstance(node, BIte):
+            step = (_ITE, (slots[node.cond], slots[node.then], slots[node.other]))
+        else:
+            step = (_CONST, node.value)
+        slots[node] = len(program)
+        program.append(step)
+    return tuple(program)
 
 
 def var(name: str) -> BVar:

@@ -25,7 +25,7 @@ implementation but lays its data out the way hardware solvers do:
   is hit, the low-activity half is dropped and the arena is rewritten in
   place: live literals slide down, clause ids are renumbered densely, and
   watch/reason references are remapped — no free holes survive a
-  reduction (the invariant checker asserts header contiguity).
+  reduction.
 
 The CDCL machinery itself is unchanged: two-watched-literal propagation,
 first-UIP learning with non-chronological backjumping, VSIDS from a lazy
@@ -41,12 +41,7 @@ blocker hit rate and ``assigned`` (trail literals above the root when
 the solve ended: the whole non-root assignment a SAT answer decides),
 and :meth:`SatSolver.stats_total` exposes the process-lifetime totals
 (surfaced as ``sat_*`` counters in ``VerifierStatistics.reuse`` by the
-formal layer).  Two debug modes back
-the solver test battery: ``debug_checks=True`` asserts the watch/arena/
-trail invariants after every propagation fixpoint, and ``certify=True``
-records every learned clause (plus the final empty clause on
-assumption-free UNSAT answers) in :attr:`SatSolver.proof` for reverse
-unit propagation checking by :mod:`repro.boolean.certify`.
+formal layer).
 """
 
 from __future__ import annotations
@@ -96,15 +91,10 @@ class SatSolver:
     ``max_learned`` caps the learned-clause database: when the cap is
     reached the lower-activity half of the (non-binary, non-reason)
     learned clauses is dropped and the arena compacted in place.
-    ``debug_checks`` asserts the solver invariants after every
-    propagation fixpoint; ``certify`` records learned clauses in
-    :attr:`proof` for RUP checking.  Both debug modes are off on the
-    production path.
     """
 
     def __init__(self, clauses: Iterable[Clause] = (), variable_count: int = 0,
-                 max_learned: int = 4000, debug_checks: bool = False,
-                 certify: bool = False):
+                 max_learned: int = 4000):
         # --- clause arena -------------------------------------------------
         #: All clause literals (internal codes), one flat contiguous
         #: buffer.  Plain lists, not ``array``: CPython boxes a fresh int
@@ -175,13 +165,6 @@ class SatSolver:
         #: Optional interrupt callback polled at every conflict and every
         #: 128th decision; ``None`` keeps the hot loop free of the check.
         self._interrupt = None
-        # --- debug modes ---------------------------------------------------
-        self._debug = debug_checks
-        self._certify = certify
-        #: Learned-clause derivations (external literal tuples) when
-        #: ``certify`` is on; ends with ``()`` after an assumption-free
-        #: UNSAT answer.
-        self.proof: list[tuple[int, ...]] = []
         # Register declared variables before loading clauses so intake's
         # per-literal registration check is a cheap bytearray hit.
         for variable in range(1, variable_count + 1):
@@ -372,14 +355,6 @@ class SatSolver:
     # ------------------------------------------------------------------
     # assignment helpers (cold paths; _propagate inlines all of this)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _code(literal: int) -> int:
-        return (literal << 1) if literal > 0 else ((-literal) << 1) | 1
-
-    @staticmethod
-    def _external(code: int) -> int:
-        return -(code >> 1) if code & 1 else (code >> 1)
-
     def _assign(self, code: int, reason: int) -> None:
         values = self._values
         values[code] = 1
@@ -544,8 +519,6 @@ class SatSolver:
         self.propagations += propagated
         self.blocker_hits += hits
         self.watch_checks += checks
-        if conflict < 0 and self._debug:
-            self.check_invariants()
         return conflict
 
     # ------------------------------------------------------------------
@@ -688,8 +661,6 @@ class SatSolver:
         self.learned_dropped += len(dead)
         self._learned_live -= len(dead)
         self.db_reductions += 1
-        if self._debug:
-            self._check_arena()
 
     def _compact(self, dead: set[int]) -> None:
         """Rewrite the arena in place without ``dead`` and renumber ids.
@@ -762,8 +733,6 @@ class SatSolver:
 
     def _attach_learned(self, codes: list[int]) -> int:
         """Store a learned clause; returns its id (-1 for learned units)."""
-        if self._certify:
-            self.proof.append(tuple(self._external(code) for code in codes))
         if len(codes) == 1:
             # A learned unit is permanent level-0 knowledge: index it so
             # every later solve assigns it up front.
@@ -829,9 +798,8 @@ class SatSolver:
         self.solves += 1
         base = (self.propagations, self.decisions, self.conflicts,
                 self.restarts, self.blocker_hits, self.watch_checks)
-        certify_empty = self._certify and not assumptions
         if self._has_empty:
-            return self._finish(False, base, certify_empty)
+            return self._finish(False, base)
         values = self._values
         # Assert units learned by earlier solves at the root level.
         if self._units:
@@ -839,7 +807,7 @@ class SatSolver:
                 value = values[code]
                 if value < 0:
                     self._has_empty = True
-                    return self._finish(False, base, certify_empty)
+                    return self._finish(False, base)
                 if value == 0:
                     self._assign(code, -1)
             del self._units[:]
@@ -848,7 +816,7 @@ class SatSolver:
         conflict = self._propagate()
         if conflict >= 0:
             self._has_empty = True
-            return self._finish(False, base, certify_empty)
+            return self._finish(False, base)
 
         for literal in assumptions:
             if literal == 0:
@@ -858,13 +826,13 @@ class SatSolver:
             code = (literal << 1) if literal > 0 else (variable << 1) | 1
             value = values[code]
             if value < 0:
-                return self._finish(False, base, certify_empty)
+                return self._finish(False, base)
             if value == 0:
                 self._trail_limits.append(len(self._trail))
                 self._assign(code, -1)
                 conflict = self._propagate()
                 if conflict >= 0:
-                    return self._finish(False, base, certify_empty)
+                    return self._finish(False, base)
 
         assumption_levels = len(self._trail_limits)
         restart_count = 0
@@ -884,12 +852,12 @@ class SatSolver:
                     # is not a fixpoint; latching _has_empty retires it.)
                     if assumption_levels == 0:
                         self._has_empty = True
-                    return self._finish(False, base, certify_empty)
+                    return self._finish(False, base)
                 learned, backjump_level = self._analyze(conflict)
                 if not learned or backjump_level < 0:
                     if assumption_levels == 0:
                         self._has_empty = True
-                    return self._finish(False, base, certify_empty)
+                    return self._finish(False, base)
                 backjump_level = max(backjump_level, assumption_levels)
                 self._unassign_to(backjump_level)
                 self._queue_head = len(self._trail)
@@ -901,7 +869,7 @@ class SatSolver:
                 elif value < 0:
                     if assumption_levels == 0:
                         self._has_empty = True
-                    return self._finish(False, base, certify_empty)
+                    return self._finish(False, base)
                 self._decay_activities()
                 if self._learned_live >= self._max_learned:
                     self._reduce_learned_db()
@@ -925,7 +893,7 @@ class SatSolver:
             variable = self._pick_branch_variable()
             if variable is None:
                 model = {code >> 1: not (code & 1) for code in self._trail}
-                return self._finish(True, base, False, model)
+                return self._finish(True, base, model)
             self.decisions += 1
             if (interrupt is not None and (self.decisions & 127) == 0
                     and interrupt()):
@@ -946,16 +914,11 @@ class SatSolver:
             f"solve interrupted after {self.conflicts} lifetime conflicts")
 
     def _finish(self, satisfiable: bool, base: tuple[int, ...],
-                certify_empty: bool,
                 model: dict[int, bool] | None = None) -> SatResult:
         limits = self._trail_limits
         assigned = len(self._trail) - limits[0] if limits else 0
         self.assigned += assigned
         self._reset()
-        if not satisfiable and certify_empty:
-            # An assumption-free UNSAT answer claims the empty clause is
-            # derivable; record it so the RUP checker can verify the claim.
-            self.proof.append(())
         propagations = self.propagations - base[0]
         checks = self.watch_checks - base[5]
         hits = self.blocker_hits - base[4]
@@ -985,156 +948,6 @@ class SatSolver:
         if self._trail_limits:
             self._unassign_to(0)
         self._queue_head = len(self._trail)
-
-    # ------------------------------------------------------------------
-    # debug-mode invariant checking (the property-test battery's hook)
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Assert the solver's structural invariants.
-
-        Called automatically after every propagation fixpoint when the
-        solver was built with ``debug_checks=True``; callable directly by
-        tests.  Covers:
-
-        * **watch integrity** — every live clause of size >= 2 is watched
-          on exactly its first two arena literals, each watcher entry
-          references one of those two slots, and each blocker is a
-          literal of its clause;
-        * **blocker soundness / two-watch invariant** — at a conflict-free
-          fixpoint a watched literal may only be false if the clause is
-          satisfied (its blocker or the other watch is true); equivalently
-          every unresolved clause watches two non-false literals;
-        * **arena header consistency** — headers are contiguous, sorted
-          and exactly cover the arena (no holes survive compaction);
-        * **trail/decision-level monotonicity** — trail literals are all
-          true, levels never decrease along the trail, and level
-          boundaries match ``_trail_limits``;
-        * **heap membership** — every unassigned registered variable, and
-          every variable whose ``_in_heap`` flag is set, has a heap entry
-          keyed on its current activity.
-
-        A solver whose database is unsatisfiable (``_has_empty``) is
-        retired — a root conflict legitimately stops propagation short of
-        a fixpoint, every later solve short-circuits, and no watch state
-        is ever read again — so only the arena structure is checked.
-        """
-        self._check_arena()
-        if self._has_empty:
-            return
-        self._check_watches()
-        self._check_trail()
-        self._check_heap()
-
-    def _check_arena(self) -> None:
-        offsets = self._c_offset
-        sizes = self._c_size
-        expected = 0
-        for cid in range(len(offsets)):
-            assert offsets[cid] == expected, (
-                f"arena hole before clause {cid}: offset {offsets[cid]}, "
-                f"expected {expected}")
-            assert sizes[cid] >= 2, f"arena clause {cid} has size {sizes[cid]}"
-            expected += sizes[cid]
-        assert expected == len(self._arena), (
-            f"arena headers cover {expected} literals, arena has "
-            f"{len(self._arena)}")
-
-    def _check_watches(self) -> None:
-        arena = self._arena
-        offsets = self._c_offset
-        sizes = self._c_size
-        values = self._values
-        watched: dict[int, list[int]] = {}
-        for code, watchlist in enumerate(self._watches):
-            assert len(watchlist) % 2 == 0
-            for index in range(0, len(watchlist), 2):
-                cid = watchlist[index]
-                blocker = watchlist[index + 1]
-                assert sizes[cid] >= 3, (
-                    f"binary clause {cid} found in a large watcher list")
-                offset = offsets[cid]
-                clause = arena[offset:offset + sizes[cid]]
-                assert code in (clause[0], clause[1]), (
-                    f"clause {cid} watched on literal {code} which is not in "
-                    f"its first two slots {clause[0]}, {clause[1]}")
-                assert blocker in clause, (
-                    f"watcher of clause {cid} caches blocker {blocker} "
-                    f"not in the clause")
-                # Blocker soundness: a false watched literal must be
-                # excused by a true blocker (the skip that kept it).
-                assert values[code] >= 0 or values[blocker] > 0, (
-                    f"clause {cid}: watched literal {code} is false and its "
-                    f"blocker {blocker} is not true")
-                watched.setdefault(cid, []).append(code)
-        for code, binlist in enumerate(self._bin_watches):
-            assert len(binlist) % 2 == 0
-            for index in range(0, len(binlist), 2):
-                other = binlist[index]
-                cid = binlist[index + 1]
-                assert sizes[cid] == 2, (
-                    f"clause {cid} (size {sizes[cid]}) found in a binary "
-                    f"watcher list")
-                offset = offsets[cid]
-                clause = arena[offset:offset + 2]
-                assert sorted((code, other)) == sorted(clause), (
-                    f"binary watch entry ({code}, {other}) does not match "
-                    f"clause {cid} literals {tuple(clause)}")
-                watched.setdefault(cid, []).append(code)
-        for cid in range(len(offsets)):
-            offset = offsets[cid]
-            clause = arena[offset:offset + sizes[cid]]
-            watchers = sorted(watched.get(cid, []))
-            assert watchers == sorted((clause[0], clause[1])), (
-                f"clause {cid} watchers {watchers} != first two literals "
-                f"{sorted((clause[0], clause[1]))}")
-            # Two-watch invariant: an unresolved clause watches two
-            # non-false literals.
-            if not any(values[code] > 0 for code in clause):
-                assert values[clause[0]] == 0 and values[clause[1]] == 0, (
-                    f"unresolved clause {cid} watches a false literal")
-
-    def _check_trail(self) -> None:
-        values = self._values
-        levels = self._var_level
-        limits = self._trail_limits
-        previous_level = 0
-        seen_vars: set[int] = set()
-        for position, code in enumerate(self._trail):
-            variable = code >> 1
-            assert values[code] == 1, (
-                f"trail literal {code} at position {position} is not true")
-            assert variable not in seen_vars, (
-                f"variable {variable} appears twice on the trail")
-            seen_vars.add(variable)
-            level = levels[variable]
-            assert level >= previous_level, (
-                f"trail level decreased: {previous_level} -> {level} at "
-                f"position {position}")
-            previous_level = level
-        for index, limit in enumerate(limits):
-            assert 0 <= limit <= len(self._trail)
-            if index:
-                assert limit >= limits[index - 1], "trail limits not monotonic"
-            if limit < len(self._trail):
-                decision_level = levels[self._trail[limit] >> 1]
-                assert decision_level == index + 1, (
-                    f"decision at trail position {limit} has level "
-                    f"{decision_level}, expected {index + 1}")
-
-    def _check_heap(self) -> None:
-        activity = self._activity
-        current = {variable for negated, variable in self._order
-                   if -negated == activity[variable]}
-        seen = self._var_seen
-        for variable in range(1, len(seen)):
-            if seen[variable] and self._values[variable << 1] == 0:
-                assert variable in current, (
-                    f"unassigned variable {variable} has no heap entry keyed "
-                    f"on its activity {activity[variable]}")
-            if self._in_heap[variable]:
-                assert variable in current, (
-                    f"variable {variable} is flagged in the heap but has no "
-                    f"entry keyed on its activity {activity[variable]}")
 
 
 def solve_clauses(clauses: Iterable[Clause], variable_count: int = 0,

@@ -53,15 +53,9 @@ class OutputContext:
     tree: ColumnarIncrementalDecisionTree
     proven: list[Assertion] = field(default_factory=list)
     failed: set[Assertion] = field(default_factory=set)
-
-    @property
-    def converged(self) -> bool:
-        """True when every candidate at the current leaves is proven."""
-        proven_set = set(self.proven)
-        for candidate in self.tree.candidate_assertions():
-            if candidate not in proven_set:
-                return False
-        return True
+    #: True when every candidate at the leaves ended proven in the last
+    #: check (set by :meth:`CoverageClosure._check_all`).
+    converged: bool = False
 
     def input_space_coverage(self) -> float:
         return combined_input_space_coverage(self.proven)
@@ -180,9 +174,15 @@ class CoverageClosure:
                 context.tree.build()
             candidates = context.tree.candidate_assertions()
             proven_set = set(context.proven)
-            unresolved = [(index, candidate) for index, candidate in enumerate(candidates)
-                          if candidate not in proven_set and candidate not in context.failed]
+            unproven = [(index, candidate) for index, candidate in enumerate(candidates)
+                        if candidate not in proven_set]
+            unresolved = [(index, candidate) for index, candidate in unproven
+                          if candidate not in context.failed]
             checks = self.verifier.check_all([candidate for _, candidate in unresolved])
+            # Every candidate ends proven iff none was refuted in an
+            # earlier iteration and every one checked now holds.
+            context.converged = (len(unresolved) == len(unproven)
+                                 and all(check.is_true for check in checks))
             for (index, candidate), check in zip(unresolved, checks):
                 named = candidate.with_name(f"{context.label}_i{iteration}_a{index}")
                 record.candidates_checked += 1

@@ -74,54 +74,6 @@ from repro.hdl.synth import synthesize
 from repro.ir import OptimizedDesign
 
 
-def _evaluate(expr: BoolExpr, assignment: Mapping[str, bool]) -> bool:
-    """Evaluate a hash-consed expression under a total assignment.
-
-    Iterative post-order with per-call memoisation keyed by node identity:
-    the built-in recursive ``BoolExpr.evaluate`` revisits shared subgraphs
-    (exponential on unrolled designs) and overflows the recursion limit on
-    deep ones.  Variables absent from ``assignment`` read as 0 — callers
-    pass the full input support of the expression, so this only applies
-    to don't-cares.
-    """
-    from repro.boolean.expr import BAnd, BConst, BIte, BNot, BOr, BVar, BXor
-
-    memo: dict[BoolExpr, bool] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        if isinstance(node, BConst):
-            memo[node] = node.value
-            stack.pop()
-            continue
-        if isinstance(node, BVar):
-            memo[node] = bool(assignment.get(node.name, False))
-            stack.pop()
-            continue
-        children = node.children()
-        unresolved = [child for child in children if child not in memo]
-        if unresolved:
-            stack.extend(unresolved)
-            continue
-        stack.pop()
-        if isinstance(node, BNot):
-            memo[node] = not memo[node.operand]
-        elif isinstance(node, BAnd):
-            memo[node] = all(memo[operand] for operand in node.operands)
-        elif isinstance(node, BOr):
-            memo[node] = any(memo[operand] for operand in node.operands)
-        elif isinstance(node, BXor):
-            memo[node] = memo[node.left] != memo[node.right]
-        elif isinstance(node, BIte):
-            memo[node] = memo[node.then] if memo[node.cond] else memo[node.other]
-        else:  # pragma: no cover - future node types
-            memo[node] = node.evaluate(assignment)
-    return memo[expr]
-
-
 def _shift(assertion: Assertion, offset: int) -> Assertion:
     """Shift every cycle reference of ``assertion`` by ``offset`` cycles."""
     if offset == 0:
@@ -396,7 +348,7 @@ class BmcModelChecker:
         # whole input support — so the guess is decided by direct DAG
         # evaluation, no solver involved.
         assignment = {name: value for (name, _), value in zip(ordered, guess)}
-        if _evaluate(violation, assignment):
+        if violation.evaluate(assignment):
             return assignment
 
         names = [name for name, _ in ordered]
@@ -413,7 +365,7 @@ class BmcModelChecker:
                 candidate = dict(zip(names[:index], values[:index]))
                 candidate[name] = False
                 candidate.update(zip(names[index + 1:], tail[index + 1:]))
-                if _evaluate(violation, candidate):
+                if violation.evaluate(candidate):
                     flipped = candidate
                     break
             if flipped is not None:

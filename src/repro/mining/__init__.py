@@ -11,7 +11,8 @@ simulation traces into windowed per-row feature dicts and
 :mod:`repro.mining.decision_tree` / :mod:`repro.mining.incremental_tree`
 induce over them one row at a time (the paper's Figure 2 and Section 3
 algorithms).  The columnar engine shares their feature enumeration,
-target placement and split arithmetic.
+target placement and split arithmetic; the tree comparison the
+differential tests run lives with them, in ``tests/mining/``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.mining.columnar import (
     ColumnarDecisionTree,
     ColumnarIncrementalDecisionTree,
     ColumnarTreeNode,
-    diff_trees,
 )
 from repro.mining.dataset import FeatureSpec, MiningDataset, TargetSpec
 from repro.mining.decision_tree import DecisionTree, TreeNode
@@ -38,5 +38,4 @@ __all__ = [
     "MiningDataset",
     "TargetSpec",
     "TreeNode",
-    "diff_trees",
 ]

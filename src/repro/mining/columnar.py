@@ -268,48 +268,6 @@ class ColumnarDataset:
         return len(set(self.row_tuples()))
 
 
-def diff_trees(rowwise_root, columnar_root, tolerance: float = 1e-9) -> list[str]:
-    """Structural differences between a row-wise and a columnar tree.
-
-    Walks both trees in lockstep comparing path, split column, row count,
-    prediction and (within float ``tolerance``) mean/error.  An empty
-    list means the trees are node-for-node identical — the contract the
-    differential suite and the benchmark divergence gate both enforce.
-    ``rowwise_root`` is a :class:`~repro.mining.decision_tree.TreeNode`
-    (row-index lists), ``columnar_root`` a :class:`ColumnarTreeNode`
-    (bitset masks).
-    """
-    differences: list[str] = []
-
-    def walk(a, b) -> None:
-        where = " & ".join(f"{c}={v}" for c, v in a.path) or "<root>"
-        if a.path != b.path:
-            differences.append(f"{where}: path {a.path} != {b.path}")
-            return
-        if a.split_column != b.split_column:
-            differences.append(
-                f"{where}: split {a.split_column} != {b.split_column}")
-            return
-        if len(a.rows) != b.count:
-            differences.append(f"{where}: rows {len(a.rows)} != {b.count}")
-        if a.prediction != b.prediction:
-            differences.append(
-                f"{where}: prediction {a.prediction} != {b.prediction}")
-        if abs(a.mean - b.mean) > tolerance:
-            differences.append(f"{where}: mean {a.mean} != {b.mean}")
-        if abs(a.error - b.error) > tolerance:
-            differences.append(f"{where}: error {a.error} != {b.error}")
-        if set(a.children) != set(b.children):
-            differences.append(
-                f"{where}: branches {sorted(a.children)} != {sorted(b.children)}")
-            return
-        for branch in a.children:
-            walk(a.children[branch], b.children[branch])
-
-    walk(rowwise_root, columnar_root)
-    return differences
-
-
 @dataclass
 class ColumnarTreeNode:
     """One node of a columnar tree: rows are a bitset, stats are popcounts.

@@ -17,7 +17,6 @@
 * :mod:`repro.sim.trace` — per-cycle value tables produced by simulation.
 * :mod:`repro.sim.stimulus` — random, directed, constant and replay
   stimulus generators (the paper's "data generator").
-* :mod:`repro.sim.vcd` — minimal VCD dumping for waveform inspection.
 """
 
 from repro.sim.base import SimulatorBase
@@ -35,7 +34,6 @@ from repro.sim.stimulus import (
     RandomStimulus,
     ReplayStimulus,
     Stimulus,
-    concatenate,
 )
 from repro.sim.trace import Trace
 
@@ -52,7 +50,6 @@ __all__ = [
     "SimulatorBase",
     "Stimulus",
     "Trace",
-    "concatenate",
     "pack_lanes",
     "unpack_lanes",
 ]

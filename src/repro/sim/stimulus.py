@@ -105,43 +105,3 @@ class ReplayStimulus(Stimulus):
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-
-def concatenate(*stimuli: Stimulus) -> Stimulus:
-    """Concatenate several stimuli into one (runs them back to back)."""
-
-    class _Concatenated(Stimulus):
-        def cycles(self, module: Module) -> Iterator[dict[str, int]]:
-            for stimulus in stimuli:
-                yield from stimulus.cycles(module)
-
-        def __len__(self) -> int:
-            return sum(len(stimulus) for stimulus in stimuli)
-
-    return _Concatenated()
-
-
-def exhaustive_vectors(module: Module, cycles: int = 1) -> list[list[dict[str, int]]]:
-    """Enumerate every input sequence of length ``cycles``.
-
-    Only practical for small input counts; used by tests to cross-check
-    the formal engines against brute-force simulation.
-    """
-    inputs = module.data_input_names
-    widths = [module.width_of(name) for name in inputs]
-
-    def all_assignments() -> list[dict[str, int]]:
-        assignments: list[dict[str, int]] = [{}]
-        for name, width in zip(inputs, widths):
-            assignments = [
-                {**assignment, name: value}
-                for assignment in assignments
-                for value in range(1 << width)
-            ]
-        return assignments
-
-    single = all_assignments()
-    sequences: list[list[dict[str, int]]] = [[]]
-    for _ in range(cycles):
-        sequences = [sequence + [vector] for sequence in sequences for vector in single]
-    return sequences

@@ -1,11 +1,11 @@
 """Reverse-unit-propagation (RUP) checking of CDCL clause derivations.
 
 A CDCL solver's UNSAT answers are only as trustworthy as its conflict
-analysis.  When :class:`repro.boolean.sat.SatSolver` is built with
-``certify=True`` it records every learned clause — and, after an
-assumption-free UNSAT answer, the empty clause — in derivation order in
-``solver.proof``.  This module replays that log with a small, deliberately
-naive checker that shares no code with the solver:
+analysis.  :class:`checked_solver.CheckedSolver` records every learned
+clause — and, after an assumption-free UNSAT answer, the empty clause —
+in derivation order in ``solver.proof``.  This module replays that log
+with a small, deliberately naive checker that shares no code with the
+solver:
 
 a clause ``C`` is *RUP* with respect to a clause set ``F`` when assuming
 the negation of every literal of ``C`` and running unit propagation on
@@ -16,7 +16,7 @@ each step is verified against the full accumulated prefix, which the
 formula implies regardless of what the solver later dropped).  A proof
 ending in the empty clause is therefore a machine-checked refutation —
 the fuzz battery uses this to make UNSAT verdicts evidence-backed
-instead of trusted (``tests/boolean/test_sat_fuzz.py``).
+instead of trusted (``test_sat_fuzz.py``).
 
 The checker is pure python, quadratic and proud of it: it exists to be
 obviously correct, not fast.

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import (
+    _PROGRAMS,
     FALSE,
     TRUE,
+    BAnd,
+    BConst,
+    BIte,
+    BNot,
+    BOr,
+    BVar,
+    BXor,
     and_,
     iff,
     implies,
@@ -142,6 +153,99 @@ class TestSupportOf:
         first = support_of(shared, memo)
         assert support_of(or_(shared, var("c")), memo) == {"a", "b", "c"}
         assert memo[shared] is first
+
+
+
+def reference_value(expr, assignment):
+    """Reference semantics: plain structural recursion, one node type at a
+    time (small expressions only)."""
+    if isinstance(expr, BConst):
+        return expr.value
+    if isinstance(expr, BVar):
+        return assignment[expr.name]
+    values = [reference_value(child, assignment) for child in expr.children()]
+    if isinstance(expr, BNot):
+        return not values[0]
+    if isinstance(expr, BAnd):
+        return all(values)
+    if isinstance(expr, BOr):
+        return any(values)
+    if isinstance(expr, BXor):
+        return values[0] != values[1]
+    assert isinstance(expr, BIte)
+    return values[1] if values[0] else values[2]
+
+
+@st.composite
+def small_dags(draw):
+    """A random DAG over four variables: every node built joins the pool
+    its successors draw operands from, so subexpressions are shared."""
+    pool = [TRUE, FALSE] + [var(f"d{index}") for index in range(4)]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("not", "and", "or", "xor", "ite")))
+        pick = st.sampled_from(list(pool))
+        if kind == "not":
+            node = not_(draw(pick))
+        elif kind in ("and", "or"):
+            operands = draw(st.lists(pick, min_size=2, max_size=4))
+            node = (and_ if kind == "and" else or_)(*operands)
+        elif kind == "xor":
+            node = xor_(draw(pick), draw(pick))
+        else:
+            node = ite(draw(pick), draw(pick), draw(pick))
+        pool.append(node)
+    return pool[-1]
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(small_dags())
+    def test_matches_brute_force_truth_table(self, expr):
+        names = sorted(support_of(expr))
+        for bits in itertools.product([False, True], repeat=len(names)):
+            assignment = dict(zip(names, bits))
+            assert expr.evaluate(assignment) is reference_value(expr, assignment)
+
+    def test_absent_variable_reads_false(self):
+        expr = or_(var("a"), and_(var("b"), not_(var("c"))))
+        assert expr.evaluate({}) is False
+        assert expr.evaluate({"b": True}) is True
+        assert var("a").evaluate({}) is False
+        assert not_(var("a")).evaluate({"other": True}) is True
+
+    def test_dag_deeper_than_recursion_limit(self):
+        expr = var("v0")
+        for index in range(1, 10_000):
+            expr = xor_(expr, var(f"v{index}"))
+        assert expr.evaluate({f"v{index}": True for index in range(10_000)}) is False
+        assert expr.evaluate({"v9999": True}) is True
+
+    def test_shared_ite_ladder_is_linear(self):
+        """Each level reads the level below as the condition and again in
+        a branch: 2**40 paths through 40 levels of shared nodes."""
+        expr = var("x")
+        for level in range(40):
+            expr = ite(expr, xor_(expr, var(f"a{level}")), or_(expr, var(f"b{level}")))
+        rng = random.Random(40)
+        for _ in range(20):
+            assignment = {"x": rng.random() < 0.5}
+            expected = assignment["x"]
+            for level in range(40):
+                a, b = rng.random() < 0.5, rng.random() < 0.5
+                assignment[f"a{level}"], assignment[f"b{level}"] = a, b
+                expected = (not a) if expected else b
+            start = time.perf_counter()
+            assert expr.evaluate(assignment) is expected
+            assert time.perf_counter() - start < 0.5
+
+    def test_program_dies_with_its_root(self):
+        expr = and_(var("p0"), xor_(var("p1"), var("p2")))
+        expr.evaluate({})
+        assert expr in _PROGRAMS
+        key = weakref.ref(expr)
+        del expr
+        gc.collect()
+        assert key() is None
 
 
 class TestCnfBuilder:

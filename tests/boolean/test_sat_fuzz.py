@@ -1,15 +1,16 @@
 """Solver fuzz battery: the arena solver against independent evidence.
 
-Every formula here runs through the clause-arena CDCL solver
-(:class:`repro.boolean.sat.SatSolver`) with its structural invariant
-checks armed (``debug_checks=True``), and no answer is trusted:
+Every formula here runs through the clause-arena CDCL solver as a
+:class:`checked_solver.CheckedSolver`, which asserts the structural
+invariants at every propagation fixpoint and records a proof log, and
+no answer is trusted:
 
 * SAT answers are *validated*: the model is replayed clause by clause
   and must honour every assumption;
-* UNSAT answers are *certified*: a certifying solve of the formula plus
+* UNSAT answers are *certified*: the solver's proof of the formula plus
   the assumptions as unit clauses must end in a refutation that
-  :func:`repro.boolean.certify.check_rup_proof` replays literal by
-  literal (a checker that shares no code with the solver);
+  :func:`rup.check_rup_proof` replays literal by literal (a checker
+  that shares no code with the solver);
 * small instances are additionally decided by a naive DPLL oracle
   written below with no shared code — ~20 lines that are obviously
   correct — and the verdicts must agree.
@@ -27,7 +28,8 @@ checked against a fresh one-shot solve and each model against the goal.
 
 The default corpus stays well inside the suite's per-test budget; set
 ``SAT_FUZZ_FULL=1`` for the full >= 2000-formula sweep CI runs on the
-sat-core job.
+sat-core job.  That sweep also asserts that the checks were not vacuous:
+it must have run fixpoint invariant checks and verified refutations.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ import pytest
 from repro.boolean import (
     BoolExpr,
     IncrementalSolver,
-    SatSolver,
     and_,
-    check_rup_proof,
     ite,
     not_,
     or_,
@@ -51,6 +51,7 @@ from repro.boolean import (
     var,
     xor_,
 )
+from checked_solver import CheckedSolver
 
 FULL = os.environ.get("SAT_FUZZ_FULL", "") not in ("", "0")
 
@@ -58,6 +59,21 @@ FULL = os.environ.get("SAT_FUZZ_FULL", "") not in ("", "0")
 #: mode, 8 x 16 = 128 in the default tier-1 run.
 CHUNKS = 32 if FULL else 8
 FORMULAS_PER_CHUNK = 64 if FULL else 16
+
+
+@pytest.fixture(scope="module", autouse=True)
+def full_battery_checks_fire():
+    """The full sweep must have run the checks it relies on.
+
+    :class:`CheckedSolver` hooks the solver through overridden methods; a
+    refactor of ``sat.py`` that stopped calling one of them would turn
+    the invariant checks or the proof log off without failing a test.
+    """
+    before = dict(CheckedSolver.totals)
+    yield
+    if FULL:
+        for name, count in CheckedSolver.totals.items():
+            assert count > before[name], f"full battery ran no {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +193,11 @@ def certify_unsat(clauses, assumptions=()):
     """RUP-check an UNSAT answer: the clauses plus the assumptions as
     units must have a machine-checked refutation."""
     problem = [tuple(clause) for clause in clauses] + [(lit,) for lit in assumptions]
-    solver = SatSolver(problem, certify=True)
+    solver = CheckedSolver(problem)
     assert not solver.solve().satisfiable, (
         f"certifying solve found the formula satisfiable, "
         f"assumptions={assumptions}")
-    check_rup_proof(problem, solver.proof, expect_refutation=True)
+    solver.verify_refutation(problem)
 
 
 def verify_answer(clauses, result, assumptions=()):
@@ -196,13 +212,12 @@ def verify_answer(clauses, result, assumptions=()):
         certify_unsat(clauses, assumptions)
 
 
-def run_differential(clauses, nvars, *, oracle: bool, certify: bool,
-                     assumptions=()):
-    arena = SatSolver(clauses, nvars, debug_checks=True, certify=certify)
+def run_differential(clauses, nvars, *, oracle: bool, assumptions=()):
+    arena = CheckedSolver(clauses, nvars)
     result = arena.solve(assumptions)
-    if not result.satisfiable and certify and not assumptions:
+    if not result.satisfiable and not assumptions:
         # The solver's own proof log refutes the formula.
-        check_rup_proof(clauses, arena.proof, expect_refutation=True)
+        arena.verify_refutation(clauses)
     else:
         verify_answer(clauses, result, assumptions)
     if oracle:
@@ -226,7 +241,7 @@ def test_random_cnf_differential(chunk):
             v * rng.choice((1, -1))
             for v in rng.sample(range(1, nvars + 1), rng.randint(0, 3)))
         run_differential(clauses, nvars, oracle=(nvars <= 14),
-                         certify=True, assumptions=assumptions)
+                         assumptions=assumptions)
 
 
 @pytest.mark.parametrize("chunk", range(CHUNKS // 2))
@@ -237,20 +252,20 @@ def test_phase_transition_differential(chunk):
     for _ in range(count):
         nvars = rng.randint(10, 40 if FULL else 30)
         clauses = phase_transition_cnf(rng, nvars)
-        run_differential(clauses, nvars, oracle=(nvars <= 12), certify=True)
+        run_differential(clauses, nvars, oracle=(nvars <= 12))
 
 
 @pytest.mark.parametrize("pigeons,holes", [(3, 2), (4, 3), (5, 4), (6, 5)])
 def test_pigeonhole_unsat_with_certificate(pigeons, holes):
     result = run_differential(pigeonhole(pigeons, holes),
-                              pigeons * holes, oracle=False, certify=True)
+                              pigeons * holes, oracle=False)
     assert not result.satisfiable
 
 
 @pytest.mark.parametrize("pigeons,holes", [(2, 2), (3, 3), (4, 4)])
 def test_pigeonhole_sat_when_enough_holes(pigeons, holes):
     result = run_differential(pigeonhole(pigeons, holes),
-                              pigeons * holes, oracle=False, certify=False)
+                              pigeons * holes, oracle=False)
     assert result.satisfiable
 
 
@@ -260,7 +275,7 @@ def test_parity_chain_differential(seed, satisfiable):
     rng = random.Random(seed)
     nvars = rng.randint(6, 18)
     clauses = parity_chain(rng, nvars, satisfiable)
-    result = run_differential(clauses, 2 * nvars, oracle=False, certify=True)
+    result = run_differential(clauses, 2 * nvars, oracle=False)
     assert result.satisfiable == satisfiable
 
 
@@ -277,7 +292,7 @@ def test_incremental_trickle_differential(chunk):
     rng = random.Random(0x7121C7E + chunk)
     for _ in range(max(2, FORMULAS_PER_CHUNK // 8)):
         nvars = rng.randint(6, 24)
-        arena = SatSolver(debug_checks=True)
+        arena = CheckedSolver()
         so_far: list[tuple[int, ...]] = []
         for _ in range(rng.randint(3, 7)):
             for clause in random_cnf(rng, nvars, rng.randint(2, 10)):
@@ -337,7 +352,9 @@ def test_incremental_query_stream_differential(chunk):
         names = [f"v{index}" for index in range(rng.randint(4, 9))]
         pool = [var(name) for name in names]
         context = IncrementalSolver()
-        context.solver._debug = True  # invariant checks at every fixpoint
+        # Swapped in before the first query: the context's encoder has
+        # not flushed a clause yet, so the checked solver sees them all.
+        context.solver = CheckedSolver()
         facts: list = []
         guards: dict = {}
         for _ in range(32 if FULL else 12):
@@ -396,7 +413,7 @@ def test_hypothesis_incremental_trickle(batches):
     """Property: any grow-only clause/assumption interleaving agrees with
     the DPLL oracle, SAT models satisfy the whole database, and UNSAT
     verdicts are certified."""
-    arena = SatSolver(debug_checks=True)
+    arena = CheckedSolver()
     so_far: list[tuple[int, ...]] = []
     for new_clauses, assumptions in batches:
         for clause in new_clauses:
@@ -412,5 +429,4 @@ def test_hypothesis_incremental_trickle(batches):
 @given(clauses=clauses_strategy,
        assumptions=st.lists(literals, max_size=4))
 def test_hypothesis_oracle_agreement(clauses, assumptions):
-    run_differential(clauses, 12, oracle=True, certify=True,
-                     assumptions=tuple(assumptions))
+    run_differential(clauses, 12, oracle=True, assumptions=tuple(assumptions))

@@ -1,12 +1,13 @@
 """Structural-invariant and intake-canonicalisation tests for the arena
 solver.
 
-The fuzz battery (:mod:`tests.boolean.test_sat_fuzz`) runs thousands of
-solves with ``debug_checks=True``, which calls
-:meth:`~repro.boolean.sat.SatSolver.check_invariants` at every
+The fuzz battery (``test_sat_fuzz.py``) runs thousands of solves on
+:class:`checked_solver.CheckedSolver`, which calls
+:meth:`~checked_solver.CheckedSolver.check_invariants` at every
 conflict-free propagation fixpoint.  That is only evidence if the
-checker can actually fail, so this module first proves it non-vacuous by
-corrupting each structure it guards and asserting it objects, then
+checker can actually fail and is actually reached, so this module first
+proves it non-vacuous by corrupting each structure it guards and
+asserting it objects, and by counting the checks a search runs, then
 exercises the paths with distinctive state transitions: VSIDS heap
 membership across solves and activity rescales, learned-DB reduction
 with in-place arena compaction, persistent root-level
@@ -21,8 +22,9 @@ import random
 
 import pytest
 
-from repro.boolean import SatSolver, check_rup_proof
+from repro.boolean import SatSolver
 from repro.boolean.cnf import canonical_clause
+from checked_solver import CheckedSolver
 
 
 def pigeonhole(pigeons: int, holes: int) -> list[tuple[int, ...]]:
@@ -44,10 +46,10 @@ def random_cnf(rng, nvars, nclauses):
 # ---------------------------------------------------------------------------
 # the checker is not vacuous: corrupt each structure, expect an objection
 # ---------------------------------------------------------------------------
-def solved_solver() -> SatSolver:
+def solved_solver() -> CheckedSolver:
     """A solver mid-life: solved once, invariants known to hold."""
     rng = random.Random(42)
-    solver = SatSolver(random_cnf(rng, 12, 30), 12)
+    solver = CheckedSolver(random_cnf(rng, 12, 30), 12)
     solver.solve()
     solver.check_invariants()  # sanity: holds before we break anything
     return solver
@@ -116,7 +118,7 @@ def test_checker_detects_missing_heap_entry():
 
 
 def test_checker_detects_heap_flag_without_entry():
-    solver = SatSolver([(1,), (-1, 2, 3)], 3)
+    solver = CheckedSolver([(1,), (-1, 2, 3)], 3)
     assert solver.solve().satisfiable
     assert solver._values[1 << 1] == 1  # root-assigned, its entry popped
     solver._in_heap[1] = 1
@@ -132,8 +134,7 @@ def test_heap_holds_one_entry_per_variable_across_solves():
     propagation alone, before any decision, and single-literal
     assumptions satisfiable."""
     nvars = 12
-    solver = SatSolver([(-v, v + 1) for v in range(1, nvars)], nvars,
-                       debug_checks=True)
+    solver = CheckedSolver([(-v, v + 1) for v in range(1, nvars)], nvars)
     rng = random.Random(7)
     for _ in range(60):
         low, high = sorted(rng.sample(range(1, nvars + 1), 2))
@@ -152,7 +153,7 @@ def test_activity_rescale_rebuilds_the_heap():
     # UNSAT (after real search) under -21, satisfiable without it.
     clauses = [clause + (21,) if all(lit > 0 for lit in clause) else clause
                for clause in pigeonhole(5, 4)]
-    solver = SatSolver(clauses, 21, debug_checks=True)
+    solver = CheckedSolver(clauses, 21)
     solver._var_increment = 1e101  # the first bump overflows 1e100
     assert not solver.solve((-21,)).satisfiable
     assert solver._var_increment < 1e50  # rescaled
@@ -175,7 +176,7 @@ def test_compaction_preserves_invariants_and_verdicts(max_learned):
     every reduction: SAT models satisfy the database and the
     assumptions, UNSAT verdicts carry a RUP-checked refutation."""
     rng = random.Random(max_learned)
-    arena = SatSolver(max_learned=max_learned, debug_checks=True)
+    arena = CheckedSolver(max_learned=max_learned)
     so_far: list[tuple[int, ...]] = []
     for _ in range(4):
         for clause in random_cnf(rng, 16, 25):
@@ -191,15 +192,15 @@ def test_compaction_preserves_invariants_and_verdicts(max_learned):
                            for lit in clause)
         else:
             problem = so_far + [(lit,) for lit in assumptions]
-            certifier = SatSolver(problem, certify=True)
+            certifier = CheckedSolver(problem)
             assert not certifier.solve().satisfiable
-            check_rup_proof(problem, certifier.proof, expect_refutation=True)
+            certifier.verify_refutation(problem)
         arena.check_invariants()
 
 
 def test_reduction_actually_drops_clauses():
     clauses = pigeonhole(7, 6)
-    solver = SatSolver(clauses, 42, max_learned=32, debug_checks=True)
+    solver = CheckedSolver(clauses, 42, max_learned=32)
     result = solver.solve()
     assert not result.satisfiable
     assert solver.db_reductions > 0, "php(7,6) must overflow a 32-clause cap"
@@ -279,7 +280,7 @@ def test_canonical_clause_table():
 
 
 def test_duplicate_literal_clause_becomes_unit():
-    solver = SatSolver(debug_checks=True)
+    solver = CheckedSolver()
     solver.add_clause((4, 4))
     result = solver.solve()
     assert result.satisfiable and result.model[4]
@@ -287,7 +288,7 @@ def test_duplicate_literal_clause_becomes_unit():
 
 
 def test_tautology_constrains_nothing():
-    solver = SatSolver(debug_checks=True)
+    solver = CheckedSolver()
     solver.add_clause((1, -1))
     solver.add_clause((2, -2, 2))
     assert solver.clause_count == 0
@@ -296,7 +297,7 @@ def test_tautology_constrains_nothing():
 
 
 def test_empty_clause_is_unsat_under_any_assumptions():
-    solver = SatSolver(debug_checks=True)
+    solver = CheckedSolver()
     solver.add_clause((1, 2))
     solver.add_clause(())
     assert not solver.solve().satisfiable
@@ -312,17 +313,16 @@ def test_zero_literal_rejected_everywhere():
 
 
 def test_duplicate_assumptions_and_root_contradiction():
-    solver = SatSolver([(1, 2)], 2, debug_checks=True)
+    solver = CheckedSolver([(1, 2)], 2)
     assert solver.solve((1, 1)).satisfiable
     assert not solver.solve((1, -1)).satisfiable
     assert solver.solve((2,)).satisfiable
 
 
 def test_debug_hook_runs_during_search():
-    """debug_checks wires check_invariants into every propagation
-    fixpoint — a corrupted solver must fail *inside* solve()."""
-    solver = SatSolver([(1, 2, 3), (-1, 2, 4), (1, -2, 4), (-3, -4, 2)], 4,
-                       debug_checks=True)
+    """CheckedSolver runs check_invariants at every propagation fixpoint
+    — a corrupted solver must fail *inside* solve()."""
+    solver = CheckedSolver([(1, 2, 3), (-1, 2, 4), (1, -2, 4), (-3, -4, 2)], 4)
     assert solver.solve().satisfiable
     # Corrupt, then force a fresh search with contradicting assumptions.
     for watchlist in solver._watches:
@@ -331,3 +331,21 @@ def test_debug_hook_runs_during_search():
             break
     with pytest.raises(AssertionError):
         solver.solve((-2, -4))
+
+
+def test_checked_solver_hooks_are_reached():
+    """Each of CheckedSolver's overrides is reached by a real search: the
+    fixpoint checks run, the learned clauses enter the proof, and the
+    refutation verifies.  A solver refactor that bypasses a hook (say,
+    propagation inlined into ``solve``) fails here, not silently."""
+    clauses = pigeonhole(5, 4)
+    before = dict(CheckedSolver.totals)
+    solver = CheckedSolver(clauses, 20)
+    assert not solver.solve().satisfiable
+    assert solver.proof[-1] == () and len(solver.proof) > 1
+    assert solver.verify_refutation(clauses) == len(solver.proof)
+    after = CheckedSolver.totals
+    assert after["fixpoint_checks"] > before["fixpoint_checks"]
+    assert after["proofs_verified"] == before["proofs_verified"] + 1
+    # The checks are the subclass's alone: the production solver has none.
+    assert not hasattr(SatSolver(clauses, 20), "check_invariants")

@@ -27,12 +27,12 @@ from repro.mining import (
     MiningDataset,
     DecisionTree,
     IncrementalDecisionTree,
-    diff_trees,
 )
 from repro.mining.dataset import FeatureSpec
 from repro.sim.batched import BatchedSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
+from tree_diff import diff_trees
 
 #: (design, output, window) subjects spanning combinational and sequential
 #: targets, single- and multi-window mining, and every design family the

@@ -31,11 +31,11 @@ from repro.mining import (
     DecisionTree,
     IncrementalDecisionTree,
     MiningDataset,
-    diff_trees,
 )
 from repro.mining.decision_tree import node_statistics
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
+from tree_diff import diff_trees
 
 
 def _pair(module, window):

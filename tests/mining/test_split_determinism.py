@@ -20,9 +20,9 @@ from repro.mining import (
     ColumnarDecisionTree,
     DecisionTree,
     MiningDataset,
-    diff_trees,
 )
 from repro.mining.decision_tree import child_error_fraction, fraction_less
+from tree_diff import diff_trees
 
 
 class TestExactFractionRanking:

@@ -1,23 +1,17 @@
-"""Tests for traces, stimulus generators and the VCD writer."""
+"""Tests for traces and stimulus generators."""
 
 from __future__ import annotations
-
-import io
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.simulator import Simulator
 from repro.sim.stimulus import (
     ConstantStimulus,
     DirectedStimulus,
     RandomStimulus,
     ReplayStimulus,
-    concatenate,
-    exhaustive_vectors,
 )
 from repro.sim.trace import Trace
-from repro.sim.vcd import write_vcd
 
 
 class TestTrace:
@@ -104,18 +98,6 @@ class TestStimulus:
         replay = ReplayStimulus([{"req0": 1, "gnt0": 1, "bogus": 3}])
         assert list(replay.cycles(arbiter2_module)) == [{"req0": 1}]
 
-    def test_concatenate_runs_back_to_back(self, arbiter2_module):
-        combined = concatenate(ConstantStimulus({"req0": 1}, 2),
-                               ConstantStimulus({"req0": 0}, 1))
-        assert len(combined) == 3
-        assert [v["req0"] for v in combined.cycles(arbiter2_module)] == [1, 1, 0]
-
-    def test_exhaustive_vectors_cover_input_space(self, arbiter2_module):
-        sequences = exhaustive_vectors(arbiter2_module, cycles=1)
-        assert len(sequences) == 4
-        seen = {tuple(sorted(seq[0].items())) for seq in sequences}
-        assert len(seen) == 4
-
     @given(length=st.integers(1, 30), seed=st.integers(0, 10))
     def test_random_stimulus_length_property(self, length, seed):
         from repro.designs import arbiter2
@@ -123,25 +105,3 @@ class TestStimulus:
         stimulus = RandomStimulus(length, seed=seed)
         assert len(list(stimulus.cycles(arbiter2()))) == length == len(stimulus)
 
-
-class TestVcd:
-    def test_vcd_contains_declarations_and_changes(self, arbiter2_module):
-        simulator = Simulator(arbiter2_module)
-        trace = simulator.run(DirectedStimulus([
-            {"rst": 0, "req0": 1, "req1": 0},
-            {"rst": 0, "req0": 0, "req1": 1},
-        ]))
-        buffer = io.StringIO()
-        write_vcd(trace, arbiter2_module, buffer)
-        text = buffer.getvalue()
-        assert "$var wire 1" in text
-        assert "req0" in text and "gnt0" in text
-        assert "$enddefinitions" in text
-        assert "#0" in text
-
-    def test_vcd_vector_signals_use_binary_format(self, counter_module):
-        simulator = Simulator(counter_module)
-        trace = simulator.run(DirectedStimulus([{"load": 1, "load_value": 5, "enable": 0}] * 2))
-        buffer = io.StringIO()
-        write_vcd(trace, counter_module, buffer, signals=["load_value", "count"])
-        assert "b101" in buffer.getvalue()
