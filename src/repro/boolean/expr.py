@@ -33,33 +33,43 @@ class BoolExpr:
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         """Truth value under ``assignment``; absent variables read as 0.
 
-        Runs the expression's linearised program (:func:`_linearise`,
-        built once per root): each shared DAG node is computed once, in
-        topological order and without recursion, so neither deep unrolled
-        bit functions nor subgraphs shared along many paths cost more
-        than the DAG's size.
+        Iterative post-order with per-call memoisation keyed by node
+        identity: each shared DAG node is computed once and without
+        recursion, so neither deep unrolled bit functions nor subgraphs
+        shared along many paths cost more than the DAG's size.
         """
-        program = _PROGRAMS.get(self)
-        if program is None:
-            program = _PROGRAMS[self] = _linearise(self)
-        values: list[bool] = []
-        push = values.append
-        for op, arg in program:
-            if op == _NOT:
-                push(not values[arg])
-            elif op == _AND:
-                push(all([values[index] for index in arg]))
-            elif op == _VAR:
-                push(bool(assignment.get(arg, False)))
-            elif op == _ITE:
-                push(values[arg[1]] if values[arg[0]] else values[arg[2]])
-            elif op == _OR:
-                push(any([values[index] for index in arg]))
-            elif op == _XOR:
-                push(values[arg[0]] != values[arg[1]])
+        memo: dict[BoolExpr, bool] = {}
+        stack: list[BoolExpr] = [self]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            if isinstance(node, BConst):
+                memo[node] = node.value
+                stack.pop()
+                continue
+            if isinstance(node, BVar):
+                memo[node] = bool(assignment.get(node.name, False))
+                stack.pop()
+                continue
+            children = node.children()
+            unresolved = [child for child in children if child not in memo]
+            if unresolved:
+                stack.extend(unresolved)
+                continue
+            stack.pop()
+            if isinstance(node, BNot):
+                memo[node] = not memo[node.operand]
+            elif isinstance(node, BAnd):
+                memo[node] = all(memo[operand] for operand in node.operands)
+            elif isinstance(node, BOr):
+                memo[node] = any(memo[operand] for operand in node.operands)
+            elif isinstance(node, BXor):
+                memo[node] = memo[node.left] != memo[node.right]
             else:
-                push(arg)
-        return values[-1]
+                memo[node] = memo[node.then] if memo[node.cond] else memo[node.other]
+        return memo[self]
 
     def support(self) -> frozenset[str]:
         """Names of the variables this expression reads (:func:`support_of`)."""
@@ -217,50 +227,6 @@ def support_of(expr: BoolExpr,
         else:
             memo[node] = frozenset()
     return memo[expr]
-
-
-#: Opcodes of a linearised program step ``(op, arg)``: ``arg`` is the
-#: constant, the variable name, or the operand slot index(es).
-_CONST, _VAR, _NOT, _AND, _OR, _XOR, _ITE = range(7)
-
-#: Root node -> its linearised program.  Keys are weak, so a program
-#: dies with its root; steps hold slot indices and names, never nodes.
-_PROGRAMS: "weakref.WeakKeyDictionary[BoolExpr, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _linearise(root: BoolExpr) -> tuple[tuple[int, object], ...]:
-    """The evaluation program of ``root``: one step per distinct DAG node
-    in post-order (operands before users), ``root`` last."""
-    slots: dict[BoolExpr, int] = {}
-    program: list[tuple[int, object]] = []
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in slots:
-            stack.pop()
-            continue
-        unresolved = [child for child in node.children() if child not in slots]
-        if unresolved:
-            stack.extend(unresolved)
-            continue
-        stack.pop()
-        if isinstance(node, BVar):
-            step = (_VAR, node.name)
-        elif isinstance(node, BAnd):
-            step = (_AND, tuple(slots[operand] for operand in node.operands))
-        elif isinstance(node, BOr):
-            step = (_OR, tuple(slots[operand] for operand in node.operands))
-        elif isinstance(node, BNot):
-            step = (_NOT, slots[node.operand])
-        elif isinstance(node, BXor):
-            step = (_XOR, (slots[node.left], slots[node.right]))
-        elif isinstance(node, BIte):
-            step = (_ITE, (slots[node.cond], slots[node.then], slots[node.other]))
-        else:
-            step = (_CONST, node.value)
-        slots[node] = len(program)
-        program.append(step)
-    return tuple(program)
 
 
 def var(name: str) -> BVar:

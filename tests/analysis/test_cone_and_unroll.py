@@ -38,8 +38,8 @@ class TestUnroller:
     def test_unrolled_registers_start_at_reset_values(self, arbiter2_module):
         design = Unroller(arbiter2_module).unroll(1)
         bits = design.signal_bits("gnt0", 0)
-        assignment = {}
-        assert all(bit.evaluate(assignment) is False for bit in bits)
+        assert all(bit.support() == frozenset() for bit in bits)
+        assert all(bit.evaluate({}) is False for bit in bits)
 
     def test_unrolled_cycle_matches_simulation(self, arbiter2_module):
         """Registers at cycle k of the unrolling equal the simulator's values."""
@@ -57,14 +57,17 @@ class TestUnroller:
             for cycle in range(3):
                 expected = trace.value("gnt0", cycle)
                 bit = design.signal_bits("gnt0", cycle)[0]
+                assert bit.support() <= assignment.keys()
                 assert bit.evaluate(assignment) == bool(expected)
 
     def test_literal_expr_bit_and_vector(self, counter_module):
         design = Unroller(counter_module).unroll(1)
         # Vector equality literal: count@0 == 0 holds from reset.
         literal = Literal("count", 0, 0)
+        assert design.literal_expr(literal).support() == frozenset()
         assert design.literal_expr(literal).evaluate({}) is True
         literal_bit = Literal("count", 1, 0, bit=0)
+        assert design.literal_expr(literal_bit).support() == frozenset()
         assert design.literal_expr(literal_bit).evaluate({}) is False
 
     def test_assertion_violation_expression(self, arbiter2_module):
@@ -73,6 +76,7 @@ class TestUnroller:
         violation = design.assertion_violation(assertion)
         # req0=1 at cycle 0 makes gnt0=1 at cycle 1, so no violation exists.
         assignment = {bit_variable("req0", 0, 0): True, bit_variable("req1", 0, 0): False}
+        assert violation.support() <= assignment.keys()
         assert violation.evaluate(assignment) is False
 
     def test_model_to_vectors_round_trip(self, arbiter2_module):

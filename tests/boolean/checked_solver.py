@@ -1,12 +1,15 @@
 """A :class:`~repro.boolean.sat.SatSolver` that checks itself.
 
 The solver test battery runs :class:`CheckedSolver` in place of the
-production solver.  It overrides three of the solver's own methods and
+production solver.  It overrides four of the solver's own methods and
 changes no search decision:
 
 * :meth:`CheckedSolver._propagate` asserts the structural invariants
   (:meth:`CheckedSolver.check_invariants`) at every conflict-free
   propagation fixpoint;
+* :meth:`CheckedSolver._reduce_learned_db` asserts the arena structure
+  straight after every learned-clause reduction and compaction, which
+  the final refutation may follow without another fixpoint;
 * :meth:`CheckedSolver._attach_learned` records every learned clause, in
   external (DIMACS) literals, in :attr:`CheckedSolver.proof`;
 * :meth:`CheckedSolver.solve` appends the empty clause to the proof after
@@ -14,7 +17,8 @@ changes no search decision:
   the whole refutation with the independent RUP checker (:mod:`rup`).
 
 The class-wide counters :attr:`CheckedSolver.totals` record how many
-fixpoint checks ran and how many refutations verified, so a battery can
+fixpoint checks and compaction checks ran and how many refutations
+verified, so a battery can
 assert that its checks were not vacuous: a solver refactor that stops
 reaching one of the overridden methods would otherwise switch the checks
 off without any test failing.
@@ -32,8 +36,9 @@ class CheckedSolver(SatSolver):
     """The CDCL solver with invariant checks and a recorded RUP proof."""
 
     #: Process-wide counts over every instance: conflict-free fixpoints
-    #: whose invariants were checked, and refutations RUP-verified.
-    totals = {"fixpoint_checks": 0, "proofs_verified": 0}
+    #: whose invariants were checked, compactions whose arena was
+    #: checked, and refutations RUP-verified.
+    totals = {"fixpoint_checks": 0, "compaction_checks": 0, "proofs_verified": 0}
 
     def __init__(self, *args, **kwargs):
         #: Learned clauses (external literal tuples) in derivation order;
@@ -47,6 +52,11 @@ class CheckedSolver(SatSolver):
             self.check_invariants()
             CheckedSolver.totals["fixpoint_checks"] += 1
         return conflict
+
+    def _reduce_learned_db(self) -> None:
+        super()._reduce_learned_db()
+        self._check_arena()
+        CheckedSolver.totals["compaction_checks"] += 1
 
     def _attach_learned(self, codes: list[int]) -> int:
         self.proof.append(tuple(-(code >> 1) if code & 1 else code >> 1

@@ -109,6 +109,7 @@ class TestStructuralOperations:
         node = bdd.from_expr(expr)
         for bits in itertools.product([False, True], repeat=3):
             env = dict(zip(["a", "b", "c"], bits))
+            assert expr.support() <= env.keys()
             assert bdd.evaluate(node, env) == expr.evaluate(env)
 
 
@@ -135,6 +136,7 @@ def test_bdd_agrees_with_direct_evaluation(expr):
     names = ["a", "b", "c", "d"]
     bdd = BDD(names)
     node = bdd.from_expr(expr)
+    assert expr.support() <= set(names)
     count = 0
     for bits in itertools.product([False, True], repeat=len(names)):
         env = dict(zip(names, bits))

@@ -31,6 +31,8 @@ def blast_value(expr, values):
             assignment[default_bit_name(name, bit)] = bool((values[name] >> bit) & 1)
     result = 0
     for index, bit in enumerate(bits):
+        # evaluate() reads absent variables as 0: pin a complete assignment.
+        assert bit.support() <= assignment.keys()
         if bit.evaluate(assignment):
             result |= 1 << index
     return result, len(bits)

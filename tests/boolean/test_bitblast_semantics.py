@@ -49,6 +49,8 @@ def assert_blast_matches(expr, widths, values):
                 bool((values[name] >> bit) & 1)
     blasted = 0
     for index, bit in enumerate(bits):
+        # evaluate() reads absent variables as 0: pin a complete assignment.
+        assert bit.support() <= assignment.keys()
         if bit.evaluate(assignment):
             blasted |= 1 << index
     expected = expr.evaluate(DictContext(values, widths)) & ((1 << len(bits)) - 1)

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import gc
 import itertools
 import random
 import sys
-import time
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import (
-    _PROGRAMS,
     FALSE,
     TRUE,
     BAnd,
@@ -222,30 +218,44 @@ class TestEvaluate:
 
     def test_shared_ite_ladder_is_linear(self):
         """Each level reads the level below as the condition and again in
-        a branch: 2**40 paths through 40 levels of shared nodes."""
+        a branch: 2**40 paths through 40 levels of shared nodes.  Each of
+        the 81 variable nodes is read once per evaluation; a walk that
+        revisits shared nodes exceeds that budget and fails at once."""
         expr = var("x")
         for level in range(40):
             expr = ite(expr, xor_(expr, var(f"a{level}")), or_(expr, var(f"b{level}")))
+        assert len(support_of(expr)) == 81
         rng = random.Random(40)
         for _ in range(20):
-            assignment = {"x": rng.random() < 0.5}
-            expected = assignment["x"]
+            assignment = ReadBudget(81)
+            assignment["x"] = expected = rng.random() < 0.5
             for level in range(40):
                 a, b = rng.random() < 0.5, rng.random() < 0.5
                 assignment[f"a{level}"], assignment[f"b{level}"] = a, b
                 expected = (not a) if expected else b
-            start = time.perf_counter()
             assert expr.evaluate(assignment) is expected
-            assert time.perf_counter() - start < 0.5
+            assert assignment.reads == 81
 
-    def test_program_dies_with_its_root(self):
-        expr = and_(var("p0"), xor_(var("p1"), var("p2")))
-        expr.evaluate({})
-        assert expr in _PROGRAMS
-        key = weakref.ref(expr)
-        del expr
-        gc.collect()
-        assert key() is None
+
+class ReadBudget(dict):
+    """An assignment that counts variable reads and fails past ``budget``."""
+
+    def __init__(self, budget):
+        super().__init__()
+        self.budget = budget
+        self.reads = 0
+
+    def _count(self):
+        self.reads += 1
+        assert self.reads <= self.budget, "evaluate revisited a shared node"
+
+    def __getitem__(self, name):
+        self._count()
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self._count()
+        return super().get(name, default)
 
 
 class TestCnfBuilder:

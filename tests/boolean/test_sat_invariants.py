@@ -200,11 +200,15 @@ def test_compaction_preserves_invariants_and_verdicts(max_learned):
 
 def test_reduction_actually_drops_clauses():
     clauses = pigeonhole(7, 6)
+    checked_before = CheckedSolver.totals["compaction_checks"]
     solver = CheckedSolver(clauses, 42, max_learned=32)
     result = solver.solve()
     assert not result.satisfiable
     assert solver.db_reductions > 0, "php(7,6) must overflow a 32-clause cap"
     assert solver.learned_dropped > 0
+    # Every compaction had its arena checked straight after it ran.
+    assert (CheckedSolver.totals["compaction_checks"] - checked_before
+            == solver.db_reductions)
     # Compaction left a dense arena: headers exactly cover the buffer.
     solver.check_invariants()
     assert solver.arena_size == sum(solver._c_size)
@@ -335,17 +339,19 @@ def test_debug_hook_runs_during_search():
 
 def test_checked_solver_hooks_are_reached():
     """Each of CheckedSolver's overrides is reached by a real search: the
-    fixpoint checks run, the learned clauses enter the proof, and the
-    refutation verifies.  A solver refactor that bypasses a hook (say,
-    propagation inlined into ``solve``) fails here, not silently."""
+    fixpoint checks run, every compaction is checked, the learned clauses
+    enter the proof, and the refutation verifies.  A solver refactor that
+    bypasses a hook (say, propagation inlined into ``solve``) fails here,
+    not silently."""
     clauses = pigeonhole(5, 4)
     before = dict(CheckedSolver.totals)
-    solver = CheckedSolver(clauses, 20)
+    solver = CheckedSolver(clauses, 20, max_learned=8)
     assert not solver.solve().satisfiable
     assert solver.proof[-1] == () and len(solver.proof) > 1
     assert solver.verify_refutation(clauses) == len(solver.proof)
     after = CheckedSolver.totals
     assert after["fixpoint_checks"] > before["fixpoint_checks"]
+    assert after["compaction_checks"] > before["compaction_checks"]
     assert after["proofs_verified"] == before["proofs_verified"] + 1
     # The checks are the subclass's alone: the production solver has none.
     assert not hasattr(SatSolver(clauses, 20), "check_invariants")
