@@ -126,8 +126,8 @@ class UnrolledDesign:
 class Unroller:
     """Unrolls a module's synthesized functions over a bounded window.
 
-    With ``cache=True`` (the default) the unroller keeps one master
-    :class:`UnrolledDesign` per ``from_reset`` flag and extends it
+    The reset input is held low at every cycle.  The unroller keeps one
+    master :class:`UnrolledDesign` per ``from_reset`` flag and extends it
     monotonically: asking for a depth already covered is a dictionary
     lookup, asking for a deeper one only builds the missing cycles.
     Callers receive a truncated :meth:`UnrolledDesign.view` when they ask
@@ -137,12 +137,10 @@ class Unroller:
     """
 
     def __init__(self, module: Module, synth: SynthesizedModule | None = None,
-                 constrain_reset: bool = True, cache: bool = True,
                  slice_signals: Iterable[str] | None = None,
                  constant_registers: Mapping[str, int] | None = None):
         self.module = module
         self.synth = synth or synthesize(module)
-        self.constrain_reset = constrain_reset
         #: COI slice (from :meth:`repro.ir.netlist.OptimizedDesign.slice_for`):
         #: only these signals are built.  The slice must be closed under
         #: bit-level use-def reachability — signals outside it are read as
@@ -165,15 +163,11 @@ class Unroller:
                                if name in self.slice_signals]
             self._comb_order = [name for name in self.synth.comb_order
                                 if name in self.slice_signals]
-        self._cache: dict[bool, UnrolledDesign] | None = {} if cache else None
+        self._cache: dict[bool, UnrolledDesign] = {}
 
     # ------------------------------------------------------------------
     def unroll(self, last_cycle: int, from_reset: bool = True) -> UnrolledDesign:
         """Build bit functions for every signal at cycles ``0 .. last_cycle``."""
-        if self._cache is None:
-            design = UnrolledDesign(self.module, -1, from_reset)
-            self._extend(design, last_cycle)
-            return design
         master = self._cache.get(from_reset)
         if master is None:
             master = UnrolledDesign(self.module, -1, from_reset)
@@ -197,7 +191,7 @@ class Unroller:
                 if self.slice_signals is not None and name not in self.slice_signals:
                     continue
                 width = module.width_of(name)
-                if name == module.reset and self.constrain_reset:
+                if name == module.reset:
                     design.bits[(name, cycle)] = [FALSE] * width
                     continue
                 variables = [var(bit_variable(name, bit, cycle)) for bit in range(width)]
@@ -257,7 +251,7 @@ class Unroller:
             if name == module.clock:
                 continue
             width = module.width_of(name)
-            if name == module.reset and self.constrain_reset:
+            if name == module.reset:
                 design.bits[(name, 0)] = [FALSE] * width
             else:
                 design.bits[(name, 0)] = [var(bit_variable(name, bit, 0))

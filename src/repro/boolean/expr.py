@@ -192,11 +192,6 @@ FALSE = BConst(False)
 _HASHCONS: "weakref.WeakValueDictionary[tuple, BoolExpr]" = weakref.WeakValueDictionary()
 
 
-def hashcons_size() -> int:
-    """Number of interned nodes (reuse diagnostics for the formal layer)."""
-    return len(_HASHCONS)
-
-
 def support_of(expr: BoolExpr,
                memo: dict[BoolExpr, frozenset[str]] | None = None) -> frozenset[str]:
     """Variable support of ``expr``, each shared DAG node walked once.

@@ -48,6 +48,23 @@ from repro.hdl.module import (
 from repro.hdl.stmt import Assign, Block, Case, CaseItem, If, Statement
 
 
+#: Binary operator -> (precedence level, spelling in the AST).  A higher
+#: level binds tighter; ``===``/``!==`` and the arithmetic shifts read as
+#: their two-valued equivalents.
+BINARY_OPERATORS: dict[str, tuple[int, str]] = {
+    "||": (1, "||"),
+    "&&": (2, "&&"),
+    "|": (3, "|"),
+    "^": (4, "^"), "~^": (4, "~^"), "^~": (4, "^~"),
+    "&": (5, "&"),
+    "==": (6, "=="), "!=": (6, "!="), "===": (6, "=="), "!==": (6, "!="),
+    "<": (7, "<"), "<=": (7, "<="), ">": (7, ">"), ">=": (7, ">="),
+    "<<": (8, "<<"), ">>": (8, ">>"), "<<<": (8, "<<"), ">>>": (8, ">>"),
+    "+": (9, "+"), "-": (9, "-"),
+    "*": (10, "*"),
+}
+
+
 class _TokenStream:
     """Cursor over the token list with convenience accessors."""
 
@@ -106,7 +123,13 @@ class Parser:
     def parse_modules(self) -> list[Module]:
         modules: list[Module] = []
         while not self._stream.check("EOF"):
-            modules.append(self._parse_module())
+            try:
+                modules.append(self._parse_module())
+            except RecursionError:
+                # Parsing and validation both recurse once per nesting level.
+                token = self._stream.current
+                raise ParseError("expression nested too deeply",
+                                 token.line, token.column) from None
         if not modules:
             raise ParseError("no module found in source")
         return modules
@@ -381,66 +404,27 @@ class Parser:
     # expressions (standard precedence, lowest binds last)
     # ------------------------------------------------------------------
     def _parse_expression(self) -> Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> Expr:
-        cond = self._parse_logical_or()
+        cond = self._parse_binary()
         if self._stream.accept("OP", "?"):
-            then = self._parse_ternary()
+            then = self._parse_expression()
             self._stream.expect("OP", ":")
-            other = self._parse_ternary()
+            other = self._parse_expression()
             return Ternary(cond, then, other)
         return cond
 
-    def _parse_binary_level(self, operators: tuple[str, ...], next_level) -> Expr:
-        left = next_level()
-        while self._stream.check("OP") and self._stream.current.text in operators:
-            op = self._stream.advance().text
-            right = next_level()
-            left = BinaryOp(op, left, right)
-        return left
-
-    def _parse_logical_or(self) -> Expr:
-        return self._parse_binary_level(("||",), self._parse_logical_and)
-
-    def _parse_logical_and(self) -> Expr:
-        return self._parse_binary_level(("&&",), self._parse_bitwise_or)
-
-    def _parse_bitwise_or(self) -> Expr:
-        return self._parse_binary_level(("|",), self._parse_bitwise_xor)
-
-    def _parse_bitwise_xor(self) -> Expr:
-        return self._parse_binary_level(("^", "~^", "^~"), self._parse_bitwise_and)
-
-    def _parse_bitwise_and(self) -> Expr:
-        return self._parse_binary_level(("&",), self._parse_equality)
-
-    def _parse_equality(self) -> Expr:
-        left = self._parse_relational()
-        while self._stream.check("OP") and self._stream.current.text in ("==", "!=", "===", "!=="):
-            op = self._stream.advance().text
-            op = {"===": "==", "!==": "!="}.get(op, op)
-            right = self._parse_relational()
-            left = BinaryOp(op, left, right)
-        return left
-
-    def _parse_relational(self) -> Expr:
-        return self._parse_binary_level(("<", "<=", ">", ">="), self._parse_shift)
-
-    def _parse_shift(self) -> Expr:
-        left = self._parse_additive()
-        while self._stream.check("OP") and self._stream.current.text in ("<<", ">>", "<<<", ">>>"):
-            op = self._stream.advance().text
-            op = {"<<<": "<<", ">>>": ">>"}.get(op, op)
-            right = self._parse_additive()
-            left = BinaryOp(op, left, right)
-        return left
-
-    def _parse_additive(self) -> Expr:
-        return self._parse_binary_level(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> Expr:
-        return self._parse_binary_level(("*",), self._parse_unary)
+    def _parse_binary(self, min_level: int = 1) -> Expr:
+        """Precedence climbing over :data:`BINARY_OPERATORS`; every level
+        is left-associative."""
+        stream = self._stream
+        left = self._parse_unary()
+        while True:
+            token = stream.current
+            entry = BINARY_OPERATORS.get(token.text) if token.kind == "OP" else None
+            if entry is None or entry[0] < min_level:
+                return left
+            stream.advance()
+            level, op = entry
+            left = BinaryOp(op, left, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> Expr:
         stream = self._stream

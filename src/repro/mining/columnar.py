@@ -254,19 +254,6 @@ class ColumnarDataset:
         bits = self.columns.get(column, 0)
         return [(bits >> row) & 1 for row in range(self.n_rows)]
 
-    def row_tuples(self) -> list[tuple[tuple[int, ...], int]]:
-        """Rows widened back to per-row tuples (testing/reporting only)."""
-        names = self.feature_columns
-        return [
-            (tuple((self.columns[name] >> row) & 1 for name in names),
-             (self.target_bits >> row) & 1)
-            for row in range(self.n_rows)
-        ]
-
-    def distinct_rows(self) -> int:
-        """Number of distinct feature/target rows (duplicates collapse)."""
-        return len(set(self.row_tuples()))
-
 
 @dataclass
 class ColumnarTreeNode:

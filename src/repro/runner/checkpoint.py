@@ -59,18 +59,6 @@ def jobs_signature(tasks) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Durably replace ``path``: tmp + fsync + rename + directory fsync.
-
-    Plain tmp-and-rename survives a *process* kill but not a power loss
-    — the rename can hit disk before the tmp's data, leaving an empty
-    manifest/result.  :func:`repro.supervise.durable_write` fsyncs the
-    tmp file and then the directory entry so a crash at any point leaves
-    the complete old file or the complete new one.
-    """
-    durable_write(path, text)
-
-
 class CheckpointError(RuntimeError):
     """A run directory exists but is not compatible with this run."""
 
@@ -117,7 +105,7 @@ class RunCheckpoint:
                         f"set (options {existing.get('options')}); re-run "
                         f"with --fresh or a different --run-id to start over")
             return existing
-        _write_atomic(self.manifest_path,
+        durable_write(self.manifest_path,
                       json.dumps(manifest, indent=2, sort_keys=True))
         return manifest
 
@@ -181,7 +169,7 @@ class RunCheckpoint:
     # aggregate artifact
     # ------------------------------------------------------------------
     def write_result(self, result: Mapping) -> None:
-        _write_atomic(self.result_path,
+        durable_write(self.result_path,
                       json.dumps(result, indent=2, sort_keys=True))
 
     def load_result(self) -> dict:

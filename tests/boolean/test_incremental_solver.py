@@ -12,7 +12,8 @@ import itertools
 import random
 
 from repro.boolean.cnf import CnfBuilder
-from repro.boolean.expr import and_, hashcons_size, not_, or_, var, xor_
+from repro.boolean import expr as expr_module
+from repro.boolean.expr import and_, not_, or_, var, xor_
 from repro.boolean.incremental import IncrementalSolver
 from repro.boolean.sat import SatSolver
 
@@ -140,7 +141,7 @@ class TestHashConsing:
         second = and_(var("a"), or_(var("b"), not_(var("c"))))
         assert first is second
         assert xor_(var("a"), var("b")) is xor_(var("a"), var("b"))
-        assert hashcons_size() > 0
+        assert len(expr_module._HASHCONS) > 0
 
     def test_persistent_builder_encodes_shared_nodes_once(self):
         builder = CnfBuilder()

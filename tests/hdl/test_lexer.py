@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.designs import arbiters, itc99, rigel, simple
 from repro.hdl.errors import ParseError
-from repro.hdl.lexer import Lexer, scan_tokens, tokenize
+from repro.hdl.lexer import tokenize
+
+from lexer_reference import ReferenceLexer
 
 SOURCES = {
     name: text
@@ -25,6 +28,18 @@ def kinds(source):
 
 def texts(source):
     return [token.text for token in tokenize(source) if token.kind != "EOF"]
+
+
+def outcome(lex, source):
+    """The token list, or the error text where ``lex`` rejects ``source``."""
+    try:
+        return lex(source)
+    except ParseError as error:
+        return str(error)
+
+
+def reference(source):
+    return ReferenceLexer(source).tokenize()
 
 
 class TestBasics:
@@ -102,6 +117,17 @@ class TestNumbers:
         with pytest.raises(ParseError):
             tokenize("4'b;")
 
+    @pytest.mark.parametrize("suffix", ["", "'b1"])
+    def test_decimal_past_the_int_digit_limit_raises(self, suffix):
+        # int() refuses decimal strings over this limit with a ValueError.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no integer-string digit limit")
+        with pytest.raises(ParseError) as excinfo:
+            tokenize("x " + "9" * (limit + 1) + suffix)
+        assert str(excinfo.value) == \
+            f"decimal number too long ({limit + 1} digits) at line 1, column 3"
+
 
 class TestTermination:
     """The lexer must terminate on *any* input.
@@ -157,6 +183,17 @@ class TestTermination:
             return
         assert tokens[-1].kind == "EOF"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=40))
+    def test_tokenize_terminates_on_arbitrary_unicode_input(self, source):
+        """The same over the whole Unicode alphabet: a non-ASCII digit or
+        letter once leaked a ``ValueError`` or lexed as an ASCII number."""
+        try:
+            tokens = tokenize(source)
+        except ParseError:
+            return
+        assert tokens[-1].kind == "EOF"
+
     @settings(max_examples=150, deadline=None)
     @given(
         size=st.integers(0, 64),
@@ -188,38 +225,91 @@ class TestOperators:
         assert "line 1" in str(excinfo.value)
 
 
+class TestNonAscii:
+    """Simple identifiers and numbers are ASCII (IEEE 1364-2005 §3.7)."""
+
+    @pytest.mark.parametrize("source, line, column", [
+        ("\u00b2", 1, 1),              # superscript two: a digit to str.isdigit
+        ("\u0663", 1, 1),              # Arabic-Indic three: int() reads it as 3
+        ("caf\u00e9", 1, 4),
+        ("a \u00a7 b", 1, 3),
+        ("x\n  y\u00b2", 2, 4),
+        ("4'd\u0663", 1, 1),           # no ASCII digits after the base
+    ])
+    def test_non_ascii_outside_comments_is_rejected_with_a_location(
+            self, source, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(source)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    def test_non_ascii_inside_comments_and_escaped_identifiers_lexes(self):
+        source = ("// caf\u00e9 \u00b2\n/* \u0663 \u00a7 */ `define \u00e9\n"
+                  "\\caf\u00e9 x")
+        assert texts(source) == ["caf\u00e9", "x"]
+        assert tokenize(source)[0].line == 3
+
+
 class TestMasterPattern:
     """The regex scanner against the character-level reference lexer."""
+
+    #: Pieces of literals, comments and escapes, where the two scanners'
+    #: rules are most intricate.
+    LITERAL_FRAGMENTS = ["4'b", "8'h", "'d", "'o", "4'", "'", "'q", "1_0", "x", "Z",
+                         "?", "_", "g", "/*", "*/", "//", "/", "\n", " ", "\\",
+                         "`", "\u00e9"]
 
     def test_equal_tokens_on_every_design_source(self):
         assert len(SOURCES) == 13
         for name, source in SOURCES.items():
-            assert scan_tokens(source) == Lexer(source).tokenize(), name
+            assert tokenize(source) == reference(source), name
 
     @pytest.mark.parametrize("source", [
-        "a § b",             # stray non-ASCII character
+        "a \u00a7 b",        # stray non-ASCII character
         "x /* open",         # unterminated block comment
+        "x\n/* open\n y",    # ... located at end of input
         "4'q1",              # unknown base after a size
+        "4'Q1",              # ... reported in lower case
+        "'q",                # unknown base without a size
         "8'b",               # no digits
+        "4'",                # a size and quote at end of input
+        "4'b_",              # only underscores
         "4'b102",            # digit outside the base
-        "a\fb",             # a form feed is no whitespace here
+        "8'hxg",             # ... after x/z digits become zero
+        "'",                 # a lone quote at end of input
+        "a\fb",              # a form feed is no whitespace here
         "a $b",              # ``$`` cannot start an identifier
+        "a \"b\"",           # no string literals
     ])
-    def test_unmatched_input_falls_back_to_the_located_error(self, source):
-        assert scan_tokens(source) is None
+    def test_unmatched_input_raises_the_reference_error(self, source):
         with pytest.raises(ParseError) as scanned:
             tokenize(source)
-        with pytest.raises(ParseError) as reference:
-            Lexer(source).tokenize()
-        assert str(scanned.value) == str(reference.value)
+        with pytest.raises(ParseError) as expected:
+            reference(source)
+        assert str(scanned.value) == str(expected.value)
 
-    def test_non_ascii_identifier_uses_the_character_level_path(self):
-        assert scan_tokens("caf\u00e9") is None
-        assert texts("caf\u00e9 x") == ["caf\u00e9", "x"]
+    @pytest.mark.parametrize("source, message", [
+        ("x\n/* open\n y", "unterminated block comment at line 3, column 3"),
+        ("a 4'Q1", "unknown number base 'q' at line 1, column 3"),
+        ("4'", "missing digits in sized literal at line 1, column 1"),
+        ("4'b102", "invalid digits '102' for base 2 at line 1, column 1"),
+        ("a\n \u00b2", "unexpected character '\u00b2' at line 2, column 2"),
+    ])
+    def test_error_texts(self, source, message):
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(source)
+        assert str(excinfo.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=string.printable, max_size=60))
-    def test_scan_equals_reference_wherever_it_succeeds(self, source):
-        scanned = scan_tokens(source)
-        if scanned is not None:
-            assert scanned == Lexer(source).tokenize()
+    def test_tokenize_equals_reference_on_printable_text(self, source):
+        assert outcome(tokenize, source) == outcome(reference, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LITERAL_FRAGMENTS), max_size=12).map("".join))
+    def test_tokenize_equals_reference_on_literal_heavy_text(self, source):
+        assert outcome(tokenize, source) == outcome(reference, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=60))
+    def test_tokenize_equals_reference_on_any_text(self, source):
+        assert outcome(tokenize, source) == outcome(reference, source)

@@ -2,13 +2,42 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hdl.ast import BinaryOp, Const, Ref, Ternary
-from repro.hdl.errors import ElaborationError, ParseError
+from repro.hdl.errors import ElaborationError, HdlError, ParseError
 from repro.hdl.module import ProcessKind, SignalKind
-from repro.hdl.parser import parse_module, parse_modules
+from repro.hdl.parser import Parser, parse_module, parse_modules
 from repro.hdl.stmt import Assign, Case, If
+from repro.hdl.synth import synthesize
+
+#: The subset's binary operators by IEEE 1364-2005 precedence, loosest
+#: first, each with the spelling the AST uses.
+PRECEDENCE = [
+    {"||": "||"},
+    {"&&": "&&"},
+    {"|": "|"},
+    {"^": "^", "~^": "~^", "^~": "^~"},
+    {"&": "&"},
+    {"==": "==", "!=": "!=", "===": "==", "!==": "!="},
+    {"<": "<", "<=": "<=", ">": ">", ">=": ">="},
+    {"<<": "<<", ">>": ">>", "<<<": "<<", ">>>": ">>"},
+    {"+": "+", "-": "-"},
+    {"*": "*"},
+]
+SPELLING = {op: ast_op for level in PRECEDENCE for op, ast_op in level.items()}
+LEVEL = {op: rank for rank, level in enumerate(PRECEDENCE) for op in level}
+
+
+def assigned_expr(expr_text):
+    """The expression of ``assign y = <expr_text>;`` in a small module."""
+    return parse_module(
+        "module m(input [3:0] a, input [3:0] b, input [3:0] c, output [3:0] y);"
+        f" assign y = {expr_text}; endmodule"
+    ).assigns[0].expr
 
 
 class TestModuleHeader:
@@ -207,6 +236,35 @@ class TestBehaviour:
         assert isinstance(expr, BinaryOp) and expr.op == "|"
         assert isinstance(expr.right, BinaryOp) and expr.right.op == "&"
 
+    @pytest.mark.parametrize("op", sorted(SPELLING))
+    def test_every_binary_operator_is_left_associative(self, op):
+        ast_op = SPELLING[op]
+        a, b, c = Ref("a"), Ref("b"), Ref("c")
+        assert assigned_expr(f"a {op} b {op} c") == \
+            BinaryOp(ast_op, BinaryOp(ast_op, a, b), c)
+
+    def test_binary_operators_bind_by_precedence_level(self):
+        a, b, c = Ref("a"), Ref("b"), Ref("c")
+        for first, second in itertools.product(SPELLING, repeat=2):
+            if LEVEL[first] == LEVEL[second]:
+                continue
+            outer, inner = SPELLING[first], SPELLING[second]
+            if LEVEL[first] < LEVEL[second]:
+                expected = BinaryOp(outer, a, BinaryOp(inner, b, c))
+            else:
+                expected = BinaryOp(inner, BinaryOp(outer, a, b), c)
+            assert assigned_expr(f"a {first} b {second} c") == expected, (first, second)
+
+    def test_ternary_is_loosest_and_right_associative(self):
+        expr = assigned_expr("a || b ? c : a ? b : c")
+        assert expr == Ternary(BinaryOp("||", Ref("a"), Ref("b")), Ref("c"),
+                               Ternary(Ref("a"), Ref("b"), Ref("c")))
+
+    def test_escaped_identifier_spelled_like_an_operator_is_an_operand(self):
+        module = parse_module("module m(input a, input \\+ , output y);"
+                              " assign y = a & \\+ ; endmodule")
+        assert module.assigns[0].expr == BinaryOp("&", Ref("a"), Ref("+"))
+
     def test_concat_and_part_select(self):
         module = parse_module("""
             module m(a, y); input [3:0] a; output [3:0] y;
@@ -246,3 +304,58 @@ class TestValidation:
     def test_data_inputs_exclude_clock_and_reset(self, arbiter2_source):
         module = parse_module(arbiter2_source)
         assert module.data_input_names == ["req0", "req1"]
+
+
+class TestNesting:
+    """Deep nesting is a located ``ParseError``, never a ``RecursionError``."""
+
+    @staticmethod
+    def source(expr_text):
+        return f"module m(input a, output y); assign y = {expr_text}; endmodule"
+
+    def test_sixty_nested_parentheses_elaborate(self):
+        module = parse_module(self.source("(" * 60 + "a" + ")" * 60))
+        synthesize(module)
+        assert module.assigns[0].expr == Ref("a")
+
+    def test_two_hundred_nested_parentheses_elaborate_or_raise_a_located_error(self):
+        # About 240 levels fit under the default recursion limit; a deep
+        # caller stack leaves fewer.
+        text = self.source("(" * 200 + "a" + ")" * 200)
+        try:
+            synthesize(parse_module(text))
+        except ParseError as error:
+            assert str(error).startswith("expression nested too deeply at line 1")
+
+    def test_deep_parentheses_raise_a_located_error(self):
+        text = self.source("(" * 5000 + "a" + ")" * 5000)
+        for parse in (parse_module, lambda source: Parser(source).parse_modules()):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert str(excinfo.value).startswith("expression nested too deeply at line 1")
+        assert parse_module(self.source("(a)")).assigns[0].expr == Ref("a")
+
+    def test_long_operator_chain_raises_a_located_error(self):
+        # The chain parses in a loop; validating the 1,500-deep tree recurses.
+        text = self.source(" + ".join(["a"] * 1500))
+        for parse in (parse_module, lambda source: Parser(source).parse_modules()):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert str(excinfo.value).startswith("expression nested too deeply at line 1")
+
+
+class TestNeverLeaks:
+    @pytest.mark.parametrize("expr_text", ["\u00b2", "\u0663", "caf\u00e9", "a \u00a7 b"])
+    def test_non_ascii_expression_is_a_located_parse_error(self, expr_text):
+        with pytest.raises(ParseError) as excinfo:
+            parse_module(f"module m(input a, output y); assign y = {expr_text}; endmodule")
+        assert excinfo.value.line == 1 and excinfo.value.column is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=30))
+    def test_any_text_elaborates_or_raises_an_hdl_error(self, text):
+        source = f"module m(input [3:0] a, output [3:0] y); assign y = {text}; endmodule"
+        try:
+            synthesize(parse_module(source))
+        except HdlError:
+            pass

@@ -32,6 +32,7 @@ from repro.mining.dataset import FeatureSpec
 from repro.sim.batched import BatchedSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
+from dataset_rows import distinct_rows, row_tuples
 from tree_diff import diff_trees
 
 #: (design, output, window) subjects spanning combinational and sequential
@@ -77,7 +78,7 @@ class TestDatasetEquivalence:
             # Row-wise stores raw values; both engines treat nonzero as 1.
             assert [1 if v else 0 for v in rowwise.column_values(column)] == \
                 columnar.column_values(column)
-        assert rowwise.distinct_rows() == columnar.distinct_rows()
+        assert rowwise.distinct_rows() == distinct_rows(columnar)
 
     def test_add_window_matches_add_trace(self, arbiter2_module):
         columnar = ColumnarDataset(arbiter2_module, "gnt0", window=2)
@@ -175,7 +176,7 @@ class TestZeroCopyBlockPath:
         assert from_block.n_rows == from_traces.n_rows
         # Row order differs (start-major vs lane-major) but the row
         # multiset — all tree induction consumes — must be identical.
-        assert Counter(from_block.row_tuples()) == Counter(from_traces.row_tuples())
+        assert Counter(row_tuples(from_block)) == Counter(row_tuples(from_traces))
         assert diff_trees(
             DecisionTree(
                 _rowwise_from_traces(meta.build(), output, bit, window,
