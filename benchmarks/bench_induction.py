@@ -3,9 +3,10 @@
 Plain bounded model checking leaves every true assertion at
 ``proof_strength="bounded"`` — "no violation within ``bound`` cycles of
 reset".  The tiered engine (:class:`~repro.formal.induction.
-KInductionModelChecker`) runs the same bounded search for falsification and
-then escalates strengthened k-induction on the free-initial-state
-context, upgrading bounded passes to genuine **unbounded** proofs.  This
+KInductionModelChecker`) asks the depth-0 inductive step first, runs the
+same bounded search for falsification when it fails, and then escalates
+strengthened k-induction on the free-initial-state context, upgrading
+bounded passes to genuine **unbounded** proofs.  This
 benchmark measures what that tier buys and what it costs on miner-shaped
 candidate corpora over the bundled designs.
 

@@ -21,8 +21,9 @@ class GoldMineConfig:
       visible to the miner (Section 3.1's "flat single-cycle picture").
     * ``engine`` — formal back end: ``explicit`` (exact, default),
       ``tiered`` (incremental SAT on each assertion's cone-of-influence
-      slice: bounded search for falsification, then the simple-path
-      inductive step for *unbounded* proofs) or ``bdd``.
+      slice: the depth-0 inductive step, then bounded search for
+      falsification, then the simple-path inductive step for
+      *unbounded* proofs) or ``bdd``.
     * ``bound`` — search depth of the SAT engine (at least 1; raised to
       the assertion's span when shorter).
     * ``induction_k`` — maximum induction depth of the ``tiered`` engine
@@ -52,8 +53,9 @@ class GoldMineConfig:
       memoised, since more budget might have produced a verdict — and a
       timed-out inductive step of the ``tiered`` engine (at any depth,
       ``0`` included) still finishes the bounded search and reports its
-      UNKNOWN (``proof_strength="bounded"``).  Enforced identically
-      in-process and inside worker processes.
+      UNKNOWN (``proof_strength="bounded"``).  Step 0 and the bounded
+      search after it get a budget each, so a check takes at most two.
+      Enforced identically in-process and inside worker processes.
 
     The seed and every counterexample are replayed on the compiled
     :class:`~repro.sim.simulator.Simulator`.

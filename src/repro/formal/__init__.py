@@ -8,11 +8,13 @@ fails:
   path checking.  Exact for the small designs the paper evaluates; this is
   the default engine of the refinement loop.
 * :mod:`repro.formal.induction` — the ``tiered`` SAT engine, built on the
-  in-house CDCL solver: the bounded search of :mod:`repro.formal.bmc`
-  falsifies, then strengthened k-induction on the same persistent
-  contexts escalates from depth 0 to ``induction_k`` for proof
-  (``induction_k=0`` is plain BMC with one-step induction, the
-  :class:`~repro.formal.bmc.BmcModelChecker` baseline).  Every check
+  in-house CDCL solver: the depth-0 inductive step runs first and proves
+  most true candidates without a from-reset query; otherwise the bounded
+  search of :mod:`repro.formal.bmc` falsifies, then strengthened
+  k-induction on the same persistent contexts escalates from depth 1 to
+  ``induction_k`` for proof (``induction_k=0`` is plain BMC with
+  one-step induction, the :class:`~repro.formal.bmc.BmcModelChecker`
+  baseline).  Every check
   runs on the assertion's cone-of-influence slice (:mod:`repro.ir`) with
   one persistent solver context per slice: each query encodes its goal,
   then assumes the goal's literals; learned clauses carry across the
@@ -51,8 +53,9 @@ bounded per-slot restart budget, then served by an in-process fallback
 — every query can carry a wall-clock deadline
 (``GoldMineConfig.formal_query_timeout`` — expiry yields an uncached
 ``timed_out`` UNKNOWN; a timed-out inductive step of ``tiered`` still
-finishes the bounded search first), and :mod:`repro.chaos` replays pinned fault schedules to
-prove recovered runs byte-identical to clean ones.
+lets the bounded search finish, on a fresh budget after step 0, so a
+check takes at most two budgets), and :mod:`repro.chaos` replays pinned
+fault schedules to prove recovered runs byte-identical to clean ones.
 """
 
 from repro.formal.bmc import BmcModelChecker

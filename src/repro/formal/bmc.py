@@ -16,10 +16,12 @@ result is *unknown*.  The refinement loop treats that conservatively: not
 proven, no counterexample.
 
 This class is the plain-BMC baseline the engine ablation and the
-induction benchmark construct directly; the ``tiered`` engine
-(:class:`~repro.formal.induction.KInductionModelChecker`) runs the same
-bounded search and escalates the inductive step to depth ``induction_k``,
-so at ``induction_k=0`` it gives this engine's verdicts and witnesses.
+induction benchmark construct directly, and it searches before it asks
+the step.  The ``tiered`` engine
+(:class:`~repro.formal.induction.KInductionModelChecker`) asks the same
+depth-0 step first, runs the same bounded search only when the step
+fails, and escalates the step to depth ``induction_k``; at
+``induction_k=0`` it gives this engine's verdicts and witnesses.
 
 Every check runs on the assertion's cone-of-influence slice
 (:class:`~repro.ir.netlist.OptimizedDesign`): the unrolling, the Tseitin

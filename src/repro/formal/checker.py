@@ -157,12 +157,14 @@ class VerifierStatistics:
 class FormalVerifier:
     """Checks candidate assertions against a design using a chosen engine.
 
-    ``tiered`` is the one SAT engine: the bounded search on one
-    persistent solver context per sliced unrolling (goal literals assumed
-    per query) falsifies, then the simple-path inductive step on a second
-    persistent context escalates from depth 0 to ``induction_k`` so
-    surviving assertions become real ``unbounded`` proofs.
-    ``induction_k=0`` stops at the one-step induction of plain BMC.
+    ``tiered`` is the one SAT engine: the depth-0 inductive step runs
+    first and proves what holds on every state; otherwise the bounded
+    search on one persistent solver context per sliced unrolling (goal
+    literals assumed per query) falsifies, then the simple-path
+    inductive step on a second persistent context escalates from depth 1
+    to ``induction_k`` so surviving assertions become real ``unbounded``
+    proofs.  ``induction_k=0`` stops at the one-step induction of plain
+    BMC.
 
     ``workers`` selects how checks execute: ``1`` (default) runs the
     engine in-process, ``> 1`` fans batches out to that many persistent

@@ -1,4 +1,4 @@
-"""The ``tiered`` engine: BMC, then k-induction, on the persistent contexts.
+"""The ``tiered`` engine: k-induction around BMC, on the persistent contexts.
 
 :class:`KInductionModelChecker` upgrades the BMC engine's one-step
 inductive argument to full strengthened k-induction (Sheeran/Singh/
@@ -11,7 +11,7 @@ Stålmarck).  For a candidate assertion ``A`` with window *span* ``s``
   per-design persistent from-reset :class:`IncrementalSolver` context, so
   the base case costs nothing beyond the bounded search the engine runs
   anyway and counterexamples stay canonical — byte-identical to what plain
-  BMC reports.
+  BMC reports.  Depth 0 has no base case.
 * **Inductive step** — there is no path ``s_0 .. s_{k+s-1}`` from an
   *arbitrary* (not necessarily reachable) starting state on which ``A``
   holds at window offsets ``0 .. k-1`` yet is violated at offset ``k``.
@@ -43,13 +43,21 @@ correctly so: with no state there are no distinct-state paths of length
 ``k ≥ 1`` is vacuously unsatisfiable.
 
 The engine is the ``tiered`` SAT engine, the only one
-:class:`~repro.formal.checker.FormalVerifier` offers: the full bounded
-search runs first (the falsification tier — every miner-shaped candidate
-that is wrong is wrong early), then the inductive step escalates from
-depth 0 to ``induction_k`` for proof.  Depth 0 is plain BMC's one-step
-induction, so ``induction_k=0`` gives :class:`BmcModelChecker`'s
-verdicts and counterexamples (Eén & Sörensson's view of BMC as the base
-case of one incremental induction procedure).
+:class:`~repro.formal.checker.FormalVerifier` offers.  It asks the
+depth-0 step first: most candidates that hold are proved there, and a
+proof on every state leaves no from-reset window to scan.  Otherwise the
+full bounded search runs (every miner-shaped candidate that is wrong is
+wrong early), then the step escalates from depth 1 to ``induction_k``.
+Depth 0 is plain BMC's one-step induction, so ``induction_k=0`` gives
+:class:`BmcModelChecker`'s verdicts and counterexamples (Eén &
+Sörensson's view of BMC as the base case of one incremental induction
+procedure); only the order of the queries differs.
+
+With a ``query_timeout``, step 0 runs under one budget and the bounded
+search and the escalation under a fresh one, so a check takes at most
+two budgets.  A timed-out step degrades the check to BMC: the bounded
+search still finishes, and what it does not refute comes back as the
+degraded UNKNOWN.
 """
 
 from __future__ import annotations
@@ -85,15 +93,18 @@ def state_distinct_expr(design, registers, i: int, j: int):
 
 
 class KInductionModelChecker(BmcModelChecker):
-    """Bounded search first, then strengthened k-induction for proof.
+    """Strengthened k-induction around :class:`BmcModelChecker`'s search.
 
-    Runs :class:`BmcModelChecker`'s bounded search, then tries the
-    simple-path inductive step at ``k = 0 .. induction_k``.  Returns FALSE
-    with the canonical counterexample the moment a from-reset window is
+    Tries the inductive step at depth 0, then runs the bounded search,
+    then tries the simple-path inductive step at ``k = 1 .. induction_k``.
+    Returns TRUE with ``proof_strength="unbounded"`` when a step query is
+    unsatisfiable (at depth 0 without any from-reset query), FALSE with
+    the canonical counterexample the moment a from-reset window is
     violated (ascending window starts — the same earliest witness plain
-    BMC reports), TRUE with ``proof_strength="unbounded"`` when a step
-    query is unsatisfiable, and otherwise UNKNOWN
-    (``proof_strength="bounded"``).
+    BMC reports), and otherwise UNKNOWN (``proof_strength="bounded"``).
+    Step 0 holding means no state violates the assertion, so it never
+    hides a refutation.  The worst case under ``query_timeout`` is two
+    budgets: one for step 0, a fresh one for the rest.
 
     A proof at depth k is sound only once base windows ``0 .. k-1`` hold
     from reset, so once k passes the bounded search's last window start
@@ -143,37 +154,38 @@ class KInductionModelChecker(BmcModelChecker):
         #: The bounded search scans window starts [0, scanned).
         scanned = depth - span + 2
         self._start_deadline()
-        #: Degradation ladder: a timed-out inductive step abandons the
-        #: proof tier but keeps the base-case scan running on the
-        #: remaining budget (k-induction -> BMC before giving up).
-        degraded = False
         try:
+            # Step 0 holding proves the assertion on every state, so no
+            # from-reset window can violate it: skip the bounded search.
+            holds = self._try_step(assertion, 0)
+            if holds:
+                return self._proved(assertion, start, depth, 0)
+            #: Degradation ladder: a timed-out inductive step abandons the
+            #: proof tier but the base-case scan still runs to the end
+            #: (k-induction -> BMC before giving up).
+            degraded = holds is None
+            # A fresh budget, so step 0's cost cannot starve the search.
+            self._start_deadline()
             counterexample = self._bounded_search(assertion, depth)
-            for k in range(self.induction_k + 1):
+            k = 0
+            while counterexample is None and k < self.induction_k:
+                k += 1
                 if k > scanned:
                     # A proof at depth k is only sound once base windows
                     # 0..k-1 hold, so window k-1 is scanned before the step.
                     design = self._unroller.unroll(max(self.bound, k + span - 2),
                                                    from_reset=True)
                     counterexample = self._window_violation(design, assertion, k - 1)
-                if counterexample is not None:
-                    return false_result(assertion, counterexample, self.name,
-                                        time.perf_counter() - start, bound=depth)
-                if degraded:
-                    continue
-                self._induction_counters["induction_step_queries"] += 1
-                try:
-                    step_holds = self._step_holds(assertion, k)
-                except SatBudgetExceeded:
-                    self._count_timeout("induction_step_timeouts")
-                    degraded = True
-                    continue
-                if step_holds:
-                    self._induction_counters["induction_proofs"] += 1
-                    return true_result(assertion, self.name,
-                                       time.perf_counter() - start,
-                                       bound=depth, proof="k-induction",
-                                       induction_k=k)
+                    if counterexample is not None:
+                        break
+                if not degraded:
+                    holds = self._try_step(assertion, k)
+                    if holds:
+                        return self._proved(assertion, start, depth, k)
+                    degraded = holds is None
+            if counterexample is not None:
+                return false_result(assertion, counterexample, self.name,
+                                    time.perf_counter() - start, bound=depth)
             if degraded:
                 # The proof tier timed out but the bounded search finished:
                 # report BMC's survived-the-search answer, marked timed-out
@@ -193,6 +205,21 @@ class KInductionModelChecker(BmcModelChecker):
                                   time.perf_counter() - start, bound=depth)
         finally:
             self._clear_deadline()
+
+    def _try_step(self, assertion: Assertion, k: int) -> bool | None:
+        """:meth:`_step_holds` at depth ``k``; ``None`` when it timed out."""
+        self._induction_counters["induction_step_queries"] += 1
+        try:
+            return self._step_holds(assertion, k)
+        except SatBudgetExceeded:
+            self._count_timeout("induction_step_timeouts")
+            return None
+
+    def _proved(self, assertion: Assertion, start: float, depth: int,
+                k: int) -> CheckResult:
+        self._induction_counters["induction_proofs"] += 1
+        return true_result(assertion, self.name, time.perf_counter() - start,
+                           bound=depth, proof="k-induction", induction_k=k)
 
     # ------------------------------------------------------------------
     def _step_assumptions(self, design, k: int) -> tuple[int, ...]:

@@ -84,6 +84,9 @@ _BAD_BASE = re.compile(r"[0-9][0-9_]*'(.?)|'(.)", re.DOTALL)
 _BASES = {"b": 2, "d": 10, "h": 16, "o": 8}
 _UNKNOWN_DIGITS = str.maketrans("xXzZ?", "00000", "_")
 
+#: An ``invalid digits`` message echoes at most this many digits.
+ECHOED_DIGITS = 32
+
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source`` and return the token list (including EOF)."""
@@ -119,11 +122,15 @@ def tokenize(source: str) -> list[Token]:
             if not digits:
                 raise ParseError("missing digits in sized literal", line, column)
             base = _BASES[text[quote + 1].lower()]
-            try:
-                value = int(digits, base)
-            except ValueError:
-                raise ParseError(f"invalid digits '{digits}' for base {base}",
-                                 line, column) from None
+            if base == 10 and digits.isdigit():
+                value = _decimal(digits, line, column)
+            else:
+                try:
+                    value = int(digits, base)
+                except ValueError:
+                    raise ParseError(
+                        f"invalid digits '{_excerpt(digits)}' for base {base}",
+                        line, column) from None
             width = (_decimal(size_text, line, column) if size_text
                      else max(value.bit_length(), 1))
             append(Token("NUMBER", text, line, column, value=value, width=width))
@@ -141,6 +148,13 @@ def _decimal(digits: str, line: int, column: int) -> int:
     except ValueError:
         raise ParseError(f"decimal number too long ({len(digits)} digits)",
                          line, column) from None
+
+
+def _excerpt(digits: str) -> str:
+    """``digits``, cut to :data:`ECHOED_DIGITS` characters for a message."""
+    if len(digits) <= ECHOED_DIGITS:
+        return digits
+    return digits[:ECHOED_DIGITS] + "..."
 
 
 def _unmatched(source: str, pos: int, line: int, column: int) -> ParseError:

@@ -65,6 +65,14 @@ BINARY_OPERATORS: dict[str, tuple[int, str]] = {
 }
 
 
+#: Deepest expression tree the parser accepts; a leaf has depth 1, so a
+#: flat ``a + a + ...`` chain may have this many terms.  Validation,
+#: synthesis and code generation walk expression trees recursively (and
+#: generated code nests parentheses, which CPython caps at 200), so a
+#: deeper tree would overflow them after parsing.
+MAX_EXPRESSION_DEPTH = 64
+
+
 class _TokenStream:
     """Cursor over the token list with convenience accessors."""
 
@@ -126,7 +134,7 @@ class Parser:
             try:
                 modules.append(self._parse_module())
             except RecursionError:
-                # Parsing and validation both recurse once per nesting level.
+                # Parentheses add no tree depth but recurse in the parser.
                 token = self._stream.current
                 raise ParseError("expression nested too deeply",
                                  token.line, token.column) from None
@@ -404,15 +412,30 @@ class Parser:
     # expressions (standard precedence, lowest binds last)
     # ------------------------------------------------------------------
     def _parse_expression(self) -> Expr:
-        cond = self._parse_binary()
-        if self._stream.accept("OP", "?"):
-            then = self._parse_expression()
-            self._stream.expect("OP", ":")
-            other = self._parse_expression()
-            return Ternary(cond, then, other)
-        return cond
+        return self._parse_tree()[0]
 
-    def _parse_binary(self, min_level: int = 1) -> Expr:
+    def _parse_tree(self) -> tuple[Expr, int]:
+        """An expression and its tree depth (a leaf has depth 1); the
+        methods below return the same pairs."""
+        cond = self._parse_binary()
+        token = self._stream.accept("OP", "?")
+        if token is None:
+            return cond
+        then = self._parse_tree()
+        self._stream.expect("OP", ":")
+        other = self._parse_tree()
+        return self._node(token, Ternary(cond[0], then[0], other[0]), cond, then, other)
+
+    @staticmethod
+    def _node(token: Token, expr: Expr, *operands: tuple[Expr, int]) -> tuple[Expr, int]:
+        """``expr`` built at ``token`` over ``operands``, with its depth;
+        past :data:`MAX_EXPRESSION_DEPTH` a located error at ``token``."""
+        depth = 1 + max(depth for _, depth in operands)
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ParseError("expression nested too deeply", token.line, token.column)
+        return expr, depth
+
+    def _parse_binary(self, min_level: int = 1) -> tuple[Expr, int]:
         """Precedence climbing over :data:`BINARY_OPERATORS`; every level
         is left-associative."""
         stream = self._stream
@@ -424,45 +447,46 @@ class Parser:
                 return left
             stream.advance()
             level, op = entry
-            left = BinaryOp(op, left, self._parse_binary(level + 1))
+            right = self._parse_binary(level + 1)
+            left = self._node(token, BinaryOp(op, left[0], right[0]), left, right)
 
-    def _parse_unary(self) -> Expr:
+    def _parse_unary(self) -> tuple[Expr, int]:
         stream = self._stream
         if stream.check("OP") and stream.current.text in ("~", "!", "-", "&", "|", "^", "~&", "~|", "~^"):
-            op = stream.advance().text
+            token = stream.advance()
             operand = self._parse_unary()
-            return UnaryOp(op, operand)
+            return self._node(token, UnaryOp(token.text, operand[0]), operand)
         if stream.check("OP") and stream.current.text == "+":
             stream.advance()
             return self._parse_unary()
         return self._parse_primary()
 
-    def _parse_primary(self) -> Expr:
+    def _parse_primary(self) -> tuple[Expr, int]:
         stream = self._stream
         if stream.accept("OP", "("):
-            expr = self._parse_expression()
+            tree = self._parse_tree()
             stream.expect("OP", ")")
-            return expr
+            return tree
         if stream.check("OP", "{"):
             return self._parse_concat()
         if stream.check("NUMBER"):
             token = stream.advance()
             width = token.width if token.width is not None else 32
-            return Const(token.value or 0, width)
+            return Const(token.value or 0, width), 1
         if stream.check("IDENT"):
             name = stream.advance().text
             if name in self._parameters and not stream.check("OP", "["):
                 value = self._parameters[name]
-                return Const(value, max(value.bit_length(), 1))
+                return Const(value, max(value.bit_length(), 1)), 1
             if stream.accept("OP", "["):
                 first = self._parse_constant_expression()
                 if stream.accept("OP", ":"):
                     second = self._parse_constant_expression()
                     stream.expect("OP", "]")
-                    return PartSelect(name, first, second)
+                    return PartSelect(name, first, second), 1
                 stream.expect("OP", "]")
-                return BitSelect(name, first)
-            return Ref(name)
+                return BitSelect(name, first), 1
+            return Ref(name), 1
         token = stream.current
         raise ParseError(
             f"unexpected token '{token.text or token.kind}' in expression",
@@ -470,14 +494,14 @@ class Parser:
             token.column,
         )
 
-    def _parse_concat(self) -> Expr:
+    def _parse_concat(self) -> tuple[Expr, int]:
         stream = self._stream
-        stream.expect("OP", "{")
-        parts = [self._parse_expression()]
+        token = stream.expect("OP", "{")
+        parts = [self._parse_tree()]
         while stream.accept("OP", ","):
-            parts.append(self._parse_expression())
+            parts.append(self._parse_tree())
         stream.expect("OP", "}")
-        return Concat(tuple(parts))
+        return self._node(token, Concat(tuple(part for part, _ in parts)), *parts)
 
 
 #: Distinct source texts whose parsed modules are kept per process.

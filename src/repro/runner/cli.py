@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock budget per formal query (default: "
                           "unbounded); an expired query returns an uncached "
                           "UNKNOWN flagged timed_out instead of hanging; a "
-                          "timed-out tiered induction step still finishes "
-                          "the bounded search first")
+                          "timed-out tiered induction step still lets the "
+                          "bounded search finish")
     run.add_argument("--proof-cache", dest="proof_cache", nargs="?",
                      const=True, default=False, metavar="PATH",
                      help="reuse formal verdicts across jobs and runs, "

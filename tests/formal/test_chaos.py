@@ -261,6 +261,82 @@ class TestQueryDeadline:
                                 verifier._proof_engine_key(), assertion) is None
         assert verifier.stats.timeouts == len(degraded)
 
+    @pytest.mark.parametrize("induction_k", [0, 4])
+    def test_depth0_step_timeout_keeps_refutations(
+            self, arbiter2_module, monkeypatch, induction_k):
+        """Step 0 runs before the bounded search; when it times out the
+        search still runs, so a refuted candidate keeps its verdict and
+        the witness the unconstrained engine reports."""
+        engine = KInductionModelChecker(arbiter2_module, bound=6,
+                                        induction_k=induction_k,
+                                        query_timeout=100.0)
+        baseline = KInductionModelChecker(arbiter2_module, bound=6,
+                                          induction_k=induction_k)
+        step_holds = engine._step_holds
+
+        def step0_times_out(assertion, k):
+            if k == 0:
+                raise SatBudgetExceeded("chaos: one-step induction over budget")
+            return step_holds(assertion, k)
+
+        monkeypatch.setattr(engine, "_step_holds", step0_times_out)
+        assertions = random_assertions(arbiter2_module, 12, seed=23)
+        refuted = 0
+        for assertion in assertions:
+            expected = baseline.check(assertion)
+            result = engine.check(assertion)
+            if expected.verdict is Verdict.FALSE:
+                refuted += 1
+                assert result.verdict is Verdict.FALSE
+                assert not result.timed_out
+                assert (result.counterexample.window_start
+                        == expected.counterexample.window_start)
+                assert (result.counterexample.input_vectors
+                        == expected.counterexample.input_vectors)
+            else:
+                assert result.verdict is Verdict.UNKNOWN
+                assert result.details["degraded"] == "bmc"
+        assert refuted
+        stats = engine.reuse_stats()
+        assert stats["induction_step_timeouts"] == len(assertions)
+        assert stats["query_timeouts"] == len(assertions) - refuted
+
+    def test_bounded_search_gets_a_fresh_deadline_after_step0(
+            self, arbiter2_module, monkeypatch):
+        """Under a real budget, a step 0 that uses all of it leaves the
+        bounded search a budget of its own: the search finishes, so the
+        refuted candidate is FALSE and the other a degraded UNKNOWN."""
+        budget = 1.0
+        engine = KInductionModelChecker(arbiter2_module, bound=6,
+                                        induction_k=0, query_timeout=budget)
+        baseline = KInductionModelChecker(arbiter2_module, bound=6,
+                                          induction_k=0)
+        assertions = random_assertions(arbiter2_module, 12, seed=23)
+        falsified = [baseline.check(assertion).verdict is Verdict.FALSE
+                     for assertion in assertions]
+        chosen = [assertions[falsified.index(True)],
+                  assertions[falsified.index(False)]]
+
+        def step0_overruns(assertion, k):
+            time.sleep(max(0.0, engine._deadline - time.monotonic()) + 0.01)
+            raise SatBudgetExceeded("chaos: one-step induction over budget")
+
+        remaining = []
+        bounded_search = engine._bounded_search
+
+        def timed_search(assertion, depth):
+            remaining.append(engine._deadline - time.monotonic())
+            return bounded_search(assertion, depth)
+
+        monkeypatch.setattr(engine, "_step_holds", step0_overruns)
+        monkeypatch.setattr(engine, "_bounded_search", timed_search)
+        refuted, survived = (engine.check(assertion) for assertion in chosen)
+        assert all(seconds > budget / 2 for seconds in remaining)
+        assert len(remaining) == 2
+        assert refuted.verdict is Verdict.FALSE and not refuted.timed_out
+        assert survived.verdict is Verdict.UNKNOWN and survived.timed_out
+        assert survived.details["degraded"] == "bmc"
+
     def test_query_timeout_excluded_from_proof_cache_key(self, arbiter2_module):
         """Timeouts withhold verdicts, never change them, so cache entries
         are shared across timeout settings."""

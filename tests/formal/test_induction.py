@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.unroll import Unroller
@@ -209,3 +210,50 @@ class TestDepthZeroIsPlainBmc:
         for design_name in ("arbiter2", "b01"):
             module = DESIGNS[design_name].build()
             self._compare(module, random_assertions(module, 10, seed=101))
+
+
+# ----------------------------------------------------------------------
+class TestStepZeroFirst:
+    """The engine asks the depth-0 step before the from-reset search."""
+
+    @staticmethod
+    def _from_reset_queries(engine) -> int:
+        return sum(context.counters.queries
+                   for (from_reset, _), context in engine._contexts.items()
+                   if from_reset)
+
+    def test_depth_zero_proof_issues_no_from_reset_query(self):
+        proofs = 0
+        for design_name in ("arbiter2", "b01", "counter_block"):
+            module = DESIGNS[design_name].build()
+            engine = KInductionModelChecker(module, bound=6, induction_k=4)
+            for assertion in random_assertions(module, 12, seed=101):
+                before = self._from_reset_queries(engine)
+                check = engine.check(assertion)
+                if check.verdict is Verdict.TRUE and check.details["induction_k"] == 0:
+                    proofs += 1
+                    assert self._from_reset_queries(engine) == before
+        assert proofs  # the corpus must exercise the shortcut
+
+    @pytest.mark.parametrize("induction_k", [0, 4])
+    def test_refuted_candidate_keeps_the_earliest_window_witness(self, induction_k):
+        """The extra step-0 query does not change a refutation: the witness
+        is the one plain BMC's search (windows in ascending order) finds."""
+        refuted = 0
+        for design_name in ("arbiter2", "b01", "b06"):
+            module = DESIGNS[design_name].build()
+            bmc = BmcModelChecker(module, bound=6)
+            engine = KInductionModelChecker(module, bound=6, induction_k=induction_k)
+            for assertion in random_assertions(module, 12, seed=11):
+                expected = bmc.check(assertion)
+                if expected.verdict is not Verdict.FALSE:
+                    continue
+                refuted += 1
+                check = engine.check(assertion)
+                assert check.verdict is Verdict.FALSE
+                assert check.counterexample.window_start \
+                    == expected.counterexample.window_start
+                assert check.counterexample.input_vectors \
+                    == expected.counterexample.input_vectors
+                assert replay_violates(module, assertion, check.counterexample)
+        assert refuted

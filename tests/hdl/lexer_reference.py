@@ -3,10 +3,11 @@
 
 It walks the source one character at a time with explicit lexical rules
 instead of a master regular expression, and raises the same located
-:class:`~repro.hdl.errors.ParseError` texts (except on decimal literals
-past ``int()``'s digit limit, where it raises ``ValueError``).  Simple identifiers and
-numbers are ASCII (IEEE 1364-2005 §3.7); any other character is legal only
-inside comments, compiler-directive lines and escaped identifiers.
+:class:`~repro.hdl.errors.ParseError` texts (except on unbased decimal
+literals past ``int()``'s digit limit, where it raises ``ValueError``).
+Simple identifiers and numbers are ASCII (IEEE 1364-2005 §3.7); any other
+character is legal only inside comments, compiler-directive lines and
+escaped identifiers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import string
 
 from repro.hdl.errors import ParseError
-from repro.hdl.lexer import KEYWORDS, Token
+from repro.hdl.lexer import ECHOED_DIGITS, KEYWORDS, Token
 
 #: Multi-character operators, longest first so maximal munch works.
 MULTI_CHAR_OPERATORS = [
@@ -157,6 +158,11 @@ class ReferenceLexer:
             try:
                 value = int(digits, base)
             except ValueError as exc:
+                if base == 10 and all(char in DIGITS for char in digits):
+                    raise ParseError(f"decimal number too long ({len(digits)} digits)",
+                                     line, column) from exc
+                if len(digits) > ECHOED_DIGITS:
+                    digits = digits[:ECHOED_DIGITS] + "..."
                 raise ParseError(f"invalid digits '{digits}' for base {base}", line, column) from exc
             if width is None:
                 width = max(value.bit_length(), 1)

@@ -117,14 +117,14 @@ class TestNumbers:
         with pytest.raises(ParseError):
             tokenize("4'b;")
 
-    @pytest.mark.parametrize("suffix", ["", "'b1"])
-    def test_decimal_past_the_int_digit_limit_raises(self, suffix):
+    @pytest.mark.parametrize("prefix, suffix", [("", ""), ("", "'b1"), ("4'd", "")])
+    def test_decimal_past_the_int_digit_limit_raises(self, prefix, suffix):
         # int() refuses decimal strings over this limit with a ValueError.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("this interpreter has no integer-string digit limit")
         with pytest.raises(ParseError) as excinfo:
-            tokenize("x " + "9" * (limit + 1) + suffix)
+            tokenize("x " + prefix + "9" * (limit + 1) + suffix)
         assert str(excinfo.value) == \
             f"decimal number too long ({limit + 1} digits) at line 1, column 3"
 
@@ -275,6 +275,7 @@ class TestMasterPattern:
         "4'b_",              # only underscores
         "4'b102",            # digit outside the base
         "8'hxg",             # ... after x/z digits become zero
+        "8'h" + "g" * 40,    # ... echoed up to ECHOED_DIGITS digits
         "'",                 # a lone quote at end of input
         "a\fb",              # a form feed is no whitespace here
         "a $b",              # ``$`` cannot start an identifier
@@ -292,6 +293,10 @@ class TestMasterPattern:
         ("a 4'Q1", "unknown number base 'q' at line 1, column 3"),
         ("4'", "missing digits in sized literal at line 1, column 1"),
         ("4'b102", "invalid digits '102' for base 2 at line 1, column 1"),
+        ("4'd" + "1" * 5000 + "a",
+         f"invalid digits '{'1' * 32}...' for base 10 at line 1, column 1"),
+        ("8'o" + "9" * 5000,
+         f"invalid digits '{'9' * 32}...' for base 8 at line 1, column 1"),
         ("a\n \u00b2", "unexpected character '\u00b2' at line 2, column 2"),
     ])
     def test_error_texts(self, source, message):

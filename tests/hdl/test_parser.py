@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from repro.hdl.ast import BinaryOp, Const, Ref, Ternary
 from repro.hdl.errors import ElaborationError, HdlError, ParseError
 from repro.hdl.module import ProcessKind, SignalKind
-from repro.hdl.parser import Parser, parse_module, parse_modules
+from repro.hdl.parser import MAX_EXPRESSION_DEPTH, Parser, parse_module, parse_modules
 from repro.hdl.stmt import Assign, Case, If
 from repro.hdl.synth import synthesize
+from repro.sim import Simulator
+from repro.sim.stimulus import RandomStimulus
 
 #: The subset's binary operators by IEEE 1364-2005 precedence, loosest
 #: first, each with the spelling the AST uses.
@@ -335,13 +337,39 @@ class TestNesting:
             assert str(excinfo.value).startswith("expression nested too deeply at line 1")
         assert parse_module(self.source("(a)")).assigns[0].expr == Ref("a")
 
-    def test_long_operator_chain_raises_a_located_error(self):
-        # The chain parses in a loop; validating the 1,500-deep tree recurses.
-        text = self.source(" + ".join(["a"] * 1500))
-        for parse in (parse_module, lambda source: Parser(source).parse_modules()):
-            with pytest.raises(ParseError) as excinfo:
-                parse(text)
-            assert str(excinfo.value).startswith("expression nested too deeply at line 1")
+    def test_long_operator_chain_raises_at_the_operator_past_the_limit(self):
+        # The n-th ``+`` builds a node of depth n + 1, so the 64th crosses
+        # MAX_EXPRESSION_DEPTH.  The first ``+`` is at column 43 and the
+        # terms are four characters apart: column 43 + 4 * 63, not the
+        # end of input.
+        assert MAX_EXPRESSION_DEPTH == 64
+        for terms in (MAX_EXPRESSION_DEPTH + 1, 1500):
+            text = self.source(" + ".join(["a"] * terms))
+            for parse in (parse_module, lambda source: Parser(source).parse_modules()):
+                with pytest.raises(ParseError) as excinfo:
+                    parse(text)
+                assert str(excinfo.value) == \
+                    "expression nested too deeply at line 1, column 295"
+
+    @pytest.mark.parametrize("expr_text, column", [
+        ("~" * 100 + "a", 77),               # unary nodes build inside out
+        ("{" * 70 + "a" + "}" * 70, 47),
+        ("a ? " * 70 + "a" + " : a" * 70, 67),
+    ])
+    def test_deep_tree_raises_at_the_token_past_the_limit(self, expr_text, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse_module(self.source(expr_text))
+        assert str(excinfo.value) == \
+            f"expression nested too deeply at line 1, column {column}"
+
+    @pytest.mark.parametrize("operator", ["+", "<", "&", "*"])
+    def test_chain_at_the_limit_elaborates_and_simulates(self, operator):
+        terms = " ".join(f"{operator} a" for _ in range(MAX_EXPRESSION_DEPTH - 1))
+        module = parse_module(
+            "module m(input clk, input [3:0] a, output reg [3:0] y);"
+            f" always @(posedge clk) y <= a {terms}; endmodule")
+        synthesize(module)
+        Simulator(module).run(RandomStimulus(4, seed=1))
 
 
 class TestNeverLeaks:

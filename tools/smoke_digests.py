@@ -15,6 +15,14 @@ byte-identical payloads, e.g. serial vs parallel execution::
 
 Each run writes into a throwaway artifacts directory.  Exits 1 if any
 run fails.
+
+``tools/digests/`` pins the expected output under Python 3.12 for the
+default flags (``default.txt``) and for ``--formal-engine tiered
+--induction-k 4`` and ``0`` (``tiered-k4.txt``, ``tiered-k0.txt``); CI
+diffs serial and parallel runs against them.  A change that means to
+alter a payload regenerates them, e.g.::
+
+    python tools/smoke_digests.py > tools/digests/default.txt
 """
 
 from __future__ import annotations
