@@ -33,12 +33,23 @@ class BoolExpr:
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         """Truth value under ``assignment``; absent variables read as 0.
 
+        The one-lane case of :meth:`evaluate_lanes`.
+        """
+        return bool(self.evaluate_lanes(assignment, 1))
+
+    def evaluate_lanes(self, lanes: Mapping[str, int], mask: int) -> int:
+        """Bit-parallel truth values: bit ``i`` of the result is the
+        expression's value when every variable takes bit ``i`` of its
+        entry in ``lanes``.
+
+        ``mask`` has one set bit per lane, and every entry of ``lanes``
+        must lie within it; absent variables read as 0 in every lane.
         Iterative post-order with per-call memoisation keyed by node
         identity: each shared DAG node is computed once and without
         recursion, so neither deep unrolled bit functions nor subgraphs
         shared along many paths cost more than the DAG's size.
         """
-        memo: dict[BoolExpr, bool] = {}
+        memo: dict[BoolExpr, int] = {}
         stack: list[BoolExpr] = [self]
         while stack:
             node = stack[-1]
@@ -46,11 +57,11 @@ class BoolExpr:
                 stack.pop()
                 continue
             if isinstance(node, BConst):
-                memo[node] = node.value
+                memo[node] = mask if node.value else 0
                 stack.pop()
                 continue
             if isinstance(node, BVar):
-                memo[node] = bool(assignment.get(node.name, False))
+                memo[node] = lanes.get(node.name, 0)
                 stack.pop()
                 continue
             children = node.children()
@@ -60,15 +71,22 @@ class BoolExpr:
                 continue
             stack.pop()
             if isinstance(node, BNot):
-                memo[node] = not memo[node.operand]
+                memo[node] = mask ^ memo[node.operand]
             elif isinstance(node, BAnd):
-                memo[node] = all(memo[operand] for operand in node.operands)
+                value = mask
+                for operand in node.operands:
+                    value &= memo[operand]
+                memo[node] = value
             elif isinstance(node, BOr):
-                memo[node] = any(memo[operand] for operand in node.operands)
+                value = 0
+                for operand in node.operands:
+                    value |= memo[operand]
+                memo[node] = value
             elif isinstance(node, BXor):
-                memo[node] = memo[node.left] != memo[node.right]
+                memo[node] = memo[node.left] ^ memo[node.right]
             else:
-                memo[node] = memo[node.then] if memo[node.cond] else memo[node.other]
+                cond = memo[node.cond]
+                memo[node] = (cond & memo[node.then]) | ((mask ^ cond) & memo[node.other])
         return memo[self]
 
     def support(self) -> frozenset[str]:

@@ -1,8 +1,9 @@
 """A CDCL SAT solver on a flat clause arena with blocker-literal watches.
 
 This is the hot core under every formal query in the closure loop: each
-BMC violation query, each canonical-counterexample minimisation solve and
-each induction check bottoms out in :meth:`SatSolver.solve`.  The solver
+BMC violation query, each induction check and each step of the
+canonical counterexample's prefix walk (the witness bits before its
+truth-table tail) bottoms out in :meth:`SatSolver.solve`.  The solver
 keeps the public surface and query protocol of the earlier object-graph
 implementation but lays its data out the way hardware solvers do:
 

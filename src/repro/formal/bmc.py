@@ -30,9 +30,11 @@ the assertion's signals transitively depend on, with registers the IR
 fold proved stuck at reset read as constants from reset.
 
 Each (from-reset or free-initial-state, slice) pair owns one persistent
-:class:`~repro.boolean.incremental.IncrementalSolver`.  The unrolled
-design is extended monotonically and its hash-consed bit functions are
-Tseitin-encoded exactly once; each (assertion, window) violation query
+:class:`~repro.boolean.incremental.IncrementalSolver`.  Each slice's
+:class:`~repro.analysis.unroll.Unroller` is kept on the module and shared
+by every checker of it.  The unrolled design is extended monotonically
+and its hash-consed bit functions are Tseitin-encoded exactly once per
+context; each (assertion, window) violation query
 encodes its conjuncts, then assumes their literals.  A query adds no
 assertive clause and leaves nothing to retire, so learned clauses and
 variable activities carry across the whole candidate batch, and a batch
@@ -43,8 +45,12 @@ satisfiable, the engine does not report whatever model the CDCL search
 happened to land on (which depends on learned clauses, saved phases and
 variable activities, i.e. on solver history).  It binds the free input
 bits to the lexicographically smallest satisfying assignment —
-cycle-major, then input declaration order, preferring 0 — via
-assumption-based minimisation solves.  The reported counterexample is
+cycle-major, then input declaration order, preferring 0.  From reset the
+violation is a pure function of those bits, so the last
+:data:`TRUTH_TABLE_BITS` of them are settled by one bit-parallel
+evaluation of its truth table (the lowest satisfying lane); only bits
+before those take assumption-based minimisation solves, one per witness
+bit of 1.  The reported counterexample is
 therefore a pure function of (design, assertion, bound): identical
 whatever queries the engine answered before, identical whichever worker
 of a parallel pool answers the query (:mod:`repro.formal.parallel`), and
@@ -54,11 +60,12 @@ stable enough to be served from a cross-run proof cache
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Mapping
 
 from repro.assertions.assertion import Assertion, Literal
-from repro.analysis.unroll import Unroller, bit_variable
+from repro.analysis.unroll import Unroller
 from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import BoolExpr, and_, support_of
 from repro.boolean.incremental import IncrementalSolver, ReuseCounters
@@ -74,6 +81,35 @@ from repro.formal.result import (
 from repro.hdl.module import Module
 from repro.hdl.synth import synthesize
 from repro.ir import OptimizedDesign
+
+
+#: Free input bits a canonical witness settles with one truth-table
+#: evaluation (the last ones in the witness order); any bits before them
+#: take the solver-backed prefix walk.  ``2**16`` lanes make each DAG
+#: node's value an 8 KiB int.
+TRUTH_TABLE_BITS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_patterns(width: int) -> tuple[int, ...]:
+    """Truth-table columns of ``width`` variables over ``2**width`` lanes.
+
+    Lane ``L`` assigns the variables the bits of ``L``, first variable
+    most significant, so the lowest lane of a truth table is its
+    lexicographically least assignment.  Each column is one period
+    (zeros, then ones) repeated by doubling shifts.
+    """
+    lanes = 1 << width
+    columns = []
+    for bit in range(width - 1, -1, -1):
+        block = 1 << bit
+        column = ((1 << block) - 1) << block
+        period = block << 1
+        while period < lanes:
+            column |= column << period
+            period <<= 1
+        columns.append(column)
+    return tuple(columns)
 
 
 def _shift(assertion: Assertion, offset: int) -> Assertion:
@@ -132,13 +168,20 @@ class BmcModelChecker:
     # ------------------------------------------------------------------
     @property
     def _unroller(self) -> Unroller:
-        """The persistent unroller of the active slice (lazily built)."""
-        unroller = self._unrollers.get(self._active_slice)
+        """The persistent unroller of the active slice.
+
+        Kept on the module (:meth:`~repro.hdl.module.Module.derived`):
+        synthesis, the slice and the fold's constant registers depend on
+        the module alone, so every checker of the module extends and
+        reads one unrolling per slice.
+        """
+        key = self._active_slice
+        unroller = self._unrollers.get(key)
         if unroller is None:
-            unroller = Unroller(
-                self.module, self._synth, slice_signals=self._active_slice,
-                constant_registers=self._opt.constant_registers)
-            self._unrollers[self._active_slice] = unroller
+            unroller = self.module.derived(("unroller", key), lambda: Unroller(
+                self.module, self._synth, slice_signals=key,
+                constant_registers=self._opt.constant_registers))
+            self._unrollers[key] = unroller
         return unroller
 
     def _activate_slice(self, assertion: Assertion) -> None:
@@ -288,7 +331,7 @@ class BmcModelChecker:
         if result.satisfiable:
             model = self._canonical_model(
                 context.builder, context.solver, design, needed,
-                shifted, violation, result.model, literals)
+                violation, result.model, literals)
             vectors = design.model_to_vectors(model)
             return Counterexample(
                 input_vectors=tuple(vectors[:max(needed, 1)]),
@@ -301,25 +344,28 @@ class BmcModelChecker:
     # canonical counterexample extraction
     # ------------------------------------------------------------------
     def _canonical_model(self, builder: CnfBuilder, solver: SatSolver, design,
-                         needed_cycles: int, shifted: Assertion,
-                         violation: BoolExpr, witness: Mapping[int, bool],
+                         needed_cycles: int, violation: BoolExpr,
+                         witness: Mapping[int, bool],
                          assumptions: list[int]) -> dict[str, bool]:
         """Lexicographically minimal satisfying input assignment.
 
         The target is the smallest assignment of the violation's free
         input bits (cycle-major, input declaration order, 0 < 1) that
-        still satisfies the query.  Two phases keep this cheap:
+        still satisfies the query.  From reset the violation is a pure
+        function of those bits (cycle-0 registers are constants), so:
 
-        1. *Guess.*  Every satisfying assignment pins the input bits the
-           (shifted) antecedent literals name; the global minimum is
-           therefore "forced bits at their forced values, everything else
-           0" whenever that is satisfiable — one assumption solve decides
-           it, and on miner-shaped candidates it almost always is (or is
-           the witness itself, which costs nothing to confirm).
-        2. *Greedy walk* (fallback).  Keep the witness as the running
-           upper bound; 0-bits are fixed for free, each 1-bit costs one
-           assumption solve that either flips it (yielding a strictly
-           smaller witness for the rest) or proves the 1 necessary.
+        1. *Prefix walk.*  All bits but the last :data:`TRUTH_TABLE_BITS`
+           are settled greedily against the solver, keeping the witness as
+           the running upper bound: a witness bit of 0 is fixed for free,
+           and a 1 costs one assumption solve that either flips it
+           (yielding a strictly smaller witness for the rest) or proves
+           the 1 necessary.
+        2. *Truth table.*  The remaining bits get the standard
+           ``2**w``-lane patterns (first bit most significant) and the
+           prefix its settled values in every lane; one
+           :meth:`~repro.boolean.expr.BoolExpr.evaluate_lanes` pass gives
+           the violation's truth table over the tail, whose lowest set bit
+           is the lexicographically least tail.
 
         Bits outside the violation's support are never touched — they
         decode to 0, the value minimisation would pick.  The result
@@ -338,70 +384,36 @@ class BmcModelChecker:
                         ordered.append((name, variable))
         if not ordered:
             return {}
-        fixed = list(assumptions)
-        values = [bool(witness.get(variable, False)) for _, variable in ordered]
-
-        forced = self._forced_input_bits(shifted)
-        guess = [forced.get(name, False) for name, _ in ordered]
-        if guess == values:
-            return dict(zip((name for name, _ in ordered), values))
-        # From reset the violation is a pure function of its input bits
-        # (cycle-0 registers are constants), and ``ordered`` covers its
-        # whole input support — so the guess is decided by direct DAG
-        # evaluation, no solver involved.
-        assignment = {name: value for (name, _), value in zip(ordered, guess)}
-        if violation.evaluate(assignment):
-            return assignment
-
         names = [name for name, _ in ordered]
-        for index, (name, variable) in enumerate(ordered):
-            if not values[index]:
-                fixed.append(-variable)
-                continue
-            # Try to zero this bit by *evaluating* two cheap completions of
-            # the suffix — the guess tail (mostly zeros), then the current
-            # witness tail — before paying a warm solver call; only a bit
-            # whose 1 is genuinely necessary needs the solver's refutation.
-            flipped = None
-            for tail in (guess, values):
-                candidate = dict(zip(names[:index], values[:index]))
-                candidate[name] = False
-                candidate.update(zip(names[index + 1:], tail[index + 1:]))
-                if violation.evaluate(candidate):
-                    flipped = candidate
-                    break
-            if flipped is not None:
-                values[index] = False
-                for later in range(index + 1, len(ordered)):
-                    values[later] = flipped[names[later]]
-                fixed.append(-variable)
-                continue
-            trial = solver.solve(assumptions=fixed + [-variable])
-            if trial.satisfiable:
-                values[index] = False
-                for later in range(index + 1, len(ordered)):
-                    values[later] = bool(trial.model.get(ordered[later][1], False))
-                fixed.append(-variable)
-            else:
-                fixed.append(variable)
-        return dict(zip(names, values))
+        values = [bool(witness.get(variable, False)) for _, variable in ordered]
+        width = min(len(ordered), TRUTH_TABLE_BITS)
+        prefix = len(ordered) - width
 
-    def _forced_input_bits(self, shifted: Assertion) -> dict[str, bool]:
-        """Input-bit values every model of the violation must agree on:
-        the (shifted) antecedent literals over primary data inputs."""
-        forced: dict[str, bool] = {}
-        inputs = set(self.module.data_input_names)
-        for literal in shifted.antecedent:
-            if literal.signal not in inputs:
-                continue
-            if literal.bit is not None:
-                forced[bit_variable(literal.signal, literal.bit, literal.cycle)] = \
-                    bool(literal.value)
-            else:
-                for bit in range(self.module.width_of(literal.signal)):
-                    forced[bit_variable(literal.signal, bit, literal.cycle)] = \
-                        bool((literal.value >> bit) & 1)
-        return forced
+        fixed = list(assumptions)
+        for index in range(prefix):
+            variable = ordered[index][1]
+            if values[index]:
+                trial = solver.solve(assumptions=fixed + [-variable])
+                if not trial.satisfiable:
+                    fixed.append(variable)
+                    continue
+                values[index] = False
+                for later in range(index + 1, prefix):
+                    values[later] = bool(trial.model.get(ordered[later][1], False))
+            fixed.append(-variable)
+
+        mask = (1 << (1 << width)) - 1
+        lanes = {name: mask if value else 0
+                 for name, value in zip(names[:prefix], values[:prefix])}
+        lanes.update(zip(names[prefix:], _lane_patterns(width)))
+        table = violation.evaluate_lanes(lanes, mask)
+        if not table:
+            raise RuntimeError(
+                "canonical witness: the violation is false on every tail "
+                "of its satisfiable prefix")
+        lane = (table & -table).bit_length() - 1
+        tail = [bool((lane >> shift) & 1) for shift in range(width - 1, -1, -1)]
+        return dict(zip(names, values[:prefix] + tail))
 
     def _step_holds(self, assertion: Assertion, k: int) -> bool:
         """True when the inductive step at depth ``k`` is unsatisfiable.

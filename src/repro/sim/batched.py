@@ -114,30 +114,45 @@ class _Emitter:
         return name
 
     def emit(self, node: BoolExpr) -> str:
-        cached = self._cache.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, BConst):
-            result = "M" if node.value else "0"
-        elif isinstance(node, BVar):
-            result = f"b[{self._var_slot[node.name]}]"
-        elif isinstance(node, BNot):
-            result = self._temp(f"{self.emit(node.operand)} ^ M")
-        elif isinstance(node, BAnd):
-            result = self._temp(" & ".join(self.emit(op) for op in node.operands))
-        elif isinstance(node, BOr):
-            result = self._temp(" | ".join(self.emit(op) for op in node.operands))
-        elif isinstance(node, BXor):
-            result = self._temp(f"{self.emit(node.left)} ^ {self.emit(node.right)}")
-        elif isinstance(node, BIte):
-            cond = self.emit(node.cond)
-            then = self.emit(node.then)
-            other = self.emit(node.other)
-            result = self._temp(f"({cond} & {then}) | (({cond} ^ M) & {other})")
-        else:  # pragma: no cover - the blaster only produces the above
-            raise TypeError(f"cannot compile Boolean node {type(node).__name__}")
-        self._cache[node] = result
-        return result
+        """The lane word of ``node``, emitting temps for what is not cached.
+
+        Iterative post-order (bit-level gate graphs nest far deeper than
+        the recursion limit): operands are emitted in order, each before
+        its parent, so temps are numbered as a recursive walk would.
+        """
+        cache = self._cache
+        stack: list[tuple[BoolExpr, bool]] = [(node, False)]
+        while stack:
+            current, expanded = stack.pop()
+            if current in cache:
+                continue
+            if isinstance(current, BConst):
+                cache[current] = "M" if current.value else "0"
+            elif isinstance(current, BVar):
+                cache[current] = f"b[{self._var_slot[current.name]}]"
+            elif not expanded:
+                stack.append((current, True))
+                stack.extend((child, False) for child in reversed(current.children()))
+            else:
+                cache[current] = self._temp(self._expression(current))
+        return cache[node]
+
+    def _expression(self, node: BoolExpr) -> str:
+        """Right-hand side of ``node``'s temp, its operands already cached."""
+        cache = self._cache
+        if isinstance(node, BNot):
+            return f"{cache[node.operand]} ^ M"
+        if isinstance(node, BAnd):
+            return " & ".join(cache[op] for op in node.operands)
+        if isinstance(node, BOr):
+            return " | ".join(cache[op] for op in node.operands)
+        if isinstance(node, BXor):
+            return f"{cache[node.left]} ^ {cache[node.right]}"
+        if isinstance(node, BIte):
+            cond = cache[node.cond]
+            return f"({cond} & {cache[node.then]}) | (({cond} ^ M) & {cache[node.other]})"
+        raise TypeError(  # pragma: no cover - the blaster only produces the above
+            f"cannot compile Boolean node {type(node).__name__}")
 
     def emit_stable(self, node: BoolExpr) -> str:
         """Like :meth:`emit`, but never returns a raw ``b[...]`` read.

@@ -408,17 +408,19 @@ class _Emitter:
         raise TypeError(f"unsupported expression {type(expr).__name__}")  # pragma: no cover
 
     def _unary(self, expr: UnaryOp) -> str:
-        op, operand = expr.op, self.value(expr.operand)
-        full = _mask(self.width(expr.operand))
+        # The reductions :meth:`truth` handles generate their operand
+        # there: generating it here too would double the work per level.
+        op = expr.op
+        if op not in ("~", "-", "^", "~^"):
+            return f"(1 if {self.truth(expr)} else 0)"
+        operand, full = self.value(expr.operand), _mask(self.width(expr.operand))
         if op == "~":
             return f"(~{operand} & {full})"
         if op == "-":
             return f"(-{operand} & {full})"
         if op == "^":
             return f"(({operand}).bit_count() & 1)"
-        if op == "~^":
-            return f"((({operand}).bit_count() & 1) ^ 1)"
-        return f"(1 if {self.truth(expr)} else 0)"
+        return f"((({operand}).bit_count() & 1) ^ 1)"
 
     def _binary(self, expr: BinaryOp) -> str:
         op = expr.op

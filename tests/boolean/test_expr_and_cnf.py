@@ -202,6 +202,24 @@ class TestEvaluate:
             assignment = dict(zip(names, bits))
             assert expr.evaluate(assignment) is reference_value(expr, assignment)
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_dags(), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_lanes_match_evaluate_lane_by_lane(self, expr, count, seed):
+        """Bit ``i`` of ``evaluate_lanes`` is the value on lane ``i``'s
+        assignment; a variable left out of the lanes reads 0 in all."""
+        rng = random.Random(seed)
+        mask = (1 << count) - 1
+        lanes = {f"d{index}": rng.getrandbits(count)
+                 for index in range(4) if rng.random() < 0.75}
+        table = expr.evaluate_lanes(lanes, mask)
+        assert 0 <= table <= mask
+        for lane in range(count):
+            assignment = {f"d{index}": bool((lanes.get(f"d{index}", 0) >> lane) & 1)
+                          for index in range(4)}
+            value = bool((table >> lane) & 1)
+            assert value is expr.evaluate(assignment)
+            assert value is reference_value(expr, assignment)
+
     def test_absent_variable_reads_false(self):
         expr = or_(var("a"), and_(var("b"), not_(var("c"))))
         assert expr.evaluate({}) is False

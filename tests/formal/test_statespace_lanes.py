@@ -18,16 +18,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.assertions.assertion import Assertion, Literal
+from repro.assertions.assertion import Assertion, Literal, Verdict
 from repro.designs import DESIGNS, load
 from repro.formal import statespace
 from repro.formal.explicit import ExplicitModelChecker
 from repro.formal.result import FormalEngineError
 from repro.formal.statespace import StateSpace
 from repro.hdl.parser import parse_module
+from repro.sim.simulator import Simulator
 
 # Sibling test modules (pytest puts this directory on sys.path).
 from explicit_reference import ScalarTransitions
+from test_incremental_bmc import replay_violates
 from test_induction import random_fsm
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -150,3 +152,36 @@ def test_work_counters(name):
     depth = max(len(space.path_from_reset(state)) for state in space.reachable)
     assert stats["explicit_levels"] == depth + 1
     assert second.reuse_stats() == stats
+
+
+def comparison_chain_module(depth):
+    """``y <= ((a < a) < a) ...``: ``depth`` nested comparisons over a
+    4-bit input, a gate graph far deeper than the expression tree."""
+    expr = "a"
+    for _ in range(depth):
+        expr = f"({expr} < a)"
+    return parse_module(f"""
+module chain(clk, rst, a, y);
+  input clk, rst;
+  input [3:0] a;
+  output reg y;
+  always @(posedge clk) if (rst) y <= 0; else y <= {expr};
+endmodule
+""")
+
+
+def test_deep_comparison_chain_explores():
+    """The lane compiler emits the chain without recursing per gate, and
+    the explicit verdicts on ``a -> y`` agree with simulation."""
+    module = comparison_chain_module(55)
+    assert_matches_scalar(StateSpace(module))
+    checker = ExplicitModelChecker(module)
+    for value in range(16):
+        trace = Simulator(module).run_vectors([{"a": value}, {"a": 0}])
+        expected = trace.cycle(1)["y"]
+        holds = Assertion((Literal("a", value, 0),), Literal("y", expected, 1), 1)
+        fails = Assertion((Literal("a", value, 0),), Literal("y", 1 - expected, 1), 1)
+        assert checker.check(holds).verdict is Verdict.TRUE
+        result = checker.check(fails)
+        assert result.verdict is Verdict.FALSE
+        assert replay_violates(module, fails, result.counterexample)

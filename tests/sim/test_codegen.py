@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from repro.coverage.collectors import default_collectors
 from repro.designs import info
 from repro.designs.itc99 import B12_CLASS_SOURCE
@@ -62,3 +64,24 @@ def test_nothing_generated_before_the_first_run():
     assert simulator._program is None
     simulator.reset()
     assert simulator._program is not None
+
+
+def test_nested_reductions_generate_in_linear_time():
+    """Each reduction level generates its operand once: 30 nested ``&``
+    would take 2**30 operand generations if every level did it twice."""
+    expr = "a"
+    for _ in range(30):
+        expr = f"&({expr})"
+    [module] = Parser(f"""
+module nested(clk, rst, a, y);
+  input clk, rst;
+  input [3:0] a;
+  output reg y;
+  always @(posedge clk) if (rst) y <= 0; else y <= {expr};
+endmodule
+""").parse_modules()
+    start = time.perf_counter()
+    trace = Simulator(module).run_vectors([{"a": 15}, {"a": 7}, {"a": 0}])
+    assert time.perf_counter() - start < 1.0
+    # &a is 1 only for a == 15; every further & reduces a 1-bit value.
+    assert [trace.cycle(index)["y"] for index in (1, 2)] == [1, 0]
