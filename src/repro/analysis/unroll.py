@@ -239,38 +239,6 @@ class Unroller:
         design.last_cycle = max(design.last_cycle, last_cycle)
 
     # ------------------------------------------------------------------
-    def transition_functions(self) -> dict[str, list[BoolExpr]]:
-        """Next-state bit functions over current-state and current-input bits.
-
-        Variables are named at cycle 0 (``sig[b]@0``); the BDD reachability
-        engine renames them as needed.
-        """
-        design = UnrolledDesign(self.module, 0, from_reset=False)
-        module = self.module
-        for name in module.input_names:
-            if name == module.clock:
-                continue
-            width = module.width_of(name)
-            if name == module.reset:
-                design.bits[(name, 0)] = [FALSE] * width
-            else:
-                design.bits[(name, 0)] = [var(bit_variable(name, bit, 0))
-                                          for bit in range(width)]
-        for name in self._registers:
-            width = module.width_of(name)
-            design.bits[(name, 0)] = [var(bit_variable(name, bit, 0)) for bit in range(width)]
-        blaster = self._blaster_for_cycle(design, 0)
-        for name in self._comb_order:
-            design.bits[(name, 0)] = blaster.blast(
-                self.synth.comb[name], module.width_of(name)
-            )
-        functions: dict[str, list[BoolExpr]] = {}
-        for name in self._registers:
-            functions[name] = blaster.blast(
-                self.synth.next_state[name], module.width_of(name)
-            )
-        return functions
-
     def _blaster_for_cycle(self, design: UnrolledDesign, cycle: int) -> BitBlaster:
         module = self.module
 

@@ -25,10 +25,50 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 
+#: Characters a :class:`BoolExpr` repr renders before it stops with
+#: ``…``.  The text spells the shared DAG out as a tree, whose size is
+#: exponential in unrolling depth.
+REPR_BUDGET = 4096
+
+
 class BoolExpr:
     """Base class for Boolean expressions."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        """Infix text of the expression tree, cut at :data:`REPR_BUDGET`.
+
+        Iterative, so a deep chain renders without recursion; the walk
+        stops once the budget is spent, so its cost is bounded however
+        large the tree expansion of the DAG is.
+        """
+        parts: list[str] = []
+        length = 0
+        stack: list[BoolExpr | str] = [self]
+        while stack and length <= REPR_BUDGET:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                length += len(item)
+            elif isinstance(item, BNot):
+                stack += (item.operand, "~")
+            elif isinstance(item, (BAnd, BOr)):
+                separator = " & " if isinstance(item, BAnd) else " | "
+                stack.append(")")
+                for index, operand in enumerate(reversed(item.operands)):
+                    if index:
+                        stack.append(separator)
+                    stack.append(operand)
+                stack.append("(")
+            elif isinstance(item, BXor):
+                stack += (")", item.right, " ^ ", item.left, "(")
+            elif isinstance(item, BIte):
+                stack += (")", item.other, ", ", item.then, ", ", item.cond, "ite(")
+            else:
+                stack.append(repr(item))
+        text = "".join(parts)
+        return text if length <= REPR_BUDGET else text[:REPR_BUDGET] + "…"
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         """Truth value under ``assignment``; absent variables read as 0.
@@ -129,7 +169,7 @@ class BVar(BoolExpr):
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BNot(BoolExpr):
     """Negation."""
 
@@ -138,11 +178,8 @@ class BNot(BoolExpr):
     def children(self) -> Sequence[BoolExpr]:
         return (self.operand,)
 
-    def __repr__(self) -> str:
-        return f"~{self.operand!r}"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BAnd(BoolExpr):
     """N-ary conjunction."""
 
@@ -151,11 +188,8 @@ class BAnd(BoolExpr):
     def children(self) -> Sequence[BoolExpr]:
         return self.operands
 
-    def __repr__(self) -> str:
-        return "(" + " & ".join(repr(op) for op in self.operands) + ")"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BOr(BoolExpr):
     """N-ary disjunction."""
 
@@ -164,11 +198,8 @@ class BOr(BoolExpr):
     def children(self) -> Sequence[BoolExpr]:
         return self.operands
 
-    def __repr__(self) -> str:
-        return "(" + " | ".join(repr(op) for op in self.operands) + ")"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BXor(BoolExpr):
     """Binary exclusive-or."""
 
@@ -178,11 +209,8 @@ class BXor(BoolExpr):
     def children(self) -> Sequence[BoolExpr]:
         return (self.left, self.right)
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} ^ {self.right!r})"
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BIte(BoolExpr):
     """If-then-else (multiplexer) node."""
 
@@ -192,9 +220,6 @@ class BIte(BoolExpr):
 
     def children(self) -> Sequence[BoolExpr]:
         return (self.cond, self.then, self.other)
-
-    def __repr__(self) -> str:
-        return f"ite({self.cond!r}, {self.then!r}, {self.other!r})"
 
 
 TRUE = BConst(True)

@@ -18,7 +18,6 @@ from typing import Mapping
 from repro.analysis.unroll import Unroller, bit_variable
 from repro.assertions.assertion import Assertion
 from repro.boolean.bdd import BDD
-from repro.boolean.expr import BoolExpr
 from repro.formal.result import (
     CheckResult,
     Counterexample,
@@ -60,7 +59,9 @@ class BddModelChecker:
         if self._reachable is not None:
             return
         module = self.module
-        functions = self._unroller.transition_functions()
+        # The cycle-1 register bits of the free-initial-state unrolling
+        # are the next-state functions over cycle-0 state and input bits.
+        step = self._unroller.unroll(1, from_reset=False)
 
         # Declare a sensible variable order: current/next state interleaved,
         # then the cycle-0 input bits.
@@ -77,8 +78,7 @@ class BddModelChecker:
         # Transition relation: /\ (next_bit <-> f_bit(state, inputs)).
         transition = bdd.ONE
         for name in module.state_names:
-            bits: list[BoolExpr] = functions[name]
-            for bit_index, function in enumerate(bits):
+            for bit_index, function in enumerate(step.signal_bits(name, 1)):
                 function_bdd = bdd.from_expr(function)
                 next_var = bdd.var(_next_variable(name, bit_index))
                 transition = bdd.and_(transition, bdd.iff(next_var, function_bdd))

@@ -30,11 +30,12 @@ the assertion's signals transitively depend on, with registers the IR
 fold proved stuck at reset read as constants from reset.
 
 Each (from-reset or free-initial-state, slice) pair owns one persistent
-:class:`~repro.boolean.incremental.IncrementalSolver`.  Each slice's
-:class:`~repro.analysis.unroll.Unroller` is kept on the module and shared
-by every checker of it.  The unrolled design is extended monotonically
-and its hash-consed bit functions are Tseitin-encoded exactly once per
-context; each (assertion, window) violation query
+:class:`~repro.boolean.incremental.IncrementalSolver`.  The
+``OptimizedDesign`` and each slice's
+:class:`~repro.analysis.unroll.Unroller` are kept on the module and
+shared by every checker of it.  The unrolled design is extended
+monotonically and its hash-consed bit functions are Tseitin-encoded
+exactly once per context; each (assertion, window) violation query
 encodes its conjuncts, then assumes their literals.  A query adds no
 assertive clause and leaves nothing to retire, so learned clauses and
 variable activities carry across the whole candidate batch, and a batch
@@ -147,8 +148,9 @@ class BmcModelChecker:
         self._timeout_counters: dict[str, int] = {}
         self._synth = synthesize(module)
         #: IR pipeline (:mod:`repro.ir`): per-assertion COI slicing plus
-        #: reset-constant register folding.
-        self._opt = OptimizedDesign(self._synth)
+        #: reset-constant register folding, shared by every checker of
+        #: the module.
+        self._opt = module.derived("ir", lambda: OptimizedDesign(self._synth))
         #: Slice key (sorted signal tuple) of the assertion being checked.
         self._active_slice: tuple[str, ...] = ()
         #: Slice key -> persistent unroller of that slice.

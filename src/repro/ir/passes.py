@@ -1,16 +1,7 @@
-"""Optimization passes over the bit-level netlist.
+"""Constant folding over the bit-level netlist.
 
-Two passes live here; the third (cone-of-influence slicing) is
-:mod:`repro.ir.coi`.
-
-*Structural hashing* is not a rewrite: the expression layer
-(:mod:`repro.boolean.expr`) interns every node at construction, so the
-netlist is hash-consed by birth.  :func:`structural_hash_stats` measures
-what that buys — how many references the bit functions make versus how
-many distinct nodes exist.
-
-*Constant folding* (:func:`fold_constants`) finds registers that can
-never leave their reset values.  It computes the greatest fixpoint of
+:func:`fold_constants` finds registers that can never leave their reset
+values.  It computes the greatest fixpoint of
 
     "every register in the candidate set has a next-state function that
     evaluates to its reset constant whenever all candidates hold their
@@ -29,9 +20,9 @@ reset-low transition system the formal engines unroll.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.boolean.bitblast import default_bit_name
 from repro.boolean.expr import (
     BAnd,
     BConst,
@@ -97,36 +88,19 @@ def partial_eval(expr: BoolExpr, env: Mapping[str, bool],
     return memo[expr]
 
 
-@dataclass
-class FoldResult:
-    """Outcome of :func:`fold_constants`.
+def fold_constants(netlist: "NetlistIR") -> dict[str, int]:
+    """Registers provably stuck at their reset values (reset held low).
 
-    ``constant_registers`` maps each folded register to the word value it
-    is stuck at (its reset value); ``constant_register_bits`` is the same
-    information at bit granularity (canonical bit name -> bool), which is
-    what the cone pass and the unroller consume directly.
+    Maps each folded register to the word value it is stuck at.
     """
-
-    constant_registers: dict[str, int] = field(default_factory=dict)
-    constant_register_bits: dict[str, bool] = field(default_factory=dict)
-    #: Fixpoint iterations taken (telemetry).
-    iterations: int = 0
-
-
-def fold_constants(netlist: "NetlistIR") -> FoldResult:
-    """Find registers provably stuck at their reset values (reset held low)."""
     module = netlist.module
     candidates = list(netlist.synth.registers)
     reset_env: dict[str, bool] = {}
     if module.reset is not None:
-        from repro.boolean.bitblast import default_bit_name
-
         for bit in range(module.width_of(module.reset)):
             reset_env[default_bit_name(module.reset, bit)] = False
 
-    iterations = 0
     while True:
-        iterations += 1
         env = dict(reset_env)
         for name in candidates:
             for node in netlist.bits_of(name):
@@ -150,43 +124,5 @@ def fold_constants(netlist: "NetlistIR") -> FoldResult:
             if stuck:
                 survivors.append(name)
         if len(survivors) == len(candidates):
-            break
+            return {name: module.signal(name).reset_value for name in candidates}
         candidates = survivors
-
-    result = FoldResult(iterations=iterations)
-    for name in candidates:
-        result.constant_registers[name] = module.signal(name).reset_value
-        for node in netlist.bits_of(name):
-            result.constant_register_bits[node.name] = node.reset
-    return result
-
-
-def structural_hash_stats(netlist: "NetlistIR") -> dict:
-    """Measure expression sharing across the netlist's bit functions.
-
-    ``unique_nodes`` counts distinct interned DAG nodes reachable from
-    any bit function; ``node_references`` counts every reference to them
-    (root uses plus child edges).  Their ratio is the factor by which
-    hash-consing shrank the netlist relative to a per-reference copy.
-    """
-    seen: set[int] = set()
-    references = 0
-    stack: list[BoolExpr] = []
-    for node in netlist.nodes.values():
-        if node.function is not None:
-            references += 1
-            stack.append(node.function)
-    while stack:
-        expr = stack.pop()
-        if id(expr) in seen:
-            continue
-        seen.add(id(expr))
-        children = expr.children()
-        references += len(children)
-        stack.extend(children)
-    unique = len(seen)
-    return {
-        "unique_nodes": unique,
-        "node_references": references,
-        "sharing_ratio": round(references / unique, 3) if unique else 1.0,
-    }

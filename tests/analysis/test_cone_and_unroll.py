@@ -7,6 +7,7 @@ import itertools
 from repro.analysis.cone import mining_features, windowed_cone
 from repro.analysis.unroll import Unroller, bit_variable
 from repro.assertions.assertion import Assertion, Literal
+from repro.boolean.expr import support_of
 from repro.hdl.parser import parse_module
 from repro.sim.simulator import Simulator
 
@@ -92,6 +93,13 @@ class TestUnroller:
         assert bit_variable("gnt0", 0, 0) in design.state_bit_names
 
     def test_transition_functions_cover_all_registers(self, fetch_module):
-        functions = Unroller(fetch_module).transition_functions()
-        assert set(functions) == set(fetch_module.state_names)
-        assert len(functions["pc"]) == 3
+        """The BDD engine's transition relation: each register's cycle-1
+        bits of the free-initial-state unrolling read cycle-0 bits only."""
+        design = Unroller(fetch_module).unroll(1, from_reset=False)
+        for name in fetch_module.state_names:
+            bits = design.signal_bits(name, 1)
+            assert len(bits) == fetch_module.width_of(name)
+            for function in bits:
+                assert all(variable.endswith("@0")
+                           for variable in support_of(function))
+        assert len(design.signal_bits("pc", 1)) == 3

@@ -7,7 +7,8 @@ free bits with one lane-parallel evaluation and any bits before them
 with solver-backed greedy steps.  These tests pin the result against a
 brute-force search by simulation and against the all-solver and
 small-table configurations, and check that every checker of a module
-shares one unrolling per slice without changing a verdict or witness.
+shares one IR and one unrolling per slice without changing a verdict or
+witness.
 """
 
 from __future__ import annotations
@@ -170,3 +171,29 @@ def test_mutation_and_pickling_drop_the_shared_unrolling():
     assert restored.derived(("unroller", key), lambda: fresh) is fresh
     module.add_signal("spare")
     assert module.derived(("unroller", key), lambda: fresh) is fresh
+
+
+def test_checkers_share_one_optimized_design():
+    module = cold_arbiter2()
+    assertions = corpus(module, 16, seed=3)
+    first = BmcModelChecker(module)
+    second = KInductionModelChecker(module, induction_k=4)
+    assert second._opt is first._opt
+    assert module.derived("ir", object) is first._opt
+    first_results = results(first, assertions)
+    second_results = results(second, assertions)
+    # The slice memo filled by the first checker serves the second.
+    assert first._opt._slice_memo
+    assert set(second._unrollers) <= set(first._opt._slice_memo.values())
+    assert first_results == results(BmcModelChecker(cold_arbiter2()), assertions)
+    assert second_results == results(
+        KInductionModelChecker(cold_arbiter2(), induction_k=4), assertions)
+
+
+def test_mutation_and_pickling_drop_the_shared_ir():
+    module = cold_arbiter2()
+    shared = BmcModelChecker(module)._opt
+    restored = pickle.loads(pickle.dumps(module))
+    assert BmcModelChecker(restored)._opt is not shared
+    module.add_signal("spare")
+    assert BmcModelChecker(module)._opt is not shared

@@ -25,8 +25,6 @@ enumerate explicitly) as well as the bundled designs:
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,59 +38,14 @@ from repro.formal.bmc import BmcModelChecker
 from repro.formal.explicit import ExplicitModelChecker
 from repro.formal.induction import KInductionModelChecker, state_distinct_expr
 from repro.formal.statespace import StateSpace
-from repro.hdl.parser import parse_module
 from repro.hdl.synth import synthesize
 
-# Sibling test module (pytest puts this directory on sys.path).
+# Shared test helpers (pytest puts tests/ and this directory on sys.path).
+from generated_designs import random_fsm
 from test_incremental_bmc import random_assertions, replay_violates
 
 
 # ----------------------------------------------------------------------
-def random_fsm(seed: int):
-    """A random small FSM in the repo's Verilog subset.
-
-    1-3 one-bit registers (all exported as outputs so the assertion
-    generator has sequential outputs to aim at), 1-2 free inputs, random
-    reset values, random depth-2 next-state logic and one combinational
-    output — at most 8 states, so the state space enumerates instantly.
-    """
-    rng = random.Random(seed)
-    registers = [f"r{i}" for i in range(rng.randint(1, 3))]
-    inputs = [f"i{i}" for i in range(rng.randint(1, 2))]
-    names = registers + inputs
-
-    def expression(depth: int) -> str:
-        if depth == 0 or rng.random() < 0.4:
-            name = rng.choice(names)
-            return name if rng.random() < 0.5 else f"~{name}"
-        operator = rng.choice(["&", "|", "^"])
-        return f"({expression(depth - 1)} {operator} {expression(depth - 1)})"
-
-    updates = "\n".join(
-        f"      {register} <= {expression(2)};" for register in registers)
-    resets = "\n".join(
-        f"      {register} <= {rng.randint(0, 1)};" for register in registers)
-    source = f"""
-module hfsm(clk, rst, {', '.join(inputs)}, {', '.join(registers)}, y);
-  input clk, rst;
-  input {', '.join(inputs)};
-  output reg {', '.join(registers)};
-  output y;
-
-  assign y = {expression(2)};
-
-  always @(posedge clk) begin
-    if (rst) begin
-{resets}
-    end else begin
-{updates}
-    end
-  end
-endmodule
-"""
-    return parse_module(source)
-
-
 def assert_simple_path_preserves_reachability(module):
     """Core oracle: every explicitly enumerated reachable state stays
     satisfiable under the full set of simple-path pair constraints."""

@@ -1,22 +1,32 @@
-"""Unit tests for the bit-level netlist IR and its optimization passes.
+"""Unit tests for the bit-level netlist IR and its passes.
 
-Covers the graph itself (node kinds, operand/user back-edges, structural
-hashing), the constant-folding pass on synthetic designs built to fold
-(the bundled roster is well-formed and folds nothing — asserted here so a
-future regression shows up), and the cone-of-influence pass's closure
-property on every bundled design.
+Covers the graph itself (one node per driven bit, operands as function
+support), the constant-folding pass on synthetic designs built to fold
+(the bundled roster is well-formed and folds nothing — asserted here so
+a future regression shows up) and on generated FSMs, and the
+cone-of-influence slices: closed under use-def on every bundled design,
+and equal to an independent reference cone on every design and on
+generated FSMs.
 """
 
 from __future__ import annotations
 
-import pytest
+import itertools
+import random
 
-from repro.boolean.bitblast import default_bit_name
+import pytest
+from hypothesis import given, settings
+
+from repro.boolean.bitblast import BitBlaster, default_bit_name
 from repro.designs import DESIGNS
 from repro.hdl.parser import parse_module
 from repro.hdl.synth import synthesize
-from repro.ir import NetlistIR, OptimizedDesign, fold_constants, structural_hash_stats
-from repro.ir.coi import BitCone
+from repro.ir import NetlistIR, OptimizedDesign, fold_constants
+from repro.sim.simulator import Simulator
+
+# Shared test helper (pytest puts tests/ on sys.path).
+from generated_designs import fsms
+
 
 def recursive_support(expr, memo):
     """Reference support: plain recursion over ``children()``, memoised."""
@@ -78,6 +88,51 @@ def build_ir(source):
     return NetlistIR(synthesize(parse_module(source)))
 
 
+def reference_slicer(module):
+    """Independent slice oracle for ``module``.
+
+    Bit functions are blasted afresh, each bit's support comes from
+    :func:`recursive_support`, and a request's cone is closed bit by bit
+    over the driven bits (inputs other than the clock, registers and
+    combinational targets), then lifted to its signals plus the request.
+    """
+    synth = synthesize(module)
+    blaster = BitBlaster(module.width_of)
+    memo = {}
+    reads = {}  # driven bit -> (its signal, the bits its function reads)
+    for name in module.input_names:
+        if name != module.clock:
+            for bit in range(module.width_of(name)):
+                reads[default_bit_name(name, bit)] = (name, set())
+    for name, expr in [*synth.next_state.items(), *synth.comb.items()]:
+        for bit, function in enumerate(blaster.blast(expr, module.width_of(name))):
+            reads[default_bit_name(name, bit)] = (name, recursive_support(function, memo))
+
+    def slice_of(signals):
+        cone, stack = set(), [default_bit_name(signal, bit) for signal in signals
+                              for bit in range(module.width_of(signal))]
+        while stack:
+            bit = stack.pop()
+            if bit in reads and bit not in cone:
+                cone.add(bit)
+                stack.extend(reads[bit][1])
+        return tuple(sorted(set(signals) | {reads[bit][0] for bit in cone}))
+
+    return slice_of
+
+
+def assert_slices_match_reference(module):
+    """``slice_for`` equals the reference cone for every signal and every
+    pair of outputs."""
+    opt = OptimizedDesign(synthesize(module))
+    reference = reference_slicer(module)
+    requests = [(name,) for name in module.signals]
+    requests += itertools.combinations(module.output_names, 2)
+    for request in requests:
+        assert opt.slice_for(request) == reference(request), (
+            f"[{module.name}] slice of {request}")
+
+
 class TestNetlistConstruction:
     def test_node_kinds_and_counts(self, counter_module):
         ir = NetlistIR(synthesize(counter_module))
@@ -87,30 +142,19 @@ class TestNetlistConstruction:
         expected += sum(module.width_of(name) for name in ir.synth.registers)
         expected += sum(module.width_of(name) for name in ir.synth.comb_order)
         assert len(ir.nodes) == expected
-        kinds = {node.kind for node in ir.nodes.values()}
-        assert kinds == {"input", "register", "comb"}
-        for node in ir.input_bits:
-            assert node.function is None and node.operands == ()
+        for name in module.input_names:
+            if name != module.clock:
+                for node in ir.bits_of(name):
+                    assert node.function is None and node.operands == ()
+        for name in [*ir.synth.registers, *ir.synth.comb_order]:
+            assert all(node.function is not None for node in ir.bits_of(name))
 
     def test_register_reset_bits(self, counter_module):
         ir = NetlistIR(synthesize(counter_module))
         for name in ir.synth.registers:
             reset_value = counter_module.signal(name).reset_value
             for bit, node in enumerate(ir.bits_of(name)):
-                assert node.kind == "register"
                 assert node.reset == bool((reset_value >> bit) & 1)
-
-    @pytest.mark.parametrize("design_name", sorted(DESIGNS))
-    def test_users_invert_operands(self, design_name):
-        """Def-use back-edges are exactly the inverse of the operand lists."""
-        ir = NetlistIR(synthesize(DESIGNS[design_name].build()))
-        for node in ir.nodes.values():
-            for operand in node.operands:
-                used = ir.nodes.get(operand)
-                if used is not None:
-                    assert node.name in used.users
-            for user in node.users:
-                assert node.name in ir.nodes[user].operands
 
     @pytest.mark.parametrize("design_name", sorted(DESIGNS))
     def test_operands_are_sorted_function_support(self, design_name):
@@ -124,26 +168,15 @@ class TestNetlistConstruction:
                 continue
             assert node.operands == tuple(sorted(recursive_support(node.function, memo)))
 
-    def test_structural_hash_shares_nodes(self, arbiter4_module):
-        ir = NetlistIR(synthesize(arbiter4_module))
-        stats = structural_hash_stats(ir)
-        assert stats["unique_nodes"] > 0
-        # Interning means references >= uniques; real designs share logic.
-        assert stats["node_references"] >= stats["unique_nodes"]
-        assert stats["sharing_ratio"] >= 1.0
-
 
 class TestConstantFolding:
     def test_stuck_register_folds(self):
-        ir = build_ir(FOLDABLE_SOURCE)
-        fold = fold_constants(ir)
-        assert fold.constant_registers == {"stuck": 0}
-        assert fold.constant_register_bits == {default_bit_name("stuck", 0): False}
+        assert fold_constants(build_ir(FOLDABLE_SOURCE)) == {"stuck": 0}
+        opt = OptimizedDesign(synthesize(parse_module(FOLDABLE_SOURCE)))
+        assert opt.constant_registers == {"stuck": 0}
 
     def test_mutual_fixpoint_folds_both(self):
-        fold = fold_constants(build_ir(MUTUAL_SOURCE))
-        assert fold.constant_registers == {"a": 0, "b": 0}
-        assert "live" not in fold.constant_registers
+        assert fold_constants(build_ir(MUTUAL_SOURCE)) == {"a": 0, "b": 0}
 
     @pytest.mark.parametrize("design_name", sorted(DESIGNS))
     def test_bundled_designs_fold_nothing(self, design_name):
@@ -153,13 +186,10 @@ class TestConstantFolding:
         passes (that is what they are for) but worth noticing.
         """
         ir = NetlistIR(synthesize(DESIGNS[design_name].build()))
-        assert fold_constants(ir).constant_registers == {}
+        assert fold_constants(ir) == {}
 
     def test_folded_constant_is_inductive(self):
         """Replay check: the folded register really is stuck at reset."""
-        from repro.sim.simulator import Simulator
-        import random
-
         module = parse_module(FOLDABLE_SOURCE)
         simulator = Simulator(module)
         simulator.reset()
@@ -224,18 +254,42 @@ class TestConeOfInfluence:
                                 f"{used.signal} (read by {node.name})")
 
     def test_cone_memo_reused_across_requests(self):
-        ir = build_ir(FOLDABLE_SOURCE)
-        cone = BitCone(ir)
-        first = cone.cone_of({"out"})
-        again = cone.cone_of({"out", "obs"})
-        assert first <= again
-
-
-class TestStats:
-    def test_stats_shape(self):
+        """A larger request reuses the seed-bit cones of a smaller one
+        and can only grow the slice."""
         opt = OptimizedDesign(synthesize(parse_module(FOLDABLE_SOURCE)))
-        stats = opt.stats()
-        assert stats["folded_registers"] == 1
-        assert stats["folded_register_bits"] == 1
-        assert stats["register_bits"] == 3  # stuck + track[1:0]
-        assert stats["sharing_ratio"] >= 1.0
+        first = opt.slice_for({"out"})
+        again = opt.slice_for({"out", "obs"})
+        assert set(first) <= set(again)
+        assert set(opt.slice_for({"obs"})) <= set(again)
+
+    @pytest.mark.parametrize("design_name", sorted(DESIGNS))
+    def test_slices_equal_reference_cones(self, design_name):
+        assert_slices_match_reference(DESIGNS[design_name].build())
+
+    @pytest.mark.parametrize("source", [FOLDABLE_SOURCE, MUTUAL_SOURCE],
+                             ids=["foldable", "mutual"])
+    def test_folding_designs_slices_equal_reference_cones(self, source):
+        assert_slices_match_reference(parse_module(source))
+
+
+class TestGeneratedFsms:
+    @settings(max_examples=30, deadline=None)
+    @given(module=fsms)
+    def test_slices_equal_reference_cones(self, module):
+        assert_slices_match_reference(module)
+
+    @settings(max_examples=30, deadline=None)
+    @given(module=fsms)
+    def test_folded_registers_stay_at_reset(self, module):
+        """Every register the fold returns holds its reset value over a
+        seeded random run with reset low."""
+        folded = fold_constants(NetlistIR(synthesize(module)))
+        simulator = Simulator(module)
+        simulator.reset()
+        rng = random.Random(7)
+        for _ in range(40):
+            simulator.step({name: rng.randrange(1 << module.width_of(name))
+                            for name in module.data_input_names}
+                           | {module.reset: 0})
+            for name, value in folded.items():
+                assert simulator.peek(name) == value, name
