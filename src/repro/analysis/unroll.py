@@ -43,6 +43,10 @@ class UnrolledDesign:
     input_bit_names: dict[int, list[str]] = field(default_factory=dict)
     #: Names of the free initial-state bit variables (empty when from reset).
     state_bit_names: list[str] = field(default_factory=list)
+    #: ``(signal, value, cycle, bit) ->`` :meth:`literal_expr`, shared like
+    #: ``bits`` by every view of one unrolling.
+    literals: dict[tuple[str, int, int, int | None], BoolExpr] = field(
+        default_factory=dict)
 
     # ------------------------------------------------------------------
     def view(self, last_cycle: int) -> "UnrolledDesign":
@@ -68,6 +72,7 @@ class UnrolledDesign:
                              for cycle, names in self.input_bit_names.items()
                              if cycle <= last_cycle},
             state_bit_names=self.state_bit_names,
+            literals=self.literals,
         )
 
     def signal_bits(self, name: str, cycle: int) -> list[BoolExpr]:
@@ -80,16 +85,25 @@ class UnrolledDesign:
             ) from exc
 
     def literal_expr(self, literal: Literal) -> BoolExpr:
-        """Boolean function stating that ``literal`` holds on the unrolling."""
+        """Boolean function stating that ``literal`` holds on the unrolling.
+
+        Memoised per ``(signal, value, cycle, bit)``: a cycle's bit
+        functions never change once built, so every view of the unrolling
+        shares one entry.
+        """
+        key = (literal.signal, literal.value, literal.cycle, literal.bit)
+        expr = self.literals.get(key)
+        if expr is not None:
+            return expr
         bits = self.signal_bits(literal.signal, literal.cycle)
         if literal.bit is not None:
             bit = bits[literal.bit] if literal.bit < len(bits) else FALSE
-            return bit if literal.value else not_(bit)
-        terms = []
-        for index, bit in enumerate(bits):
-            expected = (literal.value >> index) & 1
-            terms.append(bit if expected else not_(bit))
-        return and_(*terms)
+            expr = bit if literal.value else not_(bit)
+        else:
+            expr = and_(*[bit if (literal.value >> index) & 1 else not_(bit)
+                          for index, bit in enumerate(bits)])
+        self.literals[key] = expr
+        return expr
 
     def assertion_expr(self, assertion: Assertion) -> BoolExpr:
         """The assertion (antecedent -> consequent) as a Boolean function."""

@@ -1,9 +1,10 @@
 """A CDCL SAT solver on a flat clause arena with blocker-literal watches.
 
-This is the hot core under every formal query in the closure loop: each
-BMC violation query, each induction check and each step of the
-canonical counterexample's prefix walk (the witness bits before its
-truth-table tail) bottoms out in :meth:`SatSolver.solve`.  The solver
+This is the hot core under the formal queries in the closure loop that
+are too wide for a truth table: each such BMC violation query, each such
+induction check and each step of the canonical counterexample's prefix
+walk (the witness bits before its truth-table tail) bottoms out in
+:meth:`SatSolver.solve`.  The solver
 keeps the public surface and query protocol of the earlier object-graph
 implementation but lays its data out the way hardware solvers do:
 

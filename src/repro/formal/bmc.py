@@ -41,17 +41,30 @@ assertive clause and leaves nothing to retire, so learned clauses and
 variable activities carry across the whole candidate batch, and a batch
 checked a second time adds no clause or variable at all.
 
+Small queries never reach the solver.  Simulation first, SAT only for
+what simulation leaves open, is the order of FRAIG sweeping (Mishchenko,
+Chatterjee, Jiang & Brayton, 2005); for a query whose support has at
+most :data:`TRUTH_TABLE_BITS` variables, one bit-parallel
+:meth:`~repro.boolean.expr.BoolExpr.evaluate_lanes` pass over every
+assignment leaves nothing open.  An empty truth table means UNSAT.  This
+covers from-reset windows and inductive steps alike; the persistent
+contexts see only the wider queries.  A table evaluation polls the
+query deadline first, as the solver polls its interrupt, so an expired
+budget never yields a verdict.
+
 Counterexamples are **canonical**: when a violation query is
 satisfiable, the engine does not report whatever model the CDCL search
 happened to land on (which depends on learned clauses, saved phases and
 variable activities, i.e. on solver history).  It binds the free input
 bits to the lexicographically smallest satisfying assignment —
 cycle-major, then input declaration order, preferring 0.  From reset the
-violation is a pure function of those bits, so the last
-:data:`TRUTH_TABLE_BITS` of them are settled by one bit-parallel
-evaluation of its truth table (the lowest satisfying lane); only bits
-before those take assumption-based minimisation solves, one per witness
-bit of 1.  The reported counterexample is
+violation is a pure function of those bits, so the lowest satisfying
+lane of its truth table over the last :data:`TRUTH_TABLE_BITS` of them
+settles those bits (:meth:`BmcModelChecker._least_assignment`).  A window
+that fits the table is decided and witnessed by that one evaluation;
+only bits before the last :data:`TRUTH_TABLE_BITS` of a wider window take
+assumption-based minimisation solves, one per witness bit of 1.  The
+reported counterexample is
 therefore a pure function of (design, assertion, bound): identical
 whatever queries the engine answered before, identical whichever worker
 of a parallel pool answers the query (:mod:`repro.formal.parallel`), and
@@ -63,14 +76,13 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.assertions.assertion import Assertion, Literal
 from repro.analysis.unroll import Unroller
-from repro.boolean.cnf import CnfBuilder
 from repro.boolean.expr import BoolExpr, and_, support_of
 from repro.boolean.incremental import IncrementalSolver, ReuseCounters
-from repro.boolean.sat import SatBudgetExceeded, SatSolver
+from repro.boolean.sat import SatBudgetExceeded
 from repro.formal.result import (
     CheckResult,
     Counterexample,
@@ -84,10 +96,11 @@ from repro.hdl.synth import synthesize
 from repro.ir import OptimizedDesign
 
 
-#: Free input bits a canonical witness settles with one truth-table
-#: evaluation (the last ones in the witness order); any bits before them
-#: take the solver-backed prefix walk.  ``2**16`` lanes make each DAG
-#: node's value an 8 KiB int.
+#: Support size up to which a query is decided by one truth-table
+#: evaluation instead of the solver, and the free input bits a wider
+#: window's canonical witness settles by table (the last ones in the
+#: witness order; bits before them take the solver-backed prefix walk).
+#: ``2**16`` lanes make each DAG node's value an 8 KiB int.
 TRUTH_TABLE_BITS = 16
 
 
@@ -166,6 +179,8 @@ class BmcModelChecker:
         #: makes that structural); unrolled bit functions are shared across
         #: queries, so the walk is amortised over the engine's lifetime.
         self._support_memo: dict[BoolExpr, frozenset[str]] = {}
+        #: Queries decided by truth table, never reaching a solver context.
+        self._table_counters = {"table_windows": 0, "table_steps": 0}
 
     # ------------------------------------------------------------------
     @property
@@ -230,6 +245,15 @@ class BmcModelChecker:
     def _clear_deadline(self) -> None:
         self._deadline = None
 
+    def _poll_deadline(self) -> None:
+        """Raise :class:`SatBudgetExceeded` once the deadline has passed.
+
+        A truth-table decision polls this first, as a solver polls its
+        interrupt, so an expired budget never yields a verdict.
+        """
+        if self._deadline_expired():
+            raise SatBudgetExceeded("query deadline expired before a truth-table decision")
+
     def _count_timeout(self, key: str = "query_timeouts") -> None:
         self._timeout_counters[key] = self._timeout_counters.get(key, 0) + 1
 
@@ -260,6 +284,7 @@ class BmcModelChecker:
                 stats[key] = stats.get(key, 0) + int(value)
         for key, value in self._timeout_counters.items():
             stats[key] = stats.get(key, 0) + value
+        stats.update(self._table_counters)
         stats["ir_slices"] = len(self._unrollers)
         stats["ir_folded_registers"] = len(self._opt.constant_registers)
         return stats
@@ -324,37 +349,79 @@ class BmcModelChecker:
         to be unrolled.  The tiered engine relies on this to extend the
         base case window by window on the same persistent context.
         """
-        span = assertion.consequent.cycle + 1
-        shifted = _shift(assertion, window_start)
-        violation = design.assertion_violation(shifted)
-        needed = window_start + span
-        context = self._context(True)
-        result, literals = context.solve_query(violation)
-        if result.satisfiable:
-            model = self._canonical_model(
-                context.builder, context.solver, design, needed,
-                violation, result.model, literals)
-            vectors = design.model_to_vectors(model)
-            return Counterexample(
-                input_vectors=tuple(vectors[:max(needed, 1)]),
-                window_start=window_start,
-                assertion=assertion,
-            )
-        return None
+        violation = design.assertion_violation(_shift(assertion, window_start))
+        needed = window_start + assertion.consequent.cycle + 1
+        names = self._witness_order(design, needed, violation)
+        if len(names) <= TRUTH_TABLE_BITS:
+            self._poll_deadline()
+            self._table_counters["table_windows"] += 1
+            tail = self._least_assignment(violation, names)
+            model = None if tail is None else dict(zip(names, tail))
+        else:
+            context = self._context(True)
+            result, literals = context.solve_query(violation)
+            model = (self._canonical_model(context, violation, names,
+                                           result.model, literals)
+                     if result.satisfiable else None)
+        if model is None:
+            return None
+        vectors = design.model_to_vectors(model)
+        return Counterexample(
+            input_vectors=tuple(vectors[:max(needed, 1)]),
+            window_start=window_start,
+            assertion=assertion,
+        )
 
     # ------------------------------------------------------------------
     # canonical counterexample extraction
     # ------------------------------------------------------------------
-    def _canonical_model(self, builder: CnfBuilder, solver: SatSolver, design,
-                         needed_cycles: int, violation: BoolExpr,
-                         witness: Mapping[int, bool],
-                         assumptions: list[int]) -> dict[str, bool]:
-        """Lexicographically minimal satisfying input assignment.
+    def _witness_order(self, design, needed_cycles: int,
+                       violation: BoolExpr) -> list[str]:
+        """The violation's free input bits in witness order.
 
-        The target is the smallest assignment of the violation's free
-        input bits (cycle-major, input declaration order, 0 < 1) that
-        still satisfies the query.  From reset the violation is a pure
-        function of those bits (cycle-0 registers are constants), so:
+        Cycle-major below ``needed_cycles``, then input declaration order.
+        From reset these are the violation's whole support (cycle-0
+        registers are constants); bits outside it are never touched and
+        decode to 0, the value minimisation would pick.
+        """
+        support = support_of(violation, self._support_memo)
+        return [name for cycle in range(needed_cycles)
+                for name in design.input_bit_names.get(cycle, ())
+                if name in support]
+
+    @staticmethod
+    def _least_assignment(expr: BoolExpr, free: Sequence[str],
+                          fixed: Mapping[str, bool] | None = None
+                          ) -> list[bool] | None:
+        """Lexicographically least values of ``free`` satisfying ``expr``.
+
+        The ``free`` variables get the standard ``2**w``-lane patterns
+        (first variable most significant) and ``fixed`` its values in
+        every lane; one :meth:`~repro.boolean.expr.BoolExpr.evaluate_lanes`
+        pass gives the truth table over ``free``, whose lowest set lane is
+        the least assignment.  ``None`` when the table is empty: no
+        assignment satisfies ``expr``.
+        """
+        width = len(free)
+        mask = (1 << (1 << width)) - 1
+        lanes = {name: mask if value else 0 for name, value in (fixed or {}).items()}
+        lanes.update(zip(free, _lane_patterns(width)))
+        table = expr.evaluate_lanes(lanes, mask)
+        if not table:
+            return None
+        lane = (table & -table).bit_length() - 1
+        return [bool((lane >> shift) & 1) for shift in range(width - 1, -1, -1)]
+
+    def _canonical_model(self, context: IncrementalSolver, violation: BoolExpr,
+                         names: list[str], witness: Mapping[int, bool],
+                         assumptions: list[int]) -> dict[str, bool]:
+        """Lexicographically minimal satisfying assignment of ``names``.
+
+        ``names`` are the violation's free input bits in witness order
+        (:meth:`_witness_order`), more than :data:`TRUTH_TABLE_BITS` of
+        them, and ``witness`` a model of the violation's query on
+        ``context``.  From reset the violation is a pure function of those
+        bits (cycle-0 registers are constants), so:
 
         1. *Prefix walk.*  All bits but the last :data:`TRUTH_TABLE_BITS`
            are settled greedily against the solver, keeping the witness as
@@ -362,38 +429,22 @@ class BmcModelChecker:
            and a 1 costs one assumption solve that either flips it
            (yielding a strictly smaller witness for the rest) or proves
            the 1 necessary.
-        2. *Truth table.*  The remaining bits get the standard
-           ``2**w``-lane patterns (first bit most significant) and the
-           prefix its settled values in every lane; one
-           :meth:`~repro.boolean.expr.BoolExpr.evaluate_lanes` pass gives
-           the violation's truth table over the tail, whose lowest set bit
-           is the lexicographically least tail.
+        2. *Truth table.*  :meth:`_least_assignment` settles the remaining
+           bits with the prefix bound to its settled values.
 
-        Bits outside the violation's support are never touched — they
-        decode to 0, the value minimisation would pick.  The result
-        depends only on the query's formula — not on learned clauses,
-        phases, activities or which witness the search happened to find
-        first — which is the property the parallel dispatcher and the
-        proof cache rely on.
+        The result depends only on the query's formula — not on learned
+        clauses, phases, activities or which witness the search happened
+        to find first — which is the property the parallel dispatcher and
+        the proof cache rely on.
         """
-        support = support_of(violation, self._support_memo)
-        ordered: list[tuple[str, int]] = []
-        for cycle in range(needed_cycles):
-            for name in design.input_bit_names.get(cycle, ()):
-                if name in support:
-                    variable = builder.lookup(name)
-                    if variable is not None:
-                        ordered.append((name, variable))
-        if not ordered:
-            return {}
-        names = [name for name, _ in ordered]
-        values = [bool(witness.get(variable, False)) for _, variable in ordered]
-        width = min(len(ordered), TRUTH_TABLE_BITS)
-        prefix = len(ordered) - width
+        solver = context.solver
+        variables = [context.builder.lookup(name) for name in names]
+        values = [bool(witness.get(variable, False)) for variable in variables]
+        prefix = len(names) - min(len(names), TRUTH_TABLE_BITS)
 
         fixed = list(assumptions)
         for index in range(prefix):
-            variable = ordered[index][1]
+            variable = variables[index]
             if values[index]:
                 trial = solver.solve(assumptions=fixed + [-variable])
                 if not trial.satisfiable:
@@ -401,20 +452,15 @@ class BmcModelChecker:
                     continue
                 values[index] = False
                 for later in range(index + 1, prefix):
-                    values[later] = bool(trial.model.get(ordered[later][1], False))
+                    values[later] = bool(trial.model.get(variables[later], False))
             fixed.append(-variable)
 
-        mask = (1 << (1 << width)) - 1
-        lanes = {name: mask if value else 0
-                 for name, value in zip(names[:prefix], values[:prefix])}
-        lanes.update(zip(names[prefix:], _lane_patterns(width)))
-        table = violation.evaluate_lanes(lanes, mask)
-        if not table:
+        tail = self._least_assignment(violation, names[prefix:],
+                                      dict(zip(names[:prefix], values[:prefix])))
+        if tail is None:
             raise RuntimeError(
                 "canonical witness: the violation is false on every tail "
                 "of its satisfiable prefix")
-        lane = (table & -table).bit_length() - 1
-        tail = [bool((lane >> shift) & 1) for shift in range(width - 1, -1, -1)]
         return dict(zip(names, values[:prefix] + tail))
 
     def _step_holds(self, assertion: Assertion, k: int) -> bool:
@@ -423,19 +469,31 @@ class BmcModelChecker:
         That is, no path from an arbitrary (not necessarily reachable)
         starting state satisfies the assertion at window offsets
         ``0 .. k-1`` and violates it at offset ``k`` (sound, incomplete).
-        Depth 0 is this engine's one-step induction.  The query runs on
-        the free-initial-state context under :meth:`_step_assumptions`.
+        Depth 0 is this engine's one-step induction.  A step whose goal,
+        with :meth:`_step_constraints` conjoined, has at most
+        :data:`TRUTH_TABLE_BITS` support variables is decided by its
+        truth table; any other runs on the free-initial-state context
+        under :meth:`_step_assumptions`.
         """
         max_cycle = max([assertion.consequent.cycle]
                         + [lit.cycle for lit in assertion.antecedent])
         design = self._unroller.unroll(k + max_cycle, from_reset=False)
         hypothesis = [design.assertion_expr(_shift(assertion, t)) for t in range(k)]
-        violation = design.assertion_violation(_shift(assertion, k))
+        goal = and_(*hypothesis, design.assertion_violation(_shift(assertion, k)))
+        constrained = and_(goal, *self._step_constraints(design, k))
+        support = support_of(constrained, self._support_memo)
+        if len(support) <= TRUTH_TABLE_BITS:
+            self._poll_deadline()
+            self._table_counters["table_steps"] += 1
+            return self._least_assignment(constrained, tuple(support)) is None
         result, _ = self._context(False).solve_query(
-            and_(*hypothesis, violation),
-            assumptions=self._step_assumptions(design, k))
+            goal, assumptions=self._step_assumptions(design, k))
         return not result.satisfiable
 
+    def _step_constraints(self, design, k: int) -> tuple[BoolExpr, ...]:
+        """Extra conjuncts of the depth-``k`` step: none for plain BMC."""
+        return ()
+
     def _step_assumptions(self, design, k: int) -> tuple[int, ...]:
-        """Extra literals the depth-``k`` step assumes: none for plain BMC."""
+        """Solver literals enabling :meth:`_step_constraints`: none here."""
         return ()

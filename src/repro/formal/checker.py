@@ -159,8 +159,9 @@ class FormalVerifier:
 
     ``tiered`` is the one SAT engine: the depth-0 inductive step runs
     first and proves what holds on every state; otherwise the bounded
-    search on one persistent solver context per sliced unrolling (goal
-    literals assumed per query) falsifies, then the simple-path
+    search falsifies, deciding small queries by truth table and the rest
+    on one persistent solver context per sliced unrolling (goal
+    literals assumed per query), then the simple-path
     inductive step on a second persistent context escalates from depth 1
     to ``induction_k`` so surviving assertions become real ``unbounded``
     proofs.  ``induction_k=0`` stops at the one-step induction of plain

@@ -33,10 +33,14 @@ counterexample, so if no loop-free step counterexample exists none exists
 at all.  It is what makes the method complete in practice: properties
 that fail plain induction only because unreachable states violate them
 become provable once those states cannot be revisited forever.  The
-pairwise-distinctness constraints are encoded **once per cycle pair**
-behind reusable guard literals (:meth:`IncrementalSolver.guard_expr`) and
-switched on per query as extra assumptions, so escalating k and checking
-many candidates on one warm context never re-encodes them.  A design
+pairwise-distinctness expressions are built **once per slice and cycle
+pair**.  A step whose goal, with them conjoined, fits
+:data:`~repro.formal.bmc.TRUTH_TABLE_BITS` support variables is decided
+by its truth table and never touches the solver.  Only a step that does
+reach the solver encodes them, lazily and once per cycle pair, behind
+reusable guard literals (:meth:`IncrementalSolver.guard_expr`) switched
+on per query as extra assumptions, so escalating k and checking many
+candidates on one warm context never re-encodes them.  A design
 with no registers makes every distinctness disjunction ``FALSE`` —
 correctly so: with no state there are no distinct-state paths of length
 ≥ 1, every behaviour is covered by the base case, and the step at
@@ -65,7 +69,7 @@ from __future__ import annotations
 import time
 
 from repro.assertions.assertion import Assertion
-from repro.boolean.expr import or_, xor_
+from repro.boolean.expr import BoolExpr, or_, xor_
 from repro.boolean.sat import SatBudgetExceeded
 from repro.formal.bmc import BmcModelChecker
 from repro.formal.result import (
@@ -124,13 +128,17 @@ class KInductionModelChecker(BmcModelChecker):
         super().__init__(module, bound=bound, max_learned=max_learned,
                          query_timeout=query_timeout)
         self.induction_k = induction_k
-        #: ``(slice key, i, j)`` -> guard literal in that slice's step
-        #: context.  The distinctness constraints range over the slice's
-        #: registers only — sound because the sliced
-        #: transition system is an exact abstraction for cone properties
-        #: (cone bits' next-states read only cone bits and inputs, and
-        #: every reachable full state projects to a reachable slice state),
-        #: and strictly smaller: fewer register bits per cycle pair.
+        #: ``(slice key, i, j)`` -> ``state(i) != state(j)`` over the
+        #: slice's free-initial-state unrolling.  The distinctness
+        #: constraints range over the slice's registers only — sound
+        #: because the sliced transition system is an exact abstraction
+        #: for cone properties (cone bits' next-states read only cone bits
+        #: and inputs, and every reachable full state projects to a
+        #: reachable slice state), and strictly smaller: fewer register
+        #: bits per cycle pair.
+        self._distinct_exprs: dict[tuple[tuple[str, ...], int, int], BoolExpr] = {}
+        #: ``(slice key, i, j)`` -> guard literal of that expression in the
+        #: slice's step context, encoded once a step reaches the solver.
         self._distinct_guards: dict[tuple[tuple[str, ...], int, int], int] = {}
         self._induction_counters = {
             "induction_step_queries": 0,
@@ -222,17 +230,30 @@ class KInductionModelChecker(BmcModelChecker):
                            bound=depth, proof="k-induction", induction_k=k)
 
     # ------------------------------------------------------------------
+    def _step_constraints(self, design, k: int) -> tuple[BoolExpr, ...]:
+        """Simple path: states at cycles ``0 .. k`` pairwise distinct."""
+        return tuple(self._distinct_expr(design, i, j)
+                     for i in range(k + 1) for j in range(i + 1, k + 1))
+
     def _step_assumptions(self, design, k: int) -> tuple[int, ...]:
-        """Simple-path guards: states at cycles ``0 .. k`` pairwise distinct."""
+        """Guard literals switching :meth:`_step_constraints` on."""
         return tuple(self._distinct_guard(design, i, j)
                      for i in range(k + 1) for j in range(i + 1, k + 1))
+
+    def _distinct_expr(self, design, i: int, j: int) -> BoolExpr:
+        """``state(i) != state(j)`` over the active slice, built once."""
+        key = (self._active_slice, i, j)
+        expr = self._distinct_exprs.get(key)
+        if expr is None:
+            expr = state_distinct_expr(design, self._slice_registers(), i, j)
+            self._distinct_exprs[key] = expr
+        return expr
 
     def _distinct_guard(self, design, i: int, j: int) -> int:
         """Guard literal enabling ``state(i) != state(j)`` in the step context."""
         key = (self._active_slice, i, j)
         guard = self._distinct_guards.get(key)
         if guard is None:
-            guard = self._context(False).guard_expr(
-                state_distinct_expr(design, self._slice_registers(), i, j))
+            guard = self._context(False).guard_expr(self._distinct_expr(design, i, j))
             self._distinct_guards[key] = guard
         return guard

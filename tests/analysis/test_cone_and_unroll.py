@@ -71,6 +71,19 @@ class TestUnroller:
         assert design.literal_expr(literal_bit).support() == frozenset()
         assert design.literal_expr(literal_bit).evaluate({}) is False
 
+    def test_literal_expr_memo_is_shared_by_views(self, counter_module):
+        unroller = Unroller(counter_module)
+        design = unroller.unroll(3)
+        literal = Literal("count", 2, 1)
+        expr = design.literal_expr(literal)
+        view = unroller.unroll(1)
+        assert view.literals is design.literals
+        assert view.literal_expr(literal) is expr
+        assert design.literals[("count", 2, 1, None)] is expr
+        # Equal to a fresh unrolling's function (hash-consing makes it
+        # the same node).
+        assert Unroller(counter_module).unroll(1).literal_expr(literal) is expr
+
     def test_assertion_violation_expression(self, arbiter2_module):
         design = Unroller(arbiter2_module).unroll(1)
         assertion = Assertion((Literal("req0", 1, 0),), Literal("gnt0", 1, 1), window=1)

@@ -145,7 +145,11 @@ class TestQueryDeadline:
         engine._deadline_expired = lambda: True
         return engine
 
+    @pytest.mark.usefixtures("solver_only")
     def test_expired_deadline_yields_timed_out_unknown(self, arbiter2_module):
+        """The solver path: with no truth-table decisions every query
+        reaches the solver, whose first interrupt poll comes only after
+        some decisions."""
         engine = self._expired_engine(arbiter2_module)
         results = [engine.check(a)
                    for a in random_assertions(arbiter2_module, 12, seed=23)]
@@ -159,6 +163,22 @@ class TestQueryDeadline:
         assert any(r.verdict is Verdict.FALSE and not r.timed_out
                    for r in results)
         assert engine.reuse_stats()["query_timeouts"] == len(timed_out)
+
+    def test_expired_deadline_withholds_every_table_verdict(self, arbiter2_module):
+        """The truth-table path polls the deadline before each decision:
+        every arbiter2 check's first query fits the table, so every check
+        comes back a timed-out UNKNOWN without a counterexample."""
+        engine = self._expired_engine(arbiter2_module)
+        results = [engine.check(a)
+                   for a in random_assertions(arbiter2_module, 12, seed=23)]
+        for result in results:
+            assert result.timed_out
+            assert result.verdict is Verdict.UNKNOWN
+            assert result.counterexample is None
+        stats = engine.reuse_stats()
+        assert stats["query_timeouts"] == len(results)
+        assert stats["table_windows"] == stats["table_steps"] == 0
+        assert stats["queries"] == 0
 
     def test_timed_out_results_never_memoised_or_cached(self, arbiter2_module):
         cache = ProofCache()

@@ -128,6 +128,7 @@ class TestIncrementalAgainstExplicit:
         for batched, single in zip(batch, singles):
             assert batched.verdict is single.verdict
 
+    @pytest.mark.usefixtures("solver_only")
     def test_reuse_counters_grow_with_the_batch(self, arbiter2_module):
         engine = BmcModelChecker(arbiter2_module, bound=6)
         engine.check_all(random_assertions(arbiter2_module, 6, seed=9))
@@ -136,6 +137,7 @@ class TestIncrementalAgainstExplicit:
         assert stats["clauses_reused"] > 0
         assert stats["encode_cache_hits"] > 0
 
+    @pytest.mark.usefixtures("solver_only")
     @pytest.mark.parametrize("engine", [BmcModelChecker, KInductionModelChecker])
     @pytest.mark.parametrize("fixture", ["arbiter2_module", "b01_module"])
     def test_second_pass_adds_no_clauses_or_variables(self, engine, fixture,
@@ -195,6 +197,7 @@ class TestVerifierBatchPath:
         assert batch_verifier.stats.checks == len(assertions)
         assert [r.verdict for r in again] == [r.verdict for r in batch[:len(assertions)]]
 
+    @pytest.mark.usefixtures("solver_only")
     def test_reuse_statistics_surface_in_verifier(self, arbiter2_module):
         verifier = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
                                   induction_k=0)
@@ -213,6 +216,7 @@ class TestVerifierBatchPath:
 
 
 class TestClosureWithIncrementalEngine:
+    @pytest.mark.usefixtures("solver_only")
     def test_refinement_converges_and_stays_sound(self, arbiter2_module):
         """The BMC engine closes the loop, and everything it proves is
         confirmed by the exact explicit engine."""

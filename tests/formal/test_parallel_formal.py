@@ -109,6 +109,7 @@ class TestBatchEquivalence:
         assert parallel.stats.true_count == serial.stats.true_count
         assert parallel.stats.false_count == serial.stats.false_count
 
+    @pytest.mark.usefixtures("solver_only")
     def test_worker_reuse_counters_surface(self, arbiter2_module):
         verifier = FormalVerifier(arbiter2_module, engine="tiered", bound=6,
                                   induction_k=0, workers=2)
