@@ -55,10 +55,9 @@ class UnrolledDesign:
         The bit-function table is shared (the same interned ``BoolExpr``
         objects, which is what lets a persistent CNF encoder reuse work
         across queries of different depths); only the per-cycle metadata is
-        filtered, so :meth:`model_to_vectors` produces exactly the vectors
-        a fresh unrolling of ``last_cycle`` would.  Always returns a new
-        wrapper — the caller's ``last_cycle`` must not change when the
-        backing unrolling is later extended.
+        filtered, to what a fresh unrolling of ``last_cycle`` would hold.
+        Always returns a new wrapper — the caller's ``last_cycle`` must not
+        change when the backing unrolling is later extended.
         """
         if last_cycle > self.last_cycle:
             raise ValueError(
@@ -118,11 +117,13 @@ class UnrolledDesign:
         return and_(antecedent, not_(consequent))
 
     # ------------------------------------------------------------------
-    def model_to_vectors(self, model: Mapping[str, bool]) -> list[dict[str, int]]:
-        """Convert a satisfying assignment into per-cycle input vectors."""
+    def model_to_vectors(self, model: Mapping[str, bool],
+                         cycles: int) -> list[dict[str, int]]:
+        """Decode the input vectors of cycles ``0 .. cycles-1`` from a
+        satisfying assignment; an input bit absent from it reads 0."""
         vectors: list[dict[str, int]] = []
         inputs = self.module.data_input_names
-        for cycle in range(self.last_cycle + 1):
+        for cycle in range(cycles):
             vector: dict[str, int] = {}
             for name in inputs:
                 width = self.module.width_of(name)

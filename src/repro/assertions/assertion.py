@@ -44,12 +44,6 @@ class Literal:
         if self.bit is not None and self.value not in (0, 1):
             raise ValueError("bit-level literals must have value 0 or 1")
 
-    @property
-    def column(self) -> str:
-        """Feature-column name used by the mining dataset."""
-        base = self.signal if self.bit is None else f"{self.signal}[{self.bit}]"
-        return f"{base}@{self.cycle}"
-
     def holds(self, valuations: Mapping[int, Mapping[str, int]]) -> bool:
         """Evaluate against per-cycle valuations ``{cycle: {signal: value}}``."""
         cycle_values = valuations[self.cycle]
@@ -129,9 +123,6 @@ class Assertion:
     def support_variables(self) -> set[str]:
         """Definition 4: the set of variables in the assertion."""
         return self.antecedent_signals() | {self.consequent.signal}
-
-    def feature_columns(self) -> set[str]:
-        return {literal.column for literal in self.antecedent}
 
     # ------------------------------------------------------------------
     def holds(self, valuations: Mapping[int, Mapping[str, int]]) -> bool:

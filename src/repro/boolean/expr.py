@@ -293,64 +293,49 @@ def not_(operand: BoolExpr) -> BoolExpr:
     return node
 
 
-def and_(*operands: BoolExpr) -> BoolExpr:
-    """Simplifying n-ary conjunction (flattens nested ANDs)."""
+def _nary(kind: str, cls: type, absorbing: BConst,
+          operands: Sequence[BoolExpr]) -> BoolExpr:
+    """Simplifying n-ary ``cls`` node (:class:`BAnd` or :class:`BOr`).
+
+    Flattens nested ``cls`` operands, drops the identity constant,
+    dedupes by identity keeping first occurrence, and returns
+    ``absorbing`` on an absorbing constant or a complementary pair
+    (``x`` with ``~x``).  The pair test looks only at the negations
+    already among the operands, so it builds no node.
+    """
     flat: list[BoolExpr] = []
     for operand in operands:
         if isinstance(operand, BConst):
-            if not operand.value:
-                return FALSE
+            if operand.value == absorbing.value:
+                return absorbing
             continue
-        if isinstance(operand, BAnd):
+        if isinstance(operand, cls):
             flat.extend(operand.operands)
         else:
             flat.append(operand)
-    unique: list[BoolExpr] = []
-    for operand in flat:
-        if operand not in unique:
-            unique.append(operand)
+    unique = dict.fromkeys(flat)
     for operand in unique:
-        if not_(operand) in unique:
-            return FALSE
+        if isinstance(operand, BNot) and operand.operand in unique:
+            return absorbing
     if not unique:
-        return TRUE
+        return const(not absorbing.value)
     if len(unique) == 1:
-        return unique[0]
-    key = ("and",) + tuple(id(op) for op in unique)
+        return next(iter(unique))
+    key = (kind,) + tuple(id(op) for op in unique)
     node = _HASHCONS.get(key)
     if node is None:
-        node = _HASHCONS[key] = BAnd(tuple(unique))
+        node = _HASHCONS[key] = cls(tuple(unique))
     return node
+
+
+def and_(*operands: BoolExpr) -> BoolExpr:
+    """Simplifying n-ary conjunction (flattens nested ANDs)."""
+    return _nary("and", BAnd, FALSE, operands)
 
 
 def or_(*operands: BoolExpr) -> BoolExpr:
     """Simplifying n-ary disjunction (flattens nested ORs)."""
-    flat: list[BoolExpr] = []
-    for operand in operands:
-        if isinstance(operand, BConst):
-            if operand.value:
-                return TRUE
-            continue
-        if isinstance(operand, BOr):
-            flat.extend(operand.operands)
-        else:
-            flat.append(operand)
-    unique: list[BoolExpr] = []
-    for operand in flat:
-        if operand not in unique:
-            unique.append(operand)
-    for operand in unique:
-        if not_(operand) in unique:
-            return TRUE
-    if not unique:
-        return FALSE
-    if len(unique) == 1:
-        return unique[0]
-    key = ("or",) + tuple(id(op) for op in unique)
-    node = _HASHCONS.get(key)
-    if node is None:
-        node = _HASHCONS[key] = BOr(tuple(unique))
-    return node
+    return _nary("or", BOr, TRUE, operands)
 
 
 def xor_(left: BoolExpr, right: BoolExpr) -> BoolExpr:
@@ -361,7 +346,8 @@ def xor_(left: BoolExpr, right: BoolExpr) -> BoolExpr:
         return not_(left) if right.value else left
     if left == right:
         return FALSE
-    if left == not_(right):
+    if (isinstance(left, BNot) and left.operand is right) or \
+            (isinstance(right, BNot) and right.operand is left):
         return TRUE
     key = ("xor", id(left), id(right))
     node = _HASHCONS.get(key)

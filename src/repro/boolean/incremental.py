@@ -66,9 +66,9 @@ class ReuseCounters:
 class IncrementalSolver:
     """A :class:`CnfBuilder`/:class:`SatSolver` pair that outlives queries."""
 
-    def __init__(self, max_learned: int = 4000):
+    def __init__(self):
         self.builder = CnfBuilder()
-        self.solver = SatSolver(max_learned=max_learned)
+        self.solver = SatSolver()
         self.counters = ReuseCounters()
         self._flushed = 0
 

@@ -176,7 +176,7 @@ class BddModelChecker:
             assignment = bdd.pick_assignment(predecessor_set)
             if assignment is None:  # pragma: no cover - rings guarantee a predecessor
                 raise RuntimeError("failed to reconstruct counterexample path")
-            prefix.append(self._inputs_from_assignment(assignment, cycle=0))
+            prefix.append(design.model_to_vectors(assignment, 1)[0])
             current = self._state_from_assignment(assignment)
         prefix.reverse()
 
@@ -186,11 +186,8 @@ class BddModelChecker:
             variable = bdd.var(bit_variable(name, bit, 0))
             constraint = bdd.and_(constraint, variable if value else bdd.not_(variable))
         window_assignment = bdd.pick_assignment(bdd.and_(violation, constraint)) or {}
-        window_vectors = []
-        for cycle in range(design.last_cycle + 1):
-            window_vectors.append(self._inputs_from_assignment(window_assignment, cycle))
-
-        vectors = prefix + window_vectors
+        vectors = prefix + design.model_to_vectors(window_assignment,
+                                                   design.last_cycle + 1)
         return Counterexample(
             input_vectors=tuple(vectors),
             window_start=len(prefix),
@@ -221,15 +218,3 @@ class BddModelChecker:
             if state.get((name, bit), 0):
                 value |= 1 << bit
         return value
-
-    def _inputs_from_assignment(self, assignment: Mapping[str, bool], cycle: int) -> dict[str, int]:
-        vector: dict[str, int] = {}
-        for name in self.module.data_input_names:
-            value = 0
-            for bit in range(self.module.width_of(name)):
-                if assignment.get(bit_variable(name, bit, cycle), False):
-                    value |= 1 << bit
-            vector[name] = value
-        if self.module.reset is not None:
-            vector[self.module.reset] = 0
-        return vector

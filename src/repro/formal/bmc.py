@@ -148,11 +148,10 @@ class BmcModelChecker:
 
     name = "bmc"
 
-    def __init__(self, module: Module, bound: int = 10, max_learned: int = 4000,
+    def __init__(self, module: Module, bound: int = 10,
                  query_timeout: float | None = None):
         self.module = module
         self.bound = bound
-        self._max_learned = max_learned
         #: Wall-clock budget per :meth:`check` call; ``None`` disables the
         #: deadline entirely (no interrupt callback is even installed).
         self.query_timeout = query_timeout
@@ -215,7 +214,7 @@ class BmcModelChecker:
         key = (from_reset, self._active_slice)
         context = self._contexts.get(key)
         if context is None:
-            context = IncrementalSolver(max_learned=self._max_learned)
+            context = IncrementalSolver()
             self._arm(context.solver)
             self._contexts[key] = context
         return context
@@ -365,9 +364,8 @@ class BmcModelChecker:
                      if result.satisfiable else None)
         if model is None:
             return None
-        vectors = design.model_to_vectors(model)
         return Counterexample(
-            input_vectors=tuple(vectors[:max(needed, 1)]),
+            input_vectors=tuple(design.model_to_vectors(model, needed)),
             window_start=window_start,
             assertion=assertion,
         )

@@ -123,10 +123,8 @@ class KInductionModelChecker(BmcModelChecker):
     name = "tiered"
 
     def __init__(self, module: Module, bound: int = 10, induction_k: int = 8,
-                 max_learned: int = 4000,
                  query_timeout: float | None = None):
-        super().__init__(module, bound=bound, max_learned=max_learned,
-                         query_timeout=query_timeout)
+        super().__init__(module, bound=bound, query_timeout=query_timeout)
         self.induction_k = induction_k
         #: ``(slice key, i, j)`` -> ``state(i) != state(j)`` over the
         #: slice's free-initial-state unrolling.  The distinctness

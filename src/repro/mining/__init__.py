@@ -23,7 +23,7 @@ from repro.mining.columnar import (
     ColumnarIncrementalDecisionTree,
     ColumnarTreeNode,
 )
-from repro.mining.dataset import FeatureSpec, MiningDataset, TargetSpec
+from repro.mining.dataset import FeatureSpec, MiningDataset
 from repro.mining.decision_tree import DecisionTree, TreeNode
 from repro.mining.incremental_tree import IncrementalDecisionTree
 
@@ -36,6 +36,5 @@ __all__ = [
     "FeatureSpec",
     "IncrementalDecisionTree",
     "MiningDataset",
-    "TargetSpec",
     "TreeNode",
 ]

@@ -31,18 +31,12 @@ to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.assertions.assertion import Assertion, Literal
+from repro.assertions.assertion import Assertion
 from repro.hdl.module import Module
 from repro.hdl.synth import SynthesizedModule
-from repro.mining.dataset import (
-    FeatureSpec,
-    TargetSpec,
-    enumerate_features,
-    iter_window_values,
-    resolve_target,
-)
+from repro.mining.dataset import FeatureSpec, enumerate_features, resolve_target
 from repro.mining.decision_tree import child_error_fraction, fraction_less
 from repro.sim.trace import Trace
 
@@ -58,14 +52,16 @@ except AttributeError:  # pragma: no cover - Python 3.10 fallback
 class ColumnarDataset:
     """Bitset-per-column mining data for one output of one module.
 
-    The public surface mirrors :class:`~repro.mining.dataset.MiningDataset`
-    (same constructor arguments, same feature/target placement via the
-    shared :func:`~repro.mining.dataset.resolve_target` /
-    :func:`~repro.mining.dataset.enumerate_features` helpers, same
-    ``add_trace``/``add_window`` ingestion), but rows are stored as bit
-    positions: ``columns[name]`` holds bit ``i`` set iff row ``i`` has a
-    nonzero value in that column, and ``target_bits`` holds the target
-    column the same way.
+    The constructor mirrors :class:`~repro.mining.dataset.MiningDataset`
+    (same arguments, same feature/target placement via the shared
+    :func:`~repro.mining.dataset.resolve_target` /
+    :func:`~repro.mining.dataset.enumerate_features` helpers), but rows
+    are stored as bit positions: ``columns[feature]`` holds bit ``i`` set
+    iff row ``i`` has a nonzero value in that feature's column, and
+    ``target_bits`` holds the target column the same way.  ``columns`` is
+    keyed by the :class:`~repro.mining.dataset.FeatureSpec` itself, in
+    feature enumeration order (the split tie-break order); the feature
+    space is fixed at construction.
     """
 
     module: Module
@@ -75,22 +71,20 @@ class ColumnarDataset:
     include_internal_state: bool = True
     synth: SynthesizedModule | None = None
 
-    features: list[FeatureSpec] = field(init=False, default_factory=list)
-    target: TargetSpec = field(init=False)
+    target: FeatureSpec = field(init=False)
     n_rows: int = field(init=False, default=0)
-    columns: dict[str, int] = field(init=False, default_factory=dict)
+    columns: dict[FeatureSpec, int] = field(init=False, default_factory=dict)
     target_bits: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.synth, self._sequential_target, self.target = resolve_target(
             self.module, self.output, self.window, self.output_bit, self.synth)
-        self.features = enumerate_features(
+        self.columns = dict.fromkeys(enumerate_features(
             self.module, self.output, self.window, self.synth,
             include_internal_state=self.include_internal_state,
             sequential_target=self._sequential_target,
             target_cycle=self.target.cycle,
-        )
-        self.columns = {feature.column: 0 for feature in self.features}
+        ), 0)
 
     # ------------------------------------------------------------------
     @property
@@ -101,10 +95,6 @@ class ColumnarDataset:
     def span(self) -> int:
         """Number of trace cycles one row consumes."""
         return self.target.cycle + 1
-
-    @property
-    def feature_columns(self) -> list[str]:
-        return [feature.column for feature in self.features]
 
     @property
     def row_mask(self) -> int:
@@ -143,7 +133,8 @@ class ColumnarDataset:
                 histories[name] = history
             return history
 
-        for feature in self.features:
+        columns = self.columns
+        for feature in columns:
             history = history_of(feature.signal)
             offset, bit = feature.cycle, feature.bit
             bits = 0
@@ -156,7 +147,7 @@ class ColumnarDataset:
                     if (history[row + offset] >> bit) & 1:
                         bits |= 1 << row
             if bits:
-                self.columns[feature.column] |= bits << base
+                columns[feature] |= bits << base
         history = history_of(self.target.signal)
         offset, bit = self.target.cycle, self.target.bit
         bits = 0
@@ -202,14 +193,15 @@ class ColumnarDataset:
             return 0
         starts = cycles - span + 1
         base = self.n_rows
-        for feature in self.features:
+        columns = self.columns
+        for feature in columns:
             signal, offset = feature.signal, feature.cycle
             bit = feature.bit or 0
             bits = 0
             for start in range(starts):
                 bits |= block.word(signal, bit, start + offset) << (start * lanes)
             if bits:
-                self.columns[feature.column] |= bits << base
+                columns[feature] |= bits << base
         signal, offset = self.target.signal, self.target.cycle
         bit = self.target.bit or 0
         bits = 0
@@ -220,38 +212,11 @@ class ColumnarDataset:
         self.n_rows += starts * lanes
         return starts * lanes
 
-    def add_window(self, valuations: Mapping[int, Mapping[str, int]]) -> bool:
-        """Add one explicit window of per-offset valuations."""
-        row_bit = 1 << self.n_rows
-        for feature, value in iter_window_values(self.features, valuations):
-            if value:
-                self.columns[feature.column] |= row_bit
-        if self.target.extract(valuations[self.target.cycle]):
-            self.target_bits |= row_bit
-        self.n_rows += 1
-        return True
-
-    # ------------------------------------------------------------------
-    def feature_literal(self, column: str, value: int) -> Literal:
-        """Convert a feature column name + value back into a Literal."""
-        for feature in self.features:
-            if feature.column == column:
-                return feature.to_literal(value)
-        raise KeyError(f"unknown feature column '{column}'")
-
-    def add_feature(self, spec: FeatureSpec) -> None:
-        """Extend the feature space (mirrors the row-wise dataset: the new
-        column reads 0 for every existing row)."""
-        if spec.column in self.columns:
-            return
-        self.features.append(spec)
-        self.columns[spec.column] = 0
-
     def target_values(self) -> list[int]:
         return [(self.target_bits >> row) & 1 for row in range(self.n_rows)]
 
-    def column_values(self, column: str) -> list[int]:
-        bits = self.columns.get(column, 0)
+    def column_values(self, feature: FeatureSpec) -> list[int]:
+        bits = self.columns[feature]
         return [(bits >> row) & 1 for row in range(self.n_rows)]
 
 
@@ -262,14 +227,15 @@ class ColumnarTreeNode:
     Semantically equivalent to :class:`~repro.mining.decision_tree.TreeNode`
     with ``mask`` in place of the row-index list: ``count`` is the number
     of rows reaching the node (``popcount(mask)``) and ``ones`` the
-    number of those whose target is 1.
+    number of those whose target is 1.  Path steps and the split hold the
+    :class:`~repro.mining.dataset.FeatureSpec` itself, not its name.
     """
 
-    path: tuple[tuple[str, int], ...] = ()
+    path: tuple[tuple[FeatureSpec, int], ...] = ()
     mask: int = 0
     count: int = 0
     ones: int = 0
-    split_column: str | None = None
+    split_column: FeatureSpec | None = None
     children: dict[int, "ColumnarTreeNode"] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -301,9 +267,6 @@ class ColumnarTreeNode:
     def is_pure(self) -> bool:
         return self.count > 0 and (self.ones == 0 or self.ones == self.count)
 
-    def used_columns(self) -> set[str]:
-        return {column for column, _ in self.path}
-
     def iter_nodes(self) -> Iterator["ColumnarTreeNode"]:
         yield self
         for child in self.children.values():
@@ -318,10 +281,11 @@ class ColumnarTreeNode:
 
     def describe(self) -> str:
         condition = " & ".join(
-            f"{column}={value}" for column, value in self.path
+            f"{feature.column}={value}" for feature, value in self.path
         ) or "<root>"
+        split = self.split_column and self.split_column.column
         return (f"{condition}: n={self.count} M={self.mean:.3f} "
-                f"E={self.error:.3f} split={self.split_column}")
+                f"E={self.error:.3f} split={split}")
 
 
 class ColumnarDecisionTree:
@@ -337,7 +301,7 @@ class ColumnarDecisionTree:
 
     def __init__(self, dataset: ColumnarDataset, max_depth: int | None = None):
         self.dataset = dataset
-        self.max_depth = max_depth if max_depth is not None else len(dataset.features)
+        self.max_depth = max_depth if max_depth is not None else len(dataset.columns)
         self.root = ColumnarTreeNode()
         self._built = False
 
@@ -372,28 +336,24 @@ class ColumnarDecisionTree:
         for child in node.children.values():
             self._split_recursively(child)
 
-    def _select_split_column(self, node: ColumnarTreeNode) -> str | None:
+    def _select_split_column(self, node: ColumnarTreeNode) -> FeatureSpec | None:
         """Pick the column minimising the summed child error (Figure 2).
 
         The ranking fraction and column-order tie-break are shared with
         the row-wise engine (:func:`child_error_fraction`): per column
         this is one AND with the node mask, one AND with the target
-        column, and two popcounts.
+        column, and two popcounts.  A column already on the node's path
+        reads one value on every row reaching the node, so the
+        separation test below skips it with no separate check.
         """
-        dataset = self.dataset
-        columns = dataset.columns
-        target = dataset.target_bits
+        target = self.dataset.target_bits
         mask = node.mask
-        used = node.used_columns()
         total = node.count
         total_ones = node.ones
-        best_column: str | None = None
+        best_column: FeatureSpec | None = None
         best_key: tuple[int, int] | None = None
-        for feature in dataset.features:
-            column = feature.column
-            if column in used:
-                continue
-            one_mask = mask & columns[column]
+        for feature, column in self.dataset.columns.items():
+            one_mask = mask & column
             one_count = popcount(one_mask)
             if not one_count or one_count == total:
                 continue  # the column does not separate anything at this node
@@ -402,16 +362,16 @@ class ColumnarDecisionTree:
                                        one_ones, one_count)
             if best_key is None or fraction_less(key, best_key):
                 best_key = key
-                best_column = column
+                best_column = feature
         return best_column
 
-    def _apply_split(self, node: ColumnarTreeNode, column: str) -> None:
-        one_mask = node.mask & self.dataset.columns[column]
+    def _apply_split(self, node: ColumnarTreeNode, feature: FeatureSpec) -> None:
+        one_mask = node.mask & self.dataset.columns[feature]
         zero_mask = node.mask ^ one_mask
-        node.split_column = column
+        node.split_column = feature
         node.children = {
-            0: self._make_node(node.path + ((column, 0),), zero_mask),
-            1: self._make_node(node.path + ((column, 1),), one_mask),
+            0: self._make_node(node.path + ((feature, 0),), zero_mask),
+            1: self._make_node(node.path + ((feature, 1),), one_mask),
         }
 
     # ------------------------------------------------------------------
@@ -423,31 +383,12 @@ class ColumnarDecisionTree:
     def node_count(self) -> int:
         return sum(1 for _ in self.root.iter_nodes())
 
-    def predict(self, feature_values: dict[str, int]) -> int:
-        node = self.root
-        while not node.is_leaf:
-            branch = 1 if feature_values.get(node.split_column, 0) else 0
-            node = node.children[branch]
-        return node.prediction
-
-    def route(self, feature_values: dict[str, int]) -> list[ColumnarTreeNode]:
-        """Return the root-to-leaf path a feature vector follows."""
-        node = self.root
-        path = [node]
-        while not node.is_leaf:
-            branch = 1 if feature_values.get(node.split_column, 0) else 0
-            node = node.children[branch]
-            path.append(node)
-        return path
-
     # ------------------------------------------------------------------
     # candidate assertion extraction
     # ------------------------------------------------------------------
     def assertion_for_leaf(self, leaf: ColumnarTreeNode) -> Assertion:
         """Turn one pure leaf into a candidate assertion."""
-        antecedent = tuple(
-            self.dataset.feature_literal(column, value) for column, value in leaf.path
-        )
+        antecedent = tuple(feature.to_literal(value) for feature, value in leaf.path)
         consequent = self.dataset.target.to_literal(leaf.prediction)
         return Assertion(
             antecedent=antecedent,
@@ -526,10 +467,6 @@ class ColumnarIncrementalDecisionTree(ColumnarDecisionTree):
         if not self._built:
             self.build()
             return []
-        # The depth limit follows the feature space, which may have grown
-        # (counterexamples can introduce variables such as farther-back
-        # registers, Section 3.1).
-        self.max_depth = max(self.max_depth, len(self.dataset.features))
         new_mask = self.dataset.rows_since(self._consumed_rows)
         self._consumed_rows = self.dataset.n_rows
         touched: list[ColumnarTreeNode] = []
@@ -561,13 +498,6 @@ class ColumnarIncrementalDecisionTree(ColumnarDecisionTree):
             self._route_mask(node.children[1], one_mask, touched)
 
     # ------------------------------------------------------------------
-    def add_windows(self, windows: Iterable[Mapping[int, Mapping[str, int]]]
-                    ) -> list[ColumnarTreeNode]:
-        """Add explicit windows to the dataset and absorb them."""
-        for window in windows:
-            self.dataset.add_window(window)
-        return self.absorb_new_rows()
-
     def add_trace(self, trace) -> list[ColumnarTreeNode]:
         """Add every window of a (counterexample) trace and absorb them."""
         self.dataset.add_trace(trace)
@@ -593,7 +523,7 @@ class ColumnarIncrementalDecisionTree(ColumnarDecisionTree):
             if node.is_leaf:
                 return ("leaf", node.prediction if node.count else None)
             return (
-                node.split_column,
+                node.split_column.column,
                 walk(node.children[0]),
                 walk(node.children[1]),
             )

@@ -3,21 +3,23 @@
 The A-Miner's input is a table whose rows are *mining windows*: for each
 starting cycle ``t`` of a trace, the values of every logic-cone signal bit
 at offsets ``0 .. window-1`` (the features) plus the value of the target
-output bit at the target offset.  Feature columns are named
-``signal@offset`` for single-bit signals and ``signal[bit]@offset`` for
-individual bits of vector signals — the same naming used by assertion
-literals, so tree paths convert directly into assertions.
+output bit at the target offset.  Each feature, and the target, is a
+:class:`FeatureSpec`: a signal bit at an offset, which converts directly
+into an assertion literal.  The feature space is fixed when a dataset is
+built (:func:`enumerate_features` over the cone from
+:func:`repro.analysis.cone.mining_features`).
 
-:class:`MiningDataset` is the row-wise test reference: the closure loop
-mines on :class:`repro.mining.columnar.ColumnarDataset`, which shares
-this module's feature enumeration and target placement and is held
-row-for-row identical to it by the mining differential tests.
+:class:`MiningDataset` is the row-wise test reference: it keys its rows
+by the features' text names (``signal@offset``, ``signal[bit]@offset``).
+The closure loop mines on :class:`repro.mining.columnar.ColumnarDataset`,
+which shares this module's feature enumeration and target placement and
+is held row-for-row identical to it by the mining differential tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.analysis.cone import mining_features
 from repro.assertions.assertion import Literal
@@ -28,30 +30,13 @@ from repro.sim.trace import Trace
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One feature column: a signal bit observed at a window offset."""
+    """One mined signal bit at a window offset: a feature or the target.
 
-    signal: str
-    cycle: int
-    bit: int | None = None
-
-    @property
-    def column(self) -> str:
-        base = self.signal if self.bit is None else f"{self.signal}[{self.bit}]"
-        return f"{base}@{self.cycle}"
-
-    def extract(self, row: Mapping[str, int]) -> int:
-        value = row[self.signal]
-        if self.bit is None:
-            return value
-        return (value >> self.bit) & 1
-
-    def to_literal(self, value: int) -> Literal:
-        return Literal(self.signal, value, self.cycle, self.bit)
-
-
-@dataclass(frozen=True)
-class TargetSpec:
-    """The mining target: one output bit at the target offset."""
+    The spec itself is a feature's identity: the columnar dataset keys its
+    bitsets by it, tree paths and splits hold it, and a path step becomes
+    an assertion literal through :meth:`to_literal`.  :attr:`column` is
+    its text name, which the row-wise reference keys its rows by.
+    """
 
     signal: str
     cycle: int
@@ -81,7 +66,7 @@ def _bit_features(module: Module, signal: str, cycle: int) -> list[FeatureSpec]:
 
 def resolve_target(module: Module, output: str, window: int,
                    output_bit: int | None,
-                   synth: SynthesizedModule | None) -> tuple[SynthesizedModule, bool, TargetSpec]:
+                   synth: SynthesizedModule | None) -> tuple[SynthesizedModule, bool, FeatureSpec]:
     """Validate a mining subject and place its target offset.
 
     Shared by the row-wise and columnar datasets so both agree exactly on
@@ -101,30 +86,7 @@ def resolve_target(module: Module, output: str, window: int,
     synth = synth or synthesize(module)
     sequential = output in synth.next_state
     target_cycle = window if sequential else window - 1
-    return synth, sequential, TargetSpec(output, target_cycle, output_bit)
-
-
-def iter_window_values(features: Sequence[FeatureSpec],
-                       valuations: Mapping[int, Mapping[str, int]]):
-    """Yield ``(feature, value)`` for one window of per-offset valuations.
-
-    A vector signal contributes one feature per bit; each (cycle, signal)
-    word is fetched once and the bits sliced off locally, instead of
-    re-extracting through :meth:`FeatureSpec.extract` per bit feature.
-    ``value`` is the raw word for bit-``None`` features and the extracted
-    bit otherwise — both engines treat nonzero as 1.  Shared by the
-    row-wise and columnar ``add_window`` paths so per-window extraction
-    stays identical between them.
-    """
-    words: dict[tuple[int, str], int] = {}
-    for feature in features:
-        key = (feature.cycle, feature.signal)
-        word = words.get(key)
-        if word is None:
-            word = valuations[feature.cycle][feature.signal]
-            words[key] = word
-        yield feature, (word if feature.bit is None
-                        else (word >> feature.bit) & 1)
+    return synth, sequential, FeatureSpec(output, target_cycle, output_bit)
 
 
 def enumerate_features(module: Module, output: str, window: int,
@@ -174,7 +136,7 @@ class MiningDataset:
     synth: SynthesizedModule | None = None
 
     features: list[FeatureSpec] = field(init=False, default_factory=list)
-    target: TargetSpec = field(init=False)
+    target: FeatureSpec = field(init=False)
     rows: list[tuple[dict[str, int], int]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
@@ -207,14 +169,12 @@ class MiningDataset:
     # ------------------------------------------------------------------
     def add_trace(self, trace: Trace) -> int:
         """Extract every window from ``trace``; returns the number of rows added."""
-        added = 0
         span = self.span
-        if len(trace) < span:
-            return 0
-        for start in range(len(trace) - span + 1):
-            window_rows = {offset: trace.cycle(start + offset) for offset in range(span)}
-            added += self._add_window(window_rows)
-        return added
+        starts = max(len(trace) - span + 1, 0)
+        for start in range(starts):
+            self.add_window({offset: trace.cycle(start + offset)
+                             for offset in range(span)})
+        return starts
 
     def add_traces(self, traces: Iterable[Trace]) -> int:
         """Extract windows from several traces; returns total rows added.
@@ -237,18 +197,16 @@ class MiningDataset:
         """
         return self.add_traces(block.to_traces())
 
-    def add_window(self, valuations: Mapping[int, Mapping[str, int]]) -> bool:
-        """Add one explicit window of per-offset valuations."""
-        return self._add_window(valuations)
+    def add_window(self, valuations: Mapping[int, Mapping[str, int]]) -> None:
+        """Add one explicit window of per-offset valuations.
 
-    def _add_window(self, valuations: Mapping[int, Mapping[str, int]]) -> bool:
-        feature_values = {
-            feature.column: value
-            for feature, value in iter_window_values(self.features, valuations)
-        }
+        A bit-``None`` feature keeps the raw word; both engines treat
+        nonzero as 1.
+        """
+        feature_values = {feature.column: feature.extract(valuations[feature.cycle])
+                          for feature in self.features}
         target_value = self.target.extract(valuations[self.target.cycle])
         self.rows.append((feature_values, target_value))
-        return True
 
     # ------------------------------------------------------------------
     def feature_literal(self, column: str, value: int) -> Literal:
@@ -257,15 +215,6 @@ class MiningDataset:
             if feature.column == column:
                 return feature.to_literal(value)
         raise KeyError(f"unknown feature column '{column}'")
-
-    def add_feature(self, spec: FeatureSpec) -> None:
-        """Extend the feature space (used when a counterexample introduces
-        a variable outside the original cone restriction, Section 3.1)."""
-        if spec.column in self.feature_columns:
-            return
-        self.features.append(spec)
-        for values, _ in self.rows:
-            values.setdefault(spec.column, 0)
 
     def target_values(self) -> list[int]:
         return [target for _, target in self.rows]

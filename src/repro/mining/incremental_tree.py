@@ -22,7 +22,7 @@ the closure loop grows.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.assertions.assertion import Assertion
 from repro.mining.dataset import MiningDataset
@@ -55,10 +55,6 @@ class IncrementalDecisionTree(DecisionTree):
         if not self._built:
             self.build()
             return []
-        # The depth limit follows the feature space, which may have grown
-        # (counterexamples can introduce variables such as farther-back
-        # registers, Section 3.1).
-        self.max_depth = max(self.max_depth, len(self.dataset.features))
         new_indices = range(self._consumed_rows, len(self.dataset.rows))
         touched_leaves: dict[int, TreeNode] = {}
         for index in new_indices:
@@ -90,12 +86,6 @@ class IncrementalDecisionTree(DecisionTree):
         return node
 
     # ------------------------------------------------------------------
-    def add_windows(self, windows: Iterable[Mapping[int, Mapping[str, int]]]) -> list[TreeNode]:
-        """Add explicit windows to the dataset and absorb them."""
-        for window in windows:
-            self.dataset.add_window(window)
-        return self.absorb_new_rows()
-
     def add_trace(self, trace) -> list[TreeNode]:
         """Add every window of a (counterexample) trace and absorb them."""
         self.dataset.add_trace(trace)

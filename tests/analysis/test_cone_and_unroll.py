@@ -96,7 +96,9 @@ class TestUnroller:
     def test_model_to_vectors_round_trip(self, arbiter2_module):
         design = Unroller(arbiter2_module).unroll(1)
         model = {bit_variable("req0", 0, 0): True, bit_variable("req1", 0, 1): True}
-        vectors = design.model_to_vectors(model)
+        vectors = design.model_to_vectors(model, 2)
+        assert len(vectors) == 2
+        assert design.model_to_vectors(model, 1) == vectors[:1]
         assert vectors[0]["req0"] == 1 and vectors[0]["req1"] == 0
         assert vectors[1]["req1"] == 1
         assert vectors[0]["rst"] == 0

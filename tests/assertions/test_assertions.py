@@ -17,6 +17,7 @@ from repro.assertions.evaluate import (
     violated_assertions,
 )
 from repro.assertions.render import to_ltl, to_psl, to_sva
+from repro.mining.dataset import FeatureSpec
 from repro.sim.trace import Trace
 
 
@@ -26,8 +27,12 @@ def make_assertion(antecedent, consequent, window=1, name=""):
 
 class TestLiteral:
     def test_column_naming(self):
-        assert Literal("req0", 1, 0).column == "req0@0"
-        assert Literal("bus", 1, 2, bit=3).column == "bus[3]@2"
+        """A mined feature's column name is its literal's rendered name."""
+        assert FeatureSpec("req0", 0).column == "req0@0"
+        assert FeatureSpec("bus", 2, 3).column == "bus[3]@2"
+        for spec in (FeatureSpec("req0", 0), FeatureSpec("bus", 2, 3)):
+            assert spec.to_literal(1) == Literal(spec.signal, 1, spec.cycle, spec.bit)
+            assert spec.to_literal(1).describe() == f"{spec.column}=1"
 
     def test_holds_whole_signal(self):
         literal = Literal("count", 5, 0)

@@ -21,6 +21,7 @@ from repro.boolean.expr import (
     BVar,
     BXor,
     and_,
+    const,
     iff,
     implies,
     ite,
@@ -104,6 +105,55 @@ def random_expr(rng, depth):
     if kind == 3:
         return xor_(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
     return ite(*(random_expr(rng, depth - 1) for _ in range(3)))
+
+
+def reference_nary(cls, operands):
+    """The n-ary constructors' contract, spelled out with ``not_`` and
+    list membership: the absorbing constant, the identity constant, the
+    single operand, or ``(cls, operands)`` for the node to intern."""
+    absorbing = FALSE if cls is BAnd else TRUE
+    flat = []
+    for operand in operands:
+        if isinstance(operand, BConst):
+            if operand.value == absorbing.value:
+                return absorbing
+            continue
+        flat.extend(operand.operands if isinstance(operand, cls) else [operand])
+    unique = []
+    for operand in flat:
+        if operand not in unique:
+            unique.append(operand)
+    if any(not_(operand) in unique for operand in unique):
+        return absorbing
+    if not unique:
+        return const(not absorbing.value)
+    if len(unique) == 1:
+        return unique[0]
+    return cls, tuple(unique)
+
+
+class TestNaryConstructors:
+    @pytest.mark.parametrize("cls,build", [(BAnd, and_), (BOr, or_)])
+    def test_matches_reference(self, cls, build):
+        rng = random.Random(11)
+        for _ in range(300):
+            pool = [random_expr(rng, 2) for _ in range(4)]
+            pool += [not_(rng.choice(pool)), and_(*pool[:2]), or_(*pool[1:3])]
+            operands = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+            expected = reference_nary(cls, operands)
+            result = build(*operands)
+            if isinstance(expected, tuple):
+                assert isinstance(result, cls)
+                assert result.operands == expected[1]
+                assert build(*expected[1]) is result
+            else:
+                assert result is expected
+
+    def test_xor_complement(self):
+        a = var("a")
+        assert xor_(a, not_(a)) is TRUE
+        assert xor_(not_(a), a) is TRUE
+        assert xor_(not_(a), not_(a)) is FALSE
 
 
 class TestSupportOf:

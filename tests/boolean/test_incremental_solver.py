@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 from repro.boolean.cnf import CnfBuilder
 from repro.boolean import expr as expr_module
@@ -135,6 +136,18 @@ class TestPersistentSolver:
         assert not solver.solve().satisfiable
 
 
+class CountingTable(weakref.WeakValueDictionary):
+    """An intern table that records every key stored into it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
 class TestHashConsing:
     def test_structurally_equal_expressions_are_identical(self):
         first = and_(var("a"), or_(var("b"), not_(var("c"))))
@@ -142,6 +155,18 @@ class TestHashConsing:
         assert first is second
         assert xor_(var("a"), var("b")) is xor_(var("a"), var("b"))
         assert len(expr_module._HASHCONS) > 0
+
+    def test_constructors_intern_only_their_result(self, monkeypatch):
+        """Without a complementary pair, ``and_``/``or_``/``xor_`` store
+        exactly one node: the result (no negation built to test for one)."""
+        a, b, x = var("intern_a"), var("intern_b"), var("intern_x")
+        operands = (a, b, not_(x), xor_(a, x))
+        for build in (and_, or_, lambda *ops: xor_(ops[0], ops[1])):
+            table = CountingTable(expr_module._HASHCONS)
+            monkeypatch.setattr(expr_module, "_HASHCONS", table)
+            result = build(*operands)
+            assert len(table.stored) == 1
+            assert table[table.stored[0]] is result
 
     def test_persistent_builder_encodes_shared_nodes_once(self):
         builder = CnfBuilder()

@@ -99,9 +99,11 @@ class TestSoundness:
         assertions = result.assertions_for("gnt0")
         for index, first in enumerate(assertions):
             for second in assertions[index + 1:]:
-                columns = {l.column: l.value for l in first.antecedent}
-                conflict = any(columns.get(l.column, l.value) != l.value
-                               for l in second.antecedent)
+                values = {(l.signal, l.cycle, l.bit): l.value
+                          for l in first.antecedent}
+                conflict = any(
+                    values.get((l.signal, l.cycle, l.bit), l.value) != l.value
+                    for l in second.antecedent)
                 assert conflict, "two leaf assertions overlap"
 
 

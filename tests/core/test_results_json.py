@@ -87,11 +87,11 @@ class TestClosureEngineIndependence:
             rebuilt = closure.engine.build_dataset(context.output, context.bit)
             rebuilt.add_traces(traces)
             mined = context.tree.dataset
-            assert rebuilt.feature_columns == mined.feature_columns
+            assert list(rebuilt.columns) == list(mined.columns)
             assert rebuilt.n_rows == mined.n_rows, context.label
             assert rebuilt.target_values() == mined.target_values(), context.label
-            for column in mined.feature_columns:
-                assert rebuilt.column_values(column) == mined.column_values(column), \
+            for feature in mined.columns:
+                assert rebuilt.column_values(feature) == mined.column_values(feature), \
                     context.label
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 def row_tuples(dataset) -> list[tuple[tuple[int, ...], int]]:
     """Rows widened back to per-row tuples, in row order."""
-    names = dataset.feature_columns
+    columns = list(dataset.columns.values())
     return [
-        (tuple((dataset.columns[name] >> row) & 1 for name in names),
+        (tuple((bits >> row) & 1 for bits in columns),
          (dataset.target_bits >> row) & 1)
         for row in range(dataset.n_rows)
     ]

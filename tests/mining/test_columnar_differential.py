@@ -28,7 +28,6 @@ from repro.mining import (
     DecisionTree,
     IncrementalDecisionTree,
 )
-from repro.mining.dataset import FeatureSpec
 from repro.sim.batched import BatchedSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
@@ -71,37 +70,15 @@ class TestDatasetEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_columns_and_targets_agree(self, design, output, bit, window, seed):
         rowwise, columnar = fill_pair(design, output, bit, window, seed)
-        assert rowwise.feature_columns == columnar.feature_columns
+        assert rowwise.features == list(columnar.columns)
+        assert rowwise.target == columnar.target
         assert len(rowwise) == len(columnar)
         assert rowwise.target_values() == columnar.target_values()
-        for column in rowwise.feature_columns:
+        for feature in columnar.columns:
             # Row-wise stores raw values; both engines treat nonzero as 1.
-            assert [1 if v else 0 for v in rowwise.column_values(column)] == \
-                columnar.column_values(column)
+            assert [1 if v else 0 for v in rowwise.column_values(feature.column)] == \
+                columnar.column_values(feature)
         assert rowwise.distinct_rows() == distinct_rows(columnar)
-
-    def test_add_window_matches_add_trace(self, arbiter2_module):
-        columnar = ColumnarDataset(arbiter2_module, "gnt0", window=2)
-        via_windows = ColumnarDataset(arbiter2_module, "gnt0", window=2)
-        trace = Simulator(arbiter2_module).run(RandomStimulus(12, seed=5))
-        columnar.add_trace(trace)
-        span = columnar.span
-        for start in range(len(trace) - span + 1):
-            via_windows.add_window(
-                {offset: trace.cycle(start + offset) for offset in range(span)})
-        assert columnar.n_rows == via_windows.n_rows
-        assert columnar.columns == via_windows.columns
-        assert columnar.target_bits == via_windows.target_bits
-
-    def test_add_feature_reads_zero_for_existing_rows(self):
-        rowwise, columnar = fill_pair("arbiter2", "gnt0", None, 1, seed=1)
-        spec = FeatureSpec("req0", 5)
-        rowwise.add_feature(spec)
-        columnar.add_feature(spec)
-        assert rowwise.feature_columns == columnar.feature_columns
-        assert columnar.column_values(spec.column) == [0] * len(columnar)
-        assert diff_trees(DecisionTree(rowwise).build(),
-                          ColumnarDecisionTree(columnar).build()) == []
 
 
 class TestTreeEquivalence:

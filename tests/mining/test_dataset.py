@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.assertions.assertion import Literal
-from repro.mining.dataset import FeatureSpec, MiningDataset
+from repro.mining.dataset import MiningDataset
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import DirectedStimulus, RandomStimulus
 
@@ -94,15 +94,6 @@ class TestRowExtraction:
         assert literal == Literal("req0", 1, 1)
         with pytest.raises(KeyError):
             dataset.feature_literal("unknown@0", 1)
-
-    def test_add_feature_extends_existing_rows(self, arbiter2_module):
-        simulator = Simulator(arbiter2_module)
-        dataset = MiningDataset(arbiter2_module, "gnt0", window=1,
-                                include_internal_state=False)
-        dataset.add_trace(simulator.run(RandomStimulus(5, seed=2)))
-        dataset.add_feature(FeatureSpec("gnt1", 0))
-        assert "gnt1@0" in dataset.feature_columns
-        assert all("gnt1@0" in values for values, _ in dataset.rows)
 
     def test_distinct_rows_deduplicates(self, arbiter2_module):
         simulator = Simulator(arbiter2_module)

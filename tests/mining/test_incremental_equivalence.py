@@ -32,6 +32,7 @@ from repro.mining import (
     IncrementalDecisionTree,
     MiningDataset,
 )
+from repro.mining.dataset import FeatureSpec
 from repro.mining.decision_tree import node_statistics
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
@@ -94,7 +95,8 @@ def test_refinement_sequence_keeps_engines_in_lockstep(seed, initial_cycles,
 
     # Every candidate is 100%-confidence on the merged dataset.
     for assertion in col_tree.candidate_assertions():
-        literals = {(l.column): l.value for l in assertion.antecedent}
+        literals = {FeatureSpec(l.signal, l.cycle, l.bit).column: l.value
+                    for l in assertion.antecedent}
         for features, target in rowwise.rows:
             if all((1 if features.get(col, 0) else 0) == val
                    for col, val in literals.items()):

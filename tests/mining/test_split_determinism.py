@@ -22,6 +22,7 @@ from repro.mining import (
     MiningDataset,
 )
 from repro.mining.decision_tree import child_error_fraction, fraction_less
+from repro.sim.trace import Trace
 from tree_diff import diff_trees
 
 
@@ -54,15 +55,14 @@ def _tie_dataset(cls, module):
     root split (identical value patterns) and strictly beat c@0 (d@0 is
     constant and never a candidate)."""
     dataset = cls(module, "z", window=1)
-    rows = [
+    # One row per cycle: z is combinational, so the window spans one cycle.
+    dataset.add_trace(Trace.from_dicts([
         {"a": 0, "b": 0, "c": 0, "d": 0, "z": 0},
         {"a": 0, "b": 0, "c": 1, "d": 0, "z": 0},
         {"a": 1, "b": 1, "c": 0, "d": 0, "z": 1},
         {"a": 1, "b": 1, "c": 1, "d": 0, "z": 1},
         {"a": 1, "b": 1, "c": 0, "d": 0, "z": 0},
-    ]
-    for row in rows:
-        dataset.add_window({0: row})
+    ]))
     return dataset
 
 
@@ -101,7 +101,7 @@ class TestColumnOrderTieBreak:
         row_tree.build()
         col_tree.build()
         assert row_tree.root.split_column == expected
-        assert col_tree.root.split_column == expected
+        assert col_tree.root.split_column.column == expected
         assert diff_trees(row_tree.root, col_tree.root) == []
 
     @pytest.mark.parametrize("seed", range(6))

@@ -16,19 +16,22 @@ def diff_trees(rowwise_root, columnar_root, tolerance: float = 1e-9) -> list[str
     prediction and (within float ``tolerance``) mean/error.  An empty
     list means the trees are node-for-node identical.
     ``rowwise_root`` is a :class:`~repro.mining.decision_tree.TreeNode`
-    (row-index lists), ``columnar_root`` a
-    :class:`~repro.mining.columnar.ColumnarTreeNode` (bitset masks).
+    (row-index lists, columns by name), ``columnar_root`` a
+    :class:`~repro.mining.columnar.ColumnarTreeNode` (bitset masks,
+    columns as :class:`~repro.mining.dataset.FeatureSpec`), compared
+    through ``feature.column``.
     """
     differences: list[str] = []
 
     def walk(a, b) -> None:
         where = " & ".join(f"{c}={v}" for c, v in a.path) or "<root>"
-        if a.path != b.path:
-            differences.append(f"{where}: path {a.path} != {b.path}")
+        b_path = tuple((feature.column, value) for feature, value in b.path)
+        if a.path != b_path:
+            differences.append(f"{where}: path {a.path} != {b_path}")
             return
-        if a.split_column != b.split_column:
-            differences.append(
-                f"{where}: split {a.split_column} != {b.split_column}")
+        b_split = b.split_column and b.split_column.column
+        if a.split_column != b_split:
+            differences.append(f"{where}: split {a.split_column} != {b_split}")
             return
         if len(a.rows) != b.count:
             differences.append(f"{where}: rows {len(a.rows)} != {b.count}")
