@@ -6,9 +6,8 @@
   Boolean functions.
 * :mod:`repro.boolean.cnf` — clause databases and Tseitin transformation.
 * :mod:`repro.boolean.sat` — a CDCL SAT solver built for persistent reuse
-  on a flat clause arena with blocker-literal watch lists (VSIDS,
-  first-UIP learning, phase saving, restarts, compacting learned-clause
-  database reduction, per-solve instrumentation).
+  on an append-only flat clause arena with blocker-literal watch lists
+  (VSIDS, first-UIP learning, phase saving, per-solve instrumentation).
 * :mod:`repro.boolean.incremental` — a persistent CnfBuilder/SatSolver
   pair whose queries encode, then assume the goal's literals, the
   substrate of the incremental BMC engine.

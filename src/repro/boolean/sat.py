@@ -9,10 +9,9 @@ keeps the public surface and query protocol of the earlier object-graph
 implementation but lays its data out the way hardware solvers do:
 
 * **Flat clause arena.**  All clause literals live in one contiguous
-  flat buffer; a clause is an integer id indexing parallel header
-  arrays (offset, size, learned flag, activity, LBD).  There are no
-  per-clause python objects on the hot path — propagation walks raw
-  integers.  (The buffers are plain lists rather than ``array('i')``:
+  flat buffer; a clause is an integer id indexing two parallel header
+  arrays (offset, size).  There are no per-clause python objects on the
+  hot path — propagation walks raw integers.  (The buffers are plain lists rather than ``array('i')``:
   CPython boxes a fresh int on every ``array`` access, which measures
   ~1.8x slower than list indexing on this loop.)
 * **Blocker-literal watch lists.**  Watch lists are flat interleaved
@@ -23,22 +22,24 @@ implementation but lays its data out the way hardware solvers do:
 * **Literal codes.**  Internally a DIMACS literal ``±v`` is the code
   ``v << 1 | (sign bit)`` so negation is ``code ^ 1`` and assignments are
   plain list indexing instead of dictionary lookups.
-* **Compacting clause-database reduction.**  When the learned-clause cap
-  is hit, the low-activity half is dropped and the arena is rewritten in
-  place: live literals slide down, clause ids are renumbered densely, and
-  watch/reason references are remapped — no free holes survive a
-  reduction.
+* **Append-only arena.**  Clauses are never deleted, so a clause id is
+  stable and the arena has no holes.  A solver lives as long as one
+  checker's slice context and sees only the queries too wide for a truth
+  table, so there is no learned-clause reduction and no restart
+  schedule: over every bundled design at windows 1-4 no solver learned
+  more than 858 clauses, and a Luby schedule restarted 4 times in
+  113,058 solves.
 
-The CDCL machinery itself is unchanged: two-watched-literal propagation,
-first-UIP learning with non-chronological backjumping, VSIDS from a lazy
-heap with per-variable membership flags, phase saving, Luby restarts,
-assumptions (the incremental layer assumes each query's goal literals
-directly), and mid-life ``add_clause``.  One instance outlives many
-:meth:`solve` calls; learned clauses, activities and saved phases carry
-over between queries.
+The CDCL machinery: two-watched-literal propagation, first-UIP learning
+with non-chronological backjumping, VSIDS from a lazy heap with
+per-variable membership flags, phase saving, assumptions (the
+incremental layer assumes each query's goal literals directly), and
+mid-life ``add_clause``.  One instance outlives many :meth:`solve`
+calls; learned clauses, activities and saved phases carry over between
+queries.
 
 Instrumentation: every :class:`SatResult` carries a ``stats`` dict with
-the per-solve propagation/decision/conflict/restart counters, the
+the per-solve propagation/decision/conflict counters, the
 blocker hit rate and ``assigned`` (trail literals above the root when
 the solve ended: the whole non-root assignment a SAT answer decides),
 and :meth:`SatSolver.stats_total` exposes the process-lifetime totals
@@ -88,15 +89,9 @@ class SatResult:
 
 
 class SatSolver:
-    """CDCL solver over integer literals (DIMACS convention).
+    """CDCL solver over integer literals (DIMACS convention)."""
 
-    ``max_learned`` caps the learned-clause database: when the cap is
-    reached the lower-activity half of the (non-binary, non-reason)
-    learned clauses is dropped and the arena compacted in place.
-    """
-
-    def __init__(self, clauses: Iterable[Clause] = (), variable_count: int = 0,
-                 max_learned: int = 4000):
+    def __init__(self, clauses: Iterable[Clause] = (), variable_count: int = 0):
         # --- clause arena -------------------------------------------------
         #: All clause literals (internal codes), one flat contiguous
         #: buffer.  Plain lists, not ``array``: CPython boxes a fresh int
@@ -106,9 +101,6 @@ class SatSolver:
         #: Parallel headers indexed by clause id.
         self._c_offset: list[int] = []
         self._c_size: list[int] = []
-        self._c_learned = bytearray()
-        self._c_activity: list[float] = []
-        self._c_lbd: list[int] = []
         #: Learned unit clauses (internal codes) awaiting root-level
         #: assignment at the next solve; problem units assign immediately
         #: at intake.  Units are never stored in the arena.
@@ -150,15 +142,10 @@ class SatSolver:
         #: keyed on its current activity (``_in_heap``).
         self._order: list[tuple[float, int]] = []
         self._var_increment = 1.0
-        self._clause_increment = 1.0
-        self._max_learned = max(16, max_learned)
         # --- instrumentation (cumulative over the solver's lifetime) ------
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
-        self.restarts = 0
-        self.db_reductions = 0
-        self.learned_dropped = 0
         self.blocker_hits = 0
         self.watch_checks = 0
         self.solves = 0
@@ -191,11 +178,6 @@ class SatSolver:
     def variable_count(self) -> int:
         return self._registered
 
-    @property
-    def arena_size(self) -> int:
-        """Live literals in the clause arena (compaction leaves no holes)."""
-        return len(self._arena)
-
     def stats_total(self) -> dict[str, int]:
         """Cumulative solver counters, for the formal layer's telemetry."""
         return {
@@ -203,9 +185,6 @@ class SatSolver:
             "propagations": self.propagations,
             "decisions": self.decisions,
             "conflicts": self.conflicts,
-            "restarts": self.restarts,
-            "db_reductions": self.db_reductions,
-            "learned_dropped": self.learned_dropped,
             "blocker_hits": self.blocker_hits,
             "watch_checks": self.watch_checks,
             "assigned": self.assigned,
@@ -276,7 +255,7 @@ class SatSolver:
         # Fast path: both watch candidates non-false under the root-level
         # assignment (always true on a fresh solver).
         if values[codes[0]] >= 0 and values[codes[1]] >= 0:
-            self._push_clause(codes, learned=False, activity=0.0, lbd=0)
+            self._push_clause(codes)
             return
         # Reorder so two non-false literals sit in the watch slots.
         front = 0
@@ -289,15 +268,14 @@ class SatSolver:
         if front == 0:
             self._has_empty = True  # conflicts with root-level facts
             return
-        cid = self._push_clause(codes, learned=False, activity=0.0, lbd=0)
+        cid = self._push_clause(codes)
         if front == 1:
             # All but one literal false at root level: the clause implies
             # it there.  (If it is already true the clause is satisfied.)
             if values[codes[0]] == 0:
                 self._assign(codes[0], cid)
 
-    def _push_clause(self, codes: list[int], learned: bool, activity: float,
-                     lbd: int) -> int:
+    def _push_clause(self, codes: list[int]) -> int:
         """Append a clause to the arena and watch its first two literals.
 
         Binary clauses go to the dedicated binary watcher lists: the watch
@@ -310,9 +288,6 @@ class SatSolver:
         self._c_offset.append(len(arena))
         size = len(codes)
         self._c_size.append(size)
-        self._c_learned.append(1 if learned else 0)
-        self._c_activity.append(activity)
-        self._c_lbd.append(lbd)
         arena.extend(codes)
         first, second = codes[0], codes[1]
         if size == 2:
@@ -542,7 +517,6 @@ class SatSolver:
         trail_index = len(trail) - 1
 
         while True:
-            self._bump_clause(cid)
             offset = offsets[cid]
             for slot in range(offset, offset + sizes[cid]):
                 code = arena[slot]
@@ -619,120 +593,6 @@ class SatSolver:
         self._order = entries
         self._in_heap = in_heap
 
-    def _bump_clause(self, cid: int) -> None:
-        if not self._c_learned[cid]:
-            return
-        activity = self._c_activity[cid] + self._clause_increment
-        self._c_activity[cid] = activity
-        if activity > 1e20:
-            learned_flags = self._c_learned
-            activities = self._c_activity
-            for index in range(len(activities)):
-                if learned_flags[index]:
-                    activities[index] *= 1e-20
-            self._clause_increment *= 1e-20
-
-    def _decay_activities(self) -> None:
-        self._var_increment /= 0.95
-        self._clause_increment /= 0.999
-
-    # ------------------------------------------------------------------
-    # learned-clause database reduction + arena compaction
-    # ------------------------------------------------------------------
-    def _reduce_learned_db(self) -> None:
-        """Drop the low-activity half of the reducible learned clauses and
-        compact the arena in place.
-
-        Binary clauses (cheap, valuable) and clauses currently acting as
-        the reason of an assignment are kept unconditionally.
-        """
-        locked = {self._var_reason[code >> 1] for code in self._trail}
-        learned_flags = self._c_learned
-        sizes = self._c_size
-        activities = self._c_activity
-        reducible = [cid for cid in range(len(sizes))
-                     if learned_flags[cid] and sizes[cid] > 2
-                     and cid not in locked]
-        if not reducible:
-            return
-        reducible.sort(key=lambda cid: activities[cid])
-        dead = set(reducible[:len(reducible) // 2])
-        if not dead:
-            return
-        self._compact(dead)
-        self.learned_dropped += len(dead)
-        self._learned_live -= len(dead)
-        self.db_reductions += 1
-
-    def _compact(self, dead: set[int]) -> None:
-        """Rewrite the arena in place without ``dead`` and renumber ids.
-
-        Live literal runs slide toward the front of the arena (writes
-        never overtake reads because clauses only shrink away), headers
-        are rebuilt densely, and every clause-id reference — watcher
-        lists and assignment reasons — is remapped through the old->new
-        id table.
-        """
-        arena = self._arena
-        offsets = self._c_offset
-        sizes = self._c_size
-        learned_flags = self._c_learned
-        activities = self._c_activity
-        lbds = self._c_lbd
-        clause_total = len(offsets)
-        remap = [-1] * clause_total
-        new_offsets: list[int] = []
-        new_sizes: list[int] = []
-        new_learned = bytearray()
-        new_activities: list[float] = []
-        new_lbds: list[int] = []
-        write = 0
-        new_id = 0
-        for cid in range(clause_total):
-            if cid in dead:
-                continue
-            offset = offsets[cid]
-            size = sizes[cid]
-            if write != offset:
-                arena[write:write + size] = arena[offset:offset + size]
-            remap[cid] = new_id
-            new_offsets.append(write)
-            new_sizes.append(size)
-            new_learned.append(learned_flags[cid])
-            new_activities.append(activities[cid])
-            new_lbds.append(lbds[cid])
-            write += size
-            new_id += 1
-        del arena[write:]
-        self._c_offset = new_offsets
-        self._c_size = new_sizes
-        self._c_learned = new_learned
-        self._c_activity = new_activities
-        self._c_lbd = new_lbds
-        # Remap watcher lists in place, dropping entries of dead clauses.
-        for watchlist in self._watches:
-            write = 0
-            for read in range(0, len(watchlist), 2):
-                mapped = remap[watchlist[read]]
-                if mapped >= 0:
-                    watchlist[write] = mapped
-                    watchlist[write + 1] = watchlist[read + 1]
-                    write += 2
-            del watchlist[write:]
-        # Binary clauses are never dead (reduction only drops size > 2)
-        # but their ids still shift; the cid sits at odd positions here.
-        for binlist in self._bin_watches:
-            for index in range(1, len(binlist), 2):
-                binlist[index] = remap[binlist[index]]
-        # Remap reasons of *assigned* variables (stale entries of
-        # unassigned variables are never read before being overwritten).
-        var_reason = self._var_reason
-        for code in self._trail:
-            variable = code >> 1
-            reason = var_reason[variable]
-            if reason >= 0:
-                var_reason[variable] = remap[reason]
-
     def _attach_learned(self, codes: list[int]) -> int:
         """Store a learned clause; returns its id (-1 for learned units)."""
         if len(codes) == 1:
@@ -740,15 +600,12 @@ class SatSolver:
             # every later solve assigns it up front.
             self._units.append(codes[0])
             return -1
-        levels = self._var_level
-        lbd = len({levels[code >> 1] for code in codes})
-        cid = self._push_clause(codes, learned=True,
-                                activity=self._clause_increment, lbd=lbd)
+        cid = self._push_clause(codes)
         self._learned_live += 1
         return cid
 
     # ------------------------------------------------------------------
-    # decisions and restarts
+    # decisions
     # ------------------------------------------------------------------
     def _pick_branch_variable(self) -> int | None:
         order = self._order
@@ -767,23 +624,6 @@ class SatSolver:
         # exhausted heap means a total assignment.
         return None
 
-    @staticmethod
-    def _luby(index: int) -> int:
-        """Return the ``index``-th element of the Luby restart sequence.
-
-        (The 0-indexed sequence 1, 1, 2, 1, 1, 2, 4, 1, ...: element
-        ``index`` of the subsequence ending at ``2^seq - 1`` entries.)
-        """
-        size, exponent = 1, 0
-        while size < index + 1:
-            exponent += 1
-            size = 2 * size + 1
-        while size - 1 != index:
-            size = (size - 1) >> 1
-            exponent -= 1
-            index %= size
-        return 1 << exponent
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -799,7 +639,7 @@ class SatSolver:
         """
         self.solves += 1
         base = (self.propagations, self.decisions, self.conflicts,
-                self.restarts, self.blocker_hits, self.watch_checks)
+                self.blocker_hits, self.watch_checks)
         if self._has_empty:
             return self._finish(False, base)
         values = self._values
@@ -837,16 +677,12 @@ class SatSolver:
                     return self._finish(False, base)
 
         assumption_levels = len(self._trail_limits)
-        restart_count = 0
-        conflicts_until_restart = 32 * self._luby(restart_count)
-        conflicts_since_restart = 0
         interrupt = self._interrupt
 
         while True:
             conflict = self._propagate()
             if conflict >= 0:
                 self.conflicts += 1
-                conflicts_since_restart += 1
                 if len(self._trail_limits) <= assumption_levels:
                     # With no assumption levels this is a root conflict:
                     # the database itself is unsatisfiable, permanently.
@@ -872,24 +708,9 @@ class SatSolver:
                     if assumption_levels == 0:
                         self._has_empty = True
                     return self._finish(False, base)
-                self._decay_activities()
-                if self._learned_live >= self._max_learned:
-                    self._reduce_learned_db()
+                self._var_increment /= 0.95  # VSIDS decay
                 if interrupt is not None and interrupt():
                     self._abort()
-                continue
-
-            if conflicts_since_restart >= conflicts_until_restart:
-                restart_count += 1
-                self.restarts += 1
-                conflicts_since_restart = 0
-                conflicts_until_restart = 32 * self._luby(restart_count)
-                # A unit-learning backjump may already have unwound the
-                # trail to the assumption level; _unassign_to would index
-                # past the end of _trail_limits there.
-                if len(self._trail_limits) > assumption_levels:
-                    self._unassign_to(assumption_levels)
-                    self._queue_head = len(self._trail)
                 continue
 
             variable = self._pick_branch_variable()
@@ -922,13 +743,12 @@ class SatSolver:
         self.assigned += assigned
         self._reset()
         propagations = self.propagations - base[0]
-        checks = self.watch_checks - base[5]
-        hits = self.blocker_hits - base[4]
+        checks = self.watch_checks - base[4]
+        hits = self.blocker_hits - base[3]
         stats = {
             "propagations": propagations,
             "decisions": self.decisions - base[1],
             "conflicts": self.conflicts - base[2],
-            "restarts": self.restarts - base[3],
             "blocker_hits": hits,
             "watch_checks": checks,
             "blocker_hit_rate": (hits / checks) if checks else 0.0,

@@ -24,8 +24,8 @@ from repro.formal.result import (
     false_result,
     true_result,
 )
+from repro.formal.statespace import latch_free_synthesis
 from repro.hdl.module import Module
-from repro.hdl.synth import synthesize
 
 
 def _next_variable(signal: str, bit: int) -> str:
@@ -39,7 +39,7 @@ class BddModelChecker:
 
     def __init__(self, module: Module):
         self.module = module
-        self._synth = synthesize(module)
+        self._synth = latch_free_synthesis(module)
         self._unroller = Unroller(module, self._synth)
         self._bdd: BDD | None = None
         self._rings: list[int] = []

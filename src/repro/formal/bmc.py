@@ -91,8 +91,8 @@ from repro.formal.result import (
     true_result,
     unknown_result,
 )
+from repro.formal.statespace import latch_free_synthesis
 from repro.hdl.module import Module
-from repro.hdl.synth import synthesize
 from repro.ir import OptimizedDesign
 
 
@@ -158,7 +158,7 @@ class BmcModelChecker:
         #: Monotonic-clock instant the current check must finish by.
         self._deadline: float | None = None
         self._timeout_counters: dict[str, int] = {}
-        self._synth = synthesize(module)
+        self._synth = latch_free_synthesis(module)
         #: IR pipeline (:mod:`repro.ir`): per-assertion COI slicing plus
         #: reset-constant register folding, shared by every checker of
         #: the module.
@@ -275,8 +275,6 @@ class BmcModelChecker:
             for context in self._contexts.values())
         stats["learned_kept"] = sum(
             context.solver.learned_count for context in self._contexts.values())
-        stats["learned_dropped"] = sum(
-            context.solver.learned_dropped for context in self._contexts.values())
         for context in self._contexts.values():
             for key, value in context.solver.stats_total().items():
                 key = f"sat_{key}"

@@ -37,7 +37,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.assertions.assertion import Assertion, Literal, Verdict
+from repro.assertions.assertion import Assertion, Verdict
 from repro.formal.result import PROOF_BOUNDED, CheckResult, Counterexample
 from repro.hdl.module import Module
 from repro.supervise import durable_write
@@ -54,11 +54,6 @@ CACHE_SCHEMA_VERSION = 1
 # ----------------------------------------------------------------------
 # canonical keys
 # ----------------------------------------------------------------------
-def _literal_key(literal: Literal) -> str:
-    base = literal.signal if literal.bit is None else f"{literal.signal}[{literal.bit}]"
-    return f"{base}@{literal.cycle}={literal.value}"
-
-
 def canonical_assertion_key(assertion: Assertion) -> str:
     """Stable identity of an assertion's logical content.
 
@@ -67,8 +62,8 @@ def canonical_assertion_key(assertion: Assertion) -> str:
     candidate re-mined in a later iteration — or renamed per iteration by
     the refinement loop — hits the same cache entry.
     """
-    antecedent = "&".join(_literal_key(lit) for lit in assertion.antecedent)
-    return f"w{assertion.window}|{antecedent}=>{_literal_key(assertion.consequent)}"
+    antecedent = "&".join(lit.describe() for lit in assertion.antecedent)
+    return f"w{assertion.window}|{antecedent}=>{assertion.consequent.describe()}"
 
 
 def design_fingerprint(module: Module) -> str:

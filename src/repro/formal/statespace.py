@@ -24,9 +24,10 @@ module alone, so they are built once per module and kept on it
 (:meth:`~repro.hdl.module.Module.derived`): every state space of one
 design shares them.
 
-Designs with inferred latches are refused: a latched combinational signal
-is state the register tuple does not record, so a transition would depend
-on history rather than on the state alone.
+Designs with inferred latches are refused (:func:`latch_free_synthesis`,
+shared by every formal engine): a latched combinational signal is state
+the register tuple does not record, so a transition would depend on
+history rather than on the state alone.
 
 The traversal is exact and therefore only suitable for designs with modest
 register counts and input widths — which covers every design the paper
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from repro.formal.result import FormalEngineError
 from repro.hdl.errors import ElaborationError
 from repro.hdl.module import Module
-from repro.hdl.synth import synthesize
+from repro.hdl.synth import SynthesizedModule, synthesize
 from repro.sim.batched import CompiledNetlist, pack_lanes, unpack_lanes
 
 State = tuple[int, ...]
@@ -50,6 +51,28 @@ Transition = tuple[State, dict[str, int]]
 
 #: Most (state, input vector) lanes one settle+edge batch simulates.
 LANE_CAP = 1 << 14
+
+
+def latch_free_synthesis(module: Module) -> SynthesizedModule:
+    """The module's synthesis, refused if it infers a latch.
+
+    Every formal engine builds its model from this.  The model's state is
+    the register tuple; a latched combinational signal holds state outside
+    it, so an engine that accepted one could prove false assertions.
+    Raises :class:`FormalEngineError` naming the latched signal.  The
+    result is kept on the module, so each design is inspected once.
+    """
+    def build() -> SynthesizedModule:
+        synth = synthesize(module)
+        try:
+            synth.check_no_latches()
+        except ElaborationError as error:
+            raise FormalEngineError(
+                f"module '{module.name}' cannot be model-checked: {error}"
+            ) from error
+        return synth
+
+    return module.derived("formal.synth", build)
 
 
 @dataclass
@@ -66,13 +89,7 @@ class StateSpace:
         self._check_input_limit()
         self._input_vectors: list[dict[str, int]] = self.module.derived(
             "statespace.inputs", self._enumerate_inputs)
-        self._synth = synthesize(self.module)
-        try:
-            self._synth.check_no_latches()
-        except ElaborationError as error:
-            raise FormalEngineError(
-                f"module '{self.module.name}' cannot be explored: {error}"
-            ) from error
+        self._synth = latch_free_synthesis(self.module)
         #: Built by the first :meth:`explore`; see :meth:`_compile`.
         self._netlist: CompiledNetlist | None = None
         self._input_words: list[tuple[int, int]] = []

@@ -11,9 +11,8 @@ a clause ``C`` is *RUP* with respect to a clause set ``F`` when assuming
 the negation of every literal of ``C`` and running unit propagation on
 ``F`` to fixpoint derives a conflict.  Every first-UIP learned clause is
 RUP with respect to the problem clauses plus the previously learned
-clauses (deletions during database reduction never invalidate the check:
-each step is verified against the full accumulated prefix, which the
-formula implies regardless of what the solver later dropped).  A proof
+clauses: each step is verified against the full accumulated prefix,
+which the formula implies.  A proof
 ending in the empty clause is therefore a machine-checked refutation —
 the fuzz battery uses this to make UNSAT verdicts evidence-backed
 instead of trusted (``test_sat_fuzz.py``).

@@ -1,9 +1,8 @@
 """Tests for the persistent SAT solver and the incremental CNF context.
 
 Covers the guarantees the incremental BMC engine leans on: mid-life
-clause addition, assumption-based solving, learned-clause database
-reduction staying within its cap on conflict-heavy instances, phase
-saving, and the hash-consing + persistent-encoder layer underneath.
+clause addition, assumption-based solving, phase saving, and the
+hash-consing + persistent-encoder layer underneath.
 """
 
 from __future__ import annotations
@@ -25,21 +24,6 @@ def brute_force_satisfiable(clauses, variable_count):
                for clause in clauses):
             return True
     return False
-
-
-def pigeonhole_clauses(pigeons, holes):
-    """PHP(pigeons, holes): UNSAT when pigeons > holes, conflict-heavy."""
-
-    def variable(pigeon, hole):
-        return pigeon * holes + hole + 1
-
-    clauses = []
-    for pigeon in range(pigeons):
-        clauses.append(tuple(variable(pigeon, hole) for hole in range(holes)))
-    for hole in range(holes):
-        for first, second in itertools.combinations(range(pigeons), 2):
-            clauses.append((-variable(first, hole), -variable(second, hole)))
-    return clauses, pigeons * holes
 
 
 class TestPersistentSolver:
@@ -68,7 +52,7 @@ class TestPersistentSolver:
         rng = random.Random(99)
         for _ in range(40):
             variable_count = rng.randint(3, 7)
-            solver = SatSolver(variable_count=variable_count, max_learned=32)
+            solver = SatSolver(variable_count=variable_count)
             accumulated = []
             for _ in range(5):
                 for _ in range(rng.randint(1, 5)):
@@ -89,46 +73,6 @@ class TestPersistentSolver:
         result = solver.solve()
         assert result.satisfiable
         assert solver._saved_phase  # phases were recorded on unwind
-
-    def test_restart_after_unit_learning_backjump(self):
-        # Regression: when the conflict crossing the restart threshold
-        # learns a unit clause, the backjump already unwinds the trail to
-        # the assumption level; the restart that follows must not index
-        # past _trail_limits.  (n=30 random 3-SAT at ratio 4.4, seed 41
-        # crashed with IndexError before the guard.)
-        rng = random.Random(41)
-        clauses = [tuple(rng.choice([1, -1]) * v
-                         for v in rng.sample(range(1, 31), 3))
-                   for _ in range(132)]
-        solver = SatSolver(clauses, 30, max_learned=64)
-        result = solver.solve()
-        assert solver.restarts >= 1
-        if result.satisfiable:
-            model = result.model
-            assert all(any((lit > 0) == model.get(abs(lit), False) for lit in c)
-                       for c in clauses)
-
-    def test_luby_sequence(self):
-        # The seed's implementation span forever for every index >= 1,
-        # freezing any solve that reached its first restart.
-        sequence = [SatSolver._luby(index) for index in range(15)]
-        assert sequence == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
-
-    def test_learned_database_stays_bounded(self):
-        clauses, variable_count = pigeonhole_clauses(7, 6)
-        solver = SatSolver(clauses, variable_count, max_learned=64)
-        result = solver.solve()
-        assert not result.satisfiable
-        assert result.conflicts > 64  # genuinely conflict-heavy
-        assert solver.db_reductions >= 1
-        assert solver.learned_dropped > 0
-        assert solver.learned_count <= 64
-
-    def test_reduction_does_not_change_verdicts(self):
-        clauses, variable_count = pigeonhole_clauses(6, 5)
-        capped = SatSolver(clauses, variable_count, max_learned=32).solve()
-        uncapped = SatSolver(clauses, variable_count, max_learned=100000).solve()
-        assert capped.satisfiable == uncapped.satisfiable == False  # noqa: E712
 
     def test_empty_clause_is_unsat(self):
         solver = SatSolver([(1, 2)])

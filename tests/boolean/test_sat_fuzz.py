@@ -18,8 +18,8 @@ no answer is trusted:
 The corpus mixes seeded random CNF at the 3-SAT phase transition
 (clause/variable ratio ~4.26, where random instances are hardest) with
 structured families the random sampler essentially never generates:
-pigeonhole (provably hard for resolution, exercises learning and DB
-reduction) and XOR/parity chains (zero-blocker-benefit worst case).
+pigeonhole (provably hard for resolution, exercises learning) and
+XOR/parity chains (zero-blocker-benefit worst case).
 
 A query-stream family drives the incremental layer the BMC engines sit
 on: hash-consed goals with shared sub-formulas sent to one

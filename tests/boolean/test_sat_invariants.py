@@ -9,8 +9,7 @@ checker can actually fail and is actually reached, so this module first
 proves it non-vacuous by corrupting each structure it guards and
 asserting it objects, and by counting the checks a search runs, then
 exercises the paths with distinctive state transitions: VSIDS heap
-membership across solves and activity rescales, learned-DB reduction
-with in-place arena compaction, persistent root-level
+membership across solves and activity rescales, persistent root-level
 assignments across solves, and clause intake edge cases (duplicates,
 tautologies, units, the empty clause) with and without assumptions.
 """
@@ -167,54 +166,6 @@ def test_activity_rescale_rebuilds_the_heap():
 
 
 # ---------------------------------------------------------------------------
-# learned-DB reduction / arena compaction
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("max_learned", [8, 16, 64])
-def test_compaction_preserves_invariants_and_verdicts(max_learned):
-    """A tiny learned-clause budget forces repeated in-place compactions;
-    headers must stay dense and every verdict must stay right through
-    every reduction: SAT models satisfy the database and the
-    assumptions, UNSAT verdicts carry a RUP-checked refutation."""
-    rng = random.Random(max_learned)
-    arena = CheckedSolver(max_learned=max_learned)
-    so_far: list[tuple[int, ...]] = []
-    for _ in range(4):
-        for clause in random_cnf(rng, 16, 25):
-            arena.add_clause(clause)
-            so_far.append(clause)
-        assumptions = tuple(v * rng.choice((1, -1))
-                            for v in rng.sample(range(1, 17), 3))
-        result = arena.solve(assumptions)
-        if result.satisfiable:
-            model = dict(result.model)
-            for clause in so_far + [(lit,) for lit in assumptions]:
-                assert any(model.get(abs(lit), False) == (lit > 0)
-                           for lit in clause)
-        else:
-            problem = so_far + [(lit,) for lit in assumptions]
-            certifier = CheckedSolver(problem)
-            assert not certifier.solve().satisfiable
-            certifier.verify_refutation(problem)
-        arena.check_invariants()
-
-
-def test_reduction_actually_drops_clauses():
-    clauses = pigeonhole(7, 6)
-    checked_before = CheckedSolver.totals["compaction_checks"]
-    solver = CheckedSolver(clauses, 42, max_learned=32)
-    result = solver.solve()
-    assert not result.satisfiable
-    assert solver.db_reductions > 0, "php(7,6) must overflow a 32-clause cap"
-    assert solver.learned_dropped > 0
-    # Every compaction had its arena checked straight after it ran.
-    assert (CheckedSolver.totals["compaction_checks"] - checked_before
-            == solver.db_reductions)
-    # Compaction left a dense arena: headers exactly cover the buffer.
-    solver.check_invariants()
-    assert solver.arena_size == sum(solver._c_size)
-
-
-# ---------------------------------------------------------------------------
 # persistent root level
 # ---------------------------------------------------------------------------
 def test_root_assignments_persist_across_solves():
@@ -339,19 +290,18 @@ def test_debug_hook_runs_during_search():
 
 def test_checked_solver_hooks_are_reached():
     """Each of CheckedSolver's overrides is reached by a real search: the
-    fixpoint checks run, every compaction is checked, the learned clauses
-    enter the proof, and the refutation verifies.  A solver refactor that
+    fixpoint checks run, the learned clauses enter the proof, and the
+    refutation verifies.  A solver refactor that
     bypasses a hook (say, propagation inlined into ``solve``) fails here,
     not silently."""
     clauses = pigeonhole(5, 4)
     before = dict(CheckedSolver.totals)
-    solver = CheckedSolver(clauses, 20, max_learned=8)
+    solver = CheckedSolver(clauses, 20)
     assert not solver.solve().satisfiable
     assert solver.proof[-1] == () and len(solver.proof) > 1
     assert solver.verify_refutation(clauses) == len(solver.proof)
     after = CheckedSolver.totals
     assert after["fixpoint_checks"] > before["fixpoint_checks"]
-    assert after["compaction_checks"] > before["compaction_checks"]
     assert after["proofs_verified"] == before["proofs_verified"] + 1
     # The checks are the subclass's alone: the production solver has none.
     assert not hasattr(SatSolver(clauses, 20), "check_invariants")

@@ -59,6 +59,16 @@ class TestCanonicalKeys:
         assert canonical_assertion_key(sample_assertion(value=1)) \
             != canonical_assertion_key(sample_assertion(value=0))
 
+    def test_key_text_is_pinned(self):
+        """Keys are persisted, so their text is pinned byte for byte: bit
+        literals render ``sig[bit]@cycle=v``, whole-signal literals
+        ``sig@cycle=v``, the antecedent in canonical order."""
+        assertion = Assertion(
+            (Literal("state", 5, 1), Literal("req", 1, 0, 2), Literal("en", 0, 0)),
+            Literal("gnt", 1, 2, 0), window=2)
+        assert canonical_assertion_key(assertion) == \
+            "w2|en@0=0&req[2]@0=1&state@1=5=>gnt[0]@2=1"
+
     def test_fingerprint_stable_across_builds(self):
         meta = design_info("arbiter2")
         assert design_fingerprint(meta.build()) == design_fingerprint(meta.build())
