@@ -68,7 +68,7 @@ from repro.sim import (
 
 #: Single source of truth for the release version: ``setup.py`` parses
 #: this assignment, so bump it here and nowhere else.
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "Assertion",

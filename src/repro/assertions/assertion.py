@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 
@@ -75,6 +76,11 @@ class Literal:
         return f"{name}@{self.cycle}={self.value}"
 
 
+#: :class:`Literal`'s own ordering (its fields in order) as a C-level sort
+#: key, so sorting an antecedent makes no Python-level ``__lt__`` calls.
+_LITERAL_ORDER = attrgetter("signal", "value", "cycle", "bit")
+
+
 @dataclass(frozen=True)
 class Assertion:
     """A bounded temporal implication mined from simulation data.
@@ -84,6 +90,10 @@ class Assertion:
     consequent lives at offset ``window`` for sequential targets (the value
     the output takes after the last observed cycle's clock edge) and at
     offset ``0`` for purely combinational targets.
+
+    The hash is computed once and kept in the instance; it is never
+    pickled, because ``str`` hashes differ between interpreters with
+    different hash seeds (formal workers receive pickled assertions).
     """
 
     antecedent: tuple[Literal, ...]
@@ -97,7 +107,8 @@ class Assertion:
     support: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "antecedent", tuple(sorted(self.antecedent)))
+        object.__setattr__(self, "antecedent",
+                           tuple(sorted(self.antecedent, key=_LITERAL_ORDER)))
         if self.window < 1:
             raise ValueError("window must be at least 1")
         for literal in self.antecedent:
@@ -105,6 +116,21 @@ class Assertion:
                 raise ValueError(
                     f"antecedent literal {literal.describe()} lies outside the window"
                 )
+
+    def __hash__(self) -> int:
+        # The dataclass-generated hash of the compared fields, kept after
+        # the first call.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.antecedent, self.consequent, self.window))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     # ------------------------------------------------------------------
     @property
@@ -187,8 +213,12 @@ def input_space_fraction(assertion: Assertion) -> float:
 def combined_input_space_coverage(assertions: Iterable[Assertion]) -> float:
     """Accumulated input-space coverage of a set of true assertions.
 
-    The decision tree guarantees the assertions' antecedents are mutually
-    exclusive (each corresponds to a distinct leaf/path), so their covered
-    fractions simply add up, as the paper's Section 7.1 computes.
+    The incremental decision tree guarantees the assertions' antecedents
+    are mutually exclusive (each corresponds to a distinct leaf/path of
+    one tree that only ever grows), so their covered fractions simply add
+    up, as the paper's Section 7.1 computes.  That holds only for the
+    incremental tree: when trees are rebuilt from scratch every iteration
+    (``CoverageClosure(..., rebuild_trees=True)``), assertions proven off
+    different trees can overlap, and this sum overstates their coverage.
     """
     return min(1.0, sum(input_space_fraction(a) for a in assertions))

@@ -45,6 +45,9 @@ class OutputContext:
 
     ``tree`` is the output's
     :class:`~repro.mining.columnar.ColumnarIncrementalDecisionTree`.
+    ``proven`` lists the accepted assertions in proof order and
+    ``proven_set`` holds the same assertions for membership tests; add
+    them through :meth:`prove` so the two stay in step.
     """
 
     output: str
@@ -52,10 +55,15 @@ class OutputContext:
     label: str
     tree: ColumnarIncrementalDecisionTree
     proven: list[Assertion] = field(default_factory=list)
+    proven_set: set[Assertion] = field(default_factory=set)
     failed: set[Assertion] = field(default_factory=set)
     #: True when every candidate at the leaves ended proven in the last
     #: check (set by :meth:`CoverageClosure._check_all`).
     converged: bool = False
+
+    def prove(self, assertion: Assertion) -> None:
+        self.proven.append(assertion)
+        self.proven_set.add(assertion)
 
     def input_space_coverage(self) -> float:
         return combined_input_space_coverage(self.proven)
@@ -173,7 +181,7 @@ class CoverageClosure:
             if self.rebuild_trees and iteration > 0:
                 context.tree.build()
             candidates = context.tree.candidate_assertions()
-            proven_set = set(context.proven)
+            proven_set = context.proven_set
             unproven = [(index, candidate) for index, candidate in enumerate(candidates)
                         if candidate not in proven_set]
             unresolved = [(index, candidate) for index, candidate in unproven
@@ -187,7 +195,7 @@ class CoverageClosure:
                 named = candidate.with_name(f"{context.label}_i{iteration}_a{index}")
                 record.candidates_checked += 1
                 if check.is_true:
-                    context.proven.append(named)
+                    context.prove(named)
                     record.new_true_assertions.append(named)
                     # Accepted assertions carry their proof strength into
                     # the result JSON; a TRUE without one (defensive only)

@@ -1,9 +1,9 @@
 """A-Miner: decision-tree based assertion mining (GoldMine Section 2.3).
 
 :mod:`repro.mining.columnar` is the miner the closure loop runs: it
-stores every feature column as one big-int bitset and computes split
-gains with popcounts on ``column & mask`` words; it also ingests the
-batched simulator's lane-packed words directly (zero-copy).
+stores every feature column as one big-int bitset, packed from each
+trace signal bit's history at once, computes split gains with popcounts
+on ``column & mask`` words, and builds each pure leaf's candidate once.
 
 The row-wise classes are the test reference the columnar engine is
 held node-for-node identical to: :mod:`repro.mining.dataset` turns

@@ -5,20 +5,27 @@ The row-wise reference miner (:mod:`repro.mining.dataset` /
 mining window and re-reads every feature bit per row during induction,
 so tree induction is a per-row interpreted loop.  This module stores the
 same data *columnar*, mirroring the lane-packing trick of
-:mod:`repro.sim.batched`:
+:mod:`repro.sim.batched`, and does each piece of mining work once:
 
 * :class:`ColumnarDataset` keeps each feature column (and the target) as
-  one Python big int whose bit ``i`` is the column's value in row ``i``;
+  one Python big int whose bit ``i`` is the column's value in row ``i``.
+  :meth:`ColumnarDataset.add_trace`, which the closure feeds the seed
+  trace and every counterexample replay, packs each ``(signal, bit)``
+  history of a trace into one int once (:func:`pack_history`, a
+  ``bytes.translate`` in C) and cuts every feature column out of it with
+  a shift and a mask — no loop runs per row;
 * :class:`ColumnarDecisionTree` gives each node a *row mask* big int
   selecting the rows that reach it, so every candidate split gain is two
   ``&`` operations and three popcounts (``int.bit_count`` where
   available, a ``bin().count`` fallback on 3.10) over
-  machine-word-packed data — no per-row Python objects anywhere on the
-  induction path;
+  machine-word-packed data;
+* each pure leaf's candidate :class:`~repro.assertions.assertion.Assertion`
+  is built once and kept on the leaf until new rows reach it
+  (:meth:`ColumnarDecisionTree.assertion_for_leaf`), so an iteration
+  builds candidates only for the leaves that changed;
 * :meth:`ColumnarDataset.add_lane_block` ingests the batched simulator's
-  lane-packed words directly (transpose-free): a feature column is built
-  by shift-OR-ing whole lane words, one big-int operation per simulated
-  cycle per column, without ever widening the trace to per-row dicts.
+  lane-packed words directly (a feature column is a shift-OR of whole
+  lane words per cycle); no production path feeds it.
 
 Both engines implement the same variance-error induction (paper
 Figure 2) with the same exact split ranking and column-order tie-break
@@ -46,6 +53,38 @@ except AttributeError:  # pragma: no cover - Python 3.10 fallback
     def popcount(value: int) -> int:
         """Number of set bits (``int.bit_count`` arrived in 3.11)."""
         return bin(value).count("1")
+
+
+#: ``bytes.translate`` tables mapping a byte to ``b"1"`` or ``b"0"``: one
+#: per bit 0-7, and one for ``bit is None`` (nonzero reads as 1).
+_BIT_TABLES = tuple(
+    bytes(ord("1") if (value >> bit) & 1 else ord("0") for value in range(256))
+    for bit in range(8))
+_NONZERO_TABLE = b"0" + b"1" * 255
+
+
+def pack_history(history: Sequence[int], bit: int | None) -> int:
+    """Pack one signal bit's history into an int; bit ``i`` is cycle ``i``.
+
+    ``bit`` is ``None`` for a whole-signal feature, which reads nonzero as
+    1.  When every value fits a byte and ``bit < 8``, the history becomes
+    a binary string in C (``bytes`` + ``translate``); otherwise ``bytes``
+    raises and a per-value string join builds it instead.
+    """
+    if not history:
+        return 0
+    if bit is None or bit < 8:
+        try:
+            text = bytes(reversed(history)).translate(
+                _NONZERO_TABLE if bit is None else _BIT_TABLES[bit])
+        except ValueError:  # a value of 256 or more
+            pass
+        else:
+            return int(text, 2)
+    if bit is None:
+        return int("".join("1" if value else "0" for value in reversed(history)), 2)
+    return int("".join("1" if (value >> bit) & 1 else "0"
+                       for value in reversed(history)), 2)
 
 
 @dataclass
@@ -85,6 +124,10 @@ class ColumnarDataset:
             sequential_target=self._sequential_target,
             target_cycle=self.target.cycle,
         ), 0)
+        #: The features of each ``(signal, bit)`` history, for add_trace.
+        self._histories: dict[tuple[str, int | None], list[FeatureSpec]] = {}
+        for feature in self.columns:
+            self._histories.setdefault((feature.signal, feature.bit), []).append(feature)
 
     # ------------------------------------------------------------------
     @property
@@ -114,47 +157,31 @@ class ColumnarDataset:
     def add_trace(self, trace: Trace) -> int:
         """Extract every window from ``trace``; returns the rows added.
 
-        Columns are built signal-major: each signal's cycle history is
-        read off the trace once and every feature bit of that signal is
-        sliced from it — the columnar counterpart of the row-wise
-        dataset's once-per-row signal extraction.
+        The trace is transposed once, and each distinct ``(signal, bit)``
+        history is packed once into a big int whose bit ``i`` is that bit
+        at cycle ``i`` (:func:`pack_history`).  A feature at window offset
+        ``o`` is then that history shifted right by ``o`` and cut to the
+        trace's row count, so no Python loop runs per row.
         """
         span = self.span
         if len(trace) < span:
             return 0
         count = len(trace) - span + 1
         base = self.n_rows
-        histories: dict[str, list[int]] = {}
-
-        def history_of(name: str) -> list[int]:
-            history = histories.get(name)
-            if history is None:
-                history = trace.column(name)
-                histories[name] = history
-            return history
-
+        row_bits = (1 << count) - 1
+        signals = dict(zip(trace.columns, zip(*trace.rows)))
         columns = self.columns
-        for feature in columns:
-            history = history_of(feature.signal)
-            offset, bit = feature.cycle, feature.bit
-            bits = 0
-            if bit is None:
-                for row in range(count):
-                    if history[row + offset]:
-                        bits |= 1 << row
-            else:
-                for row in range(count):
-                    if (history[row + offset] >> bit) & 1:
-                        bits |= 1 << row
-            if bits:
-                columns[feature] |= bits << base
-        history = history_of(self.target.signal)
-        offset, bit = self.target.cycle, self.target.bit
-        bits = 0
-        for row in range(count):
-            value = history[row + offset]
-            if value if bit is None else (value >> bit) & 1:
-                bits |= 1 << row
+        packed: dict[tuple[str, int | None], int] = {}
+        for key, features in self._histories.items():
+            history = packed[key] = pack_history(signals[key[0]], key[1])
+            for feature in features:
+                bits = (history >> feature.cycle) & row_bits
+                if bits:
+                    columns[feature] |= bits << base
+        target = self.target
+        key = (target.signal, target.bit)
+        history = packed[key] if key in packed else pack_history(signals[key[0]], key[1])
+        bits = (history >> target.cycle) & row_bits
         if bits:
             self.target_bits |= bits << base
         self.n_rows += count
@@ -229,6 +256,9 @@ class ColumnarTreeNode:
     of rows reaching the node (``popcount(mask)``) and ``ones`` the
     number of those whose target is 1.  Path steps and the split hold the
     :class:`~repro.mining.dataset.FeatureSpec` itself, not its name.
+    ``candidate`` memoises the leaf's assertion
+    (:meth:`ColumnarDecisionTree.assertion_for_leaf`); routing new rows
+    to the node clears it, so its ``support`` always equals ``count``.
     """
 
     path: tuple[tuple[FeatureSpec, int], ...] = ()
@@ -237,6 +267,7 @@ class ColumnarTreeNode:
     ones: int = 0
     split_column: FeatureSpec | None = None
     children: dict[int, "ColumnarTreeNode"] = field(default_factory=dict)
+    candidate: Assertion | None = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -387,16 +418,19 @@ class ColumnarDecisionTree:
     # candidate assertion extraction
     # ------------------------------------------------------------------
     def assertion_for_leaf(self, leaf: ColumnarTreeNode) -> Assertion:
-        """Turn one pure leaf into a candidate assertion."""
-        antecedent = tuple(feature.to_literal(value) for feature, value in leaf.path)
-        consequent = self.dataset.target.to_literal(leaf.prediction)
-        return Assertion(
-            antecedent=antecedent,
-            consequent=consequent,
-            window=self.dataset.window,
-            confidence=1.0,
-            support=leaf.count,
-        )
+        """Turn one pure leaf into a candidate assertion, built once per
+        leaf state (memoised on ``leaf.candidate``)."""
+        candidate = leaf.candidate
+        if candidate is None:
+            candidate = leaf.candidate = Assertion(
+                antecedent=tuple(feature.to_literal(value)
+                                 for feature, value in leaf.path),
+                consequent=self.dataset.target.to_literal(leaf.prediction),
+                window=self.dataset.window,
+                confidence=1.0,
+                support=leaf.count,
+            )
+        return candidate
 
     def default_assertion(self, value: int = 0) -> Assertion:
         """The zero-knowledge assertion used when no data exists yet
@@ -484,9 +518,11 @@ class ColumnarIncrementalDecisionTree(ColumnarDecisionTree):
     def _route_mask(self, node: ColumnarTreeNode, mask: int,
                     touched: list[ColumnarTreeNode]) -> None:
         """Send a whole bitset of new rows down the existing structure."""
+        # ``mask`` holds new rows only, none of them already in the node.
         node.mask |= mask
-        node.count = popcount(node.mask)
-        node.ones = popcount(node.mask & self.dataset.target_bits)
+        node.count += popcount(mask)
+        node.ones += popcount(mask & self.dataset.target_bits)
+        node.candidate = None
         if node.is_leaf:
             touched.append(node)
             return
