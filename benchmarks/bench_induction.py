@@ -5,8 +5,10 @@ Plain bounded model checking leaves every true assertion at
 reset".  The tiered engine (:class:`~repro.formal.induction.
 KInductionModelChecker`) asks the depth-0 inductive step first, runs the
 same bounded search for falsification when it fails, and then escalates
-strengthened k-induction on the free-initial-state context, upgrading
-bounded passes to genuine **unbounded** proofs.  This
+strengthened k-induction on the free-initial-state context (handing what
+depth 1 cannot prove to the explicit engine when the design's window
+table fits the exact tier's row budget), upgrading bounded passes to
+genuine **unbounded** proofs.  This
 benchmark measures what that tier buys and what it costs on miner-shaped
 candidate corpora over the bundled designs.
 
@@ -92,7 +94,7 @@ def test_induction_proof_tier(benchmark, print_section):
                                induction_k=INDUCTION_K), sample))
 
     headers = ["design", "asserts", "bmc T/F/U", "tiered T/F/U", "upgrades",
-               "max k", "bmc s", "tiered s", "diverg", "refuted"]
+               "max k", "exact", "bmc s", "tiered s", "diverg", "refuted"]
     table_rows = []
     json_rows = []
     divergences_total = 0
@@ -133,9 +135,14 @@ def test_induction_proof_tier(benchmark, print_section):
         explicit = ExplicitModelChecker(module)
         refuted = 0
         proved_ks = []
+        exact_proofs = 0
         for assertion, combined in zip(assertions, tiered_results):
             if combined.proof_strength == PROOF_UNBOUNDED:
-                proved_ks.append(combined.details["induction_k"])
+                # Exact-tier proofs carry no induction depth.
+                if combined.details["proof"] == "explicit":
+                    exact_proofs += 1
+                else:
+                    proved_ks.append(combined.details["induction_k"])
                 if explicit.check(assertion).verdict is not Verdict.TRUE:
                     refuted += 1
         refuted_total += refuted
@@ -155,7 +162,7 @@ def test_induction_proof_tier(benchmark, print_section):
         table_rows.append([
             design_name, len(assertions), mix(bmc_results),
             mix(tiered_results), upgrades,
-            max(proved_ks) if proved_ks else "-",
+            max(proved_ks) if proved_ks else "-", exact_proofs,
             f"{bmc_seconds:.3f}", f"{tiered_seconds:.3f}",
             divergences, refuted,
         ])
@@ -177,6 +184,7 @@ def test_induction_proof_tier(benchmark, print_section):
             "upgrades": upgrades,
             "induction_k_histogram": {
                 str(k): proved_ks.count(k) for k in sorted(set(proved_ks))},
+            "exact_tier_proofs": exact_proofs,
             "divergences": divergences,
             "refuted_proofs": refuted,
         })

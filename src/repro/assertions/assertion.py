@@ -161,8 +161,14 @@ class Assertion:
         return all(literal.holds(valuations) for literal in self.antecedent)
 
     def with_name(self, name: str) -> "Assertion":
-        return Assertion(self.antecedent, self.consequent, self.window, name,
-                         self.confidence, self.support)
+        """A copy named ``name``, without re-validating.
+
+        ``name`` takes no part in equality, so the copy keeps the cached
+        hash.
+        """
+        renamed = object.__new__(type(self))
+        renamed.__dict__.update(self.__dict__, name=name)
+        return renamed
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:

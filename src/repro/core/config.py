@@ -23,13 +23,18 @@ class GoldMineConfig:
       ``tiered`` (incremental SAT on each assertion's cone-of-influence
       slice: the depth-0 inductive step, then bounded search for
       falsification, then the simple-path inductive step for
-      *unbounded* proofs) or ``bdd``.
+      *unbounded* proofs, with the explicit engine as an exact tier
+      for small window tables) or ``bdd``.
     * ``bound`` — search depth of the SAT engine (at least 1; raised to
       the assertion's span when shorter).
     * ``induction_k`` — maximum induction depth of the ``tiered`` engine
       (ignored by the others).  ``0`` is plain BMC with one-step
-      induction; larger values prove more assertions at the cost of
-      deeper step queries.
+      induction.  At ``1`` or more, a check the depth-1 step cannot
+      prove goes to the exact tier (the explicit engine) when the
+      design's window table fits its fixed row budget, and otherwise
+      escalates to depth ``induction_k``: larger values prove more
+      assertions on designs over the budget, at the cost of deeper
+      step queries.
     * ``max_iterations`` — safety bound on counterexample iterations.
     * ``max_states`` / ``max_input_combinations`` — explicit-engine
       limits on reachable states and on enumerated input vectors per

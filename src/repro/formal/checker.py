@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.assertions.assertion import Assertion, Verdict
 from repro.formal.explicit import ExplicitModelChecker
-from repro.formal.induction import KInductionModelChecker
+from repro.formal.induction import EXACT_TIER_ROWS, KInductionModelChecker
 from repro.formal.proofcache import ProofCache, design_fingerprint
 from repro.formal.result import (
     PROOF_BOUNDED,
@@ -49,6 +49,13 @@ if TYPE_CHECKING:
 #: constraints prove more), so entries stored under the unsliced key
 #: form (no suffix, written by earlier versions) are never served.
 SLICED_ENCODING = ":ir"
+
+#: Proof-cache key suffix naming the SAT engine's exact tier by its row
+#: budget (log2).  The tier decides checks that earlier versions left
+#: UNKNOWN, and an UNKNOWN that did not time out is cached, so entries
+#: stored without the marker are never served at ``induction_k > 0``.
+#: At ``induction_k=0`` the tier never runs and the key has no marker.
+EXACT_TIER_MARKER = f":exact={EXACT_TIER_ROWS.bit_length() - 1}"
 
 
 def build_engine(module: Module, name: str, bound: int = 10,
@@ -161,11 +168,13 @@ class FormalVerifier:
     first and proves what holds on every state; otherwise the bounded
     search falsifies, deciding small queries by truth table and the rest
     on one persistent solver context per sliced unrolling (goal
-    literals assumed per query), then the simple-path
-    inductive step on a second persistent context escalates from depth 1
-    to ``induction_k`` so surviving assertions become real ``unbounded``
-    proofs.  ``induction_k=0`` stops at the one-step induction of plain
-    BMC.
+    literals assumed per query), then the simple-path inductive step
+    runs at depth 1 on a second persistent context.  What that step
+    cannot prove goes to the explicit engine when the module's window
+    table fits the exact tier's row budget, and otherwise the step
+    escalates to ``induction_k``, so surviving assertions become real
+    ``unbounded`` proofs.  ``induction_k=0`` stops at the one-step
+    induction of plain BMC.
 
     ``workers`` selects how checks execute: ``1`` (default) runs the
     engine in-process, ``> 1`` fans batches out to that many persistent
@@ -257,16 +266,19 @@ class FormalVerifier:
     def _proof_engine_key(self) -> str:
         """Engine-configuration part of the proof-cache key.
 
-        Only parameters that can change a verdict participate: the bound
-        and induction depth for the SAT engine, the exploration limits for
-        the explicit engine.  Worker count never appears — parallelism
-        does not change results, so serial and parallel runs share cache
-        entries.  The explicit key keeps the empty ``:pinned=`` field of
-        its earlier form, so existing cache files still hit.
+        Only parameters that can change a verdict participate: the bound,
+        induction depth and exact-tier budget for the SAT engine, the
+        exploration limits for the explicit engine.  Worker count never
+        appears — parallelism does not change results, so serial and
+        parallel runs share cache entries.  The explicit key keeps the
+        empty ``:pinned=`` field of its earlier form, so existing cache
+        files still hit.
         """
         if self.engine_name == "tiered":
+            depth = self._engine_kwargs["induction_k"]
             return (f"tiered:bound={self._engine_kwargs['bound']}"
-                    f":k={self._engine_kwargs['induction_k']}{SLICED_ENCODING}")
+                    f":k={depth}{SLICED_ENCODING}"
+                    f"{EXACT_TIER_MARKER if depth else ''}")
         if self.engine_name == "explicit":
             return (f"explicit:max_states={self._engine_kwargs['max_states']}"
                     f":max_inputs={self._engine_kwargs['max_input_combinations']}"

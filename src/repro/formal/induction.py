@@ -1,4 +1,4 @@
-"""The ``tiered`` engine: k-induction around BMC, on the persistent contexts.
+"""The ``tiered`` engine: k-induction around BMC, with an exact tier.
 
 :class:`KInductionModelChecker` upgrades the BMC engine's one-step
 inductive argument to full strengthened k-induction (Sheeran/Singh/
@@ -47,21 +47,48 @@ correctly so: with no state there are no distinct-state paths of length
 ``k ≥ 1`` is vacuously unsatisfiable.
 
 The engine is the ``tiered`` SAT engine, the only one
-:class:`~repro.formal.checker.FormalVerifier` offers.  It asks the
-depth-0 step first: most candidates that hold are proved there, and a
-proof on every state leaves no from-reset window to scan.  Otherwise the
-full bounded search runs (every miner-shaped candidate that is wrong is
-wrong early), then the step escalates from depth 1 to ``induction_k``.
-Depth 0 is plain BMC's one-step induction, so ``induction_k=0`` gives
-:class:`BmcModelChecker`'s verdicts and counterexamples (Eén &
-Sörensson's view of BMC as the base case of one incremental induction
-procedure); only the order of the queries differs.
+:class:`~repro.formal.checker.FormalVerifier` offers.  Its tiers, in
+order:
+
+1. The depth-0 step.  Most candidates that hold are proved there, and a
+   proof on every state leaves no from-reset window to scan.
+2. The full bounded search.  Every miner-shaped candidate that is wrong
+   is wrong early.
+3. The depth-1 step.
+4. The **exact tier**.  When the depth-1 step fails (and did not time
+   out), the module's window table — reachable states ×
+   ``|input vectors| ** window`` rows — is weighed against
+   :data:`EXACT_TIER_ROWS`.  If it fits, the explicit-state engine
+   (:class:`~repro.formal.explicit.ExplicitModelChecker`, built once per
+   checker on the same module, so its window tables serve every later
+   check) decides the assertion exactly: a TRUE is an unbounded proof
+   with ``details["proof"] == "explicit"``, a FALSE carries the explicit
+   engine's counterexample.  The properties this catches are the ones
+   simple-path induction needs a deep k for, or never proves, and the
+   ones whose violations lie past the bound.
+5. Otherwise the step escalates from depth 2 to ``induction_k``.
+
+Exploration for the exact tier is capped at
+``EXACT_TIER_ROWS // |input vectors| ** window`` states, so a module
+over the budget stops exploring at the cap, and the checker remembers
+the largest cap it saw exceeded.  Whether the tier runs is therefore a
+function of the module and the window alone, and the explicit engine's
+verdicts and counterexamples are functions of the assertion alone, so
+results stay independent of check order, worker count and the proof
+cache.  The tier is not interrupted by ``query_timeout``: its cost is
+bounded by the row budget instead.
+
+Depth 0 is plain BMC's one-step induction and the exact tier never runs
+there, so ``induction_k=0`` gives :class:`BmcModelChecker`'s verdicts
+and counterexamples (Eén & Sörensson's view of BMC as the base case of
+one incremental induction procedure); only the order of the queries
+differs.
 
 With a ``query_timeout``, step 0 runs under one budget and the bounded
 search and the escalation under a fresh one, so a check takes at most
-two budgets.  A timed-out step degrades the check to BMC: the bounded
-search still finishes, and what it does not refute comes back as the
-degraded UNKNOWN.
+two budgets plus the exact tier.  A timed-out step degrades the check to
+BMC: the bounded search still finishes, and what it does not refute
+comes back as the degraded UNKNOWN.
 """
 
 from __future__ import annotations
@@ -72,14 +99,22 @@ from repro.assertions.assertion import Assertion
 from repro.boolean.expr import BoolExpr, or_, xor_
 from repro.boolean.sat import SatBudgetExceeded
 from repro.formal.bmc import BmcModelChecker
+from repro.formal.explicit import RETAINED_ROWS, ExplicitModelChecker
 from repro.formal.result import (
     CheckResult,
+    FormalEngineError,
     false_result,
     timeout_result,
     true_result,
     unknown_result,
 )
 from repro.hdl.module import Module
+
+#: Window-table rows (reachable states × input sequences of the window)
+#: up to which a check the depth-1 step cannot prove goes to the explicit
+#: engine.  Equal to the explicit engine's retained-rows budget, so a
+#: table that fits is built once and kept for every later check.
+EXACT_TIER_ROWS = RETAINED_ROWS
 
 
 def state_distinct_expr(design, registers, i: int, j: int):
@@ -97,27 +132,34 @@ def state_distinct_expr(design, registers, i: int, j: int):
 
 
 class KInductionModelChecker(BmcModelChecker):
-    """Strengthened k-induction around :class:`BmcModelChecker`'s search.
+    """Strengthened k-induction around :class:`BmcModelChecker`'s search,
+    with the explicit engine as an exact tier.
 
     Tries the inductive step at depth 0, then runs the bounded search,
-    then tries the simple-path inductive step at ``k = 1 .. induction_k``.
-    Returns TRUE with ``proof_strength="unbounded"`` when a step query is
-    unsatisfiable (at depth 0 without any from-reset query), FALSE with
-    the canonical counterexample the moment a from-reset window is
-    violated (ascending window starts — the same earliest witness plain
-    BMC reports), and otherwise UNKNOWN (``proof_strength="bounded"``).
-    Step 0 holding means no state violates the assertion, so it never
-    hides a refutation.  The worst case under ``query_timeout`` is two
-    budgets: one for step 0, a fresh one for the rest.
+    then the simple-path step at depth 1, then the exact tier (for a
+    module whose window table fits :data:`EXACT_TIER_ROWS`), then the step
+    at ``k = 2 .. induction_k``.  Returns TRUE with
+    ``proof_strength="unbounded"`` when a step query is unsatisfiable (at
+    depth 0 without any from-reset query) or the exact tier proves the
+    assertion, FALSE with the canonical counterexample the moment a
+    from-reset window is violated (ascending window starts — the same
+    earliest witness plain BMC reports) or with the explicit engine's
+    counterexample when the exact tier refutes it, and otherwise UNKNOWN
+    (``proof_strength="bounded"``).  Step 0 holding means no state
+    violates the assertion, so it never hides a refutation.  The worst
+    case under ``query_timeout`` is two budgets (one for step 0, a fresh
+    one for the rest) plus the exact tier, which the row budget bounds.
 
     A proof at depth k is sound only once base windows ``0 .. k-1`` hold
     from reset, so once k passes the bounded search's last window start
     the engine scans window ``k-1`` before the step.  When
     ``induction_k + span - 1`` exceeds ``bound`` it therefore examines
     window starts plain BMC never reaches and may falsify assertions BMC
-    reports UNKNOWN on.  That is a strict (and sound — every witness is
-    canonical and replays) improvement: FALSE(bmc) ⊆ FALSE(tiered), with
-    byte-identical counterexamples wherever both falsify.
+    reports UNKNOWN on.  The exact tier falsifies violations at any
+    depth.  Both are strict (and sound — every witness replays)
+    improvements: FALSE(bmc) ⊆ FALSE(tiered), with byte-identical
+    counterexamples wherever both falsify, since the exact tier only runs
+    after the bounded search found nothing.
     """
 
     name = "tiered"
@@ -141,7 +183,14 @@ class KInductionModelChecker(BmcModelChecker):
         self._induction_counters = {
             "induction_step_queries": 0,
             "induction_proofs": 0,
+            "exact_tier_checks": 0,
         }
+        #: The exact tier's explicit engine, explored in full the first
+        #: time a window's table fits the budget.
+        self._exact: ExplicitModelChecker | None = None
+        #: Largest exploration cap known to be exceeded: the module has
+        #: more reachable states than this (0 says nothing).
+        self._exact_exceeded = 0
 
     # ------------------------------------------------------------------
     def reuse_stats(self) -> dict[str, int]:
@@ -189,6 +238,10 @@ class KInductionModelChecker(BmcModelChecker):
                     if holds:
                         return self._proved(assertion, start, depth, k)
                     degraded = holds is None
+                    if k == 1 and not degraded:
+                        exact = self._exact_check(assertion, start, depth)
+                        if exact is not None:
+                            return exact
             if counterexample is not None:
                 return false_result(assertion, counterexample, self.name,
                                     time.perf_counter() - start, bound=depth)
@@ -226,6 +279,47 @@ class KInductionModelChecker(BmcModelChecker):
         self._induction_counters["induction_proofs"] += 1
         return true_result(assertion, self.name, time.perf_counter() - start,
                            bound=depth, proof="k-induction", induction_k=k)
+
+    # ------------------------------------------------------------------
+    def _exact_check(self, assertion: Assertion, start: float,
+                     depth: int) -> CheckResult | None:
+        """The exact tier's verdict; ``None`` when the table is over budget."""
+        engine = self._exact_engine(assertion.window)
+        if engine is None:
+            return None
+        self._induction_counters["exact_tier_checks"] += 1
+        result = engine.check(assertion)
+        elapsed = time.perf_counter() - start
+        if result.counterexample is not None:
+            return false_result(assertion, result.counterexample, self.name,
+                                elapsed, bound=depth, refuted_by="explicit")
+        return true_result(assertion, self.name, elapsed, bound=depth,
+                           proof="explicit")
+
+    def _exact_engine(self, window: int) -> ExplicitModelChecker | None:
+        """The explicit engine, if the module's ``window`` table fits
+        :data:`EXACT_TIER_ROWS`; exploration stops at the state cap."""
+        inputs = 1 << sum(self.module.width_of(name)
+                          for name in self.module.data_input_names)
+        cap = EXACT_TIER_ROWS // inputs ** window
+        engine = self._exact
+        if engine is not None:
+            return engine if len(engine.state_space.reachable) <= cap else None
+        if cap <= self._exact_exceeded:
+            return None
+        try:
+            engine = ExplicitModelChecker(self.module, max_states=cap)
+        except FormalEngineError:
+            # Too many input vectors to enumerate: over every budget.
+            self._exact_exceeded = EXACT_TIER_ROWS
+            return None
+        try:
+            engine.state_space.explore()
+        except FormalEngineError:
+            self._exact_exceeded = cap
+            return None
+        self._exact = engine
+        return engine
 
     # ------------------------------------------------------------------
     def _step_constraints(self, design, k: int) -> tuple[BoolExpr, ...]:

@@ -54,7 +54,13 @@ class FeatureSpec:
         return (value >> self.bit) & 1
 
     def to_literal(self, value: int) -> Literal:
-        return Literal(self.signal, value, self.cycle, self.bit)
+        """The literal ``self == value``, built once per value and kept
+        on the spec (a mined bit only ever yields two)."""
+        literals = self.__dict__.setdefault("_literals", {})
+        literal = literals.get(value)
+        if literal is None:
+            literal = literals[value] = Literal(self.signal, value, self.cycle, self.bit)
+        return literal
 
 
 def _bit_features(module: Module, signal: str, cycle: int) -> list[FeatureSpec]:

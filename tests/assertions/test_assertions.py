@@ -34,6 +34,14 @@ class TestLiteral:
             assert spec.to_literal(1) == Literal(spec.signal, 1, spec.cycle, spec.bit)
             assert spec.to_literal(1).describe() == f"{spec.column}=1"
 
+    def test_feature_literals_are_built_once(self):
+        spec = FeatureSpec("bus", 2, 3)
+        zero, one = spec.to_literal(0), spec.to_literal(1)
+        assert spec.to_literal(0) is zero and spec.to_literal(1) is one
+        assert (zero, one) == (Literal("bus", 0, 2, 3), Literal("bus", 1, 2, 3))
+        assert spec == FeatureSpec("bus", 2, 3)
+        assert hash(spec) == hash(FeatureSpec("bus", 2, 3))
+
     def test_holds_whole_signal(self):
         literal = Literal("count", 5, 0)
         assert literal.holds({0: {"count": 5}})
@@ -66,6 +74,21 @@ class TestAssertion:
         renamed = base.with_name("different")
         assert base == renamed
         assert hash(base) == hash(renamed)
+
+    def test_with_name_copies_without_revalidating(self, monkeypatch):
+        base = Assertion((Literal("b", 0, 0), Literal("a", 1, 0)),
+                         Literal("z", 1, 1), 1, "old", 0.5, 7)
+        hash(base)
+
+        def fail(self):
+            raise AssertionError("with_name re-ran __post_init__")
+
+        monkeypatch.setattr(Assertion, "__post_init__", fail)
+        renamed = base.with_name("new")
+        assert type(renamed) is Assertion and renamed is not base
+        assert (renamed.name, base.name) == ("new", "old")
+        assert renamed.to_json() == {**base.to_json(), "name": "new"}
+        assert vars(renamed)["_hash"] == hash(base)
 
     def test_depth_counts_antecedent(self):
         assertion = make_assertion([Literal("a", 1, 0), Literal("b", 0, 0)],

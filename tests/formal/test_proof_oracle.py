@@ -123,14 +123,20 @@ class TestUnboundedProofSoundness:
 
     @pytest.mark.parametrize("engine", ["tiered-k0", "tiered"])
     def test_proof_strength_matches_verdict_shape(self, battery, engine):
-        """TRUE ⇒ unbounded, UNKNOWN ⇒ bounded, FALSE ⇒ no strength."""
+        """TRUE ⇒ unbounded, UNKNOWN ⇒ bounded, FALSE ⇒ no strength.
+
+        A TRUE is a k-induction proof or the exact tier's, and an exact
+        tier TRUE must be TRUE under the explicit engine itself."""
         _, _, results = battery
         for row in results:
             check = row[engine]
             if check.verdict is Verdict.TRUE:
                 assert check.proof_strength == PROOF_UNBOUNDED
-                assert check.details["proof"] == "k-induction"
-                assert 0 <= check.details["induction_k"] <= INDUCTION_K
+                assert check.details["proof"] in {"k-induction", "explicit"}
+                if check.details["proof"] == "explicit":
+                    assert row["explicit"].verdict is Verdict.TRUE
+                else:
+                    assert 0 <= check.details["induction_k"] <= INDUCTION_K
             elif check.verdict is Verdict.UNKNOWN:
                 assert check.proof_strength == PROOF_BOUNDED
             else:

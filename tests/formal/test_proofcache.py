@@ -8,7 +8,7 @@ import pytest
 
 from repro.assertions.assertion import Assertion, Literal, Verdict
 from repro.designs import info as design_info
-from repro.formal.checker import SLICED_ENCODING, FormalVerifier
+from repro.formal.checker import EXACT_TIER_MARKER, SLICED_ENCODING, FormalVerifier
 from repro.formal.proofcache import (
     CACHE_SCHEMA_VERSION,
     ProofCache,
@@ -343,13 +343,15 @@ class TestEngineKeyText:
         assert verifier._proof_engine_key() == \
             "explicit:max_states=50000:max_inputs=4096:pinned="
 
-    @pytest.mark.parametrize("induction_k", [0, 4])
-    def test_tiered_key_names_bound_and_depth(self, induction_k):
+    @pytest.mark.parametrize("induction_k,key", [
+        (0, "tiered:bound=6:k=0:ir"),
+        (4, "tiered:bound=6:k=4:ir:exact=18"),
+    ])
+    def test_tiered_key_names_bound_and_depth(self, induction_k, key):
         module = design_info("arbiter2").build()
         verifier = FormalVerifier(module, engine="tiered", bound=6,
                                   induction_k=induction_k)
-        assert verifier._proof_engine_key() == \
-            f"tiered:bound=6:k={induction_k}:ir"
+        assert verifier._proof_engine_key() == key
 
 
 class TestSlicedEncodingKeys:
@@ -360,6 +362,8 @@ class TestSlicedEncodingKeys:
     encoding, which can prove less under k-induction: never served."""
 
     FORMS = [("tiered", "tiered:bound=6:k=4")]
+    #: What follows the encoding suffix in the current key.
+    TAIL = EXACT_TIER_MARKER
 
     def _verifier(self, engine, path):
         module = design_info("arbiter2").build()
@@ -378,7 +382,7 @@ class TestSlicedEncodingKeys:
         cache = ProofCache(path)
         cache.store(fingerprint, unsliced_key, assertion,
                     unknown_result(assertion, engine, bound=6, marker="unsliced"))
-        cache.store(fingerprint, f"{unsliced_key}:ir", assertion,
+        cache.store(fingerprint, f"{unsliced_key}:ir{self.TAIL}", assertion,
                     unknown_result(assertion, engine, bound=6, marker="sliced"))
         cache.flush()
         assert len(json.loads(path.read_text())["entries"]) == 2
@@ -408,5 +412,40 @@ class TestSlicedEncodingKeys:
         # The engine's own verdict is stored under the sliced key, beside
         # the unsliced entry it did not trust.
         keys = json.loads(path.read_text())["entries"]
-        assert ProofCache.entry_key(fingerprint, f"{unsliced_key}:ir",
+        assert ProofCache.entry_key(fingerprint, f"{unsliced_key}:ir{self.TAIL}",
                                     assertion) in keys
+
+
+class TestExactTierKeys:
+    """Entries written before the exact tier existed may be UNKNOWNs the
+    tier now decides, so at ``induction_k > 0`` they are never served; at
+    ``induction_k=0`` the tier never runs and they still hit."""
+
+    # A b09 window-2 candidate that k-induction cannot prove at any depth
+    # up to 8 and the exact tier proves.
+    ASSERTION = Assertion((Literal("hold", 1, 0, 2), Literal("shift_in", 0, 0, 3)),
+                          Literal("d_out", 1, 2), window=2)
+
+    def test_marker_names_the_row_budget(self):
+        assert EXACT_TIER_MARKER == ":exact=18"
+
+    @pytest.mark.parametrize("induction_k,served", [(0, True), (8, False)])
+    def test_pre_tier_entry(self, tmp_path, induction_k, served):
+        module = design_info("b09").build()
+        fingerprint = design_fingerprint(module)
+        path = tmp_path / "proofs.json"
+        cache = ProofCache(path)
+        cache.store(fingerprint, f"tiered:bound=10:k={induction_k}:ir",
+                    self.ASSERTION,
+                    unknown_result(self.ASSERTION, "tiered", bound=10,
+                                   marker="pre-tier"))
+        cache.flush()
+        verifier = FormalVerifier(module, engine="tiered", bound=10,
+                                  induction_k=induction_k,
+                                  proof_cache=ProofCache(path))
+        result = verifier.check(self.ASSERTION)
+        assert ("marker" in result.details) is served
+        assert verifier.stats.reuse["proof_cache_hits"] == int(served)
+        if not served:
+            assert result.verdict is Verdict.TRUE
+            assert result.details["proof"] == "explicit"
